@@ -4,7 +4,8 @@ Reports echo every tolerance and seed they used, so each number in the
 output is reproducible from the report alone.  Output is byte-identical
 for identical (input file, flags, seed).
 
-Exit codes: 0 success, 1 usage or parse error, 2 internal invariant
+Exit codes: 0 success, 1 usage error or any qpd error (a one-line
+message on stderr, never a traceback), 2 internal invariant
 violation (an analytic/numeric disagreement under --verify --strict, or
 a conjugacy trial exceeding its budget).
 """
@@ -32,7 +33,7 @@ from .errors import (
     NoDetection,
     NoInteriorFixedPoint,
     NonPositiveState,
-    ParseError,
+    QPDError,
     SchemaError,
     SingularMatrix,
 )
@@ -62,6 +63,10 @@ CONJUGACY_MAX_CONDITION = 100.0
 
 _VERIFY_ATTRACTIVITY_TOL = 1e-4
 _VERIFY_ATTRACTIVITY_HORIZON = 2000
+
+#: Context printed before the message of an error of these kinds.
+_ERROR_CONTEXT = ((SchemaError, "invalid system definition: "),
+                  (NonPositiveState, "bad initial condition: "))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -466,14 +471,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SchemaError as exc:
-        print(f"error: invalid system definition: {exc}", file=sys.stderr)
-        return 1
-    except NonPositiveState as exc:
-        print(f"error: bad initial condition: {exc}", file=sys.stderr)
+    except QPDError as exc:
+        context = next((text for kind, text in _ERROR_CONTEXT
+                        if isinstance(exc, kind)), "")
+        print(f"error: {context}{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

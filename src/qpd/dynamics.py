@@ -2,14 +2,14 @@
 
 Trajectory simulation, interior fixed points via the canonical LV form,
 ensemble probes for permanence and attractivity, conjugacy verification,
-and largest-Lyapunov-exponent estimation with the analytic Jacobian of
-the QP map.
+and largest-Lyapunov-exponent estimation with the analytic tangent map
+of the QP map in log coordinates.
 
-Guard policy: an orbit whose step exponent exceeds the guard bound is
-terminated with reason "overflow"; a component dropping below the
-underflow floor terminates with reason "underflow" (extinction-like
-collapse, distinguished from roundoff zero).  Ensemble verdicts treat
-either termination as failure.
+Guard policy: every map evaluation here goes through the one guarded
+kernel ``systems.advance``, which labels a guarded step by the sign of
+its exponent: "overflow" for a blow-up, "underflow" for a collapse toward
+0 (including a component below UNDERFLOW_FLOOR).  The orbit terminates
+there; ensemble verdicts treat either termination as failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ from .errors import (
     OverflowGuard,
     SingularSystem,
 )
-from .systems import EXP_ARG_LIMIT, LVSystem, QPSystem, as_state, step
+from .systems import (
+    GUARD_OK,
+    GUARD_REASONS,
+    LVSystem,
+    QPSystem,
+    advance,
+    as_state,
+    step,
+)
 from .transform import (
     QMTMatrix,
     apply_qmt,
@@ -32,12 +40,6 @@ from .transform import (
     det_tolerance,
     map_state,
 )
-
-#: A state component below this floor terminates the orbit.
-UNDERFLOW_FLOOR = 1e-300
-
-REASON_OVERFLOW = "overflow"
-REASON_UNDERFLOW = "underflow"
 
 #: Default log-uniform initial-condition box for ensemble probes; the
 #: multi-scale spread is the point, since permanence quantifies over all
@@ -71,17 +73,14 @@ def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
     """Iterate the map ``steps`` times or until a guard triggers."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    x = as_state(x0, sys.n)
-    states = [x]
+    states = np.empty((steps + 1, sys.n))
+    states[0] = x = as_state(x0, sys.n)
     for t in range(steps):
-        try:
-            x = step(sys, x)
-        except OverflowGuard:
-            return Trajectory(np.array(states), (t, REASON_OVERFLOW))
-        if np.any(x < UNDERFLOW_FLOOR):
-            return Trajectory(np.array(states), (t, REASON_UNDERFLOW))
-        states.append(x)
-    return Trajectory(np.array(states))
+        x, _, guard = advance(sys, x)
+        if guard != GUARD_OK:
+            return Trajectory(states[:t + 1].copy(), (t, GUARD_REASONS[guard]))
+        states[t + 1] = x
+    return Trajectory(states)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -152,18 +151,18 @@ def qp_fixed_point(sys: QPSystem):
 def qp_jacobian(sys: QPSystem, x) -> np.ndarray:
     """Analytic Jacobian of the one-step map at a positive state.
 
-    With q the quasimonomial vector and x' the image state,
-
-        J[i,k] = (x'_i/x_i) * delta_ik + x'_i * sum_j A[i,j] B[j,k] q_j / x_k.
+    In log coordinates u = log x the map is u' = u + lam + A exp(B u),
+    with Jacobian J_u = I + A diag(q) B for the quasimonomials q.  With
+    x' the image state, J = diag(x') J_u diag(1/x), built from the q and
+    x' of one kernel call.  Raises OverflowGuard when the step is guarded
+    or J leaves the representable range.
     """
     x = as_state(x, sys.n)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        q = np.exp(sys.B @ np.log(x))
-        e = np.exp(sys.lam + sys.A @ q)
-        xp = x * e
-        inner = sys.A @ (q[:, None] * sys.B)
-        J = np.diag(e) + xp[:, None] * inner / x[None, :]
-    if not np.all(np.isfinite(J)):
+    xp, q, guard = advance(sys, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J_u = np.eye(sys.n) + sys.A @ (q[:, None] * sys.B)
+        J = xp[:, None] * J_u / x[None, :]
+    if guard != GUARD_OK or not np.all(np.isfinite(J)):
         raise OverflowGuard("Jacobian left the representable range")
     return J
 
@@ -172,7 +171,8 @@ def largest_lyapunov(sys: QPSystem, x0, transient=1000, samples=10000,
                      seed=0) -> float:
     """Largest Lyapunov exponent estimate along one orbit.
 
-    Propagates a tangent vector with the analytic Jacobian, renormalizing
+    Propagates a tangent vector in log coordinates, v <- v + A (q * B v)
+    with q from the kernel call that advances the state, renormalizing
     every step and averaging the log growth over ``samples`` steps after
     discarding ``transient`` steps.  The tangent direction is drawn from
     a seeded generator: a fixed deterministic direction can sit exactly
@@ -180,31 +180,24 @@ def largest_lyapunov(sys: QPSystem, x0, transient=1000, samples=10000,
     never rotate away from it.
     """
     x = as_state(x0, sys.n)
-    try:
-        for _ in range(transient):
-            x = step(sys, x)
-            if np.any(x < UNDERFLOW_FLOOR):
-                raise GuardTermination("orbit hit the underflow floor")
-    except OverflowGuard as exc:
-        raise GuardTermination(f"transient hit the overflow guard: {exc}") from exc
-
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(sys.n)
     v /= np.linalg.norm(v)
     total = 0.0
-    try:
-        for _ in range(samples):
-            v = qp_jacobian(sys, x) @ v
+    for t in range(transient + samples):
+        x_next, q, guard = advance(sys, x)
+        if guard != GUARD_OK:
+            raise GuardTermination(
+                f"orbit hit the {GUARD_REASONS[guard]} guard at step {t}")
+        if t >= transient:
+            v = v + sys.A @ (q * (sys.B @ v))
             s = float(np.linalg.norm(v))
             if s == 0.0 or not np.isfinite(s):
-                raise GuardTermination("tangent vector left the representable range")
+                raise GuardTermination(
+                    "tangent vector left the representable range")
             total += np.log(s)
             v /= s
-            x = step(sys, x)
-            if np.any(x < UNDERFLOW_FLOOR):
-                raise GuardTermination("orbit hit the underflow floor")
-    except OverflowGuard as exc:
-        raise GuardTermination(f"sampling hit the overflow guard: {exc}") from exc
+        x = x_next
     return total / samples
 
 
@@ -250,10 +243,8 @@ def _advance_ensemble(sys: QPSystem, X0, steps, tail_len=0):
     over the last ``tail_len`` recorded states of surviving orbits (the
     aggregation is pure min/max, so it is order-independent).
     """
-    A, B, lam = sys.A, sys.B, sys.lam
     X = np.array(X0, dtype=float)
-    m = X.shape[0]
-    alive = np.ones(m, dtype=bool)
+    alive = np.ones(X.shape[0], dtype=bool)
     guards: list[tuple[int, int, str]] = []
     tail_min, tail_max = np.inf, -np.inf
     tail_start = steps - tail_len + 1
@@ -264,24 +255,10 @@ def _advance_ensemble(sys: QPSystem, X0, steps, tail_len=0):
         idx = np.where(alive)[0]
         if idx.size == 0:
             break
-        Xa = X[idx]
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            W = np.log(Xa) @ B.T
-            q = np.exp(W)
-            arg = lam + q @ A.T
-            Xn = Xa * np.exp(arg)
-        over = (
-            np.any(W > EXP_ARG_LIMIT, axis=1)
-            | np.any(np.abs(arg) > EXP_ARG_LIMIT, axis=1)
-            | ~np.all(np.isfinite(Xn), axis=1)
-            | np.any(Xn <= 0.0, axis=1)
-        )
-        under = ~over & np.any(Xn < UNDERFLOW_FLOOR, axis=1)
-        ok = ~(over | under)
-        for loc in np.where(over)[0]:
-            guards.append((int(idx[loc]), t - 1, REASON_OVERFLOW))
-        for loc in np.where(under)[0]:
-            guards.append((int(idx[loc]), t - 1, REASON_UNDERFLOW))
+        Xn, _, guard = advance(sys, X[idx])
+        ok = guard == GUARD_OK
+        for loc in np.where(~ok)[0]:
+            guards.append((int(idx[loc]), t - 1, GUARD_REASONS[guard[loc]]))
         alive[idx[~ok]] = False
         X[idx[ok]] = Xn[ok]
         if tail_len > 0 and t >= tail_start and np.any(ok):
@@ -376,27 +353,19 @@ def conjugacy_deviation(sys: QPSystem, qmt: QMTMatrix, x0, steps: int) -> float:
     """Maximum relative gap between an orbit and its conjugate image.
 
     Runs the system from x0 and the transformed system from the mapped
-    initial state, maps the second orbit back, and returns the largest
-    componentwise relative deviation over all recorded steps.  Raises
-    GuardTermination if either orbit fails to reach the horizon.
+    initial state, maps the second orbit back in log coordinates, where
+    the QMT is linear (log x = C log y), and returns the largest
+    componentwise relative deviation ``max |expm1(log Y C^T - log X)|``
+    over all recorded steps.  Raises GuardTermination if either orbit
+    fails to reach the horizon.
     """
-    x0 = as_state(x0, sys.n)
     direct = simulate(sys, x0, steps)
-    if direct.terminated_early is not None:
-        raise GuardTermination(
-            f"direct orbit terminated early: {direct.terminated_early}")
-    other = apply_qmt(sys, qmt)
-    y0 = map_state(qmt.inverse(), x0)
-    conjugate = simulate(other, y0, steps)
-    if conjugate.terminated_early is not None:
-        raise GuardTermination(
-            f"conjugate orbit terminated early: {conjugate.terminated_early}")
-    if np.array_equal(qmt.C, np.eye(sys.n)):
-        mapped = conjugate.states
-    else:
-        W = np.log(conjugate.states) @ qmt.C.T
-        if np.any(np.abs(W) > EXP_ARG_LIMIT):
+    conjugate = simulate(apply_qmt(sys, qmt),
+                         map_state(qmt.inverse(), direct.states[0]), steps)
+    for label, traj in (("direct", direct), ("conjugate", conjugate)):
+        if traj.terminated_early is not None:
             raise GuardTermination(
-                "state mapping of the conjugate orbit overflowed")
-        mapped = np.exp(W)
-    return float(np.max(np.abs(mapped - direct.states) / direct.states))
+                f"{label} orbit terminated early: {traj.terminated_early}")
+    gap = np.log(conjugate.states) @ qmt.C.T - np.log(direct.states)
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(np.expm1(gap))))

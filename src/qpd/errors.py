@@ -26,10 +26,6 @@ class NonPositiveState(QPDError):
     """A state vector has a component outside the open positive orthant."""
 
 
-class BadInitialCondition(NonPositiveState):
-    """A user-supplied initial condition is not strictly positive."""
-
-
 class OverflowGuard(QPDError):
     """An exponent argument exceeded the guard bound; the step was rejected
     rather than silently producing inf/NaN."""
@@ -57,11 +53,6 @@ class GuardTermination(QPDError):
 
 class NoDetection(QPDError):
     """A parameter scan found no detection anywhere in the requested range."""
-
-
-class SearchBudgetExceeded(QPDError):
-    """An exhaustive search was refused because the problem size exceeds
-    the documented budget."""
 
 
 class SchemaError(QPDError):

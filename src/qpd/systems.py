@@ -9,9 +9,9 @@ with square real matrices A, B and a real vector lam.  The products
 the special case B = identity, where the quasimonomials are the state
 components themselves.
 
-This module owns validation, one-step evaluation, sign-pattern
-extraction, and the system-definition JSON schema used by fixtures and
-the command line.
+This module owns validation, the one guarded batched map kernel
+(``advance``), sign-pattern extraction, and the system-definition JSON
+schema used by fixtures and the command line.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ DEFAULT_SIGN_TOL = 1e-9
 #: absolute value is rejected (near the double-precision exp limit) rather
 #: than silently producing inf or a collapsed zero.
 EXP_ARG_LIMIT = 700.0
+
+#: A state component below this floor terminates the orbit (extinction-like
+#: collapse, distinguished from roundoff zero).
+UNDERFLOW_FLOOR = 1e-300
+
+#: Guard codes returned by ``advance``, and the reason label of each.
+GUARD_OK, GUARD_OVERFLOW, GUARD_UNDERFLOW = 0, 1, 2
+GUARD_REASONS = (None, "overflow", "underflow")
 
 #: Sign-pattern symbols.
 PLUS = 1
@@ -144,8 +152,37 @@ def as_state(x, n=None) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFinite("state contains NaN or infinite entries")
     if np.any(out <= 0.0):
-        raise NonPositiveState(f"state must be strictly positive, got {out}")
+        raise NonPositiveState(f"state must be strictly positive, got {out.tolist()}")
     return out
+
+
+def advance(sys: QPSystem, X):
+    """One guarded step of the QP map for each row of X.
+
+    X holds already-validated positive states, as (m, n) rows or one (n,)
+    vector.  Returns ``(X', q, guard)``: the images, the quasimonomials
+    ``q = exp(log X B^T)`` and a guard code per row, valid X' only where
+    it is GUARD_OK.  The sign of the exponent labels a guarded row:
+    GUARD_OVERFLOW when an exponent exceeds +EXP_ARG_LIMIT or the image
+    is not finite, GUARD_UNDERFLOW when a step exponent is below
+    -EXP_ARG_LIMIT or a component falls below UNDERFLOW_FLOOR.  The image
+    is ``X * exp(arg)``, not ``exp(log X + arg)``, so that a zero
+    exponent reproduces the state exactly.
+    """
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        W = np.log(X) @ sys.B.T
+        q = np.exp(W)
+        arg = sys.lam + q @ sys.A.T
+        Xn = X * np.exp(arg)
+        # row extrema keep the guard cheap for one row; NaN fails "< inf"
+        over = ((W.max(axis=-1) > EXP_ARG_LIMIT)
+                | (arg.max(axis=-1) > EXP_ARG_LIMIT)
+                | ~(Xn.max(axis=-1) < np.inf))
+        under = ((arg.min(axis=-1) < -EXP_ARG_LIMIT)
+                 | (Xn.min(axis=-1) < UNDERFLOW_FLOOR))
+    guard = np.where(over, GUARD_OVERFLOW,
+                     np.where(under, GUARD_UNDERFLOW, GUARD_OK))
+    return Xn, q, guard
 
 
 def quasimonomials(sys: QPSystem, x) -> np.ndarray:
@@ -155,28 +192,21 @@ def quasimonomials(sys: QPSystem, x) -> np.ndarray:
     strictly positive state.  Raises OverflowGuard when a quasimonomial
     would overflow double precision.
     """
-    x = as_state(x, sys.n)
-    w = sys.B @ np.log(x)
-    if np.any(w > EXP_ARG_LIMIT):
-        raise OverflowGuard("quasimonomial exponent exceeds guard bound")
-    return np.exp(w)
+    _, q, _ = advance(sys, as_state(x, sys.n))
+    if not np.all(np.isfinite(q)):
+        raise OverflowGuard("quasimonomial overflows double precision")
+    return q
 
 
 def step(sys: QPSystem, x) -> np.ndarray:
     """One iteration of the QP map; strictly positive in, strictly positive out.
 
-    Raises OverflowGuard when the exponent argument exceeds the guard
-    bound in absolute value, or when the result would leave the
-    representable positive range.
+    Raises OverflowGuard when ``advance`` guards the step, whether it
+    would overflow or collapse below UNDERFLOW_FLOOR.
     """
-    x = as_state(x, sys.n)
-    q = quasimonomials(sys, x)
-    arg = sys.lam + sys.A @ q
-    if np.any(np.abs(arg) > EXP_ARG_LIMIT):
-        raise OverflowGuard("step exponent exceeds guard bound")
-    out = x * np.exp(arg)
-    if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
-        raise OverflowGuard("step left the representable positive orthant")
+    out, _, guard = advance(sys, as_state(x, sys.n))
+    if guard != GUARD_OK:
+        raise OverflowGuard(f"step hit the {GUARD_REASONS[guard]} guard")
     return out
 
 

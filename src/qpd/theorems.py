@@ -20,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SearchBudgetExceeded, WrongDimension
+from .errors import WrongDimension
 from .systems import (
     DEFAULT_SIGN_TOL,
     MINUS,
@@ -36,9 +36,6 @@ from .transform import class_invariants, det_tolerance
 #: against these).
 DIAMOND_RHO_THRESHOLD = 3.13
 MAROTTO_RHO_THRESHOLD = 2.89
-
-#: Largest dimension accepted by the hierarchical-ordering search.
-HIERARCHICAL_SEARCH_MAX_N = 10
 
 # 2x2 interaction patterns appearing in the theorem hypotheses.
 COOPERATIVE_PATTERN = np.array([[MINUS, PLUS], [PLUS, MINUS]], dtype=np.int8)
@@ -440,18 +437,12 @@ def is_hierarchically_ordered(P, tol=DEFAULT_SIGN_TOL):
     diagonal entry is positive.  Removing a valid index only deletes
     constraints on the rest, so if any ordering exists one is found; the
     search is exact.  Ties are broken toward the row with the fewest
-    negative entries.  Refuses n > 10.
+    negative entries.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise WrongDimension(f"expected a square matrix, got shape {P.shape}")
-    n = P.shape[0]
-    if n > HIERARCHICAL_SEARCH_MAX_N:
-        raise SearchBudgetExceeded(
-            f"hierarchical-ordering search accepts n <= "
-            f"{HIERARCHICAL_SEARCH_MAX_N}, got n = {n}"
-        )
-    remaining = list(range(n))
+    remaining = list(range(P.shape[0]))
     order: list[int] = []
     while remaining:
         candidates = [

@@ -127,6 +127,28 @@ class TestSimulate:
         assert code == 1
         assert "bad initial condition" in err
 
+    def test_dimension_mismatch_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate",
+                             str(fixture_path("example1_lv")),
+                             "--x0", "1,1,1", "--steps", "3",
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "length 2" in err
+
+    def test_long_state_error_stays_on_one_line(self, capsys, tmp_path):
+        n = 12
+        doc = {"name": "wide", "n": n, "A": (-np.eye(n)).tolist(),
+               "B": np.eye(n).tolist(), "lambda": [0.5] * n}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        x0 = ",".join(["0.123456789"] * (n - 1) + ["-0.123456789"])
+        code, _, err = run(capsys, "simulate", str(path), "--x0", x0,
+                           "--steps", "3", "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "bad initial condition" in err and err.count("\n") == 1
+
     def test_rejects_zero_steps(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate",
                            str(fixture_path("example1_lv")),

@@ -20,6 +20,7 @@ from qpd import (
     step,
     write_trajectory_csv,
 )
+from qpd.dynamics import _advance_ensemble
 from qpd.errors import GuardTermination, SingularSystem
 
 FIXED_POINT_LV1 = np.array([1.0 / 3.0, 1.0 / 3.0])
@@ -58,6 +59,11 @@ class TestSimulate:
         traj = simulate(sys, [1.0], 2000)
         assert traj.terminated_early is not None
         assert traj.terminated_early[1] == "underflow"
+
+    def test_collapse_is_labelled_underflow(self):
+        # exponent 0.5 - 800 < -700: a collapse toward 0, not a blow-up
+        sys = QPSystem([[-1.0]], [[1.0]], [0.5])
+        assert simulate(sys, [800.0], 5).terminated_early == (0, "underflow")
 
     def test_trajectory_csv_format(self, tmp_path):
         traj = simulate(load_fixture("example1_lv"), [1.0, 1.0], 3)
@@ -263,6 +269,25 @@ class TestEmpiricalAttractivity:
             sys, FIXED_POINT_LV1, horizon=500, tol=1e-12, seed=0,
             initial_conditions=[FIXED_POINT_LV1])
         assert verdict.passed
+
+
+class TestGuardPathAgreement:
+    def test_ensemble_guards_match_single_orbits(self):
+        # A tiny x_2 overflows through the x_2**-1 quasimonomial, a huge
+        # x_1 collapses through a large negative exponent, the rest settle.
+        sys = QPSystem([[-1.0, 0.01], [0.01, 0.25]],
+                       [[1.0, 0.0], [0.0, -1.0]], [0.5, -0.5])
+        rng = np.random.default_rng(5)
+        X0 = np.vstack([
+            np.exp(rng.uniform(np.log(1e-5), np.log(1e3), size=(40, 2))),
+            [[800.0, 1.0], [699.0, 1.0], [1.0, 1e-4], [1.0, 1.0]],
+        ])
+        _, alive, guards, _, _ = _advance_ensemble(sys, X0, 200)
+        assert {reason for _, _, reason in guards} == {"overflow", "underflow"}
+        assert np.any(alive)
+        by_orbit = {i: (t, reason) for i, t, reason in guards}
+        for i, x0 in enumerate(X0):
+            assert simulate(sys, x0, 200).terminated_early == by_orbit.get(i)
 
 
 class TestConjugacyDeviation:

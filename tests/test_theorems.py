@@ -21,7 +21,7 @@ from qpd import (
     perp,
     sign_pattern,
 )
-from qpd.errors import SearchBudgetExceeded, WrongDimension
+from qpd.errors import WrongDimension
 from qpd.theorems import hierarchically_ordered_bruteforce
 
 
@@ -213,9 +213,14 @@ class TestHierarchicalOrdering:
                 if n > 1:
                     assert np.all(Q[np.triu_indices(n, 1)] >= -1e-9)
 
-    def test_refuses_oversized_search(self):
-        with pytest.raises(SearchBudgetExceeded):
-            is_hierarchically_ordered(np.eye(11))
+    def test_search_is_total_beyond_ten_dimensions(self):
+        witness = is_hierarchically_ordered(np.eye(12))
+        assert witness is not None
+        assert np.array_equal(witness.apply(np.eye(12)), np.eye(12))
+        rng = np.random.default_rng(13)
+        for n in (11, 12):
+            verdicts = check_all_theorems(random_system(rng, n))
+            assert len(verdicts) == 7
 
 
 class TestTheorem5:
