@@ -21,11 +21,9 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     conjugacy_deviation,
-    empirical_attractivity,
-    empirical_permanence,
-    largest_lyapunov,
     qp_fixed_point,
     simulate,
+    verification_pass,
     write_trajectory_csv,
 )
 from .errors import (
@@ -133,30 +131,24 @@ def _verification_block(system, verdicts, seed) -> dict:
     except (SingularMatrix, NoInteriorFixedPoint) as exc:
         block["fixed_point"] = {"error": str(exc)}
 
-    permanence = empirical_permanence(system, seed=seed)
+    lyapunov_params = {"x0": [1.0] * system.n, "transient": 1000,
+                       "samples": 10000, "seed": seed}
+    checks = verification_pass(
+        system, fixed_point, seed=seed, tol=_VERIFY_ATTRACTIVITY_TOL,
+        horizon=_VERIFY_ATTRACTIVITY_HORIZON,
+        transient=lyapunov_params["transient"],
+        samples=lyapunov_params["samples"])
+    permanence, attractivity = checks.permanence, checks.attractivity
     block["permanence"] = permanence.to_dict()
-
-    attractivity = None
-    if fixed_point is not None:
-        attractivity = empirical_attractivity(
-            system, fixed_point, tol=_VERIFY_ATTRACTIVITY_TOL,
-            horizon=_VERIFY_ATTRACTIVITY_HORIZON, seed=seed)
+    if attractivity is not None:
         block["attractivity"] = attractivity.to_dict()
     else:
         block["attractivity"] = {
             "skipped": "no interior fixed point available as target"}
-
-    lyapunov = None
-    lyapunov_params = {"x0": [1.0] * system.n, "transient": 1000,
-                       "samples": 10000, "seed": seed}
-    try:
-        lyapunov = largest_lyapunov(system, np.ones(system.n),
-                                    transient=lyapunov_params["transient"],
-                                    samples=lyapunov_params["samples"],
-                                    seed=seed)
-        block["largest_lyapunov"] = lyapunov
-    except GuardTermination as exc:
-        block["largest_lyapunov"] = {"error": str(exc)}
+    lyapunov = checks.lyapunov
+    block["largest_lyapunov"] = (
+        lyapunov if checks.lyapunov_error is None
+        else {"error": checks.lyapunov_error})
     block["lyapunov_params"] = lyapunov_params
 
     disagreements = []

@@ -3,7 +3,9 @@
 Trajectory simulation, interior fixed points via the canonical LV form,
 ensemble probes for permanence and attractivity, conjugacy verification,
 and largest-Lyapunov-exponent estimation with the analytic tangent map
-of the QP map in log coordinates.
+of the QP map in log coordinates.  The ensemble probes, the Lyapunov
+orbit and ``verification_pass``, which runs all three probes as one
+batch, share one lockstep engine.
 
 Guard policy: every map evaluation here goes through the one guarded
 kernel ``systems.advance``, which labels a guarded step by the sign of
@@ -14,6 +16,7 @@ there; ensemble verdicts treat either termination as failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,30 +183,138 @@ def largest_lyapunov(sys: QPSystem, x0, transient=1000, samples=10000,
     never rotate away from it.
     """
     x = as_state(x0, sys.n)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(sys.n)
-    v /= np.linalg.norm(v)
-    total = 0.0
-    for t in range(transient + samples):
-        x_next, q, guard = advance(sys, x)
-        if guard != GUARD_OK:
-            raise GuardTermination(
-                f"orbit hit the {GUARD_REASONS[guard]} guard at step {t}")
-        if t >= transient:
-            v = v + sys.A @ (q * (sys.B @ v))
-            s = float(np.linalg.norm(v))
-            if s == 0.0 or not np.isfinite(s):
-                raise GuardTermination(
-                    "tangent vector left the representable range")
-            total += np.log(s)
-            v /= s
-        x = x_next
-    return total / samples
+    run = _lockstep(sys, x[None, :], [transient + samples],
+                    tangent=(0, transient, _tangent_direction(seed, sys.n)))
+    return _lyapunov_estimate(run, 0, samples)
+
+
+def _tangent_direction(seed, n):
+    v = np.random.default_rng(seed).standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _lyapunov_estimate(run, row, samples) -> float:
+    """The mean log growth of the tangent carried by ``row``; raises
+    GuardTermination when the tangent or the orbit failed first."""
+    if run.tangent_error is not None:
+        raise GuardTermination(run.tangent_error)
+    for guarded, t, reason in run.guards:
+        if guarded == row:
+            raise GuardTermination(f"orbit hit the {reason} guard at step {t}")
+    return run.log_growth / samples
+
+
+# ---------------------------------------------------------------------------
+# the lockstep engine
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Lockstep:
+    """What one lockstep run observed.
+
+    ``guards`` lists (row, t, reason) in step order, rows ascending
+    within a step, where t is the step whose transition was guarded.
+    ``tail_min``/``tail_max`` are per-row componentwise extrema over the
+    tail window (inf/-inf where a row recorded none); ``snapshot`` holds
+    the states at the snapshot step, NaN for rows no longer live then.
+    """
+
+    guards: list
+    tail_min: np.ndarray
+    tail_max: np.ndarray
+    snapshot: np.ndarray | None
+    log_growth: float
+    tangent_error: str | None
+
+
+def _batch(L):
+    """A lone row is advanced as two copies: numpy multiplies a one-row
+    matrix through another BLAS kernel, whose rounding differs, and an
+    orbit must not depend on which rows share its batch."""
+    return np.repeat(L, 2, axis=0) if L.shape[0] == 1 else L
+
+
+def _follow(pos, keep):
+    """Batch position of the tangent row once the batch keeps ``keep``;
+    -1 when the row is not live."""
+    return int(np.count_nonzero(keep[:pos])) if pos >= 0 and keep[pos] else -1
+
+
+def _lockstep(sys: QPSystem, X0, horizons, tail=range(0), snapshot=None,
+              tangent=None) -> _Lockstep:
+    """Advance the rows of X0 in lockstep, each to its own horizon.
+
+    A guarded row freezes; it records its guard and leaves the batch.
+    Row extrema are taken over the states of the steps in ``tail``, and
+    the states after step ``snapshot`` are copied out.  ``tangent`` is
+    ``(row, start, v)``: that row carries the tangent vector v through
+    every transition out of a state t >= start, summing the log growth.
+    A tangent that leaves the representable range ends its row.  The
+    live rows are advanced as one compact batch, rebuilt only when a row
+    guards or retires.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    horizons = np.array(horizons, dtype=int)
+    tail_min = np.full(X0.shape, np.inf)
+    tail_max = np.full(X0.shape, -np.inf)
+    guards: list[tuple[int, int, str]] = []
+    snap = None
+    growth, tangent_error = 0.0, None
+    idx = np.arange(X0.shape[0])
+    L = _batch(X0)
+    if tangent is not None:
+        row, start, v = tangent
+        A, B = sys.A, sys.B
+    pos = -1 if tangent is None else row
+    stop = int(horizons.min()) if idx.size else 0
+    t = 0
+    while idx.size:
+        if t in tail:
+            live = L[:idx.size]
+            tail_min[idx] = np.minimum(tail_min[idx], live)
+            tail_max[idx] = np.maximum(tail_max[idx], live)
+        if t == snapshot:
+            snap = np.full(X0.shape, np.nan)
+            snap[idx] = L[:idx.size]
+        if t >= stop:
+            keep = horizons[idx] > t
+            L, idx = _batch(L[:idx.size][keep]), idx[keep]
+            pos = _follow(pos, keep)
+            if not idx.size:
+                break
+            stop = int(horizons[idx].min())
+        t += 1
+        Xn, q, guard = advance(sys, L)
+        if guard.any():
+            ok = guard[:idx.size] == GUARD_OK
+            for k in np.flatnonzero(~ok):
+                guards.append((int(idx[k]), t - 1, GUARD_REASONS[guard[k]]))
+            Xn, q, idx = _batch(Xn[:idx.size][ok]), q[:idx.size][ok], idx[ok]
+            pos = _follow(pos, ok)
+        if pos >= 0 and t > start:
+            v = v + A @ (q[pos] * (B @ v))
+            s = math.sqrt(v @ v)
+            if s == 0.0 or not math.isfinite(s):
+                tangent_error = "tangent vector left the representable range"
+                horizons[row] = stop = t
+            else:
+                growth += math.log(s)
+                v /= s
+        L = Xn
+    return _Lockstep(guards, tail_min, tail_max, snap, growth, tangent_error)
 
 
 # ---------------------------------------------------------------------------
 # ensemble probes
 # ---------------------------------------------------------------------------
+
+#: Defaults shared by the standalone probes and ``verification_pass``.
+ENSEMBLE_SIZE = 50
+PERMANENCE_HORIZON = 5000
+TAIL_FRACTION = 0.2
+PROXY_FLOOR = 1e-6
+PROXY_CEILING = 1e6
+
 
 @dataclass(frozen=True)
 class EmpiricalVerdict:
@@ -229,47 +340,82 @@ class EmpiricalVerdict:
         }
 
 
-def _draw_initial_conditions(rng, size, n, low, high):
+def _draw_initial_conditions(seed, size, n, low, high):
     if low <= 0 or high < low:
         raise ValueError("initial-condition box must satisfy 0 < low <= high")
+    rng = np.random.default_rng(seed)
     return np.exp(rng.uniform(np.log(low), np.log(high), size=(size, n)))
 
 
-def _advance_ensemble(sys: QPSystem, X0, steps, tail_len=0):
-    """Advance all orbits in lockstep; guard-terminated orbits freeze.
-
-    Returns (X_final, alive, guards, tail_min, tail_max) where guards is
-    a list of (orbit index, step, reason) and the tail extrema are taken
-    over the last ``tail_len`` recorded states of surviving orbits (the
-    aggregation is pure min/max, so it is order-independent).
-    """
-    X = np.array(X0, dtype=float)
-    alive = np.ones(X.shape[0], dtype=bool)
-    guards: list[tuple[int, int, str]] = []
-    tail_min, tail_max = np.inf, -np.inf
-    tail_start = steps - tail_len + 1
-    if tail_len > 0 and tail_start <= 0:
-        tail_min = float(np.min(X))
-        tail_max = float(np.max(X))
-    for t in range(1, steps + 1):
-        idx = np.where(alive)[0]
-        if idx.size == 0:
-            break
-        Xn, _, guard = advance(sys, X[idx])
-        ok = guard == GUARD_OK
-        for loc in np.where(~ok)[0]:
-            guards.append((int(idx[loc]), t - 1, GUARD_REASONS[guard[loc]]))
-        alive[idx[~ok]] = False
-        X[idx[ok]] = Xn[ok]
-        if tail_len > 0 and t >= tail_start and np.any(ok):
-            tail_min = min(tail_min, float(np.min(Xn[ok])))
-            tail_max = max(tail_max, float(np.max(Xn[ok])))
-    return X, alive, guards, tail_min, tail_max
+def _tail_window(horizon, tail_fraction):
+    return range(horizon - max(1, int(round(tail_fraction * horizon))) + 1,
+                 horizon + 1)
 
 
-def empirical_permanence(sys: QPSystem, ensemble_size=50, horizon=5000,
-                         tail_fraction=0.2, floor=1e-6, ceiling=1e6,
-                         seed=0, ic_low=IC_LOW, ic_high=IC_HIGH) -> EmpiricalVerdict:
+def _guard_statistics(run, size, horizon) -> dict:
+    """Guard statistics of ensemble rows [0, size) over the transitions
+    out of steps 0 .. horizon - 1."""
+    mine = [g for g in run.guards if g[0] < size and g[1] < horizon]
+    counts = dict.fromkeys(GUARD_REASONS[1:], 0)
+    for _, _, reason in mine:
+        counts[reason] += 1
+    return {
+        "guard_terminations": len(mine),
+        "first_guard": list(mine[0]) if mine else None,
+        "guard_counts": counts,
+    }
+
+
+def _permanence_verdict(run, size, horizon, tail_fraction, floor, ceiling,
+                        seed, ic_low, ic_high) -> EmpiricalVerdict:
+    tail_min = float(run.tail_min[:size].min(initial=np.inf))
+    tail_max = float(run.tail_max[:size].max(initial=-np.inf))
+    guards = _guard_statistics(run, size, horizon)
+    passed = (not guards["guard_terminations"] and tail_min >= floor
+              and tail_max <= ceiling)
+    return EmpiricalVerdict(
+        kind="permanence",
+        passed=bool(passed),
+        ensemble_size=size,
+        horizon=horizon,
+        seed=seed,
+        statistics={"tail_min": tail_min, "tail_max": tail_max, **guards},
+        params={
+            "tail_fraction": tail_fraction, "floor": floor,
+            "ceiling": ceiling, "ic_low": ic_low, "ic_high": ic_high,
+        },
+    )
+
+
+def _attractivity_verdict(run, size, horizon, target, tol, seed, ic_low,
+                          ic_high, explicit) -> EmpiricalVerdict:
+    guards = _guard_statistics(run, size, horizon)
+    if guards["guard_terminations"]:
+        max_dist = None  # some orbit never reached the horizon
+    else:
+        max_dist = float(np.max(np.linalg.norm(
+            run.snapshot[:size] - target, axis=1)))
+    passed = max_dist is not None and max_dist <= tol
+    return EmpiricalVerdict(
+        kind="attractivity",
+        passed=bool(passed),
+        ensemble_size=size,
+        horizon=horizon,
+        seed=seed,
+        statistics={"max_final_distance": max_dist, **guards},
+        params={
+            "target": target.tolist(), "tol": tol,
+            "ic_low": ic_low, "ic_high": ic_high,
+            "explicit_initial_conditions": explicit,
+        },
+    )
+
+
+def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
+                         horizon=PERMANENCE_HORIZON,
+                         tail_fraction=TAIL_FRACTION, floor=PROXY_FLOOR,
+                         ceiling=PROXY_CEILING, seed=0, ic_low=IC_LOW,
+                         ic_high=IC_HIGH) -> EmpiricalVerdict:
     """Falsifiable proxy for permanence over a seeded ensemble.
 
     Passes iff no orbit hits a guard and, over the final
@@ -279,32 +425,14 @@ def empirical_permanence(sys: QPSystem, ensemble_size=50, horizon=5000,
     """
     if floor <= 0 or ceiling <= floor:
         raise ValueError("need 0 < floor < ceiling")
-    rng = np.random.default_rng(seed)
-    X0 = _draw_initial_conditions(rng, ensemble_size, sys.n, ic_low, ic_high)
-    tail_len = max(1, int(round(tail_fraction * horizon)))
-    _, alive, guards, tail_min, tail_max = _advance_ensemble(
-        sys, X0, horizon, tail_len=tail_len)
-    passed = (not guards) and tail_min >= floor and tail_max <= ceiling
-    return EmpiricalVerdict(
-        kind="permanence",
-        passed=bool(passed),
-        ensemble_size=ensemble_size,
-        horizon=horizon,
-        seed=seed,
-        statistics={
-            "tail_min": tail_min,
-            "tail_max": tail_max,
-            "guard_terminations": len(guards),
-            "first_guard": list(guards[0]) if guards else None,
-        },
-        params={
-            "tail_fraction": tail_fraction, "floor": floor,
-            "ceiling": ceiling, "ic_low": ic_low, "ic_high": ic_high,
-        },
-    )
+    X0 = _draw_initial_conditions(seed, ensemble_size, sys.n, ic_low, ic_high)
+    run = _lockstep(sys, X0, [horizon] * ensemble_size,
+                    tail=_tail_window(horizon, tail_fraction))
+    return _permanence_verdict(run, ensemble_size, horizon, tail_fraction,
+                               floor, ceiling, seed, ic_low, ic_high)
 
 
-def empirical_attractivity(sys: QPSystem, target, ensemble_size=50,
+def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
                            horizon=2000, tol=1e-6, seed=0,
                            ic_low=IC_LOW, ic_high=IC_HIGH,
                            initial_conditions=None) -> EmpiricalVerdict:
@@ -314,35 +442,66 @@ def empirical_attractivity(sys: QPSystem, target, ensemble_size=50,
     as failure.  ``initial_conditions`` overrides the seeded draw.
     """
     target = as_state(target, sys.n)
-    rng = np.random.default_rng(seed)
     if initial_conditions is None:
-        X0 = _draw_initial_conditions(rng, ensemble_size, sys.n, ic_low, ic_high)
+        X0 = _draw_initial_conditions(seed, ensemble_size, sys.n, ic_low,
+                                      ic_high)
     else:
         X0 = np.atleast_2d(np.asarray(initial_conditions, dtype=float))
         ensemble_size = X0.shape[0]
-    X, alive, guards, _, _ = _advance_ensemble(sys, X0, horizon)
-    if np.all(alive):
-        max_dist = float(np.max(np.linalg.norm(X - target, axis=1)))
-    else:
-        max_dist = None  # some orbit never reached the horizon
-    passed = (not guards) and max_dist is not None and max_dist <= tol
-    return EmpiricalVerdict(
-        kind="attractivity",
-        passed=bool(passed),
-        ensemble_size=ensemble_size,
-        horizon=horizon,
-        seed=seed,
-        statistics={
-            "max_final_distance": max_dist,
-            "guard_terminations": len(guards),
-            "first_guard": list(guards[0]) if guards else None,
-        },
-        params={
-            "target": target.tolist(), "tol": tol,
-            "ic_low": ic_low, "ic_high": ic_high,
-            "explicit_initial_conditions": initial_conditions is not None,
-        },
-    )
+    run = _lockstep(sys, X0, [horizon] * ensemble_size, snapshot=horizon)
+    return _attractivity_verdict(run, ensemble_size, horizon, target, tol,
+                                 seed, ic_low, ic_high,
+                                 initial_conditions is not None)
+
+
+@dataclass(frozen=True)
+class VerificationPass:
+    """The three probes of ``verification_pass``.  ``attractivity`` is
+    None without a target; exactly one of ``lyapunov`` and
+    ``lyapunov_error`` is set."""
+
+    permanence: EmpiricalVerdict
+    attractivity: EmpiricalVerdict | None
+    lyapunov: float | None
+    lyapunov_error: str | None
+
+
+def verification_pass(sys: QPSystem, target, *, seed, tol, horizon,
+                      transient, samples) -> VerificationPass:
+    """Permanence, attractivity and Lyapunov probes from one lockstep run.
+
+    Advances the seeded default ensemble and the orbit of x0 = (1, ..., 1)
+    as one more member.  ``target`` may be None, which skips
+    attractivity.  Permanence is read over the ensemble's tail,
+    attractivity toward ``target`` from the ensemble's states at step
+    ``horizon`` (counting only guards before it), and the Lyapunov
+    estimate from the member's tangent.  Rows never depend on their
+    batch-mates, so each probe equals its standalone function:
+    ``empirical_permanence(sys, seed=seed)``,
+    ``empirical_attractivity(sys, target, horizon=horizon, tol=tol,
+    seed=seed)`` and ``largest_lyapunov(sys, ones, transient, samples,
+    seed)``, whose GuardTermination message becomes ``lyapunov_error``.
+    """
+    size, n = ENSEMBLE_SIZE, sys.n
+    X0 = _draw_initial_conditions(seed, size, n, IC_LOW, IC_HIGH)
+    if target is not None:
+        target = as_state(target, n)
+    run = _lockstep(
+        sys, np.vstack([X0, np.ones(n)]),
+        [max(PERMANENCE_HORIZON, horizon)] * size + [transient + samples],
+        tail=_tail_window(PERMANENCE_HORIZON, TAIL_FRACTION),
+        snapshot=None if target is None else horizon,
+        tangent=(size, transient, _tangent_direction(seed, n)))
+    permanence = _permanence_verdict(
+        run, size, PERMANENCE_HORIZON, TAIL_FRACTION, PROXY_FLOOR,
+        PROXY_CEILING, seed, IC_LOW, IC_HIGH)
+    attractivity = None if target is None else _attractivity_verdict(
+        run, size, horizon, target, tol, seed, IC_LOW, IC_HIGH, False)
+    try:
+        return VerificationPass(permanence, attractivity,
+                                _lyapunov_estimate(run, size, samples), None)
+    except GuardTermination as exc:
+        return VerificationPass(permanence, attractivity, None, str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ def xi(x, rho):
     if np.any(x < 0.0):
         raise ValueError("xi is defined on nonnegative arguments")
     arg = rho - x
-    if np.any(np.abs(arg) > EXP_ARG_LIMIT):
+    # a large negative exponent only underflows harmlessly toward 0
+    if np.any(arg > EXP_ARG_LIMIT):
         raise OverflowGuard("xi exponent exceeds guard bound")
     out = x * np.exp(arg)
     return float(out) if out.ndim == 0 else out

@@ -168,12 +168,21 @@ def advance(sys: QPSystem, X):
     -EXP_ARG_LIMIT or a component falls below UNDERFLOW_FLOOR.  The image
     is ``X * exp(arg)``, not ``exp(log X + arg)``, so that a zero
     exponent reproduces the state exactly.
+
+    The guard is checked on batch-wide extrema first; per-row codes are
+    computed only when that check trips, which a NaN anywhere also does.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         W = np.log(X) @ sys.B.T
         q = np.exp(W)
         arg = sys.lam + q @ sys.A.T
         Xn = X * np.exp(arg)
+        if (W.max() <= EXP_ARG_LIMIT
+                and -EXP_ARG_LIMIT <= arg.min()
+                and arg.max() <= EXP_ARG_LIMIT
+                and UNDERFLOW_FLOOR <= Xn.min()
+                and Xn.max() < np.inf):
+            return Xn, q, np.zeros(X.shape[:-1], dtype=int)
         # row extrema keep the guard cheap for one row; NaN fails "< inf"
         over = ((W.max(axis=-1) > EXP_ARG_LIMIT)
                 | (arg.max(axis=-1) > EXP_ARG_LIMIT)

@@ -3,8 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fixture_path
-from qpd.cli import main
+from conftest import fixture_path, load_fixture
+from qpd.cli import build_analysis_report, main
+from qpd.dynamics import (
+    empirical_attractivity,
+    empirical_permanence,
+    largest_lyapunov,
+    qp_fixed_point,
+)
+
+FIXTURE_NAMES = ("example1_lv", "example1_qp_rho05", "example1_qp_rho10",
+                 "example2_predator_prey", "example3_qp_rho32")
 
 
 def run(capsys, *argv):
@@ -105,6 +114,23 @@ class TestAnalyze:
         assert code == 0  # without --strict the disagreement only reports
 
 
+class TestVerificationBlock:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_one_pass_matches_standalone_probes(self, name):
+        system = load_fixture(name)
+        target = qp_fixed_point(system)
+        for seed in (0, 7, 123456):
+            block = build_analysis_report(system, seed=seed,
+                                          verify=True)["verify"]
+            assert block["permanence"] == empirical_permanence(
+                system, seed=seed).to_dict()
+            assert block["attractivity"] == empirical_attractivity(
+                system, target, tol=1e-4, horizon=2000, seed=seed).to_dict()
+        # x0 = 1 is one orbit for every seed: check its estimate once
+        assert block["largest_lyapunov"] == largest_lyapunov(
+            system, np.ones(system.n), seed=123456)
+
+
 class TestSimulate:
     def test_writes_trajectory(self, capsys, tmp_path):
         out_csv = tmp_path / "orbit.csv"
@@ -189,6 +215,14 @@ class TestScan:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["detected"] is False
         assert summary["threshold"] is None
+
+    def test_period3_scan_at_large_growth(self, capsys):
+        # xi once rejected the harmless underflow of exp(rho - x) at large x
+        code, out, _ = run(capsys, "scan", "--kind", "period3",
+                           "--rho-min", "7", "--rho-max", "9",
+                           "--step", "0.5")
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["detected"] is True
 
     def test_invalid_range(self, capsys):
         code, _, err = run(capsys, "scan", "--kind", "period3",

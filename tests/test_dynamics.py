@@ -20,7 +20,8 @@ from qpd import (
     step,
     write_trajectory_csv,
 )
-from qpd.dynamics import _advance_ensemble
+from qpd.dynamics import _lockstep, verification_pass
+from qpd.systems import GUARD_REASONS, advance
 from qpd.errors import GuardTermination, SingularSystem
 
 FIXED_POINT_LV1 = np.array([1.0 / 3.0, 1.0 / 3.0])
@@ -272,22 +273,134 @@ class TestEmpiricalAttractivity:
 
 
 class TestGuardPathAgreement:
+    # A tiny x_2 overflows through the x_2**-1 quasimonomial, a huge x_1
+    # collapses through a large negative exponent, the rest settle.
+    SYS = QPSystem([[-1.0, 0.01], [0.01, 0.25]],
+                   [[1.0, 0.0], [0.0, -1.0]], [0.5, -0.5])
+    X0 = np.vstack([
+        np.exp(np.random.default_rng(5).uniform(
+            np.log(1e-5), np.log(1e3), size=(40, 2))),
+        [[800.0, 1.0], [699.0, 1.0], [1.0, 1e-4], [1.0, 1.0]],
+    ])
+
     def test_ensemble_guards_match_single_orbits(self):
-        # A tiny x_2 overflows through the x_2**-1 quasimonomial, a huge
-        # x_1 collapses through a large negative exponent, the rest settle.
-        sys = QPSystem([[-1.0, 0.01], [0.01, 0.25]],
-                       [[1.0, 0.0], [0.0, -1.0]], [0.5, -0.5])
-        rng = np.random.default_rng(5)
-        X0 = np.vstack([
-            np.exp(rng.uniform(np.log(1e-5), np.log(1e3), size=(40, 2))),
-            [[800.0, 1.0], [699.0, 1.0], [1.0, 1e-4], [1.0, 1.0]],
-        ])
-        _, alive, guards, _, _ = _advance_ensemble(sys, X0, 200)
+        sys, X0 = self.SYS, self.X0
+        guards = _lockstep(sys, X0, [200] * len(X0)).guards
         assert {reason for _, _, reason in guards} == {"overflow", "underflow"}
-        assert np.any(alive)
+        assert len(guards) < len(X0)
         by_orbit = {i: (t, reason) for i, t, reason in guards}
         for i, x0 in enumerate(X0):
             assert simulate(sys, x0, 200).terminated_early == by_orbit.get(i)
+
+
+def reference_ensemble(sys, X0, steps, tail_start):
+    """The serial-gather ensemble loop the lockstep engine replaced."""
+    X = np.array(X0, dtype=float)
+    alive = np.ones(len(X), dtype=bool)
+    guards, lo, hi = [], np.inf, -np.inf
+    for t in range(1, steps + 1):
+        idx = np.flatnonzero(alive)
+        Xn, _, guard = advance(sys, X[idx])
+        ok = guard == 0
+        guards += [(int(idx[k]), t - 1, GUARD_REASONS[guard[k]])
+                   for k in np.flatnonzero(~ok)]
+        alive[idx[~ok]] = False
+        X[idx[ok]] = Xn[ok]
+        if t >= tail_start and ok.any():
+            lo, hi = min(lo, Xn[ok].min()), max(hi, Xn[ok].max())
+    return guards, lo, hi
+
+
+def reference_lyapunov(sys, x, transient, samples, seed):
+    """The serial tangent loop the lockstep engine replaced."""
+    v = np.random.default_rng(seed).standard_normal(sys.n)
+    v /= np.linalg.norm(v)
+    total = 0.0
+    for t in range(transient + samples):
+        x_next, q, _ = advance(sys, x)
+        if t >= transient:
+            v = v + sys.A @ (q * (sys.B @ v))
+            s = np.linalg.norm(v)
+            total += np.log(s)
+            v /= s
+        x = x_next
+    return total / samples
+
+
+class TestLockstepAgainstReferenceLoops:
+    def test_ensemble_guards_and_tail_are_identical(self):
+        sys = TestGuardPathAgreement.SYS
+        X0 = TestGuardPathAgreement.X0
+        run = _lockstep(sys, X0, [200] * len(X0), tail=range(151, 201))
+        guards, lo, hi = reference_ensemble(sys, X0, 200, 151)
+        assert run.guards == guards
+        assert run.tail_min.min() == lo and run.tail_max.max() == hi
+
+    @pytest.mark.parametrize("name", ["example1_qp_rho05",
+                                      "example2_predator_prey"])
+    def test_lyapunov_matches_serial_loop(self, name):
+        # the lockstep run multiplies two-row batches; on these
+        # contracting orbits the rounding differences do not grow
+        sys = load_fixture(name)
+        x0 = np.array([1.5, 0.5])
+        expected = reference_lyapunov(sys, x0, 300, 2000, seed=4)
+        got = largest_lyapunov(sys, x0, transient=300, samples=2000, seed=4)
+        assert abs(got - expected) <= 1e-12
+
+
+class TestVerificationPass:
+    # x_1 never moves; x_2 changes by the factor exp(0.1 (2 - x_1)) each
+    # step, so it collapses for x_1 > 2 and blows up for x_1 < 2 at a rate
+    # set by x_1.  The ensemble guards before step 2000 and between steps
+    # 2000 and 5000, and the x0 = 1 member overflows after step 5000,
+    # when it runs alone.
+    SYS = QPSystem([[0.0, 0.0], [-0.1, 0.0]], np.eye(2), [0.0, 0.2])
+    TARGET = [2.0, 1.0]
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_guarded_runs_match_standalone_probes(self, seed):
+        checks = verification_pass(self.SYS, self.TARGET, seed=seed,
+                                   tol=1e-4, horizon=2000, transient=1000,
+                                   samples=10000)
+        permanence = empirical_permanence(self.SYS, seed=seed)
+        attractivity = empirical_attractivity(self.SYS, self.TARGET, tol=1e-4,
+                                              horizon=2000, seed=seed)
+        assert checks.permanence.to_dict() == permanence.to_dict()
+        assert checks.attractivity.to_dict() == attractivity.to_dict()
+        with pytest.raises(GuardTermination) as exc:
+            largest_lyapunov(self.SYS, np.ones(2), seed=seed)
+        assert checks.lyapunov is None
+        assert checks.lyapunov_error == str(exc.value)
+        assert checks.lyapunov_error.startswith("orbit hit the overflow")
+
+        early = checks.attractivity.statistics
+        late = checks.permanence.statistics
+        assert 0 < early["guard_terminations"] < late["guard_terminations"]
+        assert early["first_guard"] == late["first_guard"]
+        assert early["guard_counts"] == {
+            "overflow": 0, "underflow": early["guard_terminations"]}
+        assert late["guard_counts"]["overflow"] > 0
+        assert late["guard_counts"]["underflow"] > 0
+        assert sum(late["guard_counts"].values()) == late["guard_terminations"]
+
+    def test_guard_counts_follow_single_orbits(self):
+        verdict = empirical_permanence(self.SYS, ensemble_size=8, seed=3)
+        X0 = np.exp(np.random.default_rng(3).uniform(
+            np.log(1e-2), np.log(1e2), size=(8, 2)))
+        expected = {"overflow": 0, "underflow": 0}
+        for x0 in X0:
+            stop = simulate(self.SYS, x0, 5000).terminated_early
+            if stop is not None:
+                expected[stop[1]] += 1
+        assert verdict.statistics["guard_counts"] == expected
+
+    def test_lone_row_matches_batched_row(self):
+        # a one-row batch is advanced through the batched product too
+        sys = load_fixture("example3_qp_rho32")
+        X0 = np.array([[1.0, 1.0], [0.5, 2.0], [3.0, 0.25]])
+        alone = _lockstep(sys, X0[:1], [300], snapshot=300).snapshot
+        batched = _lockstep(sys, X0, [300] * 3, snapshot=300).snapshot
+        assert np.array_equal(alone[0], batched[0])
 
 
 class TestConjugacyDeviation:

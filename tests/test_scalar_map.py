@@ -54,6 +54,9 @@ class TestXi:
         with pytest.raises(OverflowGuard):
             xi(0.5, 800.0)
 
+    def test_large_argument_underflows_to_zero(self):
+        assert xi(1000.0, 3.0) == 0.0
+
 
 class TestPeriod3:
     def test_found_in_chaotic_regime(self):
@@ -67,6 +70,14 @@ class TestPeriod3:
     def test_absent_below_onset(self):
         assert find_period3(2.0) is None
         assert find_period3(3.0) is None
+
+    @pytest.mark.parametrize("rho", [8.0, 10.0, 12.0])
+    def test_found_at_large_growth(self, rho):
+        cycle = find_period3(rho)
+        assert cycle is not None
+        for point in cycle:
+            assert abs(iterate(point, rho, 3) - point) <= 1e-9
+            assert abs(xi(point, rho) - point) > 1e-6
 
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,14 @@ from qpd import (
     system_from_dict,
     validate_system,
 )
+from qpd.systems import (
+    EXP_ARG_LIMIT,
+    GUARD_OK,
+    GUARD_OVERFLOW,
+    GUARD_UNDERFLOW,
+    UNDERFLOW_FLOOR,
+    advance,
+)
 from qpd.errors import (
     DimensionMismatch,
     NonFinite,
@@ -117,6 +125,69 @@ class TestStep:
         sys = validate_system(LV1_A, np.eye(2), LV1_LAM)
         with pytest.raises(NonPositiveState):
             step(sys, [0.0, 1.0])
+
+
+def reference_advance(sys, X):
+    """The map by the kernel's formulas, with the guard rule applied row
+    by row and component by component."""
+    with np.errstate(all="ignore"):
+        W = np.log(X) @ sys.B.T
+        q = np.exp(W)
+        arg = sys.lam + q @ sys.A.T
+        Xn = X * np.exp(arg)
+    codes = []
+    for w, a, x in zip(np.atleast_2d(W), np.atleast_2d(arg),
+                       np.atleast_2d(Xn)):
+        if (any(v > EXP_ARG_LIMIT for v in w)
+                or any(v > EXP_ARG_LIMIT for v in a)
+                or not all(v < math.inf for v in x)):
+            codes.append(GUARD_OVERFLOW)
+        elif (any(v < -EXP_ARG_LIMIT for v in a)
+                or any(v < UNDERFLOW_FLOOR for v in x)):
+            codes.append(GUARD_UNDERFLOW)
+        else:
+            codes.append(GUARD_OK)
+    return Xn, q, np.array(codes, dtype=int).reshape(X.shape[:-1])
+
+
+class TestAdvance:
+    # step exponents exactly +700 and -700 in every row
+    EDGE = QPSystem(np.zeros((2, 2)), np.eye(2), [700.0, -700.0])
+    IDENTITY = QPSystem(np.zeros((2, 2)), np.eye(2), np.zeros(2))
+    # step exponents just past +700 or -700 with finite, positive images
+    PAST_UP = QPSystem(np.zeros((2, 2)), np.eye(2), [700.5, 0.0])
+    PAST_DOWN = QPSystem(np.zeros((2, 2)), np.eye(2), [0.0, -700.5])
+    # quasimonomial exponent 700 log x_1
+    STEEP = QPSystem(np.zeros((2, 2)), [[700.0, 0.0], [0.0, 1.0]], np.zeros(2))
+
+    BATCHES = (
+        (EDGE, [[1.0, 1e5], [3.0, 2e5]]),                # all ok, at +-700
+        (EDGE, [[1.0, 1e5], [1e5, 1e5], [2.0, 3e5]]),    # one overflow row
+        (EDGE, [[1.0, 1e5], [1.0, 1.0], [2.0, 3e5]]),    # one underflow row
+        (EDGE, [[1.0, 1e5], [np.nan, 1.0], [2.0, 3e5]]),  # one NaN row
+        (EDGE, [[1e5, 1.0], [1.0, 1.0], [np.nan, 2.0], [1.0, 1e5]]),
+        (IDENTITY, [[UNDERFLOW_FLOOR, 1.0], [1.0, 2.0]]),  # image at floor
+        (IDENTITY, [[np.nextafter(UNDERFLOW_FLOOR, 0.0), 1.0], [1.0, 2.0]]),
+        (PAST_UP, [[1.0, 1.0], [1e-5, 1.0]]),
+        (PAST_DOWN, [[1.0, 1e5], [1.0, 2e5]]),
+        (STEEP, [[np.e, 1.0], [1.0, 1.0]]),            # exponent exactly 700
+        (STEEP, [[np.e, 1.0], [np.exp(1.005), 1.0]]),  # 703.5, q finite
+    )
+
+    @pytest.mark.parametrize("sys, X", BATCHES)
+    def test_matches_per_row_guard_rule(self, sys, X):
+        X = np.array(X)
+        for batch in (X, *X):  # the (m, n) batch and each (n,) row
+            got = advance(sys, batch)
+            expected = reference_advance(sys, batch)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_batches_cover_every_guard_code(self):
+        codes = {int(c) for sys, X in self.BATCHES
+                 for c in advance(sys, np.array(X))[2]}
+        assert codes == {GUARD_OK, GUARD_OVERFLOW, GUARD_UNDERFLOW}
 
 
 class TestSignPattern:
