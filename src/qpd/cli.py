@@ -38,7 +38,6 @@ from .errors import (
 from .scalar_map import (
     KIND_PERIOD3,
     KIND_SNAPBACK,
-    SCAN_REFERENCES,
     threshold_scan,
     write_scan_csv,
 )
@@ -323,22 +322,7 @@ def cmd_scan(args) -> int:
         result = threshold_scan(args.kind, args.rho_min, args.rho_max,
                                 args.step)
     except NoDetection as exc:
-        if args.out:
-            from .scalar_map import ScanResult
-            stub = ScanResult(kind=args.kind, threshold=float("nan"),
-                              resolution=args.step / 10.0,
-                              reference=SCAN_REFERENCES[args.kind],
-                              grid=exc.grid)
-            write_scan_csv(stub, args.out)
-        summary = {
-            "kind": args.kind,
-            "threshold": None,
-            "resolution": args.step / 10.0,
-            "reference": SCAN_REFERENCES[args.kind],
-            "detected": False,
-        }
-        print(json.dumps(summary))
-        return 0
+        result = exc.result
     if args.out:
         write_scan_csv(result, args.out)
     print(json.dumps(result.summary()))

@@ -38,9 +38,9 @@ from .systems import (
 )
 from .transform import (
     QMTMatrix,
+    _invert,
     apply_qmt,
     canonical_lv,
-    det_tolerance,
     map_state,
 )
 
@@ -107,12 +107,7 @@ def lv_interior_fixed_point(lv: LVSystem):
     within tolerance.  Uniqueness beyond this linear construction is not
     claimed.
     """
-    det = float(np.linalg.det(lv.A))
-    if abs(det) < det_tolerance(lv.A):
-        raise SingularSystem(
-            f"LV interaction matrix is singular within tolerance "
-            f"(|det| = {abs(det):.3e})"
-        )
+    _invert(lv.A, error=SingularSystem, what="LV interaction matrix")
     x = np.linalg.solve(lv.A, -lv.lam)
     residual = float(np.max(np.abs(lv.lam + lv.A @ x)))
     if residual > 1e-10 * (1.0 + float(np.max(np.abs(lv.lam)))):

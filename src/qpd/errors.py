@@ -52,7 +52,14 @@ class GuardTermination(QPDError):
 
 
 class NoDetection(QPDError):
-    """A parameter scan found no detection anywhere in the requested range."""
+    """A parameter scan found no detection anywhere in the requested range.
+
+    ``result`` is the scan's ScanResult, with ``threshold`` None.
+    """
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class SchemaError(QPDError):

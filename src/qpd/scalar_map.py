@@ -240,10 +240,11 @@ def find_snap_back(rho, max_preimage_depth=SNAP_BACK_MAX_DEPTH,
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Outcome of a detection scan over the growth rate."""
+    """Outcome of a detection scan over the growth rate; ``threshold`` is
+    None when no grid point detected anything."""
 
     kind: str
-    threshold: float
+    threshold: float | None
     resolution: float
     reference: float
     grid: tuple[tuple[float, bool, str], ...]
@@ -254,7 +255,7 @@ class ScanResult:
             "threshold": self.threshold,
             "resolution": self.resolution,
             "reference": self.reference,
-            "detected": True,
+            "detected": self.threshold is not None,
         }
 
 
@@ -278,13 +279,15 @@ def threshold_scan(kind, rho_min, rho_max, step) -> ScanResult:
     """Smallest growth rate in [rho_min, rho_max] with a positive
     detection, refined by bisection to resolution step/10.
 
-    Raises NoDetection when the grid shows no detection anywhere.
+    Raises NoDetection, carrying the no-detection result, when the grid
+    shows no detection anywhere.
     """
     if not rho_min < rho_max:
         raise ValueError("need rho_min < rho_max")
     if step <= 0:
         raise ValueError("step must be positive")
     rhos = np.arange(rho_min, rho_max + step / 2.0, step)
+    resolution = step / 10.0
     grid = []
     first_index = None
     for i, rho in enumerate(rhos):
@@ -293,12 +296,11 @@ def threshold_scan(kind, rho_min, rho_max, step) -> ScanResult:
         if detected and first_index is None:
             first_index = i
     if first_index is None:
-        exc = NoDetection(
-            f"{kind} scan over [{rho_min}, {rho_max}] found nothing")
-        exc.grid = tuple(grid)
-        raise exc
+        raise NoDetection(
+            f"{kind} scan over [{rho_min}, {rho_max}] found nothing",
+            ScanResult(kind, None, float(resolution), SCAN_REFERENCES[kind],
+                       tuple(grid)))
 
-    resolution = step / 10.0
     threshold = grid[first_index][0]
     if first_index > 0:
         lo = grid[first_index - 1][0]

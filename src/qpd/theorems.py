@@ -8,8 +8,9 @@ functions is diagnosis.
 
 Strict inequalities are checked as ``value < -tol`` and non-strict ones
 as ``value <= bound + tol`` with a shared documented tolerance; any
-tested quantity within 10*tol of its boundary is flagged as a boundary
-warning on the verdict.
+tested quantity within 10*tol of its boundary, and any invertibility
+test whose rcond is within a factor of 10 of its tolerance, is flagged
+as a boundary warning on the verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .systems import (
     pattern_string,
     sign_pattern,
 )
-from .transform import class_invariants, det_tolerance
+from .transform import class_invariants, invertibility
 
 #: Growth-rate thresholds above which the scalar factor map certifies
 #: chaos (single source of truth; the scalar-map scans are compared
@@ -177,16 +178,14 @@ def _check_dimension(sys, warnings):
     return HypothesisCheck("n == 2", sys.n == 2, {"n": sys.n})
 
 
-def _check_b_invertible(sys, warnings):
-    det = float(np.linalg.det(sys.B))
-    tol_det = det_tolerance(sys.B)
-    if _near(abs(det), tol_det, tol_det):
-        warnings.append(
-            f"B invertibility: |det B| = {abs(det):.3e} close to the "
-            f"singularity tolerance {tol_det:.3e}"
-        )
-    return HypothesisCheck("B invertible", abs(det) >= tol_det,
-                           {"det_B": det, "tolerance": tol_det})
+def _check_invertible(label, M, warnings):
+    """Invertibility hypothesis on M and the inverse it computed (or None)."""
+    inv, witness = invertibility(M)
+    rcond, rtol = witness["rcond"], witness["tolerance"]
+    if rtol / 10.0 <= rcond <= 10.0 * rtol:
+        warnings.append(f"{label}: rcond {rcond:.3e} within a factor of 10 "
+                        f"of the singularity tolerance {rtol:.0e}")
+    return HypothesisCheck(label, inv is not None, witness), inv
 
 
 def _verdict(theorem_id, conclusion_if_applicable, checks, warnings, notes=()):
@@ -211,7 +210,7 @@ def check_theorem1(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     checks.append(_check_dimension(sys, warnings))
     if not checks[-1].passed:
         return _verdict("T1", Conclusion.NOT_PERMANENT, checks, warnings)
-    checks.append(_check_b_invertible(sys, warnings))
+    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
     inv = class_invariants(sys)
     checks.append(_check_pattern(
         "interaction invariant has cooperative pattern [-+ / +-]",
@@ -224,7 +223,7 @@ def _competitive_checks(sys, tol, warnings):
     checks = [_check_dimension(sys, warnings)]
     if not checks[-1].passed:
         return checks, None
-    checks.append(_check_b_invertible(sys, warnings))
+    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
     inv = class_invariants(sys)
     checks.append(_check_pattern(
         "interaction invariant has competitive pattern [-- / --]",
@@ -265,7 +264,7 @@ def check_theorem4(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     checks.append(_check_dimension(sys, warnings))
     if not checks[-1].passed:
         return _verdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings)
-    checks.append(_check_b_invertible(sys, warnings))
+    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
     inv = class_invariants(sys)
     G, L = inv.interaction, inv.growth
     checks.append(_check_pattern(
@@ -299,18 +298,22 @@ def check_theorem4(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     return _verdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings, notes)
 
 
-def check_theorem5(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
-    """Hierarchically ordered negated interaction invariant: a global
-    attractor exists, in any dimension."""
-    warnings, checks = [], []
-    checks.append(_check_b_invertible(sys, warnings))
-    inv = class_invariants(sys)
-    witness = is_hierarchically_ordered(-inv.interaction, tol)
-    checks.append(HypothesisCheck(
+def _ordering_checks(sys, tol, warnings):
+    """Shared hypotheses of the global-attractor criterion, with B^-1."""
+    b_check, B_inv = _check_invertible("B invertible", sys.B, warnings)
+    witness = is_hierarchically_ordered(-class_invariants(sys).interaction, tol)
+    return [b_check, HypothesisCheck(
         "-(interaction invariant) is hierarchically ordered",
         witness is not None,
         {"permutation": list(witness.permutation) if witness else None},
-    ))
+    )], B_inv
+
+
+def check_theorem5(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+    """Hierarchically ordered negated interaction invariant: a global
+    attractor exists, in any dimension."""
+    warnings = []
+    checks, _ = _ordering_checks(sys, tol, warnings)
     notes = ("holds for any growth invariant; only the interaction "
              "invariant and invertibility of B enter",)
     return _verdict("T5", Conclusion.GLOBAL_ATTRACTOR_EXISTS, checks,
@@ -319,17 +322,9 @@ def check_theorem5(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
 
 def check_theorem6(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     """Theorem-5 hypotheses plus entrywise nonnegative B^-1: dissipative."""
-    warnings, checks = [], []
-    checks.append(_check_b_invertible(sys, warnings))
-    inv = class_invariants(sys)
-    witness = is_hierarchically_ordered(-inv.interaction, tol)
-    checks.append(HypothesisCheck(
-        "-(interaction invariant) is hierarchically ordered",
-        witness is not None,
-        {"permutation": list(witness.permutation) if witness else None},
-    ))
-    if checks[0].passed:
-        B_inv = np.linalg.solve(sys.B, np.eye(sys.n))
+    warnings = []
+    checks, B_inv = _ordering_checks(sys, tol, warnings)
+    if B_inv is not None:
         min_entry = float(np.min(B_inv))
         if _near(min_entry, 0.0, tol):
             warnings.append(
@@ -346,18 +341,13 @@ def check_theorem7(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     """Uniform positive growth invariant with dominated interaction:
     chaotic once the growth rate clears the factor-map thresholds."""
     warnings, notes, checks = [], [], []
-    checks.append(_check_b_invertible(sys, warnings))
+    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
     inv = class_invariants(sys)
     G, L = inv.interaction, inv.growth
-    ones = np.ones(sys.n)
-
-    det = float(np.linalg.det(G))
-    tol_det = det_tolerance(G)
-    checks.append(HypothesisCheck(
-        "interaction invariant invertible", abs(det) >= tol_det,
-        {"det": det, "tolerance": tol_det}))
+    checks.append(_check_invertible(
+        "interaction invariant invertible", G, warnings)[0])
     if checks[-1].passed:
-        g_inv_u = np.linalg.solve(G, ones)
+        g_inv_u = np.linalg.solve(G, np.ones(sys.n))
         for value in g_inv_u:
             if _near(value, 0.0, tol):
                 warnings.append(

@@ -23,34 +23,43 @@ import numpy as np
 from .errors import DimensionMismatch, OverflowGuard, SingularB, SingularMatrix
 from .systems import EXP_ARG_LIMIT, LVSystem, QPSystem, as_state, _frozen
 
-#: Relative determinant floor: a matrix is treated as singular when
-#: |det| < SINGULARITY_RTOL * max(1, max abs row sum).
+#: Relative singular-value floor: a matrix is treated as singular when
+#: rcond = s_min / s_max < SINGULARITY_RTOL, which no rescaling changes.
 SINGULARITY_RTOL = 1e-10
 
-#: Acceptance bound on ||C @ C_inv - I||_inf for a computed inverse.
+#: Post-condition on a computed inverse: max |M @ M_inv - I| must not
+#: exceed this, or M is treated as singular after all.
 INVERSE_RESIDUAL_LIMIT = 1e-9
 
 
-def det_tolerance(M) -> float:
-    """Determinant magnitude below which M is rejected as singular."""
+def invertibility(M) -> tuple[np.ndarray | None, dict]:
+    """The one singularity decision: ``(inverse or None, witness)``.
+
+    The witness holds ``rcond`` (0 for a zero matrix) and the
+    ``tolerance`` it was compared with, plus ``inverse_residual`` when
+    the inverse ``solve(M, I)`` was computed.
+    """
     M = np.asarray(M, dtype=float)
-    row_norm = float(np.max(np.sum(np.abs(M), axis=1))) if M.size else 0.0
-    return SINGULARITY_RTOL * max(1.0, row_norm)
+    s = np.linalg.svd(M, compute_uv=False)
+    rcond = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+    witness = {"rcond": rcond, "tolerance": SINGULARITY_RTOL}
+    if rcond < SINGULARITY_RTOL:
+        return None, witness
+    eye = np.eye(M.shape[0])
+    inv = np.linalg.solve(M, eye)
+    residual = float(np.max(np.abs(M @ inv - eye)))
+    witness["inverse_residual"] = residual
+    return (inv if residual <= INVERSE_RESIDUAL_LIMIT else None), witness
 
 
 def _invert(M, error=SingularMatrix, what="matrix"):
-    """Dense inverse with a determinant guard and a residual check."""
-    M = np.asarray(M, dtype=float)
-    det = float(np.linalg.det(M))
-    if abs(det) < det_tolerance(M):
-        raise error(f"{what} is singular within tolerance (|det| = {abs(det):.3e})")
-    inv = np.linalg.solve(M, np.eye(M.shape[0]))
-    residual = float(np.max(np.abs(M @ inv - np.eye(M.shape[0]))))
-    if residual > INVERSE_RESIDUAL_LIMIT:
-        raise error(
-            f"{what} is too ill-conditioned to invert reliably "
-            f"(inverse residual {residual:.3e})"
-        )
+    """Dense inverse, or ``error`` naming the failed singularity test."""
+    inv, witness = invertibility(M)
+    if inv is None:
+        detail = f"rcond = {witness['rcond']:.3e}"
+        if "inverse_residual" in witness:
+            detail += f", inverse residual {witness['inverse_residual']:.3e}"
+        raise error(f"{what} is singular within tolerance ({detail})")
     return inv
 
 

@@ -17,6 +17,11 @@ def load_fixture(name):
     return load_system(fixture_path(name))
 
 
+def behind(B):
+    """A QP system with exponent matrix B and trivial A, lam."""
+    return QPSystem(-np.eye(len(B)), B, np.ones(len(B)))
+
+
 def random_system(rng, n):
     """Generic bounded random QP system (no dynamical guarantees)."""
     return QPSystem(

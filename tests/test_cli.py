@@ -215,6 +215,10 @@ class TestScan:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["detected"] is False
         assert summary["threshold"] is None
+        rows = (tmp_path / "scan.csv").read_text().splitlines()
+        assert rows[0] == "rho,detected,detail"
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["1", "0"], ["1.25", "0"], ["1.5", "0"], ["1.75", "0"], ["2", "0"]]
 
     def test_period3_scan_at_large_growth(self, capsys):
         # xi once rejected the harmless underflow of exp(rho - x) at large x

@@ -150,8 +150,13 @@ class TestThresholdScan:
         assert sb.threshold <= p3.threshold
 
     def test_no_detection_raises(self):
-        with pytest.raises(NoDetection):
+        with pytest.raises(NoDetection) as info:
             threshold_scan(KIND_PERIOD3, 1.0, 2.0, 0.1)
+        result = info.value.result
+        assert result.threshold is None
+        assert result.summary()["detected"] is False
+        assert len(result.grid) == 11
+        assert not any(detected for _, detected, _ in result.grid)
 
     def test_csv_output(self, tmp_path):
         result = threshold_scan(KIND_SNAPBACK, 2.8, 3.0, 0.05)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import hilbert
 
-from conftest import load_fixture, random_qmt, random_system
+from conftest import behind, load_fixture, random_qmt, random_system
 from qpd import (
     MINUS,
     PLUS,
     Conclusion,
     QPSystem,
     apply_qmt,
+    canonical_lv,
     check_all_theorems,
     check_theorem1,
     check_theorem2,
@@ -21,7 +23,7 @@ from qpd import (
     perp,
     sign_pattern,
 )
-from qpd.errors import WrongDimension
+from qpd.errors import SingularB, WrongDimension
 from qpd.theorems import hierarchically_ordered_bruteforce
 
 
@@ -312,6 +314,30 @@ class TestVerdictProperties:
                     continue
                 assert v1.applicable == v2.applicable, v1.theorem_id
                 assert v1.conclusion == v2.conclusion, v1.theorem_id
+
+    def test_b_invertible_agrees_with_canonical_lv(self):
+        # the battery once passed B on |det| while canonical_lv refused it
+        sys = behind(1e4 * hilbert(7))
+        b_check = check_theorem5(sys).hypotheses[0]
+        assert b_check.label == "B invertible"
+        assert not b_check.passed
+        assert set(b_check.witness) == {"rcond", "tolerance",
+                                        "inverse_residual"}
+        with pytest.raises(SingularB):
+            canonical_lv(sys)
+
+    def test_exactly_singular_b_is_not_a_boundary_case(self):
+        sys = QPSystem(-np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [0.5, 0.5])
+        for verdict in check_all_theorems(sys):
+            assert not verdict.applicable
+            assert not any("invertib" in w for w in verdict.boundary_warnings)
+
+    def test_rcond_near_tolerance_is_reported(self):
+        sys = QPSystem(-np.eye(2), np.diag([1.0, 3e-10]), [0.5, 0.5])
+        verdict = check_theorem5(sys)
+        assert verdict.hypotheses[0].passed
+        assert any("B invertible: rcond" in w
+                   for w in verdict.boundary_warnings)
 
     def test_boundary_proximity_is_reported(self):
         sys = from_invariants([[-1.0, 5e-9], [-0.5, -1.0]], [0.5, 0.5],

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import hilbert
 
-from conftest import load_fixture, random_contracting_system, random_qmt, random_system
+from conftest import behind, load_fixture, random_contracting_system, random_qmt, random_system
 from qpd import (
     QMTMatrix,
     QPSystem,
@@ -13,6 +14,7 @@ from qpd import (
     map_state,
 )
 from qpd.errors import DimensionMismatch, OverflowGuard, SingularB, SingularMatrix
+from qpd.transform import INVERSE_RESIDUAL_LIMIT, SINGULARITY_RTOL, invertibility
 
 
 class TestQMTMatrix:
@@ -127,8 +129,44 @@ class TestCanonicalLV:
     def test_singular_exponent_matrix(self):
         sys = QPSystem([[-1.0, 0.0], [0.0, -1.0]],
                        [[1.0, 2.0], [2.0, 4.0]], [0.5, 0.5])
-        with pytest.raises(SingularB):
+        with pytest.raises(SingularB, match="rcond"):
             canonical_lv(sys)
+
+
+class TestScaleFreeSingularity:
+    def test_small_multiple_of_identity_is_invertible(self):
+        # |det| = 1e-12 once fell below the determinant floor
+        lv, qmt = canonical_lv(behind(1e-3 * np.eye(4)))
+        assert np.allclose(qmt.C, 1e3 * np.eye(4))
+
+    def test_ill_conditioned_diagonal_is_singular(self):
+        # det = 1 passed the determinant floor at condition number 1e12
+        with pytest.raises(SingularB, match="rcond = 1.000e-12"):
+            canonical_lv(behind(np.diag([1e6, 1e-6])))
+
+    def test_decision_does_not_depend_on_scale(self):
+        for scale in (1.0, 100.0):
+            canonical_lv(behind(scale * hilbert(5)))
+
+    def test_inverse_residual_is_a_post_condition(self):
+        # rcond ~ 2e-9 passes, but the computed inverse misses I by > 1e-9
+        with pytest.raises(SingularB, match="inverse residual"):
+            canonical_lv(behind(1e4 * hilbert(7)))
+
+
+class TestInvertibilityWitness:
+    def test_zero_matrix_has_zero_rcond_and_no_inverse(self):
+        inv, witness = invertibility(np.zeros((3, 3)))
+        assert inv is None
+        assert witness == {"rcond": 0.0, "tolerance": SINGULARITY_RTOL}
+
+    def test_invertible_witness_carries_the_residual(self):
+        inv, witness = invertibility([[2.0, 1.0], [1.0, 2.0]])
+        assert set(witness) == {"rcond", "tolerance", "inverse_residual"}
+        assert witness["rcond"] == pytest.approx(1.0 / 3.0)
+        assert witness["inverse_residual"] <= INVERSE_RESIDUAL_LIMIT
+        assert np.array_equal(inv, np.linalg.solve([[2.0, 1.0], [1.0, 2.0]],
+                                                   np.eye(2)))
 
 
 class TestMapState:
