@@ -58,9 +58,6 @@ CONJUGACY_STEP_BUDGET = 1e-7
 #: Condition-estimate cap for randomly drawn transformation matrices.
 CONJUGACY_MAX_CONDITION = 100.0
 
-_VERIFY_ATTRACTIVITY_TOL = 1e-4
-_VERIFY_ATTRACTIVITY_HORIZON = 2000
-
 #: Context printed before the message of an error of these kinds.
 _ERROR_CONTEXT = ((SchemaError, "invalid system definition: "),
                   (NonPositiveState, "bad initial condition: "))
@@ -130,13 +127,7 @@ def _verification_block(system, verdicts, seed) -> dict:
     except (SingularMatrix, NoInteriorFixedPoint) as exc:
         block["fixed_point"] = {"error": str(exc)}
 
-    lyapunov_params = {"x0": [1.0] * system.n, "transient": 1000,
-                       "samples": 10000, "seed": seed}
-    checks = verification_pass(
-        system, fixed_point, seed=seed, tol=_VERIFY_ATTRACTIVITY_TOL,
-        horizon=_VERIFY_ATTRACTIVITY_HORIZON,
-        transient=lyapunov_params["transient"],
-        samples=lyapunov_params["samples"])
+    checks = verification_pass(system, fixed_point, seed)
     permanence, attractivity = checks.permanence, checks.attractivity
     block["permanence"] = permanence.to_dict()
     if attractivity is not None:
@@ -148,7 +139,7 @@ def _verification_block(system, verdicts, seed) -> dict:
     block["largest_lyapunov"] = (
         lyapunov if checks.lyapunov_error is None
         else {"error": checks.lyapunov_error})
-    block["lyapunov_params"] = lyapunov_params
+    block["lyapunov_params"] = checks.lyapunov_params
 
     disagreements = []
     warnings = []

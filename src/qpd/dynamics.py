@@ -44,11 +44,26 @@ from .transform import (
     map_state,
 )
 
-#: Default log-uniform initial-condition box for ensemble probes; the
+# The verification protocol.  ``verification_pass`` runs exactly these
+# values, and the standalone probes default to them.
+
+#: Log-uniform initial-condition box of the seeded ensembles; the
 #: multi-scale spread is the point, since permanence quantifies over all
 #: interior initial conditions.
 IC_LOW = 1e-2
 IC_HIGH = 1e2
+ENSEMBLE_SIZE = 50
+PERMANENCE_HORIZON = 5000
+TAIL_FRACTION = 0.2
+PROXY_FLOOR = 1e-6
+PROXY_CEILING = 1e6
+ATTRACTIVITY_HORIZON = 2000
+#: The standalone attractivity probe defaults to a tighter 1e-6.
+VERIFY_ATTRACTIVITY_TOL = 1e-4
+#: Lyapunov schedule along x0 = (1, ..., 1): steps discarded, then
+#: steps averaged.
+LYAPUNOV_TRANSIENT = 1000
+LYAPUNOV_SAMPLES = 10000
 
 
 @dataclass(frozen=True)
@@ -107,7 +122,7 @@ def lv_interior_fixed_point(lv: LVSystem):
     within tolerance.  Uniqueness beyond this linear construction is not
     claimed.
     """
-    _invert(lv.A, error=SingularSystem, what="LV interaction matrix")
+    _invert(lv.A, "LV interaction matrix", SingularSystem)
     x = np.linalg.solve(lv.A, -lv.lam)
     residual = float(np.max(np.abs(lv.lam + lv.A @ x)))
     if residual > 1e-10 * (1.0 + float(np.max(np.abs(lv.lam)))):
@@ -165,8 +180,8 @@ def qp_jacobian(sys: QPSystem, x) -> np.ndarray:
     return J
 
 
-def largest_lyapunov(sys: QPSystem, x0, transient=1000, samples=10000,
-                     seed=0) -> float:
+def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
+                     samples=LYAPUNOV_SAMPLES, seed=0) -> float:
     """Largest Lyapunov exponent estimate along one orbit.
 
     Propagates a tangent vector in log coordinates, v <- v + A (q * B v)
@@ -303,14 +318,6 @@ def _lockstep(sys: QPSystem, X0, horizons, tail=range(0), snapshot=None,
 # ensemble probes
 # ---------------------------------------------------------------------------
 
-#: Defaults shared by the standalone probes and ``verification_pass``.
-ENSEMBLE_SIZE = 50
-PERMANENCE_HORIZON = 5000
-TAIL_FRACTION = 0.2
-PROXY_FLOOR = 1e-6
-PROXY_CEILING = 1e6
-
-
 @dataclass(frozen=True)
 class EmpiricalVerdict:
     """Outcome of an ensemble probe; deterministic given (seed, params)."""
@@ -335,11 +342,9 @@ class EmpiricalVerdict:
         }
 
 
-def _draw_initial_conditions(seed, size, n, low, high):
-    if low <= 0 or high < low:
-        raise ValueError("initial-condition box must satisfy 0 < low <= high")
+def _draw_initial_conditions(seed, size, n):
     rng = np.random.default_rng(seed)
-    return np.exp(rng.uniform(np.log(low), np.log(high), size=(size, n)))
+    return np.exp(rng.uniform(np.log(IC_LOW), np.log(IC_HIGH), size=(size, n)))
 
 
 def _tail_window(horizon, tail_fraction):
@@ -362,7 +367,7 @@ def _guard_statistics(run, size, horizon) -> dict:
 
 
 def _permanence_verdict(run, size, horizon, tail_fraction, floor, ceiling,
-                        seed, ic_low, ic_high) -> EmpiricalVerdict:
+                        seed) -> EmpiricalVerdict:
     tail_min = float(run.tail_min[:size].min(initial=np.inf))
     tail_max = float(run.tail_max[:size].max(initial=-np.inf))
     guards = _guard_statistics(run, size, horizon)
@@ -377,13 +382,13 @@ def _permanence_verdict(run, size, horizon, tail_fraction, floor, ceiling,
         statistics={"tail_min": tail_min, "tail_max": tail_max, **guards},
         params={
             "tail_fraction": tail_fraction, "floor": floor,
-            "ceiling": ceiling, "ic_low": ic_low, "ic_high": ic_high,
+            "ceiling": ceiling, "ic_low": IC_LOW, "ic_high": IC_HIGH,
         },
     )
 
 
-def _attractivity_verdict(run, size, horizon, target, tol, seed, ic_low,
-                          ic_high, explicit) -> EmpiricalVerdict:
+def _attractivity_verdict(run, size, horizon, target, tol, seed,
+                          explicit) -> EmpiricalVerdict:
     guards = _guard_statistics(run, size, horizon)
     if guards["guard_terminations"]:
         max_dist = None  # some orbit never reached the horizon
@@ -400,7 +405,7 @@ def _attractivity_verdict(run, size, horizon, target, tol, seed, ic_low,
         statistics={"max_final_distance": max_dist, **guards},
         params={
             "target": target.tolist(), "tol": tol,
-            "ic_low": ic_low, "ic_high": ic_high,
+            "ic_low": IC_LOW, "ic_high": IC_HIGH,
             "explicit_initial_conditions": explicit,
         },
     )
@@ -409,8 +414,7 @@ def _attractivity_verdict(run, size, horizon, target, tol, seed, ic_low,
 def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
                          horizon=PERMANENCE_HORIZON,
                          tail_fraction=TAIL_FRACTION, floor=PROXY_FLOOR,
-                         ceiling=PROXY_CEILING, seed=0, ic_low=IC_LOW,
-                         ic_high=IC_HIGH) -> EmpiricalVerdict:
+                         ceiling=PROXY_CEILING, seed=0) -> EmpiricalVerdict:
     """Falsifiable proxy for permanence over a seeded ensemble.
 
     Passes iff no orbit hits a guard and, over the final
@@ -420,16 +424,15 @@ def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
     """
     if floor <= 0 or ceiling <= floor:
         raise ValueError("need 0 < floor < ceiling")
-    X0 = _draw_initial_conditions(seed, ensemble_size, sys.n, ic_low, ic_high)
+    X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     run = _lockstep(sys, X0, [horizon] * ensemble_size,
                     tail=_tail_window(horizon, tail_fraction))
     return _permanence_verdict(run, ensemble_size, horizon, tail_fraction,
-                               floor, ceiling, seed, ic_low, ic_high)
+                               floor, ceiling, seed)
 
 
 def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
-                           horizon=2000, tol=1e-6, seed=0,
-                           ic_low=IC_LOW, ic_high=IC_HIGH,
+                           horizon=ATTRACTIVITY_HORIZON, tol=1e-6, seed=0,
                            initial_conditions=None) -> EmpiricalVerdict:
     """Passes iff every ensemble orbit ends within ``tol`` of the target.
 
@@ -438,65 +441,69 @@ def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
     """
     target = as_state(target, sys.n)
     if initial_conditions is None:
-        X0 = _draw_initial_conditions(seed, ensemble_size, sys.n, ic_low,
-                                      ic_high)
+        X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     else:
         X0 = np.atleast_2d(np.asarray(initial_conditions, dtype=float))
         ensemble_size = X0.shape[0]
     run = _lockstep(sys, X0, [horizon] * ensemble_size, snapshot=horizon)
     return _attractivity_verdict(run, ensemble_size, horizon, target, tol,
-                                 seed, ic_low, ic_high,
-                                 initial_conditions is not None)
+                                 seed, initial_conditions is not None)
 
 
 @dataclass(frozen=True)
 class VerificationPass:
     """The three probes of ``verification_pass``.  ``attractivity`` is
     None without a target; exactly one of ``lyapunov`` and
-    ``lyapunov_error`` is set."""
+    ``lyapunov_error`` is set; ``lyapunov_params`` echoes the orbit and
+    schedule of the estimate."""
 
     permanence: EmpiricalVerdict
     attractivity: EmpiricalVerdict | None
     lyapunov: float | None
     lyapunov_error: str | None
+    lyapunov_params: dict
 
 
-def verification_pass(sys: QPSystem, target, *, seed, tol, horizon,
-                      transient, samples) -> VerificationPass:
+def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
     """Permanence, attractivity and Lyapunov probes from one lockstep run.
 
     Advances the seeded default ensemble and the orbit of x0 = (1, ..., 1)
     as one more member.  ``target`` may be None, which skips
     attractivity.  Permanence is read over the ensemble's tail,
     attractivity toward ``target`` from the ensemble's states at step
-    ``horizon`` (counting only guards before it), and the Lyapunov
-    estimate from the member's tangent.  Rows never depend on their
-    batch-mates, so each probe equals its standalone function:
+    ATTRACTIVITY_HORIZON (counting only guards before it), and the
+    Lyapunov estimate from the member's tangent.  Rows never depend on
+    their batch-mates, so each probe equals its standalone function:
     ``empirical_permanence(sys, seed=seed)``,
-    ``empirical_attractivity(sys, target, horizon=horizon, tol=tol,
-    seed=seed)`` and ``largest_lyapunov(sys, ones, transient, samples,
-    seed)``, whose GuardTermination message becomes ``lyapunov_error``.
+    ``empirical_attractivity(sys, target, tol=VERIFY_ATTRACTIVITY_TOL,
+    seed=seed)`` and ``largest_lyapunov(sys, ones, seed=seed)``, whose
+    GuardTermination message becomes ``lyapunov_error``.
     """
     size, n = ENSEMBLE_SIZE, sys.n
-    X0 = _draw_initial_conditions(seed, size, n, IC_LOW, IC_HIGH)
+    X0 = _draw_initial_conditions(seed, size, n)
     if target is not None:
         target = as_state(target, n)
     run = _lockstep(
         sys, np.vstack([X0, np.ones(n)]),
-        [max(PERMANENCE_HORIZON, horizon)] * size + [transient + samples],
+        [max(PERMANENCE_HORIZON, ATTRACTIVITY_HORIZON)] * size
+        + [LYAPUNOV_TRANSIENT + LYAPUNOV_SAMPLES],
         tail=_tail_window(PERMANENCE_HORIZON, TAIL_FRACTION),
-        snapshot=None if target is None else horizon,
-        tangent=(size, transient, _tangent_direction(seed, n)))
+        snapshot=None if target is None else ATTRACTIVITY_HORIZON,
+        tangent=(size, LYAPUNOV_TRANSIENT, _tangent_direction(seed, n)))
     permanence = _permanence_verdict(
         run, size, PERMANENCE_HORIZON, TAIL_FRACTION, PROXY_FLOOR,
-        PROXY_CEILING, seed, IC_LOW, IC_HIGH)
+        PROXY_CEILING, seed)
     attractivity = None if target is None else _attractivity_verdict(
-        run, size, horizon, target, tol, seed, IC_LOW, IC_HIGH, False)
+        run, size, ATTRACTIVITY_HORIZON, target, VERIFY_ATTRACTIVITY_TOL,
+        seed, False)
     try:
-        return VerificationPass(permanence, attractivity,
-                                _lyapunov_estimate(run, size, samples), None)
+        lyapunov, error = _lyapunov_estimate(run, size, LYAPUNOV_SAMPLES), None
     except GuardTermination as exc:
-        return VerificationPass(permanence, attractivity, None, str(exc))
+        lyapunov, error = None, str(exc)
+    return VerificationPass(
+        permanence, attractivity, lyapunov, error,
+        {"x0": [1.0] * n, "transient": LYAPUNOV_TRANSIENT,
+         "samples": LYAPUNOV_SAMPLES, "seed": seed})
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class NoDetection(QPDError):
     ``result`` is the scan's ScanResult, with ``threshold`` None.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
         self.result = result
 
@@ -67,9 +67,5 @@ class SchemaError(QPDError):
 
 
 class ParseError(QPDError):
-    """A system-definition file is not valid JSON."""
-
-    def __init__(self, message, line=None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """A system-definition file is not valid JSON; the message names the
+    line and column."""

@@ -22,14 +22,14 @@ from .errors import NoDetection, OverflowGuard
 from .systems import EXP_ARG_LIMIT
 from .theorems import DIAMOND_RHO_THRESHOLD, MAROTTO_RHO_THRESHOLD
 
-#: Default grid density for the period-3 root scan; the third iterate
-#: oscillates rapidly, so brackets must be dense.
+#: Grid density of the period-3 root scan; the third iterate oscillates
+#: rapidly, so brackets must be dense.
 PERIOD3_GRID_SIZE = 100_000
 
-#: Snap-back search defaults: neighborhood radius cap and preimage-chain
-#: depth, calibrated so the scan reproduces the reference constant 2.89
-#: (the sharp onset of arbitrarily deep homoclinic returns lies near
-#: 2.83, below the reference; see the radius/depth notes in the README).
+#: Snap-back search: neighborhood radius cap and preimage-chain depth,
+#: calibrated so the scan reproduces the reference constant 2.89 (the
+#: sharp onset of arbitrarily deep homoclinic returns lies near 2.83,
+#: below the reference; see the radius/depth notes in the README).
 SNAP_BACK_RADIUS_CAP = 0.3
 SNAP_BACK_MAX_DEPTH = 6
 
@@ -95,17 +95,16 @@ class XiAnalysis:
     snap_back: SnapBackWitness | None
 
 
-def analyze_xi(rho, grid_size=PERIOD3_GRID_SIZE,
-               max_preimage_depth=SNAP_BACK_MAX_DEPTH) -> XiAnalysis:
+def analyze_xi(rho) -> XiAnalysis:
     """Fixed-point data plus period-3 and snap-back searches."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    snap = find_snap_back(rho, max_preimage_depth) if rho > 2.0 else None
+    snap = find_snap_back(rho) if rho > 2.0 else None
     return XiAnalysis(
         rho=float(rho),
         fixed_point=float(rho),
         multiplier=1.0 - float(rho),
-        period3=find_period3(rho, grid_size=grid_size),
+        period3=find_period3(rho),
         snap_back=snap,
     )
 
@@ -114,24 +113,18 @@ def analyze_xi(rho, grid_size=PERIOD3_GRID_SIZE,
 # period-3 orbits
 # ---------------------------------------------------------------------------
 
-def find_period3(rho, search_interval=None, grid_size=PERIOD3_GRID_SIZE):
+def find_period3(rho):
     """One representative period-3 cycle, or None.
 
-    Brackets sign changes of the third iterate minus identity on a dense
-    grid over the invariant interval, refines each bracket by bisection
-    (brentq) to 1e-12, and rejects roots that are fixed points of the
-    map itself.  Any non-fixed root of the third iterate has exact
-    period 3, so the first surviving root yields a cycle.
+    Brackets sign changes of the third iterate minus identity on a grid
+    of PERIOD3_GRID_SIZE points over the invariant interval, refines
+    each bracket by bisection (brentq) to 1e-12, and rejects roots that
+    are fixed points of the map itself.  Any non-fixed root of the third
+    iterate has exact period 3, so the first surviving root yields a
+    cycle.
     """
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    if search_interval is None:
-        # Orbits enter [0, exp(rho-1)]; pad the top end.
-        search_interval = (1e-9, np.exp(rho - 1.0) + 1.0)
-    lo, hi = search_interval
-    if not (0.0 <= lo < hi):
-        raise ValueError("search interval must satisfy 0 <= lo < hi")
-    xs = np.linspace(lo, hi, int(grid_size))
+    # Orbits enter [0, exp(rho-1)]; pad the top end.
+    xs = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, PERIOD3_GRID_SIZE)
     g = _xi_iterate(xs, rho, 3) - xs
     signs = np.sign(g)
     brackets = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -154,16 +147,17 @@ def find_period3(rho, search_interval=None, grid_size=PERIOD3_GRID_SIZE):
 # snap-back repellers
 # ---------------------------------------------------------------------------
 
-def expanding_radius(rho, cap=SNAP_BACK_RADIUS_CAP):
+def expanding_radius(rho):
     """Radius of a symmetric interval around the fixed point on which the
     map is expanding (|derivative| > 1 throughout).
 
-    Starts from min(cap * |fixed point - 1|, cap) and halves until the
-    endpoint derivative check passes; the derivative magnitude is
-    unimodal right of the critical point, so checking the endpoints
-    suffices.
+    Starts from min(cap * |fixed point - 1|, cap) with cap
+    SNAP_BACK_RADIUS_CAP and halves until the endpoint derivative check
+    passes; the derivative magnitude is unimodal right of the critical
+    point, so checking the endpoints suffices.
     """
     x_star = rho
+    cap = SNAP_BACK_RADIUS_CAP
     r = min(cap * abs(x_star - 1.0), cap)
     while r > 1e-9:
         if (abs(xi_deriv(x_star - r, rho)) > 1.0
@@ -190,14 +184,14 @@ def _preimages(value, rho):
     return out
 
 
-def find_snap_back(rho, max_preimage_depth=SNAP_BACK_MAX_DEPTH,
-                   radius=None):
+def find_snap_back(rho):
     """Search for a snap-back witness by backward preimage chaining.
 
     Breadth-first over the preimage tree rooted at the fixed point
-    (skipping the fixed point's trivial self-preimage), accepting the
-    first chain point that lies inside the expanding neighborhood,
-    differs from the fixed point, and carries a nonzero derivative
+    (skipping the fixed point's trivial self-preimage), down to depth
+    SNAP_BACK_MAX_DEPTH, accepting the first chain point that lies
+    inside the expanding neighborhood (``expanding_radius``), differs
+    from the fixed point, and carries a nonzero derivative
     product along its forward orbit.  The witness is re-verified by
     forward iteration before it is returned.
 
@@ -209,12 +203,11 @@ def find_snap_back(rho, max_preimage_depth=SNAP_BACK_MAX_DEPTH,
             f"got rho = {rho} with multiplier {1.0 - rho}"
         )
     x_star = float(rho)
-    if radius is None:
-        radius = expanding_radius(rho)
+    radius = expanding_radius(rho)
     if radius is None:
         return None
     frontier: list[tuple[float, tuple[float, ...]]] = [(x_star, ())]
-    for depth in range(1, max_preimage_depth + 1):
+    for depth in range(1, SNAP_BACK_MAX_DEPTH + 1):
         next_frontier = []
         for value, chain in frontier:
             for y in _preimages(value, rho):

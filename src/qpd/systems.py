@@ -16,6 +16,7 @@ schema used by fixtures and the command line.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     NonFinite,
     NonPositiveState,
     OverflowGuard,
+    ParseError,
     SchemaError,
 )
 
@@ -142,12 +144,13 @@ def validate_system(A, B, lam, name=None) -> QPSystem:
     return QPSystem(A, B, lam, name=name)
 
 
-def as_state(x, n=None) -> np.ndarray:
-    """Validate a strictly positive state vector and return it as float64."""
+def as_state(x, n) -> np.ndarray:
+    """Validate a strictly positive state vector of length n and return it
+    as float64."""
     out = np.asarray(x, dtype=float)
     if out.ndim != 1:
         raise DimensionMismatch(f"state must be a vector, got shape {out.shape}")
-    if n is not None and out.shape != (n,):
+    if out.shape != (n,):
         raise DimensionMismatch(f"state must have length {n}, got {out.shape[0]}")
     if not np.all(np.isfinite(out)):
         raise NonFinite("state contains NaN or infinite entries")
@@ -294,21 +297,15 @@ def system_from_dict(doc: dict) -> QPSystem:
 def load_system(path) -> QPSystem:
     """Load a system-definition JSON file.
 
-    Raises ParseError (with line/column) on malformed JSON and SchemaError
-    on a well-formed document that does not match the schema.
+    Raises ParseError (naming the line and column) on malformed JSON and
+    SchemaError on a well-formed document that does not match the schema.
     """
-    import json
-
-    from .errors import ParseError
-
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            line=exc.lineno,
-            column=exc.colno,
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return system_from_dict(doc)

@@ -174,7 +174,7 @@ def _check_gt(label, value, bound, tol, warnings):
     return HypothesisCheck(label, passed, {"value": value, "bound": bound})
 
 
-def _check_dimension(sys, warnings):
+def _check_dimension(sys):
     return HypothesisCheck("n == 2", sys.n == 2, {"n": sys.n})
 
 
@@ -207,7 +207,7 @@ def _verdict(theorem_id, conclusion_if_applicable, checks, warnings, notes=()):
 def check_theorem1(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     """Cooperative interaction invariant in dimension 2: not permanent."""
     warnings, checks = [], []
-    checks.append(_check_dimension(sys, warnings))
+    checks.append(_check_dimension(sys))
     if not checks[-1].passed:
         return _verdict("T1", Conclusion.NOT_PERMANENT, checks, warnings)
     checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
@@ -220,7 +220,7 @@ def check_theorem1(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
 
 def _competitive_checks(sys, tol, warnings):
     """Shared hypotheses of the competitive permanence criterion."""
-    checks = [_check_dimension(sys, warnings)]
+    checks = [_check_dimension(sys)]
     if not checks[-1].passed:
         return checks, None
     checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
@@ -261,7 +261,7 @@ def check_theorem3(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
 def check_theorem4(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     """Predator-prey pattern conditions: globally attractive fixed point."""
     warnings, notes, checks = [], [], []
-    checks.append(_check_dimension(sys, warnings))
+    checks.append(_check_dimension(sys))
     if not checks[-1].passed:
         return _verdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings)
     checks.append(_check_invertible("B invertible", sys.B, warnings)[0])

@@ -52,7 +52,7 @@ def invertibility(M) -> tuple[np.ndarray | None, dict]:
     return (inv if residual <= INVERSE_RESIDUAL_LIMIT else None), witness
 
 
-def _invert(M, error=SingularMatrix, what="matrix"):
+def _invert(M, what, error=SingularMatrix):
     """Dense inverse, or ``error`` naming the failed singularity test."""
     inv, witness = invertibility(M)
     if inv is None:
@@ -84,7 +84,7 @@ class QMTMatrix:
         C = np.asarray(C, dtype=float)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise DimensionMismatch(f"C must be square, got shape {C.shape}")
-        return cls(C, _invert(C, what="transformation matrix"))
+        return cls(C, _invert(C, "transformation matrix"))
 
     @classmethod
     def identity(cls, n: int) -> "QMTMatrix":
@@ -145,7 +145,7 @@ def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
     with the transformation C = B^-1 that produces it.  Raises SingularB
     when B is singular within tolerance: no canonical form exists then.
     """
-    B_inv = _invert(sys.B, error=SingularB, what="exponent matrix B")
+    B_inv = _invert(sys.B, "exponent matrix B", SingularB)
     qmt = QMTMatrix(B_inv, sys.B)
     inv = class_invariants(sys)
     return LVSystem(inv.interaction, inv.growth, name=sys.name), qmt

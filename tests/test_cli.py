@@ -6,6 +6,7 @@ import pytest
 from conftest import fixture_path, load_fixture
 from qpd.cli import build_analysis_report, main
 from qpd.dynamics import (
+    VERIFY_ATTRACTIVITY_TOL,
     empirical_attractivity,
     empirical_permanence,
     largest_lyapunov,
@@ -125,10 +126,34 @@ class TestVerificationBlock:
             assert block["permanence"] == empirical_permanence(
                 system, seed=seed).to_dict()
             assert block["attractivity"] == empirical_attractivity(
-                system, target, tol=1e-4, horizon=2000, seed=seed).to_dict()
+                system, target, tol=VERIFY_ATTRACTIVITY_TOL,
+                seed=seed).to_dict()
         # x0 = 1 is one orbit for every seed: check its estimate once
         assert block["largest_lyapunov"] == largest_lyapunov(
             system, np.ones(system.n), seed=123456)
+
+
+class TestVerifyProtocol:
+    def test_report_echoes_the_documented_protocol(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", str(fixture_path("example1_lv")),
+                         "--verify", "--seed", "7", "--json", str(out_path))
+        assert code == 0
+        block = json.loads(out_path.read_text())["verify"]
+        permanence, attractivity = block["permanence"], block["attractivity"]
+        assert (permanence["ensemble_size"], permanence["horizon"],
+                permanence["seed"]) == (50, 5000, 7)
+        assert permanence["params"] == {
+            "tail_fraction": 0.2, "floor": 1e-6, "ceiling": 1e6,
+            "ic_low": 1e-2, "ic_high": 1e2}
+        assert (attractivity["ensemble_size"], attractivity["horizon"],
+                attractivity["seed"]) == (50, 2000, 7)
+        params = dict(attractivity["params"])
+        assert params.pop("target") == block["fixed_point"]
+        assert params == {"tol": 1e-4, "ic_low": 1e-2, "ic_high": 1e2,
+                          "explicit_initial_conditions": False}
+        assert block["lyapunov_params"] == {
+            "x0": [1.0, 1.0], "transient": 1000, "samples": 10000, "seed": 7}
 
 
 class TestSimulate:

@@ -20,7 +20,14 @@ from qpd import (
     step,
     write_trajectory_csv,
 )
-from qpd.dynamics import _lockstep, verification_pass
+from qpd.dynamics import (
+    ATTRACTIVITY_HORIZON,
+    LYAPUNOV_SAMPLES,
+    LYAPUNOV_TRANSIENT,
+    VERIFY_ATTRACTIVITY_TOL,
+    _lockstep,
+    verification_pass,
+)
 from qpd.systems import GUARD_REASONS, advance
 from qpd.errors import GuardTermination, SingularSystem
 
@@ -359,16 +366,16 @@ class TestVerificationPass:
 
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_guarded_runs_match_standalone_probes(self, seed):
-        checks = verification_pass(self.SYS, self.TARGET, seed=seed,
-                                   tol=1e-4, horizon=2000, transient=1000,
-                                   samples=10000)
+        checks = verification_pass(self.SYS, self.TARGET, seed)
         permanence = empirical_permanence(self.SYS, seed=seed)
-        attractivity = empirical_attractivity(self.SYS, self.TARGET, tol=1e-4,
-                                              horizon=2000, seed=seed)
+        attractivity = empirical_attractivity(
+            self.SYS, self.TARGET, tol=VERIFY_ATTRACTIVITY_TOL,
+            horizon=ATTRACTIVITY_HORIZON, seed=seed)
         assert checks.permanence.to_dict() == permanence.to_dict()
         assert checks.attractivity.to_dict() == attractivity.to_dict()
         with pytest.raises(GuardTermination) as exc:
-            largest_lyapunov(self.SYS, np.ones(2), seed=seed)
+            largest_lyapunov(self.SYS, np.ones(2), LYAPUNOV_TRANSIENT,
+                             LYAPUNOV_SAMPLES, seed)
         assert checks.lyapunov is None
         assert checks.lyapunov_error == str(exc.value)
         assert checks.lyapunov_error.startswith("orbit hit the overflow")

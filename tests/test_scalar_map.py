@@ -79,10 +79,6 @@ class TestPeriod3:
             assert abs(iterate(point, rho, 3) - point) <= 1e-9
             assert abs(xi(point, rho) - point) > 1e-6
 
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            find_period3(3.2, grid_size=100)
-
     def test_cycles_persist_at_larger_growth(self):
         # monotone onset is expected but reported rather than asserted
         violations = []
