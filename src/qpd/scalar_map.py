@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import NoDetection, OverflowGuard
 from .systems import EXP_ARG_LIMIT
@@ -25,6 +26,11 @@ from .theorems import DIAMOND_RHO_THRESHOLD, MAROTTO_RHO_THRESHOLD
 #: Grid density of the period-3 root scan; the third iterate oscillates
 #: rapidly, so brackets must be dense.
 PERIOD3_GRID_SIZE = 100_000
+
+#: The period-3 grid is walked in ascending chunks of this many points,
+#: each taking one more point of overlap so that every adjacent grid pair
+#: is tested exactly once; the walk stops at the first verified cycle.
+PERIOD3_CHUNK = 2048
 
 #: Snap-back search: neighborhood radius cap and preimage-chain depth,
 #: calibrated so the scan reproduces the reference constant 2.89 (the
@@ -67,6 +73,15 @@ def _xi_iterate(x, rho, times):
     for _ in range(times):
         x = xi(x, rho)
     return x
+
+
+def _guard_growth_rate(rho):
+    """Both detectors evaluate exp(rho - x) at x near 0; refuse a growth
+    rate whose exponent would exceed the guard bound before any exp."""
+    if rho > EXP_ARG_LIMIT:
+        raise OverflowGuard(
+            f"growth rate rho = {rho} exceeds the exponent guard bound "
+            f"{EXP_ARG_LIMIT:g}")
 
 
 @dataclass(frozen=True)
@@ -121,25 +136,40 @@ def find_period3(rho):
     each bracket by bisection (brentq) to 1e-12, and rejects roots that
     are fixed points of the map itself.  Any non-fixed root of the third
     iterate has exact period 3, so the first surviving root yields a
-    cycle.
+    cycle.  The grid is walked in ascending chunks of PERIOD3_CHUNK
+    points, so a cycle near the bottom of the interval is found without
+    iterating the rest of the grid; brackets are tried in the same order
+    as on the whole grid.
     """
+    _guard_growth_rate(rho)
     # Orbits enter [0, exp(rho-1)]; pad the top end.
-    xs = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, PERIOD3_GRID_SIZE)
-    g = _xi_iterate(xs, rho, 3) - xs
-    signs = np.sign(g)
-    brackets = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    grid = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, PERIOD3_GRID_SIZE)
+    g_buf = np.empty(PERIOD3_CHUNK + 1)
+    t_buf = np.empty(PERIOD3_CHUNK + 1)
 
     def f(x):
         return _xi_iterate(x, rho, 3) - x
 
-    for i in brackets:
-        root = brentq(f, xs[i], xs[i + 1], xtol=1e-12)
-        if abs(xi(root, rho) - root) <= 1e-9:
-            continue  # period-1, not period-3
-        cycle = np.array([root, xi(root, rho),
-                          _xi_iterate(root, rho, 2)])
-        if np.all(np.abs(_xi_iterate(cycle, rho, 3) - cycle) <= 1e-9):
-            return cycle
+    for start in range(0, PERIOD3_GRID_SIZE - 1, PERIOD3_CHUNK):
+        xs = grid[start:start + PERIOD3_CHUNK + 1]
+        g, t = g_buf[:xs.size], t_buf[:xs.size]
+        # Three xi steps, float for float: every exponent is at most rho,
+        # which the guard above bounds, and every iterate is >= 0.
+        np.copyto(g, xs)
+        for _ in range(3):
+            np.subtract(rho, g, out=t)
+            np.exp(t, out=t)
+            g *= t
+        g -= xs
+        signs = np.sign(g)
+        for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+            root = brentq(f, xs[i], xs[i + 1], xtol=1e-12)
+            if abs(xi(root, rho) - root) <= 1e-9:
+                continue  # period-1, not period-3
+            cycle = np.array([root, xi(root, rho),
+                              _xi_iterate(root, rho, 2)])
+            if np.all(np.abs(_xi_iterate(cycle, rho, 3) - cycle) <= 1e-9):
+                return cycle
     return None
 
 
@@ -167,21 +197,47 @@ def expanding_radius(rho):
     return None
 
 
+#: Just inside the Lambert-W branch point -1/e, where scipy's lambertw
+#: returns nan; a target within rounding of the peak is moved here.
+_INSIDE_BRANCH_POINT = np.nextafter(-np.exp(-1.0), 0.0)
+
+#: Smallest normal double; lambertw's k = -1 branch fails for subnormal
+#: arguments.
+_TINY = np.finfo(float).tiny
+
+
 def _preimages(value, rho):
-    """Up to two preimages of a value: one on each side of the critical
-    point, found by bracketed root-finding on [0, 1] and [1, inf)."""
+    """Up to two preimages of a value, one on each side of the critical
+    point 1, in closed form.
+
+    y e^(rho - y) = v is (-y) e^(-y) = -v e^(-rho), so y = -W_k(-v e^(-rho))
+    with the Lambert-W branch k = 0 for y <= 1 and k = -1 for y >= 1
+    (Corless et al. 1996).  The left preimage is kept only when it
+    exceeds 1e-300.
+    """
     out = []
     peak = np.exp(rho - 1.0)
     if value <= 0.0 or value > peak:
         return out
-    lo = 1e-300
-    if xi(lo, rho) < value <= peak:
-        out.append(brentq(lambda y: xi(y, rho) - value, lo, 1.0, xtol=1e-14))
-    hi = max(rho + 5.0, 10.0)
-    while xi(hi, rho) > value:
-        hi *= 2.0
-    out.append(brentq(lambda y: xi(y, rho) - value, 1.0, hi, xtol=1e-14))
+    z = max(-value * np.exp(-rho), _INSIDE_BRANCH_POINT)
+    if xi(1e-300, rho) < value:
+        out.append(float(-lambertw(z, 0).real))
+    if z > -_TINY:
+        out.append(_far_right_preimage(value, rho))
+    else:
+        out.append(float(-lambertw(z, -1).real))
     return out
+
+
+def _far_right_preimage(value, rho):
+    """The right preimage when -v e^(-rho) is subnormal, where lambertw's
+    k = -1 branch is not finite: Newton on y - log(y) = rho - log(v)
+    from y = s + log(s), with s >= 708 here."""
+    s = rho - np.log(value)
+    y = s + np.log(s)
+    for _ in range(3):
+        y -= (y - np.log(y) - s) / (1.0 - 1.0 / y)
+    return float(y)
 
 
 def find_snap_back(rho):
@@ -202,6 +258,7 @@ def find_snap_back(rho):
             f"snap-back search requires rho > 2 (fixed point repelling); "
             f"got rho = {rho} with multiplier {1.0 - rho}"
         )
+    _guard_growth_rate(rho)
     x_star = float(rho)
     radius = expanding_radius(rho)
     if radius is None:

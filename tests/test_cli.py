@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from qpd.dynamics import (
     largest_lyapunov,
     qp_fixed_point,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 FIXTURE_NAMES = ("example1_lv", "example1_qp_rho05", "example1_qp_rho10",
                  "example2_predator_prey", "example3_qp_rho32")
@@ -252,6 +256,30 @@ class TestScan:
                            "--step", "0.5")
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["detected"] is True
+
+    @pytest.mark.parametrize("kind", ["period3", "snapback"])
+    def test_output_matches_golden_files(self, capsys, tmp_path, kind):
+        # generated before the closed-form preimages and the chunked grid;
+        # identical inputs must keep giving byte-identical output
+        out_csv = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "scan", "--kind", kind,
+                             "--rho-min", "2.5", "--rho-max", "3.5",
+                             "--step", "0.01", "--out", str(out_csv))
+        golden = DATA / f"scan_{kind}_2.5_3.5_0.01"
+        assert code == 0 and err == ""
+        assert out.encode() == Path(f"{golden}.stdout").read_bytes()
+        assert out_csv.read_bytes() == Path(f"{golden}.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["period3", "snapback"])
+    def test_growth_rate_beyond_guard_is_one_error_line(self, capsys, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "scan", "--kind", kind,
+                                 "--rho-min", "740", "--rho-max", "760",
+                                 "--step", "10")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: growth rate rho = 740.0 exceeds")
 
     def test_invalid_range(self, capsys):
         code, _, err = run(capsys, "scan", "--kind", "period3",

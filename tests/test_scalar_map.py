@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qpd import (
     analyze_xi,
@@ -13,14 +14,48 @@ from qpd import (
     xi,
     xi_deriv,
 )
+from qpd import scalar_map
 from qpd.errors import NoDetection, OverflowGuard
-from qpd.scalar_map import KIND_PERIOD3, KIND_SNAPBACK, expanding_radius
+from qpd.scalar_map import (
+    KIND_PERIOD3,
+    KIND_SNAPBACK,
+    PERIOD3_GRID_SIZE,
+    _preimages,
+    expanding_radius,
+)
+from qpd.systems import EXP_ARG_LIMIT
 
 
 def iterate(x, rho, times):
     for _ in range(times):
         x = xi(x, rho)
     return x
+
+
+def reference_period3(rho):
+    """The whole-grid period-3 search, one xi call per iterate: returns
+    the first verified cycle and the grid index of its bracket."""
+    xs = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, PERIOD3_GRID_SIZE)
+    g = iterate(xs, rho, 3) - xs
+    signs = np.sign(g)
+    brackets = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+
+    def f(x):
+        return iterate(x, rho, 3) - x
+
+    for i in brackets:
+        root = brentq(f, xs[i], xs[i + 1], xtol=1e-12)
+        if abs(xi(root, rho) - root) <= 1e-9:
+            continue
+        cycle = np.array([root, xi(root, rho), iterate(root, rho, 2)])
+        if np.all(np.abs(iterate(cycle, rho, 3) - cycle) <= 1e-9):
+            return cycle, int(i)
+    return None, None
+
+
+def same_cycle(a, b):
+    return a is None and b is None or (
+        a is not None and b is not None and np.array_equal(a, b))
 
 
 class TestXi:
@@ -92,6 +127,65 @@ class TestPeriod3:
                 stacklevel=1)
 
 
+class TestPeriod3AgainstReferenceLoop:
+    def test_chunked_walk_matches_whole_grid(self, monkeypatch):
+        rhos = [float(r) for r in np.arange(2.5, 14.0, 0.05)]
+        # plus every growth rate a 2.5-3.5 scan asks about, bisection
+        # midpoints included
+        original = scalar_map.find_period3
+
+        def record(rho):
+            rhos.append(rho)
+            return original(rho)
+
+        monkeypatch.setattr(scalar_map, "find_period3", record)
+        threshold_scan(KIND_PERIOD3, 2.5, 3.5, 0.01)
+        monkeypatch.undo()
+        mismatches = [rho for rho in rhos
+                      if not same_cycle(find_period3(rho),
+                                        reference_period3(rho)[0])]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("rho", [3.1025, 4.45, 6.6329, 9.0])
+    def test_deciding_bracket_on_a_chunk_boundary(self, monkeypatch, rho):
+        # On a 0.001 grid over [3.1, 16] the index of the deciding bracket
+        # reaches 3847 but is never 2047, the last pair of the first
+        # 2048-point chunk; shrink the chunk so that the bracket (i, i + 1)
+        # spans the first chunk boundary.
+        cycle, i = reference_period3(rho)
+        assert cycle is not None
+        monkeypatch.setattr(scalar_map, "PERIOD3_CHUNK", i + 1)
+        assert np.array_equal(find_period3(rho), cycle)
+
+
+class TestPreimages:
+    # at EXP_ARG_LIMIT the right-branch target -v e^-rho underflows for
+    # small v, past the reach of lambertw
+    @pytest.mark.parametrize("rho", [2.9, 20.0, 50.0, EXP_ARG_LIMIT])
+    def test_each_preimage_solves_the_map_on_its_side(self, rho):
+        worst = 0.0
+        for v in np.geomspace(1e-250, math.exp(rho - 1.0), 500):
+            ys = _preimages(float(v), rho)
+            assert 1 <= len(ys) <= 2
+            assert ys[-1] >= 1.0
+            if len(ys) == 2:
+                assert ys[0] <= 1.0
+            for y in ys:
+                worst = max(worst, abs(xi(y, rho) - v) / v)
+        assert worst <= 1e-12
+
+    def test_left_preimage_only_above_the_floor(self):
+        # the left branch is kept only while its preimage exceeds 1e-300
+        rho = 20.0
+        floor = xi(1e-300, rho)
+        assert len(_preimages(floor * 0.5, rho)) == 1
+        assert len(_preimages(floor * 2.0, rho)) == 2
+
+    def test_outside_the_range_has_no_preimage(self):
+        assert _preimages(0.0, 3.0) == []
+        assert _preimages(math.exp(2.0) * (1 + 1e-12), 3.0) == []
+
+
 class TestSnapBack:
     def test_witness_in_marotto_regime(self):
         witness = find_snap_back(3.0)
@@ -104,6 +198,15 @@ class TestSnapBack:
     def test_absent_below_onset(self):
         assert find_snap_back(2.5) is None
 
+    @pytest.mark.parametrize("rho", [14.0, 20.0, 27.5, 40.0, 50.0])
+    def test_witness_at_large_growth(self, rho):
+        # left-branch preimages here are about rho e^-rho; the chain must
+        # carry them to relative precision to pass the forward check
+        witness = find_snap_back(rho)
+        assert witness is not None
+        assert 1e-8 < abs(witness.x0 - rho) <= witness.radius
+        assert abs(iterate(witness.x0, rho, witness.steps) - rho) <= 1e-9
+
     def test_requires_repelling_fixed_point(self):
         with pytest.raises(ValueError):
             find_snap_back(1.5)
@@ -114,6 +217,23 @@ class TestSnapBack:
             assert r is not None
             assert abs(xi_deriv(rho - r, rho)) > 1.0
             assert abs(xi_deriv(rho + r, rho)) > 1.0
+
+
+class TestLargeGrowthGuard:
+    @pytest.mark.parametrize("detector", [find_period3, find_snap_back])
+    @pytest.mark.parametrize("rho", [np.nextafter(EXP_ARG_LIMIT, np.inf),
+                                     740.0, 760.0, 1e6])
+    def test_detectors_refuse_before_any_exp(self, detector, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuard, match="growth rate"):
+                detector(rho)
+
+    def test_guard_bound_itself_is_searched(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            find_period3(EXP_ARG_LIMIT)
+            find_snap_back(EXP_ARG_LIMIT)
 
 
 class TestAnalyzeXi:
