@@ -19,7 +19,6 @@ from .systems import (
     sign_pattern,
     step,
     system_from_dict,
-    validate_system,
 )
 from .transform import (
     ClassInvariants,

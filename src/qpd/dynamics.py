@@ -387,8 +387,8 @@ def _permanence_verdict(run, size, horizon, tail_fraction, floor, ceiling,
     )
 
 
-def _attractivity_verdict(run, size, horizon, target, tol, seed,
-                          explicit) -> EmpiricalVerdict:
+def _attractivity_verdict(run, size, horizon, target, tol,
+                          seed) -> EmpiricalVerdict:
     guards = _guard_statistics(run, size, horizon)
     if guards["guard_terminations"]:
         max_dist = None  # some orbit never reached the horizon
@@ -406,7 +406,7 @@ def _attractivity_verdict(run, size, horizon, target, tol, seed,
         params={
             "target": target.tolist(), "tol": tol,
             "ic_low": IC_LOW, "ic_high": IC_HIGH,
-            "explicit_initial_conditions": explicit,
+            "explicit_initial_conditions": False,
         },
     )
 
@@ -432,22 +432,18 @@ def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
 
 
 def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
-                           horizon=ATTRACTIVITY_HORIZON, tol=1e-6, seed=0,
-                           initial_conditions=None) -> EmpiricalVerdict:
+                           horizon=ATTRACTIVITY_HORIZON, tol=1e-6,
+                           seed=0) -> EmpiricalVerdict:
     """Passes iff every ensemble orbit ends within ``tol`` of the target.
 
     Distance is Euclidean at the final step; a guard termination counts
-    as failure.  ``initial_conditions`` overrides the seeded draw.
+    as failure.
     """
     target = as_state(target, sys.n)
-    if initial_conditions is None:
-        X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
-    else:
-        X0 = np.atleast_2d(np.asarray(initial_conditions, dtype=float))
-        ensemble_size = X0.shape[0]
+    X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     run = _lockstep(sys, X0, [horizon] * ensemble_size, snapshot=horizon)
     return _attractivity_verdict(run, ensemble_size, horizon, target, tol,
-                                 seed, initial_conditions is not None)
+                                 seed)
 
 
 @dataclass(frozen=True)
@@ -495,7 +491,7 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
         PROXY_CEILING, seed)
     attractivity = None if target is None else _attractivity_verdict(
         run, size, ATTRACTIVITY_HORIZON, target, VERIFY_ATTRACTIVITY_TOL,
-        seed, False)
+        seed)
     try:
         lyapunov, error = _lyapunov_estimate(run, size, LYAPUNOV_SAMPLES), None
     except GuardTermination as exc:

@@ -249,7 +249,8 @@ def find_snap_back(rho):
     inside the expanding neighborhood (``expanding_radius``), differs
     from the fixed point, and carries a nonzero derivative
     product along its forward orbit.  The witness is re-verified by
-    forward iteration before it is returned.
+    forward iteration, to within ``1e-9 * rho`` of the fixed point, before
+    it is returned: the rounding of an m-step orbit grows with rho.
 
     Requires rho > 2 so the fixed point is repelling.
     """
@@ -275,7 +276,7 @@ def find_snap_back(rho):
                     deriv = float(np.prod([xi_deriv(z, rho)
                                            for z in forward_chain]))
                     if deriv != 0.0 and abs(_xi_iterate(y, rho, depth)
-                                            - x_star) <= 1e-9:
+                                            - x_star) <= 1e-9 * x_star:
                         return SnapBackWitness(
                             x0=float(y), steps=depth,
                             derivative_product=deriv, radius=float(radius))

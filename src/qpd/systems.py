@@ -135,15 +135,6 @@ class LVSystem:
         return QPSystem(self.A, np.eye(self.n), self.lam, name=self.name)
 
 
-def validate_system(A, B, lam, name=None) -> QPSystem:
-    """Build a validated QPSystem from raw matrices and a vector.
-
-    Raises DimensionMismatch when the shapes disagree and NonFinite when
-    any entry is NaN or infinite.
-    """
-    return QPSystem(A, B, lam, name=name)
-
-
 def as_state(x, n) -> np.ndarray:
     """Validate a strictly positive state vector of length n and return it
     as float64."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 
@@ -150,32 +149,14 @@ def _check_pattern(label, M, template, tol, warnings):
     })
 
 
-def _check_le(label, value, bound, tol, warnings):
+def _check_bound(label, value, bound, tol, warnings, strictly_above=False):
+    """``value > bound`` when ``strictly_above``, else ``value <= bound``,
+    each with the shared tolerance."""
     value, bound = float(value), float(bound)
-    passed = value <= bound + tol
+    passed = value - bound > tol if strictly_above else value <= bound + tol
     if _near(value, bound, tol):
         warnings.append(f"{label}: value {value:.6g} within 10*tol of bound {bound:g}")
     return HypothesisCheck(label, passed, {"value": value, "bound": bound})
-
-
-def _check_lt(label, value, bound, tol, warnings):
-    value, bound = float(value), float(bound)
-    passed = value - bound < -tol
-    if _near(value, bound, tol):
-        warnings.append(f"{label}: value {value:.6g} within 10*tol of bound {bound:g}")
-    return HypothesisCheck(label, passed, {"value": value, "bound": bound})
-
-
-def _check_gt(label, value, bound, tol, warnings):
-    value, bound = float(value), float(bound)
-    passed = value - bound > tol
-    if _near(value, bound, tol):
-        warnings.append(f"{label}: value {value:.6g} within 10*tol of bound {bound:g}")
-    return HypothesisCheck(label, passed, {"value": value, "bound": bound})
-
-
-def _check_dimension(sys):
-    return HypothesisCheck("n == 2", sys.n == 2, {"n": sys.n})
 
 
 def _check_invertible(label, M, warnings):
@@ -201,86 +182,114 @@ def _verdict(theorem_id, conclusion_if_applicable, checks, warnings, notes=()):
 
 
 # ---------------------------------------------------------------------------
+# the class decision
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _ClassDecision:
+    """Everything a battery decides once about a QMT class.
+
+    Each group is a ``(checks, warnings)`` pair of tuples: a hypothesis
+    prefix shared by several theorems, which each theorem extends in its
+    own copy.  The B warning rides only with a group that holds the B
+    check, so T1-T4 carry neither when n != 2.
+    """
+
+    n: int
+    tol: float
+    G: np.ndarray
+    L: np.ndarray
+    B_inv: np.ndarray | None
+    b_group: tuple       # B invertible (T7)
+    planar: tuple        # n == 2, then B invertible (T1, T4)
+    competitive: tuple   # planar plus the competitive signs (T2, T3)
+    ordering: tuple      # B invertible, -G hierarchically ordered (T5, T6)
+
+
+def _decide_class(sys: QPSystem, tol) -> _ClassDecision:
+    inv = class_invariants(sys)
+    G, L = inv.interaction, inv.growth
+    warnings = []
+    b_check, B_inv = _check_invertible("B invertible", sys.B, warnings)
+    b_group = ((b_check,), tuple(warnings))
+    planar = competitive = ((HypothesisCheck("n == 2", sys.n == 2,
+                                             {"n": sys.n}),), ())
+    if sys.n == 2:
+        planar = (planar[0] + b_group[0], b_group[1])
+        competitive = (planar[0] + (
+            _check_pattern(
+                "interaction invariant has competitive pattern [-- / --]",
+                G, COMPETITIVE_PATTERN, tol, warnings),
+            _check_pattern(
+                "growth invariant has positive pattern (+, +)",
+                L, np.array([PLUS, PLUS], dtype=np.int8), tol, warnings),
+            _check_pattern(
+                "interaction^T . perp(growth) has pattern (-, +)",
+                G.T @ perp(L), np.array([MINUS, PLUS], dtype=np.int8), tol,
+                warnings),
+        ), tuple(warnings))
+    witness = is_hierarchically_ordered(-G, tol)
+    ordering = (b_group[0] + (HypothesisCheck(
+        "-(interaction invariant) is hierarchically ordered",
+        witness is not None,
+        {"permutation": list(witness.permutation) if witness else None},
+    ),), b_group[1])
+    return _ClassDecision(sys.n, tol, G, L, B_inv, b_group, planar,
+                          competitive, ordering)
+
+
+# ---------------------------------------------------------------------------
 # theorem checkers
 # ---------------------------------------------------------------------------
 
-def check_theorem1(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+def _theorem1(c: _ClassDecision) -> TheoremVerdict:
     """Cooperative interaction invariant in dimension 2: not permanent."""
-    warnings, checks = [], []
-    checks.append(_check_dimension(sys))
-    if not checks[-1].passed:
-        return _verdict("T1", Conclusion.NOT_PERMANENT, checks, warnings)
-    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
-    inv = class_invariants(sys)
-    checks.append(_check_pattern(
-        "interaction invariant has cooperative pattern [-+ / +-]",
-        inv.interaction, COOPERATIVE_PATTERN, tol, warnings))
+    checks, warnings = map(list, c.planar)
+    if c.n == 2:
+        checks.append(_check_pattern(
+            "interaction invariant has cooperative pattern [-+ / +-]",
+            c.G, COOPERATIVE_PATTERN, c.tol, warnings))
     return _verdict("T1", Conclusion.NOT_PERMANENT, checks, warnings)
 
 
-def _competitive_checks(sys, tol, warnings):
-    """Shared hypotheses of the competitive permanence criterion."""
-    checks = [_check_dimension(sys)]
-    if not checks[-1].passed:
-        return checks, None
-    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
-    inv = class_invariants(sys)
-    checks.append(_check_pattern(
-        "interaction invariant has competitive pattern [-- / --]",
-        inv.interaction, COMPETITIVE_PATTERN, tol, warnings))
-    checks.append(_check_pattern(
-        "growth invariant has positive pattern (+, +)",
-        inv.growth, np.array([PLUS, PLUS], dtype=np.int8), tol, warnings))
-    cross = inv.interaction.T @ perp(inv.growth)
-    checks.append(_check_pattern(
-        "interaction^T . perp(growth) has pattern (-, +)",
-        cross, np.array([MINUS, PLUS], dtype=np.int8), tol, warnings))
-    return checks, inv
-
-
-def check_theorem2(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+def _theorem2(c: _ClassDecision) -> TheoremVerdict:
     """Competitive pattern + positive growth + cross condition: permanent."""
-    warnings = []
-    checks, _ = _competitive_checks(sys, tol, warnings)
-    return _verdict("T2", Conclusion.PERMANENT, checks, warnings)
+    return _verdict("T2", Conclusion.PERMANENT, *c.competitive)
 
 
-def check_theorem3(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+def _theorem3(c: _ClassDecision) -> TheoremVerdict:
     """Permanence hypotheses plus growth components <= 1: the unique
     interior fixed point is globally asymptotically stable."""
-    warnings = []
-    checks, inv = _competitive_checks(sys, tol, warnings)
-    if inv is not None:
+    checks, warnings = map(list, c.competitive)
+    if c.n == 2:
         for i in range(2):
-            checks.append(_check_le(
+            checks.append(_check_bound(
                 f"growth invariant component {i + 1} <= 1",
-                inv.growth[i], 1.0, tol, warnings))
+                c.L[i], 1.0, c.tol, warnings))
     return _verdict("T3", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings)
 
 
-def check_theorem4(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+def _theorem4(c: _ClassDecision) -> TheoremVerdict:
     """Predator-prey pattern conditions: globally attractive fixed point."""
-    warnings, notes, checks = [], [], []
-    checks.append(_check_dimension(sys))
-    if not checks[-1].passed:
+    checks, warnings = map(list, c.planar)
+    if c.n != 2:
         return _verdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings)
-    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
-    inv = class_invariants(sys)
-    G, L = inv.interaction, inv.growth
+    G, L, tol, notes = c.G, c.L, c.tol, []
     checks.append(_check_pattern(
         "interaction invariant has predator-prey pattern [-- / +-]",
         G, PREDATOR_PREY_PATTERN, tol, warnings))
     checks.append(_check_pattern(
         "growth invariant has pattern (+, -)",
         L, np.array([PLUS, MINUS], dtype=np.int8), tol, warnings))
-    checks.append(_check_le("growth component 1 <= 1", L[0], 1.0, tol, warnings))
+    checks.append(_check_bound("growth component 1 <= 1", L[0], 1.0, tol,
+                               warnings))
     if abs(G[0, 0]) > tol:
         ratio = G[1, 0] / G[0, 0]
         lower, upper = L[0] * ratio, ratio + 1.0
-        checks.append(_check_gt(
+        checks.append(_check_bound(
             "growth component 2 > growth1 * G21/G11",
-            L[1], lower, tol, warnings))
-        checks.append(_check_le(
+            L[1], lower, tol, warnings, strictly_above=True))
+        checks.append(_check_bound(
             "growth component 2 <= G21/G11 + 1",
             L[1], upper, tol, warnings))
         if lower >= upper:
@@ -292,62 +301,48 @@ def check_theorem4(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
         checks.append(HypothesisCheck(
             "growth component 2 bounds (needs G11 != 0)", False,
             {"G11": float(G[0, 0]), "reason": "G11 within tolerance of zero"}))
-    checks.append(_check_gt(
+    checks.append(_check_bound(
         "G11*G22 + G12*G21 > 0",
-        G[0, 0] * G[1, 1] + G[0, 1] * G[1, 0], 0.0, tol, warnings))
+        G[0, 0] * G[1, 1] + G[0, 1] * G[1, 0], 0.0, tol, warnings,
+        strictly_above=True))
     return _verdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings, notes)
 
 
-def _ordering_checks(sys, tol, warnings):
-    """Shared hypotheses of the global-attractor criterion, with B^-1."""
-    b_check, B_inv = _check_invertible("B invertible", sys.B, warnings)
-    witness = is_hierarchically_ordered(-class_invariants(sys).interaction, tol)
-    return [b_check, HypothesisCheck(
-        "-(interaction invariant) is hierarchically ordered",
-        witness is not None,
-        {"permutation": list(witness.permutation) if witness else None},
-    )], B_inv
-
-
-def check_theorem5(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+def _theorem5(c: _ClassDecision) -> TheoremVerdict:
     """Hierarchically ordered negated interaction invariant: a global
     attractor exists, in any dimension."""
-    warnings = []
-    checks, _ = _ordering_checks(sys, tol, warnings)
     notes = ("holds for any growth invariant; only the interaction "
              "invariant and invertibility of B enter",)
-    return _verdict("T5", Conclusion.GLOBAL_ATTRACTOR_EXISTS, checks,
-                    warnings, notes)
+    return _verdict("T5", Conclusion.GLOBAL_ATTRACTOR_EXISTS, *c.ordering,
+                    notes)
 
 
-def check_theorem6(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+def _theorem6(c: _ClassDecision) -> TheoremVerdict:
     """Theorem-5 hypotheses plus entrywise nonnegative B^-1: dissipative."""
-    warnings = []
-    checks, B_inv = _ordering_checks(sys, tol, warnings)
-    if B_inv is not None:
-        min_entry = float(np.min(B_inv))
-        if _near(min_entry, 0.0, tol):
+    checks, warnings = map(list, c.ordering)
+    if c.B_inv is not None:
+        min_entry = float(np.min(c.B_inv))
+        if _near(min_entry, 0.0, c.tol):
             warnings.append(
                 f"B^-1 nonnegativity: smallest entry {min_entry:.6g} "
                 f"within 10*tol of zero"
             )
         checks.append(HypothesisCheck(
-            "B^-1 is entrywise nonnegative", min_entry >= -tol,
-            {"B_inv": _j(B_inv), "min_entry": min_entry}))
+            "B^-1 is entrywise nonnegative", min_entry >= -c.tol,
+            {"B_inv": _j(c.B_inv), "min_entry": min_entry}))
     return _verdict("T6", Conclusion.DISSIPATIVE, checks, warnings)
 
 
-def check_theorem7(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+def _theorem7(c: _ClassDecision) -> TheoremVerdict:
     """Uniform positive growth invariant with dominated interaction:
     chaotic once the growth rate clears the factor-map thresholds."""
-    warnings, notes, checks = [], [], []
-    checks.append(_check_invertible("B invertible", sys.B, warnings)[0])
-    inv = class_invariants(sys)
-    G, L = inv.interaction, inv.growth
+    checks, warnings = map(list, c.b_group)
+    notes = []
+    G, L, tol = c.G, c.L, c.tol
     checks.append(_check_invertible(
         "interaction invariant invertible", G, warnings)[0])
     if checks[-1].passed:
-        g_inv_u = np.linalg.solve(G, np.ones(sys.n))
+        g_inv_u = np.linalg.solve(G, np.ones(c.n))
         for value in g_inv_u:
             if _near(value, 0.0, tol):
                 warnings.append(
@@ -366,7 +361,7 @@ def check_theorem7(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
         "growth invariant is rho * ones with rho > 0", uniform,
         {"rho": rho, "max_deviation": max_dev}))
 
-    hypotheses_hold = all(c.passed for c in checks)
+    hypotheses_hold = all(check.passed for check in checks)
     diamond = rho >= DIAMOND_RHO_THRESHOLD - tol
     marotto = rho >= MAROTTO_RHO_THRESHOLD - tol
     if _near(rho, DIAMOND_RHO_THRESHOLD, tol) or _near(rho, MAROTTO_RHO_THRESHOLD, tol):
@@ -387,17 +382,27 @@ def check_theorem7(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
     return _verdict("T7", conclusion, checks, warnings, notes)
 
 
+_BATTERY = (_theorem1, _theorem2, _theorem3, _theorem4, _theorem5,
+            _theorem6, _theorem7)
+
+
 def check_all_theorems(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> list[TheoremVerdict]:
-    """Run the full battery T1..T7 in order."""
-    return [
-        check_theorem1(sys, tol),
-        check_theorem2(sys, tol),
-        check_theorem3(sys, tol),
-        check_theorem4(sys, tol),
-        check_theorem5(sys, tol),
-        check_theorem6(sys, tol),
-        check_theorem7(sys, tol),
-    ]
+    """Run the full battery T1..T7 in order on one class decision."""
+    decision = _decide_class(sys, tol)
+    return [theorem(decision) for theorem in _BATTERY]
+
+
+def _checker(number, theorem):
+    def check(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
+        return theorem(_decide_class(sys, tol))
+    check.__name__ = check.__qualname__ = f"check_theorem{number}"
+    check.__doc__ = theorem.__doc__
+    return check
+
+
+(check_theorem1, check_theorem2, check_theorem3, check_theorem4,
+ check_theorem5, check_theorem6, check_theorem7) = (
+    _checker(number, theorem) for number, theorem in enumerate(_BATTERY, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +454,3 @@ def is_hierarchically_ordered(P, tol=DEFAULT_SIGN_TOL):
     assert _ordered_under(P, order, tol)
     return HierarchicalOrderWitness(tuple(order))
 
-
-def hierarchically_ordered_bruteforce(P, tol=DEFAULT_SIGN_TOL):
-    """Exhaustive n! reference search (oracle for tests; n <= ~8)."""
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    for order in permutations(range(n)):
-        if _ordered_under(P, order, tol):
-            return HierarchicalOrderWitness(tuple(order))
-    return None

@@ -42,7 +42,7 @@ from qpd import (
     threshold_scan,
 )
 from qpd.scalar_map import KIND_PERIOD3, KIND_SNAPBACK
-from qpd.theorems import hierarchically_ordered_bruteforce
+from test_theorems import hierarchically_ordered_bruteforce
 
 
 @contextmanager

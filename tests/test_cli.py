@@ -63,6 +63,18 @@ class TestAnalyze:
         assert verdicts["T3"]["applicable"] is True
         assert loaded["verify"]["disagreements"] == []
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_output_matches_golden_files(self, capsys, tmp_path, name):
+        # generated before the battery decided each class once; the
+        # verdicts and their traces must stay byte-identical
+        out_json = tmp_path / "report.json"
+        code, out, err = run(capsys, "analyze", str(fixture_path(name)),
+                             "--json", str(out_json))
+        golden = DATA / f"analyze_{name}"
+        assert code == 0 and err == ""
+        assert out.encode() == Path(f"{golden}.stdout").read_bytes()
+        assert out_json.read_bytes() == Path(f"{golden}.json").read_bytes()
+
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "broken", "n": 2,\n  "A": [[1, 2], [3, ]]}\n')

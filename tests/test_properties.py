@@ -1,5 +1,5 @@
-"""Property tests: verdict totality, scale-free singularity and QMT
-invariance of the theorem battery.
+"""Property tests: verdict totality, scale-free singularity, QMT
+invariance and single-checker agreement of the theorem battery.
 
 Examples are derandomized and no example database is kept, so these
 tests are deterministic.  Hypothesis's other on-disk cache, of constants
@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import qpd
 from conftest import behind
 from qpd import QMTMatrix, QPSystem, apply_qmt, canonical_lv, check_all_theorems
 from qpd.errors import SingularB
@@ -80,6 +81,16 @@ def b_invertible_passes(sys):
 def test_battery_is_total(sys):
     verdicts = check_all_theorems(sys)
     assert [v.theorem_id for v in verdicts] == [f"T{i}" for i in range(1, 8)]
+
+
+@PROPERTIES
+@given(st.integers(1, 6).flatmap(systems),
+       st.sampled_from((1e-9, 1e-3, 0.5)))
+def test_single_checkers_match_the_battery(sys, tol):
+    battery = check_all_theorems(sys, tol)
+    for number in range(1, 8):
+        check = getattr(qpd, f"check_theorem{number}")
+        assert check(sys, tol).to_dict() == battery[number - 1].to_dict()
 
 
 @PROPERTIES

@@ -207,6 +207,15 @@ class TestSnapBack:
         assert 1e-8 < abs(witness.x0 - rho) <= witness.radius
         assert abs(iterate(witness.x0, rho, witness.steps) - rho) <= 1e-9
 
+    @pytest.mark.parametrize("rho", [58.0, 64.0, 72.0, 76.0, 88.0, 100.0])
+    def test_forward_check_is_relative_to_rho(self, rho):
+        # the rounding of an m-step orbit near rho grows with rho and
+        # exceeds an absolute 1e-9 at these rho
+        witness = find_snap_back(rho)
+        assert witness is not None
+        assert 1e-8 < abs(witness.x0 - rho) <= witness.radius
+        assert abs(iterate(witness.x0, rho, witness.steps) - rho) <= 1e-9 * rho
+
     def test_requires_repelling_fixed_point(self):
         with pytest.raises(ValueError):
             find_snap_back(1.5)

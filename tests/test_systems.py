@@ -14,7 +14,6 @@ from qpd import (
     sign_pattern,
     step,
     system_from_dict,
-    validate_system,
 )
 from qpd.systems import (
     EXP_ARG_LIMIT,
@@ -38,29 +37,29 @@ LV1_LAM = [0.5, 0.5]
 
 class TestValidation:
     def test_accepts_competitive_lv(self):
-        sys = validate_system(LV1_A, np.eye(2), LV1_LAM)
+        sys = QPSystem(LV1_A, np.eye(2), LV1_LAM)
         assert sys.n == 2
         assert np.array_equal(sys.B, np.eye(2))
 
     def test_rejects_mismatched_vector_length(self):
         with pytest.raises(DimensionMismatch):
-            validate_system(LV1_A, np.eye(2), [0.5, 0.5, 0.5])
+            QPSystem(LV1_A, np.eye(2), [0.5, 0.5, 0.5])
 
     def test_rejects_rectangular_matrix(self):
         with pytest.raises(DimensionMismatch):
-            validate_system(np.ones((2, 3)), np.eye(2), LV1_LAM)
+            QPSystem(np.ones((2, 3)), np.eye(2), LV1_LAM)
 
     def test_rejects_nan(self):
         A = [[np.nan, -0.5], [-0.5, -1.0]]
         with pytest.raises(NonFinite):
-            validate_system(A, np.eye(2), LV1_LAM)
+            QPSystem(A, np.eye(2), LV1_LAM)
 
     def test_rejects_inf_in_lambda(self):
         with pytest.raises(NonFinite):
-            validate_system(LV1_A, np.eye(2), [np.inf, 0.5])
+            QPSystem(LV1_A, np.eye(2), [np.inf, 0.5])
 
     def test_arrays_are_immutable(self):
-        sys = validate_system(LV1_A, np.eye(2), LV1_LAM)
+        sys = QPSystem(LV1_A, np.eye(2), LV1_LAM)
         with pytest.raises(ValueError):
             sys.A[0, 0] = 7.0
 
@@ -75,7 +74,7 @@ class TestStep:
             assert step(sys, x) == pytest.approx(x, rel=0, abs=0)
 
     def test_lv_fixed_point_is_fixed(self):
-        sys = validate_system(LV1_A, np.eye(2), LV1_LAM)
+        sys = QPSystem(LV1_A, np.eye(2), LV1_LAM)
         z = np.array([1.0 / 3.0, 1.0 / 3.0])
         out = step(sys, z)
         assert np.max(np.abs(out - z)) <= 1e-12 * np.max(np.abs(z))
@@ -122,7 +121,7 @@ class TestStep:
             step(sys, [10.0])
 
     def test_rejects_nonpositive_state(self):
-        sys = validate_system(LV1_A, np.eye(2), LV1_LAM)
+        sys = QPSystem(LV1_A, np.eye(2), LV1_LAM)
         with pytest.raises(NonPositiveState):
             step(sys, [0.0, 1.0])
 
@@ -219,14 +218,14 @@ class TestSignPattern:
 
 class TestIsLotkaVolterra:
     def test_identity_exponents(self):
-        sys = validate_system(LV1_A, np.eye(2), LV1_LAM)
+        sys = QPSystem(LV1_A, np.eye(2), LV1_LAM)
         assert is_lotka_volterra(sys)
 
     def test_qp_exponents(self):
         assert not is_lotka_volterra(load_fixture("example1_qp_rho05"))
 
     def test_perturbed_identity_within_tolerance(self):
-        sys = validate_system(LV1_A, np.eye(2) + 1e-15, LV1_LAM)
+        sys = QPSystem(LV1_A, np.eye(2) + 1e-15, LV1_LAM)
         assert is_lotka_volterra(sys, tol=1e-12)
 
 

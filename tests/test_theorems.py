@@ -1,12 +1,16 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
 from conftest import behind, load_fixture, random_qmt, random_system
 from qpd import (
+    DEFAULT_SIGN_TOL,
     MINUS,
     PLUS,
     Conclusion,
+    HierarchicalOrderWitness,
     QPSystem,
     apply_qmt,
     canonical_lv,
@@ -23,8 +27,20 @@ from qpd import (
     perp,
     sign_pattern,
 )
+import qpd.theorems
 from qpd.errors import SingularB, WrongDimension
-from qpd.theorems import hierarchically_ordered_bruteforce
+
+
+def hierarchically_ordered_bruteforce(P, tol=DEFAULT_SIGN_TOL):
+    """Exhaustive n! reference for ``is_hierarchically_ordered`` (n <= ~8):
+    the first rearrangement with a nonnegative upper triangle and a
+    strictly positive diagonal, or None."""
+    P = np.asarray(P, dtype=float)
+    for order in permutations(range(P.shape[0])):
+        Q = HierarchicalOrderWitness(order).apply(P)
+        if np.all(np.diag(Q) > tol) and np.all(np.triu(Q, 1) >= -tol):
+            return HierarchicalOrderWitness(order)
+    return None
 
 
 def qp_family(eps, delta, rho):
@@ -353,3 +369,44 @@ class TestVerdictProperties:
         assert doc["conclusion"] == "Permanent"
         for entry in doc["hypotheses"]:
             assert set(entry) == {"hypothesis", "pass", "witness"}
+
+
+class TestOneClassDecision:
+    N3 = QPSystem(-np.eye(3) + 0.1, [[1.0, 0.2, 0.0], [0.0, 1.0, 0.3],
+                                     [0.1, 0.0, 1.0]], [3.2, 3.2, 3.2])
+
+    @pytest.mark.parametrize("sys", [load_fixture("example3_qp_rho32"), N3],
+                             ids=["example3", "n3"])
+    def test_battery_decides_the_class_once(self, monkeypatch, sys):
+        calls = dict.fromkeys(("invertibility", "class_invariants",
+                               "is_hierarchically_ordered"), 0)
+        for attr in calls:
+            def counted(*args, _fn=getattr(qpd.theorems, attr), _attr=attr):
+                calls[_attr] += 1
+                return _fn(*args)
+            monkeypatch.setattr(qpd.theorems, attr, counted)
+        check_all_theorems(sys)
+        # B once and the interaction invariant (T7) once
+        assert calls == {"invertibility": 2, "class_invariants": 1,
+                         "is_hierarchically_ordered": 1}
+
+    def test_b_warning_rides_with_the_b_check(self):
+        for B in (np.diag([1.0, 3e-10]), np.diag([1.0, 1.0, 3e-10])):
+            sys = QPSystem(-np.eye(len(B)), B, np.full(len(B), 0.5))
+            for verdict in check_all_theorems(sys):
+                has_check = any(h.label == "B invertible"
+                                for h in verdict.hypotheses)
+                has_warning = any(w.startswith("B invertible: rcond")
+                                  for w in verdict.boundary_warnings)
+                assert has_check == has_warning, verdict.theorem_id
+                assert has_check == (len(B) == 2
+                                     or verdict.theorem_id >= "T5")
+
+    def test_public_checkers_keep_their_names_and_docstrings(self):
+        checkers = (check_theorem1, check_theorem2, check_theorem3,
+                    check_theorem4, check_theorem5, check_theorem6,
+                    check_theorem7)
+        for number, check in enumerate(checkers, 1):
+            assert check.__name__ == f"check_theorem{number}"
+            assert check.__doc__
+            assert check(self.N3).theorem_id == f"T{number}"
