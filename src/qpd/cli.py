@@ -4,10 +4,10 @@ Reports echo every tolerance and seed they used, so each number in the
 output is reproducible from the report alone.  Output is byte-identical
 for identical (input file, flags, seed).
 
-Exit codes: 0 success, 1 usage error or any qpd error (a one-line
-message on stderr, never a traceback), 2 internal invariant
-violation (an analytic/numeric disagreement under --verify --strict, or
-a conjugacy trial exceeding its budget).
+Exit codes: 0 success, 1 usage error or any qpd error, bad argument
+values included (a one-line message on stderr, never a traceback), 2
+internal invariant violation (an analytic/numeric disagreement under
+--verify --strict, or a conjugacy trial exceeding its budget).
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from . import __version__
 from .dynamics import (
     conjugacy_deviation,
     qp_fixed_point,
+    seeded_generator,
     simulate,
     verification_pass,
     write_trajectory_csv,
 )
 from .errors import (
     GuardTermination,
-    NoDetection,
+    InvalidArgument,
     NoInteriorFixedPoint,
     NonPositiveState,
     QPDError,
@@ -54,6 +55,9 @@ from .transform import (
 #: Per-step relative budget for conjugacy verification; roundoff passes
 #: through exp/log round trips once per step.
 CONJUGACY_STEP_BUDGET = 1e-7
+
+#: Budget for the drift of the class invariants under a drawn QMT.
+CONJUGACY_DRIFT_BUDGET = 1e-9
 
 #: Condition-estimate cap for randomly drawn transformation matrices.
 CONJUGACY_MAX_CONDITION = 100.0
@@ -282,12 +286,10 @@ def cmd_simulate(args) -> int:
     try:
         x0 = [float(v) for v in args.x0.split(",")]
     except ValueError:
-        print(f"error: could not parse --x0 {args.x0!r} as comma-separated "
-              "numbers", file=sys.stderr)
-        return 1
+        raise InvalidArgument(f"could not parse --x0 {args.x0!r} as "
+                              "comma-separated numbers") from None
     if args.steps < 1:
-        print("error: --steps must be at least 1", file=sys.stderr)
-        return 1
+        raise InvalidArgument("--steps must be at least 1")
     traj = simulate(system, x0, args.steps)
     write_trajectory_csv(traj, args.out)
     final = ", ".join(_fmt(v) for v in traj.final)
@@ -303,17 +305,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if not args.rho_min < args.rho_max:
-        print("error: need --rho-min < --rho-max", file=sys.stderr)
-        return 1
-    if args.step <= 0:
-        print("error: --step must be positive", file=sys.stderr)
-        return 1
-    try:
-        result = threshold_scan(args.kind, args.rho_min, args.rho_max,
-                                args.step)
-    except NoDetection as exc:
-        result = exc.result
+    result = threshold_scan(args.kind, args.rho_min, args.rho_max, args.step)
     if args.out:
         write_scan_csv(result, args.out)
     print(json.dumps(result.summary()))
@@ -322,10 +314,14 @@ def cmd_scan(args) -> int:
 
 def cmd_conjugacy(args) -> int:
     system = load_system(args.path)
+    if args.trials < 0:
+        raise InvalidArgument("--trials must be nonnegative")
+    if args.steps < 1:
+        raise InvalidArgument("--steps must be at least 1")
+    rng = seeded_generator(args.seed)
     if args.trials == 0:
         print("warning: --trials 0 requested; vacuous pass")
         return 0
-    rng = np.random.default_rng(args.seed)
     budget = CONJUGACY_STEP_BUDGET * args.steps
     base = class_invariants(system)
     rejected = 0
@@ -356,7 +352,7 @@ def cmd_conjugacy(args) -> int:
             float(np.max(np.abs(other.growth - base.growth))),
         )
         worst_drift = max(worst_drift, drift)
-        if drift > 1e-9:
+        if drift > CONJUGACY_DRIFT_BUDGET:
             failures.append(f"trial {trial}: invariant drift {drift:.3e}")
         try:
             deviation = conjugacy_deviation(system, qmt, x0, args.steps)
@@ -372,7 +368,8 @@ def cmd_conjugacy(args) -> int:
           f"seed {args.seed}")
     print(f"rejected candidates: {rejected}")
     print(f"max orbit deviation: {worst_deviation:.3e} (budget {budget:.3e})")
-    print(f"max invariant drift: {worst_drift:.3e} (budget 1e-09)")
+    print(f"max invariant drift: {worst_drift:.3e} "
+          f"(budget {CONJUGACY_DRIFT_BUDGET:g})")
     for failure in failures:
         print(f"*** {failure}")
     if failures:

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import (
     GuardTermination,
+    InvalidArgument,
     NoInteriorFixedPoint,
     OverflowGuard,
     SingularSystem,
@@ -90,7 +92,7 @@ class Trajectory:
 def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
     """Iterate the map ``steps`` times or until a guard triggers."""
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise InvalidArgument("steps must be nonnegative")
     states = np.empty((steps + 1, sys.n))
     states[0] = x = as_state(x0, sys.n)
     for t in range(steps):
@@ -195,23 +197,34 @@ def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
     x = as_state(x0, sys.n)
     run = _lockstep(sys, x[None, :], [transient + samples],
                     tangent=(0, transient, _tangent_direction(seed, sys.n)))
-    return _lyapunov_estimate(run, 0, samples)
+    error = _lyapunov_error(run, 0)
+    if error is not None:
+        raise GuardTermination(error)
+    return run.log_growth / samples
+
+
+def seeded_generator(seed) -> np.random.Generator:
+    """The generator of a seed, which must be a nonnegative integer."""
+    if not isinstance(seed, Integral) or seed < 0:
+        raise InvalidArgument(
+            f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _tangent_direction(seed, n):
-    v = np.random.default_rng(seed).standard_normal(n)
+    v = seeded_generator(seed).standard_normal(n)
     return v / np.linalg.norm(v)
 
 
-def _lyapunov_estimate(run, row, samples) -> float:
-    """The mean log growth of the tangent carried by ``row``; raises
-    GuardTermination when the tangent or the orbit failed first."""
+def _lyapunov_error(run, row) -> str | None:
+    """Why the tangent carried by ``row`` has no estimate: it or its
+    orbit failed first.  None when the estimate stands."""
     if run.tangent_error is not None:
-        raise GuardTermination(run.tangent_error)
+        return run.tangent_error
     for guarded, t, reason in run.guards:
         if guarded == row:
-            raise GuardTermination(f"orbit hit the {reason} guard at step {t}")
-    return run.log_growth / samples
+            return f"orbit hit the {reason} guard at step {t}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +356,7 @@ class EmpiricalVerdict:
 
 
 def _draw_initial_conditions(seed, size, n):
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     return np.exp(rng.uniform(np.log(IC_LOW), np.log(IC_HIGH), size=(size, n)))
 
 
@@ -406,7 +419,6 @@ def _attractivity_verdict(run, size, horizon, target, tol,
         params={
             "target": target.tolist(), "tol": tol,
             "ic_low": IC_LOW, "ic_high": IC_HIGH,
-            "explicit_initial_conditions": False,
         },
     )
 
@@ -423,7 +435,7 @@ def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
     set whose existence permanence asserts.
     """
     if floor <= 0 or ceiling <= floor:
-        raise ValueError("need 0 < floor < ceiling")
+        raise InvalidArgument("need 0 < floor < ceiling")
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     run = _lockstep(sys, X0, [horizon] * ensemble_size,
                     tail=_tail_window(horizon, tail_fraction))
@@ -492,10 +504,8 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
     attractivity = None if target is None else _attractivity_verdict(
         run, size, ATTRACTIVITY_HORIZON, target, VERIFY_ATTRACTIVITY_TOL,
         seed)
-    try:
-        lyapunov, error = _lyapunov_estimate(run, size, LYAPUNOV_SAMPLES), None
-    except GuardTermination as exc:
-        lyapunov, error = None, str(exc)
+    error = _lyapunov_error(run, size)
+    lyapunov = None if error is not None else run.log_growth / LYAPUNOV_SAMPLES
     return VerificationPass(
         permanence, attractivity, lyapunov, error,
         {"x0": [1.0] * n, "transient": LYAPUNOV_TRANSIENT,

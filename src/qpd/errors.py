@@ -1,13 +1,18 @@
 """Exception hierarchy for the qpd package.
 
-Numerical guard violations (overflow, underflow, singular matrices) are
-reported through these types so that callers can distinguish a divergent
-orbit or a degenerate system from a programming error.
+Numerical guard violations (overflow, underflow, singular matrices) and
+arguments outside their domain are reported through these types so that
+callers can distinguish a divergent orbit, a degenerate system or a bad
+argument from a programming error.
 """
 
 
 class QPDError(Exception):
     """Base class for all qpd errors."""
+
+
+class InvalidArgument(QPDError, ValueError):
+    """An argument lies outside its domain (also a ValueError)."""
 
 
 class DimensionMismatch(QPDError):
@@ -49,17 +54,6 @@ class NoInteriorFixedPoint(QPDError):
 
 class GuardTermination(QPDError):
     """An orbit hit the overflow/underflow guard before the requested horizon."""
-
-
-class NoDetection(QPDError):
-    """A parameter scan found no detection anywhere in the requested range.
-
-    ``result`` is the scan's ScanResult, with ``threshold`` None.
-    """
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
 
 
 class SchemaError(QPDError):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
-from .errors import NoDetection, OverflowGuard
+from .errors import InvalidArgument, OverflowGuard
 from .systems import EXP_ARG_LIMIT
 from .theorems import DIAMOND_RHO_THRESHOLD, MAROTTO_RHO_THRESHOLD
 
@@ -53,7 +53,7 @@ def xi(x, rho):
     """Evaluate x * exp(rho - x) on nonnegative scalars or arrays."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
-        raise ValueError("xi is defined on nonnegative arguments")
+        raise InvalidArgument("xi is defined on nonnegative arguments")
     arg = rho - x
     # a large negative exponent only underflows harmlessly toward 0
     if np.any(arg > EXP_ARG_LIMIT):
@@ -113,7 +113,7 @@ class XiAnalysis:
 def analyze_xi(rho) -> XiAnalysis:
     """Fixed-point data plus period-3 and snap-back searches."""
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise InvalidArgument("rho must be positive")
     snap = find_snap_back(rho) if rho > 2.0 else None
     return XiAnalysis(
         rho=float(rho),
@@ -255,7 +255,7 @@ def find_snap_back(rho):
     Requires rho > 2 so the fixed point is repelling.
     """
     if rho <= 2.0:
-        raise ValueError(
+        raise InvalidArgument(
             f"snap-back search requires rho > 2 (fixed point repelling); "
             f"got rho = {rho} with multiplier {1.0 - rho}"
         )
@@ -323,37 +323,32 @@ def _detect(kind, rho):
         if witness is None:
             return False, ""
         return True, f"x0={witness.x0:.6g};m={witness.steps}"
-    raise ValueError(f"unknown scan kind {kind!r}")
+    raise InvalidArgument(f"unknown scan kind {kind!r}")
 
 
 def threshold_scan(kind, rho_min, rho_max, step) -> ScanResult:
     """Smallest growth rate in [rho_min, rho_max] with a positive
-    detection, refined by bisection to resolution step/10.
+    detection, refined by bisection to resolution step/10; ``threshold``
+    is None when the grid shows no detection anywhere.
 
-    Raises NoDetection, carrying the no-detection result, when the grid
-    shows no detection anywhere.
+    Needs finite rho_min < rho_max and 0 < step < inf, on a grid that
+    numpy can allocate.
     """
-    if not rho_min < rho_max:
-        raise ValueError("need rho_min < rho_max")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    rhos = np.arange(rho_min, rho_max + step / 2.0, step)
+    if not -np.inf < rho_min < rho_max < np.inf:
+        raise InvalidArgument("need finite rho-min < rho-max")
+    if not 0.0 < step < np.inf:
+        raise InvalidArgument("step must be positive and finite")
+    try:
+        rhos = np.arange(rho_min, rho_max + step / 2.0, step)
+    except (ValueError, MemoryError):
+        raise InvalidArgument(
+            f"step {step:g} over [{rho_min:g}, {rho_max:g}] makes a grid "
+            "too large to allocate") from None
     resolution = step / 10.0
-    grid = []
-    first_index = None
-    for i, rho in enumerate(rhos):
-        detected, detail = _detect(kind, float(rho))
-        grid.append((float(rho), detected, detail))
-        if detected and first_index is None:
-            first_index = i
-    if first_index is None:
-        raise NoDetection(
-            f"{kind} scan over [{rho_min}, {rho_max}] found nothing",
-            ScanResult(kind, None, float(resolution), SCAN_REFERENCES[kind],
-                       tuple(grid)))
-
-    threshold = grid[first_index][0]
-    if first_index > 0:
+    grid = [(rho, *_detect(kind, rho)) for rho in map(float, rhos)]
+    first_index = next((i for i, row in enumerate(grid) if row[1]), None)
+    threshold = None if first_index is None else grid[first_index][0]
+    if first_index:  # bisect between the last miss and the first hit
         lo = grid[first_index - 1][0]
         hi = threshold
         while hi - lo > resolution:
@@ -366,7 +361,7 @@ def threshold_scan(kind, rho_min, rho_max, step) -> ScanResult:
         threshold = hi
     return ScanResult(
         kind=kind,
-        threshold=float(threshold),
+        threshold=threshold,
         resolution=float(resolution),
         reference=SCAN_REFERENCES[kind],
         grid=tuple(grid),

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NonFinite,
     NonPositiveState,
     OverflowGuard,
@@ -219,7 +220,7 @@ def sign_pattern(M, tol=DEFAULT_SIGN_TOL) -> np.ndarray:
     Entry (i, j) is ZERO iff |M[i,j]| <= tol, else the sign of M[i,j].
     """
     if tol < 0:
-        raise ValueError("tol must be nonnegative")
+        raise InvalidArgument("tol must be nonnegative")
     M = np.asarray(M, dtype=float)
     pat = np.sign(M).astype(np.int8)
     pat[np.abs(M) <= tol] = ZERO

@@ -4,7 +4,7 @@ Each checker tests its hypotheses on the transformation-class invariants
 (interaction = B A, growth = B lam) plus invertibility of B, so verdicts
 are identical across every system in a QMT class.  Inapplicability is a
 verdict with a full hypothesis trace, never an error: the point of these
-functions is diagnosis.
+functions is diagnosis.  A negative or non-finite tol is InvalidArgument.
 
 Strict inequalities are checked as ``value < -tol`` and non-strict ones
 as ``value <= bound + tol`` with a shared documented tolerance; any
@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import WrongDimension
+from .errors import InvalidArgument, WrongDimension
 from .systems import (
     DEFAULT_SIGN_TOL,
     MINUS,
@@ -207,6 +207,9 @@ class _ClassDecision:
 
 
 def _decide_class(sys: QPSystem, tol) -> _ClassDecision:
+    if not 0.0 <= tol < np.inf:
+        raise InvalidArgument(
+            f"tolerance must be finite and nonnegative, got {tol!r}")
     inv = class_invariants(sys)
     G, L = inv.interaction, inv.growth
     warnings = []

@@ -166,8 +166,7 @@ class TestVerifyProtocol:
                 attractivity["seed"]) == (50, 2000, 7)
         params = dict(attractivity["params"])
         assert params.pop("target") == block["fixed_point"]
-        assert params == {"tol": 1e-4, "ic_low": 1e-2, "ic_high": 1e2,
-                          "explicit_initial_conditions": False}
+        assert params == {"tol": 1e-4, "ic_low": 1e-2, "ic_high": 1e2}
         assert block["lyapunov_params"] == {
             "x0": [1.0, 1.0], "transient": 1000, "samples": 10000, "seed": 7}
 
@@ -336,3 +335,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--kind", "period3"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "F", "--tol", "-1"],
+        ["analyze", "F", "--tol", "nan"],
+        ["analyze", "F", "--tol", "inf"],
+        ["analyze", "F", "--verify", "--seed", "-1"],
+        ["conjugacy", "F", "--seed", "-1"],
+        ["conjugacy", "F", "--steps", "-1"],
+        ["conjugacy", "F", "--steps", "0"],
+        ["conjugacy", "F", "--trials", "-2"],
+        ["scan", "--kind", "period3", "--rho-min", "2", "--rho-max", "inf",
+         "--step", "0.1"],
+        ["scan", "--kind", "period3", "--rho-min", "2.5", "--rho-max", "3.5",
+         "--step", "1e-300"],
+        ["scan", "--kind", "period3", "--rho-min", "3", "--rho-max", "2",
+         "--step", "0.1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_argument_value_is_one_error_line(self, capsys, argv):
+        argv = [str(fixture_path("example1_lv")) if a == "F" else a
+                for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

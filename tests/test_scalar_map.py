@@ -15,7 +15,7 @@ from qpd import (
     xi_deriv,
 )
 from qpd import scalar_map
-from qpd.errors import NoDetection, OverflowGuard
+from qpd.errors import OverflowGuard
 from qpd.scalar_map import (
     KIND_PERIOD3,
     KIND_SNAPBACK,
@@ -274,10 +274,8 @@ class TestThresholdScan:
         sb = threshold_scan(KIND_SNAPBACK, 2.5, 3.5, 0.02)
         assert sb.threshold <= p3.threshold
 
-    def test_no_detection_raises(self):
-        with pytest.raises(NoDetection) as info:
-            threshold_scan(KIND_PERIOD3, 1.0, 2.0, 0.1)
-        result = info.value.result
+    def test_no_detection_returns_empty_result(self):
+        result = threshold_scan(KIND_PERIOD3, 1.0, 2.0, 0.1)
         assert result.threshold is None
         assert result.summary()["detected"] is False
         assert len(result.grid) == 11

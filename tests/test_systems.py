@@ -25,9 +25,11 @@ from qpd.systems import (
 )
 from qpd.errors import (
     DimensionMismatch,
+    InvalidArgument,
     NonFinite,
     NonPositiveState,
     OverflowGuard,
+    QPDError,
     SchemaError,
 )
 
@@ -213,6 +215,13 @@ class TestSignPattern:
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
+            sign_pattern(LV1_A, tol=-1.0)
+
+    def test_invalid_argument_is_a_qpd_error_and_a_value_error(self):
+        # main reports every QPDError; library callers may catch ValueError
+        assert issubclass(InvalidArgument, QPDError)
+        assert issubclass(InvalidArgument, ValueError)
+        with pytest.raises(InvalidArgument):
             sign_pattern(LV1_A, tol=-1.0)
 
 
