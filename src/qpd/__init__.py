@@ -15,7 +15,6 @@ from .systems import (
     is_lotka_volterra,
     load_system,
     pattern_string,
-    quasimonomials,
     sign_pattern,
     step,
     system_from_dict,

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    checked_seed,
     conjugacy_deviation,
     qp_fixed_point,
     seeded_generator,
@@ -95,7 +96,7 @@ def build_analysis_report(system, tol=DEFAULT_SIGN_TOL, seed=0,
             "sign_tol": tol,
             "singularity_rtol": SINGULARITY_RTOL,
         },
-        "seeds": {"seed": seed},
+        "seeds": {"seed": checked_seed(seed)},
         "class_invariants": {
             "interaction": _matrix(inv.interaction),
             "growth": _matrix(inv.growth),

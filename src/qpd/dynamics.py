@@ -167,7 +167,7 @@ def qp_jacobian(sys: QPSystem, x) -> np.ndarray:
     """Analytic Jacobian of the one-step map at a positive state.
 
     In log coordinates u = log x the map is u' = u + lam + A exp(B u),
-    with Jacobian J_u = I + A diag(q) B for the quasimonomials q.  With
+    with Jacobian J_u = I + A diag(q) B for the quasimonomial terms q.  With
     x' the image state, J = diag(x') J_u diag(1/x), built from the q and
     x' of one kernel call.  Raises OverflowGuard when the step is guarded
     or J leaves the representable range.
@@ -203,12 +203,17 @@ def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
     return run.log_growth / samples
 
 
-def seeded_generator(seed) -> np.random.Generator:
-    """The generator of a seed, which must be a nonnegative integer."""
+def checked_seed(seed):
+    """The seed itself, which must be a nonnegative integer."""
     if not isinstance(seed, Integral) or seed < 0:
         raise InvalidArgument(
             f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return seed
+
+
+def seeded_generator(seed) -> np.random.Generator:
+    """The generator of a seed, which must be a nonnegative integer."""
+    return np.random.default_rng(checked_seed(seed))
 
 
 def _tangent_direction(seed, n):

@@ -39,6 +39,9 @@ PERIOD3_CHUNK = 2048
 SNAP_BACK_RADIUS_CAP = 0.3
 SNAP_BACK_MAX_DEPTH = 6
 
+#: Safety factor K on the rounding bound of ``_forward_tolerance``.
+SNAP_BACK_ROUNDING_FACTOR = 16
+
 KIND_PERIOD3 = "period3"
 KIND_SNAPBACK = "snapback"
 
@@ -54,11 +57,10 @@ def xi(x, rho):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise InvalidArgument("xi is defined on nonnegative arguments")
-    arg = rho - x
     # a large negative exponent only underflows harmlessly toward 0
-    if np.any(arg > EXP_ARG_LIMIT):
+    if np.any(rho - x > EXP_ARG_LIMIT):
         raise OverflowGuard("xi exponent exceeds guard bound")
-    out = x * np.exp(arg)
+    out = _xi_iterate(x, rho, 1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -69,9 +71,10 @@ def xi_deriv(x, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def _xi_iterate(x, rho, times):
-    for _ in range(times):
-        x = xi(x, rho)
+def _xi_iterate(x, rho, m):
+    """m unchecked steps, behind ``xi``'s checks or ``_guard_growth_rate``."""
+    for _ in range(m):
+        x = x * np.exp(rho - x)
     return x
 
 
@@ -144,30 +147,19 @@ def find_period3(rho):
     _guard_growth_rate(rho)
     # Orbits enter [0, exp(rho-1)]; pad the top end.
     grid = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, PERIOD3_GRID_SIZE)
-    g_buf = np.empty(PERIOD3_CHUNK + 1)
-    t_buf = np.empty(PERIOD3_CHUNK + 1)
 
     def f(x):
         return _xi_iterate(x, rho, 3) - x
 
     for start in range(0, PERIOD3_GRID_SIZE - 1, PERIOD3_CHUNK):
         xs = grid[start:start + PERIOD3_CHUNK + 1]
-        g, t = g_buf[:xs.size], t_buf[:xs.size]
-        # Three xi steps, float for float: every exponent is at most rho,
-        # which the guard above bounds, and every iterate is >= 0.
-        np.copyto(g, xs)
-        for _ in range(3):
-            np.subtract(rho, g, out=t)
-            np.exp(t, out=t)
-            g *= t
-        g -= xs
-        signs = np.sign(g)
+        signs = np.sign(f(xs))
         for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
             root = brentq(f, xs[i], xs[i + 1], xtol=1e-12)
-            if abs(xi(root, rho) - root) <= 1e-9:
+            image = _xi_iterate(root, rho, 1)
+            if abs(image - root) <= 1e-9:
                 continue  # period-1, not period-3
-            cycle = np.array([root, xi(root, rho),
-                              _xi_iterate(root, rho, 2)])
+            cycle = np.array([root, image, _xi_iterate(image, rho, 1)])
             if np.all(np.abs(_xi_iterate(cycle, rho, 3) - cycle) <= 1e-9):
                 return cycle
     return None
@@ -181,17 +173,14 @@ def expanding_radius(rho):
     """Radius of a symmetric interval around the fixed point on which the
     map is expanding (|derivative| > 1 throughout).
 
-    Starts from min(cap * |fixed point - 1|, cap) with cap
-    SNAP_BACK_RADIUS_CAP and halves until the endpoint derivative check
-    passes; the derivative magnitude is unimodal right of the critical
-    point, so checking the endpoints suffices.
+    Starts from SNAP_BACK_RADIUS_CAP * min(|rho - 1|, 1) and halves until
+    the endpoint derivative check passes; the derivative magnitude is
+    unimodal right of the critical point, so the endpoints suffice.
     """
-    x_star = rho
-    cap = SNAP_BACK_RADIUS_CAP
-    r = min(cap * abs(x_star - 1.0), cap)
+    r = SNAP_BACK_RADIUS_CAP * min(abs(rho - 1.0), 1.0)
     while r > 1e-9:
-        if (abs(xi_deriv(x_star - r, rho)) > 1.0
-                and abs(xi_deriv(x_star + r, rho)) > 1.0):
+        if (abs(xi_deriv(rho - r, rho)) > 1.0
+                and abs(xi_deriv(rho + r, rho)) > 1.0):
             return r
         r *= 0.5
     return None
@@ -220,7 +209,7 @@ def _preimages(value, rho):
     if value <= 0.0 or value > peak:
         return out
     z = max(-value * np.exp(-rho), _INSIDE_BRANCH_POINT)
-    if xi(1e-300, rho) < value:
+    if _xi_iterate(1e-300, rho, 1) < value:
         out.append(float(-lambertw(z, 0).real))
     if z > -_TINY:
         out.append(_far_right_preimage(value, rho))
@@ -240,6 +229,20 @@ def _far_right_preimage(value, rho):
     return float(y)
 
 
+def _forward_tolerance(chain, derivs, x_star):
+    """max(1e-9 x_star, K eps sum_k |y_k| prod_(j >= k) |xi'(y_j)|) for the
+    chain y_0 .. y_(m-1) onto y_m = x_star: the rounding of each y_k
+    amplified by the rest of the forward orbit, to first order.  A term
+    is the next times |y_k xi'(y_k) / y_(k+1)| (about |1 - y_k|)."""
+    term = image = total = x_star
+    for y, d in zip(reversed(chain), reversed(derivs)):
+        term *= abs(y * d) / image
+        total += term
+        image = y
+    return max(1e-9 * x_star,
+               SNAP_BACK_ROUNDING_FACTOR * np.finfo(float).eps * total)
+
+
 def find_snap_back(rho):
     """Search for a snap-back witness by backward preimage chaining.
 
@@ -248,9 +251,8 @@ def find_snap_back(rho):
     SNAP_BACK_MAX_DEPTH, accepting the first chain point that lies
     inside the expanding neighborhood (``expanding_radius``), differs
     from the fixed point, and carries a nonzero derivative
-    product along its forward orbit.  The witness is re-verified by
-    forward iteration, to within ``1e-9 * rho`` of the fixed point, before
-    it is returned: the rounding of an m-step orbit grows with rho.
+    product along its forward orbit.  Before it is returned, its forward
+    orbit must land within ``_forward_tolerance`` of the fixed point.
 
     Requires rho > 2 so the fixed point is repelling.
     """
@@ -273,10 +275,11 @@ def find_snap_back(rho):
                     continue
                 forward_chain = (y,) + chain
                 if abs(y - x_star) <= radius:
-                    deriv = float(np.prod([xi_deriv(z, rho)
-                                           for z in forward_chain]))
-                    if deriv != 0.0 and abs(_xi_iterate(y, rho, depth)
-                                            - x_star) <= 1e-9 * x_star:
+                    derivs = [xi_deriv(z, rho) for z in forward_chain]
+                    deriv = float(np.prod(derivs))
+                    miss = abs(_xi_iterate(y, rho, depth) - x_star)
+                    if deriv != 0.0 and miss <= _forward_tolerance(
+                            forward_chain, derivs, x_star):
                         return SnapBackWitness(
                             x0=float(y), steps=depth,
                             derivative_product=deriv, radius=float(radius))

@@ -5,8 +5,8 @@ A QP system iterates, on the open positive orthant,
     x_i(t+1) = x_i(t) * exp(lam_i + sum_j A[i,j] * prod_k x_k(t)**B[j,k])
 
 with square real matrices A, B and a real vector lam.  The products
-``prod_k x_k**B[j,k]`` are the quasimonomials of the map.  LV systems are
-the special case B = identity, where the quasimonomials are the state
+``prod_k x_k**B[j,k]`` are the quasimonomial terms of the map.  LV systems
+are the special case B = identity, where these terms are the state
 components themselves.
 
 This module owns validation, the one guarded batched map kernel
@@ -155,7 +155,7 @@ def advance(sys: QPSystem, X):
     """One guarded step of the QP map for each row of X.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
-    vector.  Returns ``(X', q, guard)``: the images, the quasimonomials
+    vector.  Returns ``(X', q, guard)``: the images, the quasimonomial terms
     ``q = exp(log X B^T)`` and a guard code per row, valid X' only where
     it is GUARD_OK.  The sign of the exponent labels a guarded row:
     GUARD_OVERFLOW when an exponent exceeds +EXP_ARG_LIMIT or the image
@@ -187,19 +187,6 @@ def advance(sys: QPSystem, X):
     guard = np.where(over, GUARD_OVERFLOW,
                      np.where(under, GUARD_UNDERFLOW, GUARD_OK))
     return Xn, q, guard
-
-
-def quasimonomials(sys: QPSystem, x) -> np.ndarray:
-    """The quasimonomial vector q with q_j = prod_k x_k**B[j,k].
-
-    Computed as exp(B @ log x), valid for arbitrary real exponents on a
-    strictly positive state.  Raises OverflowGuard when a quasimonomial
-    would overflow double precision.
-    """
-    _, q, _ = advance(sys, as_state(x, sys.n))
-    if not np.all(np.isfinite(q)):
-        raise OverflowGuard("quasimonomial overflows double precision")
-    return q
 
 
 def step(sys: QPSystem, x) -> np.ndarray:

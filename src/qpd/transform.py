@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OverflowGuard, SingularB, SingularMatrix
-from .systems import EXP_ARG_LIMIT, LVSystem, QPSystem, as_state, _frozen
+from .systems import (EXP_ARG_LIMIT, UNDERFLOW_FLOOR, LVSystem, QPSystem,
+                      as_state, _frozen)
 
 #: Relative singular-value floor: a matrix is treated as singular when
 #: rcond = s_min / s_max < SINGULARITY_RTOL, which no rescaling changes.
@@ -161,6 +162,9 @@ def map_state(qmt: QMTMatrix, y) -> np.ndarray:
     if np.array_equal(qmt.C, np.eye(qmt.n)):
         return y  # exact: the exp/log round trip would wobble by an ulp
     w = qmt.C @ np.log(y)
-    if np.any(np.abs(w) > EXP_ARG_LIMIT):
-        raise OverflowGuard("state-mapping exponent exceeds guard bound")
-    return np.exp(w)
+    if w.max() > EXP_ARG_LIMIT:
+        raise OverflowGuard("state mapping hit the overflow guard")
+    x = np.exp(w)
+    if x.min() < UNDERFLOW_FLOOR:
+        raise OverflowGuard("state mapping hit the underflow guard")
+    return x

@@ -5,15 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qpd.cli
 from conftest import fixture_path, load_fixture
+from qpd import QPSystem, apply_qmt
 from qpd.cli import build_analysis_report, main
 from qpd.dynamics import (
     VERIFY_ATTRACTIVITY_TOL,
+    EmpiricalVerdict,
+    VerificationPass,
     empirical_attractivity,
     empirical_permanence,
     largest_lyapunov,
     qp_fixed_point,
 )
+from qpd.errors import GuardTermination
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -25,6 +30,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_system(tmp_path, A, lam, B=None):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({
+        "name": "test", "n": len(lam), "A": A,
+        "B": np.eye(len(lam)).tolist() if B is None else B, "lambda": lam}))
+    return str(path)
 
 
 class TestAnalyze:
@@ -149,6 +162,73 @@ class TestVerificationBlock:
             system, np.ones(system.n), seed=123456)
 
 
+def crafted_pass(permanence, attractivity, lyapunov):
+    """A stand-in for ``verification_pass`` with the given outcomes."""
+    def fake(system, target, seed):
+        def verdict(kind, passed, statistics):
+            return EmpiricalVerdict(kind, passed, 50, 2000, seed, statistics,
+                                    {"tol": VERIFY_ATTRACTIVITY_TOL})
+        return VerificationPass(
+            verdict("permanence", permanence,
+                    {"tail_min": 1e-9, "tail_max": 2.0,
+                     "guard_terminations": 0}),
+            verdict("attractivity", attractivity,
+                    {"max_final_distance": 0.5}),
+            lyapunov, None, {})
+    return fake
+
+
+#: A cooperative LV system: T1 (not permanent) applies.
+COOPERATIVE = ([[-1.0, 0.5], [0.5, -1.0]], [0.5, 0.5])
+
+
+class TestDisagreements:
+    @pytest.mark.parametrize("system, outcomes, expected", [
+        ("example1_lv", (False, True, -0.1),
+         ["T2 concludes permanence but the ensemble left the proxy box"]),
+        (COOPERATIVE, (True, True, -0.1),
+         ["T1 concludes non-permanence but the ensemble stayed inside"]),
+        ("example1_lv", (True, False, -0.1),
+         ["an attractivity theorem applies but the ensemble did not "
+          "converge"]),
+        ("example2_predator_prey", (True, True, 0.25),
+         ["an attractivity theorem applies but the largest Lyapunov "
+          "estimate is positive (0.25)"]),
+        ("example1_lv", (False, False, 0.25),
+         ["T2 concludes", "did not converge", "is positive (0.25)"]),
+    ], ids=["T2-permanence", "T1-permanence", "attractivity", "lyapunov",
+            "three-at-once"])
+    def test_each_disagreement_exits_2_under_strict(
+            self, capsys, tmp_path, monkeypatch, system, outcomes, expected):
+        monkeypatch.setattr(qpd.cli, "verification_pass",
+                            crafted_pass(*outcomes))
+        path = (str(fixture_path(system)) if isinstance(system, str)
+                else write_system(tmp_path, *system))
+        code, out, err = run(capsys, "analyze", path, "--verify", "--strict")
+        assert code == 2
+        assert err == ("exiting with status 2: analytic/numeric "
+                       "disagreement\n")
+        flagged = [line for line in out.splitlines() if "DISAGREEMENT" in line]
+        assert len(flagged) == len(expected)
+        for line, text in zip(flagged, expected):
+            assert text in line
+        assert "verdicts agree" not in out
+        code, _, err = run(capsys, "analyze", path, "--verify")
+        assert (code, err) == (0, "")
+
+    def test_t7_with_nonpositive_lyapunov_only_warns(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(qpd.cli, "verification_pass",
+                            crafted_pass(True, True, -0.05))
+        code, out, err = run(capsys, "analyze",
+                             str(fixture_path("example3_qp_rho32")),
+                             "--verify", "--strict")
+        assert (code, err) == (0, "")
+        assert ("  warning: T7 certifies chaos but the Lyapunov estimate "
+                "along this orbit is nonpositive (-0.05)") in out
+        assert "analytic and numerical verdicts agree" in out
+
+
 class TestVerifyProtocol:
     def test_report_echoes_the_documented_protocol(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -222,6 +302,22 @@ class TestSimulate:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "--steps" in err
+
+    @pytest.mark.parametrize("A, lam, line, steps", [
+        # x: 1 -> e^2 -> 3.3e4, whose exponent 1 + 3.3e4 is refused
+        ([[1.0]], [1.0], "guard events: overflow guard at step 2", 2),
+        # the first exponent is -801
+        ([[-1.0]], [-800.0], "guard events: underflow guard at step 0", 0),
+    ])
+    def test_reports_the_guard_event(self, capsys, tmp_path, A, lam, line,
+                                     steps):
+        out_csv = tmp_path / "orbit.csv"
+        code, out, _ = run(capsys, "simulate", write_system(tmp_path, A, lam),
+                           "--x0", "1", "--steps", "10", "--out", str(out_csv))
+        assert code == 0
+        assert f"simulated {steps} of 10 steps" in out
+        assert line in out.splitlines()
+        assert len(out_csv.read_text().splitlines()) == steps + 2
 
     def test_unparsable_x0(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate",
@@ -325,6 +421,66 @@ class TestConjugacy:
         assert "exceeds budget" in out or "terminated" in out
 
 
+class QueuedDraws:
+    """A generator whose first ``uniform`` draws are given."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.rng = np.random.default_rng(0)
+
+    def uniform(self, low, high, size):
+        return self.draws.pop(0) if self.draws else self.rng.uniform(
+            low, high, size)
+
+
+def failure_lines(out):
+    return [line for line in out.splitlines() if line.startswith("***")]
+
+
+class TestConjugacyFailures:
+    def test_regenerated_candidates_are_reported(self, capsys, monkeypatch):
+        draws = QueuedDraws([np.ones((2, 2)), np.diag([1.0, 1e-3])])
+        monkeypatch.setattr(qpd.cli, "seeded_generator", lambda seed: draws)
+        code, out, _ = run(capsys, "conjugacy",
+                           str(fixture_path("example1_lv")), "--trials", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "trial 0: regenerated a singular candidate C",
+            "trial 0: regenerated a near-singular candidate C "
+            "(condition 1e+03)"]
+        assert "rejected candidates: 2" in lines
+        assert lines[-1] == "all trials within budget"
+
+    def test_terminated_orbit_is_a_failure(self, capsys, monkeypatch):
+        def terminated(*args):
+            raise GuardTermination("direct orbit terminated early: "
+                                   "(3, 'overflow')")
+
+        monkeypatch.setattr(qpd.cli, "conjugacy_deviation", terminated)
+        code, out, _ = run(capsys, "conjugacy",
+                           str(fixture_path("example1_lv")), "--trials", "2")
+        assert code == 2
+        assert failure_lines(out) == [
+            f"*** trial {t}: direct orbit terminated early: (3, 'overflow')"
+            for t in range(2)]
+        assert "all trials within budget" not in out
+
+    def test_invariant_drift_is_a_failure(self, capsys, monkeypatch):
+        def drifting(system, qmt):
+            image = apply_qmt(system, qmt)
+            return QPSystem(image.A, image.B, image.lam + 1e-6)
+
+        monkeypatch.setattr(qpd.cli, "apply_qmt", drifting)
+        code, out, _ = run(capsys, "conjugacy",
+                           str(fixture_path("example1_lv")), "--trials", "1")
+        assert code == 2
+        failures = failure_lines(out)
+        assert len(failures) == 1
+        assert failures[0].startswith("*** trial 0: invariant drift ")
+        assert float(failures[0].rsplit(" ", 1)[1]) > 1e-9
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -340,6 +496,7 @@ class TestUsageErrors:
         ["analyze", "F", "--tol", "-1"],
         ["analyze", "F", "--tol", "nan"],
         ["analyze", "F", "--tol", "inf"],
+        ["analyze", "F", "--seed", "-1"],
         ["analyze", "F", "--verify", "--seed", "-1"],
         ["conjugacy", "F", "--seed", "-1"],
         ["conjugacy", "F", "--steps", "-1"],

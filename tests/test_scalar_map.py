@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -51,6 +52,28 @@ def reference_period3(rho):
         if np.all(np.abs(iterate(cycle, rho, 3) - cycle) <= 1e-9):
             return cycle, int(i)
     return None, None
+
+
+def exact_iterate(x, rho, times):
+    """``times`` steps of the map in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x, rho = Decimal(x), Decimal(rho)
+        for _ in range(times):
+            x = x * (rho - x).exp()
+        return x
+
+
+def assert_exact_return_nearby(witness, rho):
+    """The witness is a valid snap-back point up to rounding: the m-th
+    iterate minus rho changes sign, in exact-enough arithmetic, across
+    x0 -/+ 4 ulps, so a point that maps onto rho exactly lies there."""
+    assert 1e-8 < abs(witness.x0 - rho) <= witness.radius
+    assert witness.derivative_product != 0.0
+    ulp = np.spacing(witness.x0)
+    lo, hi = (exact_iterate(witness.x0 + k * ulp, rho, witness.steps)
+              - Decimal(rho) for k in (-4, 4))
+    assert (lo < 0) != (hi < 0)
 
 
 def same_cycle(a, b):
@@ -216,6 +239,24 @@ class TestSnapBack:
         assert 1e-8 < abs(witness.x0 - rho) <= witness.radius
         assert abs(iterate(witness.x0, rho, witness.steps) - rho) <= 1e-9 * rho
 
+    @pytest.mark.parametrize("rho", [224.0, 231.5, 233.0, 235.5, 241.5, 245.0])
+    def test_forward_check_allows_the_chains_rounding(self, rho):
+        # the chain amplifies the rounding of x0 by its derivative product
+        # (about -2e7 here), so even a valid witness misses rho by more
+        # than 1e-9 * rho
+        witness = find_snap_back(rho)
+        assert witness is not None
+        assert abs(iterate(witness.x0, rho, witness.steps) - rho) > 1e-9 * rho
+        assert_exact_return_nearby(witness, rho)
+
+    @pytest.mark.parametrize("rho", [*np.arange(250.0, 700.0, 50.0), 697.0])
+    def test_witness_up_to_the_left_preimage_floor(self, rho):
+        # above 697 the left preimages, about rho e^-rho, fall below the
+        # 1e-300 floor of _preimages
+        witness = find_snap_back(float(rho))
+        assert witness is not None
+        assert_exact_return_nearby(witness, float(rho))
+
     def test_requires_repelling_fixed_point(self):
         with pytest.raises(ValueError):
             find_snap_back(1.5)
@@ -226,6 +267,27 @@ class TestSnapBack:
             assert r is not None
             assert abs(xi_deriv(rho - r, rho)) > 1.0
             assert abs(xi_deriv(rho + r, rho)) > 1.0
+
+
+class TestOneEvaluator:
+    def test_detectors_never_call_the_checked_xi(self, monkeypatch):
+        # the detectors run the unchecked iterate behind their own
+        # growth-rate guard; public xi is for outside input
+        def refuse(x, rho):
+            raise AssertionError("detector called xi")
+
+        monkeypatch.setattr(scalar_map, "xi", refuse)
+        assert find_period3(3.2) is not None
+        assert find_snap_back(3.0) is not None
+        assert find_snap_back(224.0) is not None
+        assert len(_preimages(1.0, 20.0)) == 2
+
+    @pytest.mark.parametrize("rho", [0.5, 3.2, 12.0, EXP_ARG_LIMIT])
+    def test_iterate_is_xi_float_for_float(self, rho):
+        xs = np.linspace(0.0, 30.0, 3001)
+        assert np.array_equal(scalar_map._xi_iterate(xs, rho, 3),
+                              iterate(xs, rho, 3))
+        assert scalar_map._xi_iterate(1.7, rho, 2) == iterate(1.7, rho, 2)
 
 
 class TestLargeGrowthGuard:

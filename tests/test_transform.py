@@ -200,6 +200,22 @@ class TestMapState:
         with pytest.raises(OverflowGuard):
             map_state(qmt, [10.0])
 
+    @pytest.mark.parametrize("y, reason", [
+        (1e160, "overflow"),   # exponent 2 log y = +736.8
+        (1e-160, "underflow"),  # exponent -736.8: a collapse, not a blow-up
+        (1e-151, "underflow"),  # exponent -695.3, but the image is 1e-302
+    ])
+    def test_guard_names_the_kernel_reason(self, y, reason):
+        # the one-step map's rule: an exponent above +EXP_ARG_LIMIT is
+        # overflow, an image below UNDERFLOW_FLOOR is underflow
+        qmt = QMTMatrix.from_matrix([[2.0]])
+        with pytest.raises(OverflowGuard, match=f"hit the {reason} guard"):
+            map_state(qmt, [y])
+
+    def test_image_above_the_floor_passes(self):
+        qmt = QMTMatrix.from_matrix([[2.0]])
+        assert map_state(qmt, [1e-149]) == pytest.approx([1e-298])
+
 
 class TestConjugacy:
     def test_mapped_orbits_agree_within_per_step_budget(self):
