@@ -93,7 +93,11 @@ def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
     """Iterate the map ``steps`` times or until a guard triggers."""
     if steps < 0:
         raise InvalidArgument("steps must be nonnegative")
-    states = np.empty((steps + 1, sys.n))
+    try:
+        states = np.empty((steps + 1, sys.n))
+    except (ValueError, MemoryError):
+        raise InvalidArgument(
+            f"{steps} steps make a trajectory too large to allocate") from None
     states[0] = x = as_state(x0, sys.n)
     for t in range(steps):
         x, _, guard = advance(sys, x)

@@ -202,14 +202,14 @@ def _preimages(value, rho):
     y e^(rho - y) = v is (-y) e^(-y) = -v e^(-rho), so y = -W_k(-v e^(-rho))
     with the Lambert-W branch k = 0 for y <= 1 and k = -1 for y >= 1
     (Corless et al. 1996).  The left preimage is kept only when it
-    exceeds 1e-300.
+    exceeds _TINY.
     """
     out = []
     peak = np.exp(rho - 1.0)
     if value <= 0.0 or value > peak:
         return out
     z = max(-value * np.exp(-rho), _INSIDE_BRANCH_POINT)
-    if _xi_iterate(1e-300, rho, 1) < value:
+    if _xi_iterate(_TINY, rho, 1) < value:
         out.append(float(-lambertw(z, 0).real))
     if z > -_TINY:
         out.append(_far_right_preimage(value, rho))
@@ -335,7 +335,8 @@ def threshold_scan(kind, rho_min, rho_max, step) -> ScanResult:
     is None when the grid shows no detection anywhere.
 
     Needs finite rho_min < rho_max and 0 < step < inf, on a grid that
-    numpy can allocate.
+    numpy can allocate; a grid point past the growth-rate guard is
+    refused before any detector runs.
     """
     if not -np.inf < rho_min < rho_max < np.inf:
         raise InvalidArgument("need finite rho-min < rho-max")
@@ -347,6 +348,9 @@ def threshold_scan(kind, rho_min, rho_max, step) -> ScanResult:
         raise InvalidArgument(
             f"step {step:g} over [{rho_min:g}, {rho_max:g}] makes a grid "
             "too large to allocate") from None
+    beyond = rhos[rhos > EXP_ARG_LIMIT]
+    if beyond.size:
+        _guard_growth_rate(float(beyond[0]))
     resolution = step / 10.0
     grid = [(rho, *_detect(kind, rho)) for rho in map(float, rhos)]
     first_index = next((i for i, row in enumerate(grid) if row[1]), None)

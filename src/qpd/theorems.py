@@ -10,7 +10,9 @@ Strict inequalities are checked as ``value < -tol`` and non-strict ones
 as ``value <= bound + tol`` with a shared documented tolerance; any
 tested quantity within 10*tol of its boundary, and any invertibility
 test whose rcond is within a factor of 10 of its tolerance, is flagged
-as a boundary warning on the verdict.
+as a boundary warning on the check that tested it.  A verdict is read
+off its trace: its applicability, conclusion and boundary warnings are
+derived from its checks, never stored beside them.
 """
 
 from __future__ import annotations
@@ -56,9 +58,13 @@ class Conclusion(str, Enum):
 
 @dataclass(frozen=True)
 class HypothesisCheck:
+    """One tested hypothesis; ``warnings`` are the boundary warnings its
+    own test raised."""
+
     label: str
     passed: bool
     witness: dict
+    warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {"hypothesis": self.label, "pass": self.passed,
@@ -67,23 +73,29 @@ class HypothesisCheck:
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    """Outcome of one theorem check.
+    """Outcome of one theorem check, read off its hypothesis trace.
 
-    ``applicable`` is true iff every hypothesis in the trace passed, and
-    the conclusion is Inconclusive exactly when the verdict is not
-    applicable.
+    The verdict is applicable iff every hypothesis passed; its conclusion
+    is ``claim`` then and Inconclusive otherwise, and its boundary
+    warnings are those of its checks, in trace order.
     """
 
     theorem_id: str
-    applicable: bool
-    conclusion: Conclusion
+    claim: Conclusion
     hypotheses: tuple[HypothesisCheck, ...]
-    boundary_warnings: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        assert self.applicable == all(h.passed for h in self.hypotheses)
-        assert (self.conclusion != Conclusion.INCONCLUSIVE) == self.applicable
+    @property
+    def applicable(self) -> bool:
+        return all(h.passed for h in self.hypotheses)
+
+    @property
+    def conclusion(self) -> Conclusion:
+        return self.claim if self.applicable else Conclusion.INCONCLUSIVE
+
+    @property
+    def boundary_warnings(self) -> tuple[str, ...]:
+        return tuple(w for h in self.hypotheses for w in h.warnings)
 
     def to_dict(self) -> dict:
         return {
@@ -133,52 +145,39 @@ def _near(value, boundary, tol):
     return abs(value - boundary) <= 10.0 * tol
 
 
-def _check_pattern(label, M, template, tol, warnings):
+def _check_pattern(label, M, template, tol):
     M = np.asarray(M, dtype=float)
     pat = sign_pattern(M, tol)
     passed = bool(np.array_equal(pat, np.asarray(template, dtype=np.int8)))
-    for value in np.atleast_1d(M).ravel():
-        if _near(value, 0.0, tol):
-            warnings.append(
-                f"{label}: entry {value:.6g} within 10*tol of the sign boundary"
-            )
+    warnings = tuple(
+        f"{label}: entry {value:.6g} within 10*tol of the sign boundary"
+        for value in np.atleast_1d(M).ravel() if _near(value, 0.0, tol))
     return HypothesisCheck(label, passed, {
         "values": _j(M),
         "pattern": pattern_string(pat),
         "required": pattern_string(template),
-    })
+    }, warnings)
 
 
-def _check_bound(label, value, bound, tol, warnings, strictly_above=False):
+def _check_bound(label, value, bound, tol, strictly_above=False):
     """``value > bound`` when ``strictly_above``, else ``value <= bound``,
     each with the shared tolerance."""
     value, bound = float(value), float(bound)
     passed = value - bound > tol if strictly_above else value <= bound + tol
-    if _near(value, bound, tol):
-        warnings.append(f"{label}: value {value:.6g} within 10*tol of bound {bound:g}")
-    return HypothesisCheck(label, passed, {"value": value, "bound": bound})
+    warnings = ((f"{label}: value {value:.6g} within 10*tol of bound {bound:g}",)
+                if _near(value, bound, tol) else ())
+    return HypothesisCheck(label, passed, {"value": value, "bound": bound},
+                           warnings)
 
 
-def _check_invertible(label, M, warnings):
+def _check_invertible(label, M):
     """Invertibility hypothesis on M and the inverse it computed (or None)."""
     inv, witness = invertibility(M)
     rcond, rtol = witness["rcond"], witness["tolerance"]
-    if rtol / 10.0 <= rcond <= 10.0 * rtol:
-        warnings.append(f"{label}: rcond {rcond:.3e} within a factor of 10 "
-                        f"of the singularity tolerance {rtol:.0e}")
-    return HypothesisCheck(label, inv is not None, witness), inv
-
-
-def _verdict(theorem_id, conclusion_if_applicable, checks, warnings, notes=()):
-    applicable = all(c.passed for c in checks)
-    return TheoremVerdict(
-        theorem_id=theorem_id,
-        applicable=applicable,
-        conclusion=conclusion_if_applicable if applicable else Conclusion.INCONCLUSIVE,
-        hypotheses=tuple(checks),
-        boundary_warnings=tuple(warnings),
-        notes=tuple(notes),
-    )
+    warnings = ((f"{label}: rcond {rcond:.3e} within a factor of 10 "
+                 f"of the singularity tolerance {rtol:.0e}",)
+                if rtol / 10.0 <= rcond <= 10.0 * rtol else ())
+    return HypothesisCheck(label, inv is not None, witness, warnings), inv
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +188,10 @@ def _verdict(theorem_id, conclusion_if_applicable, checks, warnings, notes=()):
 class _ClassDecision:
     """Everything a battery decides once about a QMT class.
 
-    Each group is a ``(checks, warnings)`` pair of tuples: a hypothesis
-    prefix shared by several theorems, which each theorem extends in its
-    own copy.  The B warning rides only with a group that holds the B
-    check, so T1-T4 carry neither when n != 2.
+    Each group is a tuple of checks: a hypothesis prefix shared by
+    several theorems, which each theorem extends in its own copy.  The
+    planar groups hold the B check, and with it its warning, only when
+    n == 2.
     """
 
     n: int
@@ -212,32 +211,29 @@ def _decide_class(sys: QPSystem, tol) -> _ClassDecision:
             f"tolerance must be finite and nonnegative, got {tol!r}")
     inv = class_invariants(sys)
     G, L = inv.interaction, inv.growth
-    warnings = []
-    b_check, B_inv = _check_invertible("B invertible", sys.B, warnings)
-    b_group = ((b_check,), tuple(warnings))
-    planar = competitive = ((HypothesisCheck("n == 2", sys.n == 2,
-                                             {"n": sys.n}),), ())
+    b_check, B_inv = _check_invertible("B invertible", sys.B)
+    planar = competitive = (HypothesisCheck("n == 2", sys.n == 2,
+                                            {"n": sys.n}),)
     if sys.n == 2:
-        planar = (planar[0] + b_group[0], b_group[1])
-        competitive = (planar[0] + (
+        planar += (b_check,)
+        competitive = planar + (
             _check_pattern(
                 "interaction invariant has competitive pattern [-- / --]",
-                G, COMPETITIVE_PATTERN, tol, warnings),
+                G, COMPETITIVE_PATTERN, tol),
             _check_pattern(
                 "growth invariant has positive pattern (+, +)",
-                L, np.array([PLUS, PLUS], dtype=np.int8), tol, warnings),
+                L, np.array([PLUS, PLUS], dtype=np.int8), tol),
             _check_pattern(
                 "interaction^T . perp(growth) has pattern (-, +)",
-                G.T @ perp(L), np.array([MINUS, PLUS], dtype=np.int8), tol,
-                warnings),
-        ), tuple(warnings))
+                G.T @ perp(L), np.array([MINUS, PLUS], dtype=np.int8), tol),
+        )
     witness = is_hierarchically_ordered(-G, tol)
-    ordering = (b_group[0] + (HypothesisCheck(
+    ordering = (b_check, HypothesisCheck(
         "-(interaction invariant) is hierarchically ordered",
         witness is not None,
         {"permutation": list(witness.permutation) if witness else None},
-    ),), b_group[1])
-    return _ClassDecision(sys.n, tol, G, L, B_inv, b_group, planar,
+    ))
+    return _ClassDecision(sys.n, tol, G, L, B_inv, (b_check,), planar,
                           competitive, ordering)
 
 
@@ -247,68 +243,65 @@ def _decide_class(sys: QPSystem, tol) -> _ClassDecision:
 
 def _theorem1(c: _ClassDecision) -> TheoremVerdict:
     """Cooperative interaction invariant in dimension 2: not permanent."""
-    checks, warnings = map(list, c.planar)
+    checks = c.planar
     if c.n == 2:
-        checks.append(_check_pattern(
+        checks += (_check_pattern(
             "interaction invariant has cooperative pattern [-+ / +-]",
-            c.G, COOPERATIVE_PATTERN, c.tol, warnings))
-    return _verdict("T1", Conclusion.NOT_PERMANENT, checks, warnings)
+            c.G, COOPERATIVE_PATTERN, c.tol),)
+    return TheoremVerdict("T1", Conclusion.NOT_PERMANENT, checks)
 
 
 def _theorem2(c: _ClassDecision) -> TheoremVerdict:
     """Competitive pattern + positive growth + cross condition: permanent."""
-    return _verdict("T2", Conclusion.PERMANENT, *c.competitive)
+    return TheoremVerdict("T2", Conclusion.PERMANENT, c.competitive)
 
 
 def _theorem3(c: _ClassDecision) -> TheoremVerdict:
     """Permanence hypotheses plus growth components <= 1: the unique
     interior fixed point is globally asymptotically stable."""
-    checks, warnings = map(list, c.competitive)
+    checks = c.competitive
     if c.n == 2:
-        for i in range(2):
-            checks.append(_check_bound(
-                f"growth invariant component {i + 1} <= 1",
-                c.L[i], 1.0, c.tol, warnings))
-    return _verdict("T3", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings)
+        checks += tuple(_check_bound(
+            f"growth invariant component {i + 1} <= 1", c.L[i], 1.0, c.tol)
+            for i in range(2))
+    return TheoremVerdict("T3", Conclusion.GLOBALLY_ATTRACTIVE, checks)
 
 
 def _theorem4(c: _ClassDecision) -> TheoremVerdict:
     """Predator-prey pattern conditions: globally attractive fixed point."""
-    checks, warnings = map(list, c.planar)
     if c.n != 2:
-        return _verdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings)
-    G, L, tol, notes = c.G, c.L, c.tol, []
-    checks.append(_check_pattern(
-        "interaction invariant has predator-prey pattern [-- / +-]",
-        G, PREDATOR_PREY_PATTERN, tol, warnings))
-    checks.append(_check_pattern(
-        "growth invariant has pattern (+, -)",
-        L, np.array([PLUS, MINUS], dtype=np.int8), tol, warnings))
-    checks.append(_check_bound("growth component 1 <= 1", L[0], 1.0, tol,
-                               warnings))
+        return TheoremVerdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, c.planar)
+    G, L, tol, notes = c.G, c.L, c.tol, ()
+    checks = [
+        *c.planar,
+        _check_pattern(
+            "interaction invariant has predator-prey pattern [-- / +-]",
+            G, PREDATOR_PREY_PATTERN, tol),
+        _check_pattern(
+            "growth invariant has pattern (+, -)",
+            L, np.array([PLUS, MINUS], dtype=np.int8), tol),
+        _check_bound("growth component 1 <= 1", L[0], 1.0, tol),
+    ]
     if abs(G[0, 0]) > tol:
         ratio = G[1, 0] / G[0, 0]
         lower, upper = L[0] * ratio, ratio + 1.0
         checks.append(_check_bound(
             "growth component 2 > growth1 * G21/G11",
-            L[1], lower, tol, warnings, strictly_above=True))
+            L[1], lower, tol, strictly_above=True))
         checks.append(_check_bound(
-            "growth component 2 <= G21/G11 + 1",
-            L[1], upper, tol, warnings))
+            "growth component 2 <= G21/G11 + 1", L[1], upper, tol))
         if lower >= upper:
-            notes.append(
-                "the two-sided bound on growth component 2 is an empty "
-                "interval for these parameters; hypotheses unsatisfiable"
-            )
+            notes = ("the two-sided bound on growth component 2 is an empty "
+                     "interval for these parameters; hypotheses unsatisfiable",)
     else:
         checks.append(HypothesisCheck(
             "growth component 2 bounds (needs G11 != 0)", False,
             {"G11": float(G[0, 0]), "reason": "G11 within tolerance of zero"}))
     checks.append(_check_bound(
         "G11*G22 + G12*G21 > 0",
-        G[0, 0] * G[1, 1] + G[0, 1] * G[1, 0], 0.0, tol, warnings,
-        strictly_above=True))
-    return _verdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, checks, warnings, notes)
+        G[0, 0] * G[1, 1] + G[0, 1] * G[1, 0], 0.0, tol, strictly_above=True))
+    return TheoremVerdict("T4", Conclusion.GLOBALLY_ATTRACTIVE, tuple(checks),
+                          notes)
 
 
 def _theorem5(c: _ClassDecision) -> TheoremVerdict:
@@ -316,46 +309,38 @@ def _theorem5(c: _ClassDecision) -> TheoremVerdict:
     attractor exists, in any dimension."""
     notes = ("holds for any growth invariant; only the interaction "
              "invariant and invertibility of B enter",)
-    return _verdict("T5", Conclusion.GLOBAL_ATTRACTOR_EXISTS, *c.ordering,
-                    notes)
+    return TheoremVerdict("T5", Conclusion.GLOBAL_ATTRACTOR_EXISTS, c.ordering,
+                          notes)
 
 
 def _theorem6(c: _ClassDecision) -> TheoremVerdict:
     """Theorem-5 hypotheses plus entrywise nonnegative B^-1: dissipative."""
-    checks, warnings = map(list, c.ordering)
+    checks = c.ordering
     if c.B_inv is not None:
         min_entry = float(np.min(c.B_inv))
-        if _near(min_entry, 0.0, c.tol):
-            warnings.append(
-                f"B^-1 nonnegativity: smallest entry {min_entry:.6g} "
-                f"within 10*tol of zero"
-            )
-        checks.append(HypothesisCheck(
+        warnings = ((f"B^-1 nonnegativity: smallest entry {min_entry:.6g} "
+                     f"within 10*tol of zero",)
+                    if _near(min_entry, 0.0, c.tol) else ())
+        checks += (HypothesisCheck(
             "B^-1 is entrywise nonnegative", min_entry >= -c.tol,
-            {"B_inv": _j(c.B_inv), "min_entry": min_entry}))
-    return _verdict("T6", Conclusion.DISSIPATIVE, checks, warnings)
+            {"B_inv": _j(c.B_inv), "min_entry": min_entry}, warnings),)
+    return TheoremVerdict("T6", Conclusion.DISSIPATIVE, checks)
 
 
 def _theorem7(c: _ClassDecision) -> TheoremVerdict:
     """Uniform positive growth invariant with dominated interaction:
     chaotic once the growth rate clears the factor-map thresholds."""
-    checks, warnings = map(list, c.b_group)
-    notes = []
     G, L, tol = c.G, c.L, c.tol
-    checks.append(_check_invertible(
-        "interaction invariant invertible", G, warnings)[0])
-    if checks[-1].passed:
+    g_check, _ = _check_invertible("interaction invariant invertible", G)
+    checks = [*c.b_group, g_check]
+    if g_check.passed:
         g_inv_u = np.linalg.solve(G, np.ones(c.n))
-        for value in g_inv_u:
-            if _near(value, 0.0, tol):
-                warnings.append(
-                    f"interaction^-1 . ones: entry {value:.6g} within "
-                    f"10*tol of zero"
-                )
+        warnings = tuple(f"interaction^-1 . ones: entry {value:.6g} within "
+                         f"10*tol of zero"
+                         for value in g_inv_u if _near(value, 0.0, tol))
         checks.append(HypothesisCheck(
             "interaction^-1 . ones is entrywise negative",
-            bool(np.all(g_inv_u < -tol)),
-            {"value": _j(g_inv_u)}))
+            bool(np.all(g_inv_u < -tol)), {"value": _j(g_inv_u)}, warnings))
 
     rho = float(np.mean(L))
     max_dev = float(np.max(np.abs(L - rho)))
@@ -367,22 +352,22 @@ def _theorem7(c: _ClassDecision) -> TheoremVerdict:
     hypotheses_hold = all(check.passed for check in checks)
     diamond = rho >= DIAMOND_RHO_THRESHOLD - tol
     marotto = rho >= MAROTTO_RHO_THRESHOLD - tol
-    if _near(rho, DIAMOND_RHO_THRESHOLD, tol) or _near(rho, MAROTTO_RHO_THRESHOLD, tol):
-        warnings.append(f"rho = {rho:.6g} within 10*tol of a chaos threshold")
+    warnings = ((f"rho = {rho:.6g} within 10*tol of a chaos threshold",)
+                if _near(rho, DIAMOND_RHO_THRESHOLD, tol)
+                or _near(rho, MAROTTO_RHO_THRESHOLD, tol) else ())
     checks.append(HypothesisCheck(
         f"rho >= {MAROTTO_RHO_THRESHOLD} (snap-back chaos threshold)",
         uniform and marotto,
         {"rho": rho,
          "marotto_threshold": MAROTTO_RHO_THRESHOLD,
          "diamond_threshold": DIAMOND_RHO_THRESHOLD,
-         "diamond_reached": uniform and diamond}))
-    if hypotheses_hold and not marotto:
-        notes.append("structural hypotheses hold but rho is below both "
-                     "chaos thresholds; no conclusion")
-
-    conclusion = (Conclusion.CHAOTIC_DIAMOND if diamond
-                  else Conclusion.CHAOTIC_MAROTTO)
-    return _verdict("T7", conclusion, checks, warnings, notes)
+         "diamond_reached": uniform and diamond}, warnings))
+    notes = (("structural hypotheses hold but rho is below both chaos "
+              "thresholds; no conclusion",)
+             if hypotheses_hold and not marotto else ())
+    claim = (Conclusion.CHAOTIC_DIAMOND if diamond
+             else Conclusion.CHAOTIC_MAROTTO)
+    return TheoremVerdict("T7", claim, tuple(checks), notes)
 
 
 _BATTERY = (_theorem1, _theorem2, _theorem3, _theorem4, _theorem5,

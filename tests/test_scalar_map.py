@@ -198,9 +198,10 @@ class TestPreimages:
         assert worst <= 1e-12
 
     def test_left_preimage_only_above_the_floor(self):
-        # the left branch is kept only while its preimage exceeds 1e-300
+        # the left branch is kept only while its preimage exceeds the
+        # smallest normal double
         rho = 20.0
-        floor = xi(1e-300, rho)
+        floor = xi(np.finfo(float).tiny, rho)
         assert len(_preimages(floor * 0.5, rho)) == 1
         assert len(_preimages(floor * 2.0, rho)) == 2
 
@@ -249,10 +250,13 @@ class TestSnapBack:
         assert abs(iterate(witness.x0, rho, witness.steps) - rho) > 1e-9 * rho
         assert_exact_return_nearby(witness, rho)
 
-    @pytest.mark.parametrize("rho", [*np.arange(250.0, 700.0, 50.0), 697.0])
+    @pytest.mark.parametrize("rho", [*np.arange(250.0, 700.0, 50.0), 697.0,
+                                     697.5, 698.0, 698.5, 699.0, 699.5,
+                                     EXP_ARG_LIMIT])
     def test_witness_up_to_the_left_preimage_floor(self, rho):
-        # above 697 the left preimages, about rho e^-rho, fall below the
-        # 1e-300 floor of _preimages
+        # every chain back from rho passes a left preimage of about
+        # rho e^-rho, which stays above the smallest normal double up to
+        # the guard
         witness = find_snap_back(float(rho))
         assert witness is not None
         assert_exact_return_nearby(witness, float(rho))
@@ -305,6 +309,16 @@ class TestLargeGrowthGuard:
             warnings.simplefilter("error")
             find_period3(EXP_ARG_LIMIT)
             find_snap_back(EXP_ARG_LIMIT)
+
+    @pytest.mark.parametrize("kind", [KIND_PERIOD3, KIND_SNAPBACK])
+    def test_scan_past_the_guard_is_refused_before_any_detector(
+            self, monkeypatch, kind):
+        calls = []
+        monkeypatch.setattr(scalar_map, "_detect",
+                            lambda _, rho: calls.append(rho) or (False, ""))
+        with pytest.raises(OverflowGuard, match="rho = 700.5 exceeds"):
+            threshold_scan(kind, 690.0, 701.0, 0.5)
+        assert calls == []
 
 
 class TestAnalyzeXi:

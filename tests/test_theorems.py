@@ -11,7 +11,9 @@ from qpd import (
     PLUS,
     Conclusion,
     HierarchicalOrderWitness,
+    HypothesisCheck,
     QPSystem,
+    TheoremVerdict,
     apply_qmt,
     canonical_lv,
     check_all_theorems,
@@ -410,3 +412,36 @@ class TestOneClassDecision:
             assert check.__name__ == f"check_theorem{number}"
             assert check.__doc__
             assert check(self.N3).theorem_id == f"T{number}"
+
+
+class TestVerdictIsItsTrace:
+    def test_applicability_conclusion_and_warnings_are_derived(self):
+        trace = (HypothesisCheck("a", True, {}, ("w1", "w2")),
+                 HypothesisCheck("b", True, {}),
+                 HypothesisCheck("c", True, {}, ("w3",)))
+        verdict = TheoremVerdict("T2", Conclusion.PERMANENT, trace)
+        assert verdict.applicable
+        assert verdict.conclusion is Conclusion.PERMANENT
+        assert verdict.boundary_warnings == ("w1", "w2", "w3")
+        failed = TheoremVerdict("T2", Conclusion.PERMANENT,
+                                trace + (HypothesisCheck("d", False, {}),))
+        assert not failed.applicable
+        assert failed.conclusion is Conclusion.INCONCLUSIVE
+        assert failed.boundary_warnings == ("w1", "w2", "w3")
+
+    def test_rho_warning_sits_on_the_threshold_check(self):
+        verdict = check_theorem7(qp_family(0.2, 0.2, 3.13))
+        assert verdict.applicable
+        *structural, threshold = verdict.hypotheses
+        assert threshold.label.startswith("rho >= ")
+        assert threshold.warnings == (
+            "rho = 3.13 within 10*tol of a chaos threshold",)
+        assert all(h.warnings == () for h in structural)
+
+    def test_rcond_warning_sits_on_the_b_check(self):
+        sys = QPSystem(-np.eye(2), np.diag([1.0, 3e-10]), [0.5, 0.5])
+        for verdict in check_all_theorems(sys):
+            for h in verdict.hypotheses:
+                on_b = [w for w in h.warnings
+                        if w.startswith("B invertible: rcond")]
+                assert len(on_b) == (h.label == "B invertible"), h.label
