@@ -22,6 +22,7 @@ from . import __version__
 from .dynamics import (
     checked_seed,
     conjugacy_deviation,
+    conjugacy_deviations,
     qp_fixed_point,
     seeded_generator,
     simulate,
@@ -29,6 +30,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .errors import (
+    BlockGuardTermination,
     GuardTermination,
     InvalidArgument,
     NoInteriorFixedPoint,
@@ -313,6 +315,27 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _draw_qmt(rng, n, trial) -> tuple[QMTMatrix, int]:
+    """A random transformation of condition at most
+    CONJUGACY_MAX_CONDITION and the number of candidates rejected on the
+    way, each reported as a "regenerated" line."""
+    rejected = 0
+    while True:
+        candidate = rng.uniform(-1.0, 1.0, size=(n, n))
+        try:
+            qmt = QMTMatrix.from_matrix(candidate)
+        except SingularMatrix:
+            rejected += 1
+            print(f"trial {trial}: regenerated a singular candidate C")
+            continue
+        condition = qmt.condition()
+        if condition <= CONJUGACY_MAX_CONDITION:
+            return qmt, rejected
+        rejected += 1
+        print(f"trial {trial}: regenerated a near-singular candidate C "
+              f"(condition {condition:.3g})")
+
+
 def cmd_conjugacy(args) -> int:
     system = load_system(args.path)
     if args.trials < 0:
@@ -326,50 +349,55 @@ def cmd_conjugacy(args) -> int:
     budget = CONJUGACY_STEP_BUDGET * args.steps
     base = class_invariants(system)
     rejected = 0
-    worst_deviation = 0.0
-    worst_drift = 0.0
-    failures = []
+    qmts, X0, drifts = [], [], []
     for trial in range(args.trials):
-        qmt = None
-        while qmt is None:
-            candidate = rng.uniform(-1.0, 1.0, size=(system.n, system.n))
-            try:
-                attempt = QMTMatrix.from_matrix(candidate)
-            except SingularMatrix:
-                rejected += 1
-                print(f"trial {trial}: regenerated a singular candidate C")
-                continue
-            if attempt.condition() > CONJUGACY_MAX_CONDITION:
-                rejected += 1
-                print(f"trial {trial}: regenerated a near-singular candidate C "
-                      f"(condition {attempt.condition():.3g})")
-                continue
-            qmt = attempt
-        x0 = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=system.n))
-        transformed = apply_qmt(system, qmt)
-        other = class_invariants(transformed)
-        drift = max(
+        qmt, regenerated = _draw_qmt(rng, system.n, trial)
+        rejected += regenerated
+        qmts.append(qmt)
+        X0.append(np.exp(rng.uniform(np.log(0.5), np.log(2.0),
+                                     size=system.n)))
+        other = class_invariants(apply_qmt(system, qmt))
+        drifts.append(max(
             float(np.max(np.abs(other.interaction - base.interaction))),
             float(np.max(np.abs(other.growth - base.growth))),
-        )
-        worst_drift = max(worst_drift, drift)
+        ))
+    guards = {}
+    block_failures = []
+    try:
+        deviations = conjugacy_deviations(system, qmts, X0, args.steps)
+    except BlockGuardTermination as exc:
+        # a guard stops a whole block: rerun its trials one at a time to
+        # name the trials that hit it
+        deviations = exc.deviations
+        for trials, reason in exc.stopped:
+            for t in trials:
+                try:
+                    deviations[t] = conjugacy_deviation(
+                        system, qmts[t], X0[t], args.steps)
+                except GuardTermination as single:
+                    guards[t] = str(single)
+            if not any(t in guards for t in trials):
+                block_failures.append(
+                    f"trials {trials.start}-{trials.stop - 1}: {reason} "
+                    "as one block, but in no single-trial rerun")
+    failures = []
+    for trial, (drift, deviation) in enumerate(zip(drifts, deviations)):
         if drift > CONJUGACY_DRIFT_BUDGET:
             failures.append(f"trial {trial}: invariant drift {drift:.3e}")
-        try:
-            deviation = conjugacy_deviation(system, qmt, x0, args.steps)
-        except GuardTermination as exc:
-            failures.append(f"trial {trial}: {exc}")
-            continue
-        worst_deviation = max(worst_deviation, deviation)
-        if deviation > budget:
+        if trial in guards:
+            failures.append(f"trial {trial}: {guards[trial]}")
+        elif deviation > budget:
             failures.append(
                 f"trial {trial}: deviation {deviation:.3e} exceeds budget "
                 f"{budget:.3e}")
+    failures += block_failures
+    worst_deviation = max((float(d) for t, d in enumerate(deviations)
+                           if t not in guards), default=0.0)
     print(f"conjugacy check: {args.trials} trials, {args.steps} steps, "
           f"seed {args.seed}")
     print(f"rejected candidates: {rejected}")
     print(f"max orbit deviation: {worst_deviation:.3e} (budget {budget:.3e})")
-    print(f"max invariant drift: {worst_drift:.3e} "
+    print(f"max invariant drift: {max(drifts):.3e} "
           f"(budget {CONJUGACY_DRIFT_BUDGET:g})")
     for failure in failures:
         print(f"*** {failure}")

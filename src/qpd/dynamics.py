@@ -7,6 +7,16 @@ of the QP map in log coordinates.  The ensemble probes, the Lyapunov
 orbit and ``verification_pass``, which runs all three probes as one
 batch, share one lockstep engine.
 
+Conjugacy trials run as block-diagonal systems: a QMT of a
+block-diagonal system is block-diagonal, so ``conjugacy_deviations``
+runs up to ``max(1, CONJUGACY_BLOCK_DIM // n)`` trials as one direct and
+one conjugate orbit, two ``simulate`` calls per block.  The 128 cap
+bounds each dense block matrix at 128**2 doubles; a block's two
+orbits hold at most ``2 (steps + 1) min(trials n, 128)`` doubles
+(``2 (steps + 1) n`` when n exceeds 128).  A guard stops a whole block, and the command line
+then reruns that block's trials one at a time to name the trials that
+hit it.
+
 Guard policy: every map evaluation here goes through the one guarded
 kernel ``systems.advance``, which labels a guarded step by the sign of
 its exponent: "overflow" for a blow-up, "underflow" for a collapse toward
@@ -23,6 +33,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (
+    BlockGuardTermination,
     GuardTermination,
     InvalidArgument,
     NoInteriorFixedPoint,
@@ -525,23 +536,89 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
 # conjugacy verification
 # ---------------------------------------------------------------------------
 
-def conjugacy_deviation(sys: QPSystem, qmt: QMTMatrix, x0, steps: int) -> float:
-    """Maximum relative gap between an orbit and its conjugate image.
+#: Dimension cap of one block of conjugacy trials: the dense block
+#: matrices stay at most CONJUGACY_BLOCK_DIM**2 doubles each.
+CONJUGACY_BLOCK_DIM = 128
 
-    Runs the system from x0 and the transformed system from the mapped
-    initial state, maps the second orbit back in log coordinates, where
-    the QMT is linear (log x = C log y), and returns the largest
-    componentwise relative deviation ``max |expm1(log Y C^T - log X)|``
-    over all recorded steps.  Raises GuardTermination if either orbit
-    fails to reach the horizon.
-    """
-    direct = simulate(sys, x0, steps)
-    conjugate = simulate(apply_qmt(sys, qmt),
-                         map_state(qmt.inverse(), direct.states[0]), steps)
+
+def _direct_sum(systems) -> QPSystem:
+    """The block-diagonal system of equal-dimension systems; one system
+    gives its own matrices back."""
+    n, k = systems[0].n, len(systems)
+    A, B = np.zeros((2, k * n, k * n))
+    for i, part in enumerate(systems):
+        block = slice(i * n, (i + 1) * n)
+        A[block, block], B[block, block] = part.A, part.B
+    return QPSystem(A, B, np.concatenate([part.lam for part in systems]))
+
+
+def _block_deviations(sys, qmts, X0, steps) -> np.ndarray:
+    """Deviations of one block of trials from two orbits; raises
+    GuardTermination naming the orbit and its guard."""
+    n = sys.n
+    direct = simulate(_direct_sum([sys] * len(qmts)), np.concatenate(X0),
+                      steps)
+    conjugate = simulate(
+        _direct_sum([apply_qmt(sys, qmt) for qmt in qmts]),
+        np.concatenate([map_state(qmt.inverse(), x0)
+                        for qmt, x0 in zip(qmts, X0)]),
+        steps)
     for label, traj in (("direct", direct), ("conjugate", conjugate)):
         if traj.terminated_early is not None:
             raise GuardTermination(
                 f"{label} orbit terminated early: {traj.terminated_early}")
-    gap = np.log(conjugate.states) @ qmt.C.T - np.log(direct.states)
-    with np.errstate(over="ignore"):
-        return float(np.max(np.abs(np.expm1(gap))))
+    out = np.empty(len(qmts))
+    for i, qmt in enumerate(qmts):
+        block = slice(i * n, (i + 1) * n)
+        gap = (np.log(conjugate.states[:, block]) @ qmt.C.T
+               - np.log(direct.states[:, block]))
+        with np.errstate(over="ignore"):
+            out[i] = np.max(np.abs(np.expm1(gap)))
+    return out
+
+
+def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int) -> np.ndarray:
+    """Maximum relative gap between each trial's orbit and its conjugate
+    image, one per trial.
+
+    Trial i runs the system from ``X0[i]`` and its image under
+    ``qmts[i]`` from the mapped initial state, maps the second orbit
+    back in log coordinates, where the QMT is linear (log x = C log y),
+    and takes the largest componentwise relative deviation
+    ``max |expm1(log Y C^T - log X)|`` over all recorded steps.
+
+    Consecutive trials run together, at most
+    ``max(1, CONJUGACY_BLOCK_DIM // n)`` at a time: a QMT of a
+    block-diagonal system is block-diagonal, so a block's direct orbits
+    are one orbit of ``diag(sys, ..., sys)`` and its conjugate orbits one
+    orbit of ``diag(apply_qmt(sys, C_1), ...)``.  A block costs two
+    ``simulate`` calls and ``2 (steps + 1) k n`` doubles for its k
+    trials.  A one-trial block is the system itself.  A guard stops a
+    whole block; BlockGuardTermination then reports every stopped block
+    together with the deviations of the blocks that completed.
+    """
+    n = sys.n
+    X0 = [as_state(x0, n) for x0 in X0]
+    if len(qmts) != len(X0):
+        raise InvalidArgument(
+            f"{len(qmts)} transformations for {len(X0)} initial states")
+    size = max(1, CONJUGACY_BLOCK_DIM // n)
+    deviations = np.empty(len(X0))
+    stopped = []
+    for start in range(0, len(X0), size):
+        stop = min(start + size, len(X0))
+        try:
+            deviations[start:stop] = _block_deviations(
+                sys, qmts[start:stop], X0[start:stop], steps)
+        except GuardTermination as exc:
+            deviations[start:stop] = np.nan
+            stopped.append((range(start, stop), str(exc)))
+    if stopped:
+        raise BlockGuardTermination(deviations, stopped)
+    return deviations
+
+
+def conjugacy_deviation(sys: QPSystem, qmt: QMTMatrix, x0, steps: int) -> float:
+    """``conjugacy_deviations`` of one trial.  Raises GuardTermination
+    if either orbit fails to reach the horizon."""
+    return float(conjugacy_deviations(sys, [qmt], [x0], steps)[0])

@@ -18,7 +18,6 @@ from qpd.dynamics import (
     largest_lyapunov,
     qp_fixed_point,
 )
-from qpd.errors import GuardTermination
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -417,6 +416,15 @@ class TestConjugacy:
         assert code == 0
         assert "vacuous" in out
 
+    def test_output_matches_golden_file(self, capsys):
+        args = ("conjugacy", str(fixture_path("example1_lv")),
+                "--seed", "1", "--trials", "20", "--steps", "50")
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        golden = DATA / "conjugacy_example1_lv_seed1.stdout"
+        assert out.encode() == golden.read_bytes()
+        assert run(capsys, *args)[1] == out
+
     def test_chaotic_fixture_exceeds_budget_at_long_horizon(self, capsys):
         # positive Lyapunov exponent amplifies roundoff by ~e^(0.1 t), so
         # 400 steps decisively blow the 1e-7/step budget: honest exit 2
@@ -458,18 +466,48 @@ class TestConjugacyFailures:
         assert "rejected candidates: 2" in lines
         assert lines[-1] == "all trials within budget"
 
-    def test_terminated_orbit_is_a_failure(self, capsys, monkeypatch):
-        def terminated(*args):
-            raise GuardTermination("direct orbit terminated early: "
-                                   "(3, 'overflow')")
+    @staticmethod
+    def run_runaway(capsys, monkeypatch, tmp_path, trials, runaway):
+        """``conjugacy --steps 20`` on a system whose x_1 gains e^40 a step,
+        with queued draws: trial t starts at x_1 = 1, whose image
+        overflows out of step 17, when t is in ``runaway``, else at
+        x_1 = e^-600, which stays finite for 20 steps."""
+        path = write_system(tmp_path, np.zeros((2, 2)).tolist(), [40.0, -1.0])
+        C = np.diag([1.0, 2.0])
+        draws = []
+        for t in range(trials):
+            draws += [C, np.zeros(2) if t in runaway else np.array([-600.0, 0.0])]
+        monkeypatch.setattr(qpd.cli, "seeded_generator",
+                            lambda seed: QueuedDraws(draws))
+        return run(capsys, "conjugacy", path, "--trials", str(trials),
+                   "--steps", "20")
 
-        monkeypatch.setattr(qpd.cli, "conjugacy_deviation", terminated)
-        code, out, _ = run(capsys, "conjugacy",
-                           str(fixture_path("example1_lv")), "--trials", "2")
+    def test_terminated_orbit_is_a_failure(self, capsys, monkeypatch,
+                                           tmp_path):
+        code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 3, {1})
         assert code == 2
         assert failure_lines(out) == [
-            f"*** trial {t}: direct orbit terminated early: (3, 'overflow')"
-            for t in range(2)]
+            "*** trial 1: direct orbit terminated early: (17, 'overflow')"]
+        assert "all trials within budget" not in out
+
+    def test_guards_in_several_blocks_name_their_trials(self, capsys,
+                                                        monkeypatch, tmp_path):
+        # three blocks of up to 64 trials at n = 2
+        code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 130,
+                                        {1, 70, 129})
+        assert code == 2
+        assert failure_lines(out) == [
+            f"*** trial {t}: direct orbit terminated early: (17, 'overflow')"
+            for t in (1, 70, 129)]
+
+    def test_block_guard_no_single_trial_reproduces(self, capsys, monkeypatch,
+                                                    tmp_path):
+        monkeypatch.setattr(qpd.cli, "conjugacy_deviation", lambda *a: 0.0)
+        code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 3, {1})
+        assert code == 2
+        assert failure_lines(out) == [
+            "*** trials 0-2: direct orbit terminated early: (17, 'overflow') "
+            "as one block, but in no single-trial rerun"]
         assert "all trials within budget" not in out
 
     def test_invariant_drift_is_a_failure(self, capsys, monkeypatch):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import load_fixture, random_contracting_system, random_qmt
+import qpd.dynamics
+from conftest import (
+    load_fixture,
+    random_contracting_system,
+    random_exponent_matrix,
+    random_qmt,
+)
 from qpd import (
     LVSystem,
     QMTMatrix,
@@ -22,14 +28,21 @@ from qpd import (
 )
 from qpd.dynamics import (
     ATTRACTIVITY_HORIZON,
+    CONJUGACY_BLOCK_DIM,
     LYAPUNOV_SAMPLES,
     LYAPUNOV_TRANSIENT,
     VERIFY_ATTRACTIVITY_TOL,
     _lockstep,
+    conjugacy_deviations,
     verification_pass,
 )
 from qpd.systems import GUARD_REASONS, advance
-from qpd.errors import GuardTermination, SingularSystem
+from qpd.errors import (
+    BlockGuardTermination,
+    GuardTermination,
+    InvalidArgument,
+    SingularSystem,
+)
 
 FIXED_POINT_LV1 = np.array([1.0 / 3.0, 1.0 / 3.0])
 
@@ -426,3 +439,98 @@ class TestConjugacyDeviation:
         sys = QPSystem([[0.0, 1.0], [1.0, 0.0]], np.eye(2), [1.0, 1.0])
         with pytest.raises(GuardTermination):
             conjugacy_deviation(sys, QMTMatrix.identity(2), [2.0, 2.0], 1000)
+
+
+def reference_conjugacy_deviation(sys, qmt, x0, steps):
+    """One trial as two serial orbits, mapped back in log coordinates."""
+    direct = simulate(sys, x0, steps)
+    conjugate = simulate(apply_qmt(sys, qmt),
+                         map_state(qmt.inverse(), direct.states[0]), steps)
+    assert direct.terminated_early is None is conjugate.terminated_early
+    gap = np.log(conjugate.states) @ qmt.C.T - np.log(direct.states)
+    return float(np.max(np.abs(np.expm1(gap))))
+
+
+def stable_lv_image(rng, n):
+    """QP image of an LV map whose interior fixed point x* is stable:
+    with A_lv = -(I/2 + off) / x*, the linearisation I + diag(x*) A_lv
+    = I/2 - off has spectral radius at most 0.5 + 0.02 (n - 1)."""
+    x_star = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=n))
+    off = rng.uniform(0.0, 0.02, size=(n, n))
+    np.fill_diagonal(off, 0.0)
+    A_lv = -(0.5 * np.eye(n) + off) / x_star[:, None]
+    B = random_exponent_matrix(rng, n)
+    return QPSystem(np.linalg.solve(B, A_lv), B,
+                    np.linalg.solve(B, -A_lv @ x_star))
+
+
+def conjugacy_trials(rng, n, trials):
+    qmts = [random_qmt(rng, n) for _ in range(trials)]
+    X0 = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=(trials, n)))
+    return qmts, X0
+
+
+class TestConjugacyDeviations:
+    @pytest.mark.parametrize("name", [
+        "example1_lv", "example1_qp_rho05", "example2_predator_prey",
+        "example3_qp_rho32"])
+    def test_single_trial_matches_serial_reference(self, name):
+        sys = load_fixture(name)
+        rng = np.random.default_rng(11)
+        for qmt, x0 in zip(*conjugacy_trials(rng, 2, 5)):
+            assert (conjugacy_deviation(sys, qmt, x0, 100)
+                    == reference_conjugacy_deviation(sys, qmt, x0, 100))
+
+    @pytest.mark.parametrize("system, trials", [
+        ("example1_lv", 20),
+        ("stable-lv-image-n6", 45),  # 21 + 21 + 3 trials: three blocks
+    ])
+    def test_blocks_match_single_trials(self, monkeypatch, system, trials):
+        rng = np.random.default_rng(5)
+        sys = (stable_lv_image(rng, 6) if system == "stable-lv-image-n6"
+               else load_fixture(system))
+        qmts, X0 = conjugacy_trials(rng, sys.n, trials)
+        # identity trials deviate by exactly 0 and pin the trial order
+        qmts[::3] = [QMTMatrix.identity(sys.n)] * len(qmts[::3])
+        dims = []
+
+        def spy(block, x0, steps):
+            dims.append(block.n)
+            return simulate(block, x0, steps)
+
+        monkeypatch.setattr(qpd.dynamics, "simulate", spy)
+        blocked = conjugacy_deviations(sys, qmts, X0, 200)
+        per_block = max(1, CONJUGACY_BLOCK_DIM // sys.n)
+        assert len(dims) == 2 * -(-trials // per_block)
+        assert max(dims) <= CONJUGACY_BLOCK_DIM
+        monkeypatch.undo()
+        single = [conjugacy_deviation(sys, qmt, x0, 200)
+                  for qmt, x0 in zip(qmts, X0)]
+        assert blocked.shape == (trials,)
+        np.testing.assert_allclose(blocked, single, rtol=0.0, atol=1e-14)
+        assert max(single) <= 1e-12
+        assert (blocked == 0.0).tolist() == [t % 3 == 0 for t in range(trials)]
+
+    def test_guard_stops_only_its_block(self):
+        # x_1 gains e^40 a step: from x_1 = 1 the image overflows out of
+        # step 17, from x_1 = e^-600 not before step 32
+        sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
+        X0 = np.full((130, 2), [np.exp(-600.0), 1.0])
+        X0[[3, 129]] = 1.0
+        qmts = [QMTMatrix.from_matrix(np.diag([1.0, 2.0]))] * 130
+        with pytest.raises(BlockGuardTermination) as exc:
+            conjugacy_deviations(sys, qmts, X0, 20)
+        reason = "direct orbit terminated early: (17, 'overflow')"
+        assert exc.value.stopped == [(range(0, 64), reason),
+                                     (range(128, 130), reason)]
+        assert str(exc.value) == f"{reason}; {reason}"
+        deviations = exc.value.deviations
+        assert np.isnan(deviations[:64]).all()
+        assert np.isnan(deviations[128:]).all()
+        assert (deviations[64:128] <= 1e-12).all()
+
+    def test_trial_counts_must_agree(self):
+        sys = load_fixture("example1_lv")
+        with pytest.raises(InvalidArgument):
+            conjugacy_deviations(sys, [QMTMatrix.identity(2)] * 2,
+                                 [[1.0, 1.0]], 10)
