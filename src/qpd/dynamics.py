@@ -9,13 +9,14 @@ batch, share one lockstep engine.
 
 Conjugacy trials run as block-diagonal systems: a QMT of a
 block-diagonal system is block-diagonal, so ``conjugacy_deviations``
-runs up to ``max(1, CONJUGACY_BLOCK_DIM // n)`` trials as one direct and
-one conjugate orbit, two ``simulate`` calls per block.  The 128 cap
-bounds each dense block matrix at 128**2 doubles; a block's two
-orbits hold at most ``2 (steps + 1) min(trials n, 128)`` doubles
-(``2 (steps + 1) n`` when n exceeds 128).  A guard stops a whole block, and the command line
-then reruns that block's trials one at a time to name the trials that
-hit it.
+runs a block of trials as one direct and one conjugate orbit, two
+``simulate`` calls per block.  A block holds at most
+``CONJUGACY_BLOCK_DIM // n`` trials, which bounds each dense block
+matrix at 128**2 doubles, and at most
+``CONJUGACY_BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds a block's
+two stored orbits at 2**20 doubles (8 MiB); it always holds at least one
+trial.  A guard stops a whole block, and the command line then reruns
+that block's trials one at a time to name the trials that hit it.
 
 Guard policy: every map evaluation here goes through the one guarded
 kernel ``systems.advance``, which labels a guarded step by the sign of
@@ -540,6 +541,10 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
 #: matrices stay at most CONJUGACY_BLOCK_DIM**2 doubles each.
 CONJUGACY_BLOCK_DIM = 128
 
+#: Storage cap of one block of conjugacy trials: its two orbits, of
+#: 2 (steps + 1) n doubles per trial, stay at most 2**20 doubles (8 MiB).
+CONJUGACY_BLOCK_DOUBLES = 2**20
+
 
 def _direct_sum(systems) -> QPSystem:
     """The block-diagonal system of equal-dimension systems; one system
@@ -588,7 +593,8 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int) -> np.ndarray:
     ``max |expm1(log Y C^T - log X)|`` over all recorded steps.
 
     Consecutive trials run together, at most
-    ``max(1, CONJUGACY_BLOCK_DIM // n)`` at a time: a QMT of a
+    ``max(1, min(CONJUGACY_BLOCK_DIM // n,
+    CONJUGACY_BLOCK_DOUBLES // (2 (steps + 1) n)))`` at a time: a QMT of a
     block-diagonal system is block-diagonal, so a block's direct orbits
     are one orbit of ``diag(sys, ..., sys)`` and its conjugate orbits one
     orbit of ``diag(apply_qmt(sys, C_1), ...)``.  A block costs two
@@ -602,7 +608,10 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int) -> np.ndarray:
     if len(qmts) != len(X0):
         raise InvalidArgument(
             f"{len(qmts)} transformations for {len(X0)} initial states")
-    size = max(1, CONJUGACY_BLOCK_DIM // n)
+    if steps < 0:
+        raise InvalidArgument("steps must be nonnegative")
+    size = max(1, min(CONJUGACY_BLOCK_DIM // n,
+                      CONJUGACY_BLOCK_DOUBLES // (2 * (steps + 1) * n)))
     deviations = np.empty(len(X0))
     stopped = []
     for start in range(0, len(X0), size):

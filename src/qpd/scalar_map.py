@@ -16,21 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # only reader: tracer leaf scalar_map.brentq
 from scipy.special import lambertw
 
 from .errors import InvalidArgument, OverflowGuard
 from .systems import EXP_ARG_LIMIT
 from .theorems import DIAMOND_RHO_THRESHOLD, MAROTTO_RHO_THRESHOLD
 
-#: Grid density of the period-3 root scan; the third iterate oscillates
-#: rapidly, so brackets must be dense.
-PERIOD3_GRID_SIZE = 100_000
-
-#: The period-3 grid is walked in ascending chunks of this many points,
-#: each taking one more point of overlap so that every adjacent grid pair
-#: is tested exactly once; the walk stops at the first verified cycle.
-PERIOD3_CHUNK = 2048
+#: Sweep cap of the inverse-branch iteration in ``find_period3``; just
+#: above the onset the sweeps slow like a saddle-node ghost (about 2 700
+#: at onset + 1e-6), and a search that hits the cap finds nothing.
+PERIOD3_MAX_SWEEPS = 10_000
 
 #: Snap-back search: neighborhood radius cap and preimage-chain depth,
 #: calibrated so the scan reproduces the reference constant 2.89 (the
@@ -40,7 +36,7 @@ SNAP_BACK_RADIUS_CAP = 0.3
 SNAP_BACK_MAX_DEPTH = 6
 
 #: Safety factor K on the rounding bound of ``_forward_tolerance``.
-SNAP_BACK_ROUNDING_FACTOR = 16
+FORWARD_ROUNDING_FACTOR = 16
 
 KIND_PERIOD3 = "period3"
 KIND_SNAPBACK = "snapback"
@@ -132,36 +128,31 @@ def analyze_xi(rho) -> XiAnalysis:
 # ---------------------------------------------------------------------------
 
 def find_period3(rho):
-    """One representative period-3 cycle, or None.
+    """One representative period-3 cycle [a, b, c] with a < 1 < b, c, or
+    None.
 
-    Brackets sign changes of the third iterate minus identity on a grid
-    of PERIOD3_GRID_SIZE points over the invariant interval, refines
-    each bracket by bisection (brentq) to 1e-12, and rejects roots that
-    are fixed points of the map itself.  Any non-fixed root of the third
-    iterate has exact period 3, so the first surviving root yields a
-    cycle.  The grid is walked in ascending chunks of PERIOD3_CHUNK
-    points, so a cycle near the bottom of the interval is found without
-    iterating the rest of the grid; brackets are tried in the same order
-    as on the whole grid.
+    The cycle with itinerary L R R that the saddle-node at the onset
+    creates is unstable, so it is an attracting fixed point of the inverse
+    branches composed as y -> L^-1(R^-1(R^-1(y))), each a closed-form
+    ``_preimages`` solve.  The composition is monotone, so the sweeps from
+    y = rho + 0.5 either converge or leave a branch's domain (None).  A
+    sweep sets c = R^-1(y), b = R^-1(c), a = L^-1(b), and the iteration
+    stops once a sweep moves y by at most 1e-15 relative, or gives up
+    after PERIOD3_MAX_SWEEPS.  The cycle must pass ``_forward_check``.
     """
     _guard_growth_rate(rho)
-    # Orbits enter [0, exp(rho-1)]; pad the top end.
-    grid = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, PERIOD3_GRID_SIZE)
-
-    def f(x):
-        return _xi_iterate(x, rho, 3) - x
-
-    for start in range(0, PERIOD3_GRID_SIZE - 1, PERIOD3_CHUNK):
-        xs = grid[start:start + PERIOD3_CHUNK + 1]
-        signs = np.sign(f(xs))
-        for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-            root = brentq(f, xs[i], xs[i + 1], xtol=1e-12)
-            image = _xi_iterate(root, rho, 1)
-            if abs(image - root) <= 1e-9:
-                continue  # period-1, not period-3
-            cycle = np.array([root, image, _xi_iterate(image, rho, 1)])
-            if np.all(np.abs(_xi_iterate(cycle, rho, 3) - cycle) <= 1e-9):
-                return cycle
+    y = rho + 0.5
+    for _ in range(PERIOD3_MAX_SWEEPS):
+        c = _preimages(y, rho)
+        b = _preimages(c[-1], rho) if c else []
+        a = _preimages(b[-1], rho) if b else []
+        if len(a) < 2:
+            return None
+        if abs(a[0] - y) <= 1e-15 * a[0]:
+            cycle = (a[0], b[-1], c[-1])
+            landed = _forward_check(cycle, a[0], rho) is not None
+            return np.array(cycle) if landed else None
+        y = a[0]
     return None
 
 
@@ -229,18 +220,29 @@ def _far_right_preimage(value, rho):
     return float(y)
 
 
-def _forward_tolerance(chain, derivs, x_star):
-    """max(1e-9 x_star, K eps sum_k |y_k| prod_(j >= k) |xi'(y_j)|) for the
-    chain y_0 .. y_(m-1) onto y_m = x_star: the rounding of each y_k
+def _forward_tolerance(chain, derivs, target):
+    """max(1e-9 target, K eps sum_k |y_k| prod_(j >= k) |xi'(y_j)|) for the
+    chain y_0 .. y_(m-1) onto y_m = target: the rounding of each y_k
     amplified by the rest of the forward orbit, to first order.  A term
     is the next times |y_k xi'(y_k) / y_(k+1)| (about |1 - y_k|)."""
-    term = image = total = x_star
+    term = image = total = target
     for y, d in zip(reversed(chain), reversed(derivs)):
         term *= abs(y * d) / image
         total += term
         image = y
-    return max(1e-9 * x_star,
-               SNAP_BACK_ROUNDING_FACTOR * np.finfo(float).eps * total)
+    return max(1e-9 * target,
+               FORWARD_ROUNDING_FACTOR * np.finfo(float).eps * total)
+
+
+def _forward_check(chain, target, rho):
+    """The derivative product along ``chain`` when the forward orbit of
+    chain[0] lands within ``_forward_tolerance`` of ``target`` after
+    len(chain) steps, else None."""
+    derivs = [xi_deriv(z, rho) for z in chain]
+    miss = abs(_xi_iterate(chain[0], rho, len(chain)) - target)
+    if miss <= _forward_tolerance(chain, derivs, target):
+        return float(np.prod(derivs))
+    return None
 
 
 def find_snap_back(rho):
@@ -275,11 +277,8 @@ def find_snap_back(rho):
                     continue
                 forward_chain = (y,) + chain
                 if abs(y - x_star) <= radius:
-                    derivs = [xi_deriv(z, rho) for z in forward_chain]
-                    deriv = float(np.prod(derivs))
-                    miss = abs(_xi_iterate(y, rho, depth) - x_star)
-                    if deriv != 0.0 and miss <= _forward_tolerance(
-                            forward_chain, derivs, x_star):
+                    deriv = _forward_check(forward_chain, x_star, rho)
+                    if deriv:  # landed, with a nonzero product
                         return SnapBackWitness(
                             x0=float(y), steps=depth,
                             derivative_product=deriv, radius=float(radius))

@@ -371,8 +371,9 @@ class TestScan:
 
     @pytest.mark.parametrize("kind", ["period3", "snapback"])
     def test_output_matches_golden_files(self, capsys, tmp_path, kind):
-        # generated before the closed-form preimages and the chunked grid;
-        # identical inputs must keep giving byte-identical output
+        # identical inputs must keep giving byte-identical output; the
+        # period-3 CSV's cycles come from the inverse-branch iteration,
+        # the rest predates the closed-form preimages
         out_csv = tmp_path / "scan.csv"
         code, out, err = run(capsys, "scan", "--kind", kind,
                              "--rho-min", "2.5", "--rho-max", "3.5",

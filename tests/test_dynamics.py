@@ -481,11 +481,15 @@ class TestConjugacyDeviations:
             assert (conjugacy_deviation(sys, qmt, x0, 100)
                     == reference_conjugacy_deviation(sys, qmt, x0, 100))
 
-    @pytest.mark.parametrize("system, trials", [
-        ("example1_lv", 20),
-        ("stable-lv-image-n6", 45),  # 21 + 21 + 3 trials: three blocks
-    ])
-    def test_blocks_match_single_trials(self, monkeypatch, system, trials):
+    @pytest.mark.parametrize("system, trials, doubles, blocks", [
+        ("example1_lv", 20, None, 1),
+        ("stable-lv-image-n6", 45, None, 3),  # 21 + 21 + 3 trials
+        # 2 (200 + 1) 2 = 804 doubles a trial: 3 trials a block
+        ("example1_lv", 20, 3 * 804 + 803, 7),
+    ], ids=["example1_lv-20", "stable-lv-image-n6-45",
+            "example1_lv-20-storage-capped"])
+    def test_blocks_match_single_trials(self, monkeypatch, system, trials,
+                                        doubles, blocks):
         rng = np.random.default_rng(5)
         sys = (stable_lv_image(rng, 6) if system == "stable-lv-image-n6"
                else load_fixture(system))
@@ -499,9 +503,11 @@ class TestConjugacyDeviations:
             return simulate(block, x0, steps)
 
         monkeypatch.setattr(qpd.dynamics, "simulate", spy)
+        if doubles is not None:
+            monkeypatch.setattr(qpd.dynamics, "CONJUGACY_BLOCK_DOUBLES",
+                                doubles)
         blocked = conjugacy_deviations(sys, qmts, X0, 200)
-        per_block = max(1, CONJUGACY_BLOCK_DIM // sys.n)
-        assert len(dims) == 2 * -(-trials // per_block)
+        assert len(dims) == 2 * blocks
         assert max(dims) <= CONJUGACY_BLOCK_DIM
         monkeypatch.undo()
         single = [conjugacy_deviation(sys, qmt, x0, 200)
@@ -534,3 +540,9 @@ class TestConjugacyDeviations:
         with pytest.raises(InvalidArgument):
             conjugacy_deviations(sys, [QMTMatrix.identity(2)] * 2,
                                  [[1.0, 1.0]], 10)
+
+    def test_negative_steps_are_refused(self):
+        sys = load_fixture("example1_lv")
+        with pytest.raises(InvalidArgument, match="steps"):
+            conjugacy_deviations(sys, [QMTMatrix.identity(2)],
+                                 [[1.0, 1.0]], -1)

@@ -20,7 +20,7 @@ from qpd.errors import OverflowGuard
 from qpd.scalar_map import (
     KIND_PERIOD3,
     KIND_SNAPBACK,
-    PERIOD3_GRID_SIZE,
+    _forward_check,
     _preimages,
     expanding_radius,
 )
@@ -33,10 +33,17 @@ def iterate(x, rho, times):
     return x
 
 
+#: Grid density of the reference period-3 search; the third iterate
+#: oscillates rapidly, so brackets must be dense.
+REFERENCE_GRID_SIZE = 100_000
+
+
 def reference_period3(rho):
-    """The whole-grid period-3 search, one xi call per iterate: returns
-    the first verified cycle and the grid index of its bracket."""
-    xs = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, PERIOD3_GRID_SIZE)
+    """The whole-grid period-3 search, one xi call per iterate: brackets
+    sign changes of the third iterate minus identity, refines them with
+    brentq and returns the first cycle that is not a fixed point.  Its
+    grid is too coarse from about rho = 15.25 on."""
+    xs = np.linspace(1e-9, np.exp(rho - 1.0) + 1.0, REFERENCE_GRID_SIZE)
     g = iterate(xs, rho, 3) - xs
     signs = np.sign(g)
     brackets = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -50,8 +57,8 @@ def reference_period3(rho):
             continue
         cycle = np.array([root, xi(root, rho), iterate(root, rho, 2)])
         if np.all(np.abs(iterate(cycle, rho, 3) - cycle) <= 1e-9):
-            return cycle, int(i)
-    return None, None
+            return cycle
+    return None
 
 
 def exact_iterate(x, rho, times):
@@ -74,11 +81,6 @@ def assert_exact_return_nearby(witness, rho):
     lo, hi = (exact_iterate(witness.x0 + k * ulp, rho, witness.steps)
               - Decimal(rho) for k in (-4, 4))
     assert (lo < 0) != (hi < 0)
-
-
-def same_cycle(a, b):
-    return a is None and b is None or (
-        a is not None and b is not None and np.array_equal(a, b))
 
 
 class TestXi:
@@ -138,21 +140,31 @@ class TestPeriod3:
             assert abs(xi(point, rho) - point) > 1e-6
 
     def test_cycles_persist_at_larger_growth(self):
-        # monotone onset is expected but reported rather than asserted
-        violations = []
-        for rho in np.linspace(3.15, 3.45, 10):
-            if find_period3(float(rho)) is not None and \
-                    find_period3(float(rho) + 0.05) is None:
-                violations.append(float(rho))
-        if violations:
-            warnings.warn(
-                f"period-3 detection not monotone at {violations}",
-                stacklevel=1)
+        # the whole-grid search misses these from rho = 16 on
+        failures = []
+        for rho in [*np.arange(3.11, 700.0, 0.37), 699.0, 700.0]:
+            cycle = find_period3(float(rho))
+            if cycle is None:
+                failures.append((float(rho), None))
+                continue
+            a, b, c = cycle
+            if not (a < 1.0 < min(b, c) and b != c and _forward_check(
+                    (a, b, c), a, float(rho)) is not None):
+                failures.append((float(rho), cycle))
+        assert failures == []
+
+    def test_sweeps_stop_at_the_cap(self, monkeypatch):
+        # just above the onset the sweeps slow like a saddle-node ghost,
+        # about 2 700 of them at onset + 1e-6
+        rho = 3.1024399159 + 1e-6
+        assert find_period3(rho) is not None
+        monkeypatch.setattr(scalar_map, "PERIOD3_MAX_SWEEPS", 1000)
+        assert find_period3(rho) is None
 
 
 class TestPeriod3AgainstReferenceLoop:
-    def test_chunked_walk_matches_whole_grid(self, monkeypatch):
-        rhos = [float(r) for r in np.arange(2.5, 14.0, 0.05)]
+    def test_detection_matches_whole_grid(self, monkeypatch):
+        rhos = [float(r) for r in np.arange(2.5, 15.2 + 0.025, 0.05)]
         # plus every growth rate a 2.5-3.5 scan asks about, bisection
         # midpoints included
         original = scalar_map.find_period3
@@ -165,20 +177,9 @@ class TestPeriod3AgainstReferenceLoop:
         threshold_scan(KIND_PERIOD3, 2.5, 3.5, 0.01)
         monkeypatch.undo()
         mismatches = [rho for rho in rhos
-                      if not same_cycle(find_period3(rho),
-                                        reference_period3(rho)[0])]
+                      if (find_period3(rho) is None)
+                      != (reference_period3(rho) is None)]
         assert mismatches == []
-
-    @pytest.mark.parametrize("rho", [3.1025, 4.45, 6.6329, 9.0])
-    def test_deciding_bracket_on_a_chunk_boundary(self, monkeypatch, rho):
-        # On a 0.001 grid over [3.1, 16] the index of the deciding bracket
-        # reaches 3847 but is never 2047, the last pair of the first
-        # 2048-point chunk; shrink the chunk so that the bracket (i, i + 1)
-        # spans the first chunk boundary.
-        cycle, i = reference_period3(rho)
-        assert cycle is not None
-        monkeypatch.setattr(scalar_map, "PERIOD3_CHUNK", i + 1)
-        assert np.array_equal(find_period3(rho), cycle)
 
 
 class TestPreimages:
@@ -286,6 +287,23 @@ class TestOneEvaluator:
         assert find_snap_back(224.0) is not None
         assert len(_preimages(1.0, 20.0)) == 2
 
+    def test_detectors_share_one_solver_and_one_forward_check(
+            self, monkeypatch):
+        solves = []
+
+        def preimages(value, rho):
+            solves.append(value)
+            return _preimages(value, rho)
+
+        monkeypatch.setattr(scalar_map, "_preimages", preimages)
+        for detector, rho in ((find_period3, 3.2), (find_snap_back, 3.0)):
+            solves.clear()
+            assert detector(rho) is not None
+            assert solves
+        monkeypatch.setattr(scalar_map, "_forward_check", lambda *_: None)
+        assert find_period3(3.2) is None
+        assert find_snap_back(3.0) is None
+
     @pytest.mark.parametrize("rho", [0.5, 3.2, 12.0, EXP_ARG_LIMIT])
     def test_iterate_is_xi_float_for_float(self, rho):
         xs = np.linspace(0.0, 30.0, 3001)
@@ -339,6 +357,7 @@ class TestThresholdScan:
     def test_period3_threshold_near_reference(self):
         result = threshold_scan(KIND_PERIOD3, 2.5, 3.5, 0.01)
         assert abs(result.threshold - result.reference) <= 0.03
+        assert result.threshold == 3.102499999999987
         assert result.resolution == pytest.approx(0.001)
 
     def test_snapback_threshold_near_reference(self):
