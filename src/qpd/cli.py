@@ -146,6 +146,7 @@ def _verification_block(system, verdicts, seed) -> dict:
     block["largest_lyapunov"] = (
         lyapunov if checks.lyapunov_error is None
         else {"error": checks.lyapunov_error})
+    block["lyapunov_statistics"] = checks.lyapunov_statistics
     block["lyapunov_params"] = checks.lyapunov_params
 
     disagreements = []
@@ -169,16 +170,16 @@ def _verification_block(system, verdicts, seed) -> dict:
             f"estimate is positive ({lyapunov:.6g})")
     if by_id["T7"].applicable and isinstance(lyapunov, float) and lyapunov <= 0.0:
         warnings.append(
-            "T7 certifies chaos but the Lyapunov estimate along this orbit "
-            f"is nonpositive ({lyapunov:.6g}); the chaotic set need not be "
-            "attracting")
+            "T7 certifies chaos but the mean Lyapunov estimate over the "
+            f"ensemble is nonpositive ({lyapunov:.6g}); the chaotic set need "
+            "not be attracting")
     block["disagreements"] = disagreements
     block["warnings"] = warnings
     return block
 
 
 def _fmt(v) -> str:
-    return f"{v:.12g}"
+    return "undefined" if v is None else f"{v:.12g}"
 
 
 def _fmt_matrix(M, indent="    ") -> str:
@@ -233,11 +234,13 @@ def render_report(report: dict) -> str:
             lines.append("  fixed point: none in the interior")
         else:
             lines.append(f"  fixed point: {fp['error']}")
-        perm = block["permanence"]
+        perm, stats = block["permanence"], block["permanence"]["statistics"]
+        tail = (f"[{_fmt(stats['tail_min'])}, {_fmt(stats['tail_max'])}]"
+                if stats["tail_min"] is not None
+                else "undefined (every orbit lost before the tail)")
         lines.append(f"  permanence probe: {'pass' if perm['pass'] else 'FAIL'} "
-                     f"(tail range [{_fmt(perm['statistics']['tail_min'])}, "
-                     f"{_fmt(perm['statistics']['tail_max'])}], "
-                     f"{perm['statistics']['guard_terminations']} guard terminations)")
+                     f"(tail range {tail}, {stats['guard_terminations']} "
+                     "guard terminations)")
         att = block["attractivity"]
         if "skipped" in att:
             lines.append(f"  attractivity probe: skipped ({att['skipped']})")
@@ -248,9 +251,12 @@ def render_report(report: dict) -> str:
                 f"  attractivity probe: {'pass' if att['pass'] else 'FAIL'} "
                 f"(max final distance {dist_text}, "
                 f"tol {att['params']['tol']:g})")
-        lyap = block["largest_lyapunov"]
+        lyap, spread = block["largest_lyapunov"], block["lyapunov_statistics"]
         if isinstance(lyap, float):
-            lines.append(f"  largest Lyapunov estimate: {_fmt(lyap)}")
+            lines.append(
+                f"  largest Lyapunov estimate: mean {_fmt(lyap)}, sd "
+                f"{_fmt(spread['sd'])}, [min, max] = [{_fmt(spread['min'])}, "
+                f"{_fmt(spread['max'])}] over {spread['orbits']} orbits")
         else:
             lines.append(f"  largest Lyapunov estimate: {lyap['error']}")
         for warning in block["warnings"]:

@@ -4,8 +4,8 @@ Trajectory simulation, interior fixed points via the canonical LV form,
 ensemble probes for permanence and attractivity, conjugacy verification,
 and largest-Lyapunov-exponent estimation with the analytic tangent map
 of the QP map in log coordinates.  The ensemble probes, the Lyapunov
-orbit and ``verification_pass``, which runs all three probes as one
-batch, share one lockstep engine.
+estimate and ``verification_pass``, which runs all three probes as one
+batch in which every orbit carries a tangent, share one lockstep engine.
 
 Conjugacy trials run as block-diagonal systems: a QMT of a
 block-diagonal system is block-diagonal, so ``conjugacy_deviations``
@@ -74,8 +74,8 @@ PROXY_CEILING = 1e6
 ATTRACTIVITY_HORIZON = 2000
 #: The standalone attractivity probe defaults to a tighter 1e-6.
 VERIFY_ATTRACTIVITY_TOL = 1e-4
-#: Lyapunov schedule along x0 = (1, ..., 1): steps discarded, then
-#: steps averaged.
+#: Lyapunov schedule: steps that align a tangent before its log growth
+#: is summed, then the steps ``largest_lyapunov`` averages by default.
 LYAPUNOV_TRANSIENT = 1000
 LYAPUNOV_SAMPLES = 10000
 
@@ -204,19 +204,21 @@ def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
 
     Propagates a tangent vector in log coordinates, v <- v + A (q * B v)
     with q from the kernel call that advances the state, renormalizing
-    every step and averaging the log growth over ``samples`` steps after
-    discarding ``transient`` steps.  The tangent direction is drawn from
-    a seeded generator: a fixed deterministic direction can sit exactly
-    on a non-dominant eigendirection (e.g. for symmetric systems) and
-    never rotate away from it.
+    every step from step 0 and averaging the log growth over the
+    ``samples`` steps that follow the first ``transient``, which align
+    the tangent with the dominant direction.  The tangent direction is
+    drawn from a seeded generator: a fixed deterministic direction can
+    sit exactly on a non-dominant eigendirection (e.g. for symmetric
+    systems) and never rotate away from it.
     """
     x = as_state(x0, sys.n)
-    run = _lockstep(sys, x[None, :], [transient + samples],
-                    tangent=(0, transient, _tangent_direction(seed, sys.n)))
-    error = _lyapunov_error(run, 0)
-    if error is not None:
-        raise GuardTermination(error)
-    return run.log_growth / samples
+    if transient < 0 or samples < 1:
+        raise InvalidArgument("need transient >= 0 and samples >= 1")
+    run = _lockstep(sys, x[None, :], transient + samples,
+                    tangents=(transient, _tangent_directions(seed, 1, sys.n)))
+    if not np.isfinite(run.exponents[0]):
+        raise GuardTermination(_lyapunov_error(run))
+    return float(run.exponents[0])
 
 
 def checked_seed(seed):
@@ -232,20 +234,20 @@ def seeded_generator(seed) -> np.random.Generator:
     return np.random.default_rng(checked_seed(seed))
 
 
-def _tangent_direction(seed, n):
-    v = seeded_generator(seed).standard_normal(n)
-    return v / np.linalg.norm(v)
+def _tangent_directions(seed, m, n):
+    """m seeded unit tangent vectors; the first is the same for every m."""
+    V = seeded_generator(seed).standard_normal((m, n))
+    return V / np.linalg.norm(V, axis=1)[:, None]
 
 
-def _lyapunov_error(run, row) -> str | None:
-    """Why the tangent carried by ``row`` has no estimate: it or its
-    orbit failed first.  None when the estimate stands."""
-    if run.tangent_error is not None:
-        return run.tangent_error
-    for guarded, t, reason in run.guards:
-        if guarded == row:
-            return f"orbit hit the {reason} guard at step {t}"
-    return None
+def _lyapunov_error(run) -> str:
+    """Why no row of the run finished: each hit a guard or lost its
+    tangent vector, which collapsed to 0 or left the representable range."""
+    m, guards = run.exponents.size, run.guards
+    first = (", first orbit {} at step {} ({})".format(*guards[0])
+             if guards else "")
+    return (f"no orbit finished: {len(guards)} of {m} hit a guard{first}; "
+            f"{m - len(guards)} lost the tangent vector")
 
 
 # ---------------------------------------------------------------------------
@@ -261,91 +263,82 @@ class _Lockstep:
     ``tail_min``/``tail_max`` are per-row componentwise extrema over the
     tail window (inf/-inf where a row recorded none); ``snapshot`` holds
     the states at the snapshot step, NaN for rows no longer live then.
+    ``exponents`` holds each row's mean tangent log growth, NaN for a
+    row that guarded; it is None for a run without tangents.
     """
 
     guards: list
     tail_min: np.ndarray
     tail_max: np.ndarray
     snapshot: np.ndarray | None
-    log_growth: float
-    tangent_error: str | None
+    exponents: np.ndarray | None
 
 
-def _batch(L):
-    """A lone row is advanced as two copies: numpy multiplies a one-row
-    matrix through another BLAS kernel, whose rounding differs, and an
-    orbit must not depend on which rows share its batch."""
-    return np.repeat(L, 2, axis=0) if L.shape[0] == 1 else L
+def _rows(keep):
+    """Batch positions of the rows that ``keep`` selects.  A lone row is
+    taken twice: numpy multiplies a one-row matrix through another BLAS
+    kernel, whose rounding differs, and an orbit must not depend on
+    which rows share its batch."""
+    rows = np.flatnonzero(keep)
+    return np.repeat(rows, 2) if rows.size == 1 else rows
 
 
-def _follow(pos, keep):
-    """Batch position of the tangent row once the batch keeps ``keep``;
-    -1 when the row is not live."""
-    return int(np.count_nonzero(keep[:pos])) if pos >= 0 and keep[pos] else -1
-
-
-def _lockstep(sys: QPSystem, X0, horizons, tail=range(0), snapshot=None,
-              tangent=None) -> _Lockstep:
-    """Advance the rows of X0 in lockstep, each to its own horizon.
+def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
+              tangents=None) -> _Lockstep:
+    """Advance the rows of X0 in lockstep for ``horizon`` steps.
 
     A guarded row freezes; it records its guard and leaves the batch.
     Row extrema are taken over the states of the steps in ``tail``, and
-    the states after step ``snapshot`` are copied out.  ``tangent`` is
-    ``(row, start, v)``: that row carries the tangent vector v through
-    every transition out of a state t >= start, summing the log growth.
-    A tangent that leaves the representable range ends its row.  The
-    live rows are advanced as one compact batch, rebuilt only when a row
-    guards or retires.
+    the states after step ``snapshot`` are copied out.  ``tangents`` is
+    ``(start, V)``: row i carries the tangent vector V[i] through every
+    transition, renormalized each step, and averages its log growth over
+    the transitions out of the states t >= start.  A tangent that
+    collapses to 0 or leaves the representable range leaves a non-finite
+    exponent and never ends its row.  The live rows are advanced as one
+    compact batch, rebuilt only when a row guards.
     """
     X0 = np.asarray(X0, dtype=float)
-    horizons = np.array(horizons, dtype=int)
     tail_min = np.full(X0.shape, np.inf)
     tail_max = np.full(X0.shape, -np.inf)
+    snap = None if snapshot is None else np.full(X0.shape, np.nan)
     guards: list[tuple[int, int, str]] = []
-    snap = None
-    growth, tangent_error = 0.0, None
     idx = np.arange(X0.shape[0])
-    L = _batch(X0)
-    if tangent is not None:
-        row, start, v = tangent
-        A, B = sys.A, sys.B
-    pos = -1 if tangent is None else row
-    stop = int(horizons.min()) if idx.size else 0
-    t = 0
-    while idx.size:
-        if t in tail:
-            live = L[:idx.size]
-            tail_min[idx] = np.minimum(tail_min[idx], live)
-            tail_max[idx] = np.maximum(tail_max[idx], live)
-        if t == snapshot:
-            snap = np.full(X0.shape, np.nan)
-            snap[idx] = L[:idx.size]
-        if t >= stop:
-            keep = horizons[idx] > t
-            L, idx = _batch(L[:idx.size][keep]), idx[keep]
-            pos = _follow(pos, keep)
-            if not idx.size:
+    rows = _rows(np.ones(idx.size, dtype=bool))
+    L = X0[rows]
+    if tangents is not None:
+        start, V = tangents
+        V, g = V[rows], np.zeros(rows.size)
+        At, Bt = np.ascontiguousarray(sys.A.T), np.ascontiguousarray(sys.B.T)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(horizon + 1):
+            if t in tail:
+                live = L[:idx.size]
+                tail_min[idx] = np.minimum(tail_min[idx], live)
+                tail_max[idx] = np.maximum(tail_max[idx], live)
+            if t == snapshot:
+                snap[idx] = L[:idx.size]
+            if t == horizon or not idx.size:
                 break
-            stop = int(horizons[idx].min())
-        t += 1
-        Xn, q, guard = advance(sys, L)
-        if guard.any():
-            ok = guard[:idx.size] == GUARD_OK
-            for k in np.flatnonzero(~ok):
-                guards.append((int(idx[k]), t - 1, GUARD_REASONS[guard[k]]))
-            Xn, q, idx = _batch(Xn[:idx.size][ok]), q[:idx.size][ok], idx[ok]
-            pos = _follow(pos, ok)
-        if pos >= 0 and t > start:
-            v = v + A @ (q[pos] * (B @ v))
-            s = math.sqrt(v @ v)
-            if s == 0.0 or not math.isfinite(s):
-                tangent_error = "tangent vector left the representable range"
-                horizons[row] = stop = t
-            else:
-                growth += math.log(s)
-                v /= s
-        L = Xn
-    return _Lockstep(guards, tail_min, tail_max, snap, growth, tangent_error)
+            L, q, guard = advance(sys, L)
+            if guard.any():
+                ok = guard[:idx.size] == GUARD_OK
+                for k in np.flatnonzero(~ok):
+                    guards.append((int(idx[k]), t, GUARD_REASONS[guard[k]]))
+                rows, idx = _rows(ok), idx[ok]
+                L, q = L[rows], q[rows]
+                if tangents is not None:
+                    V, g = V[rows], g[rows]
+            if tangents is not None:
+                V += (q * (V @ Bt)) @ At
+                s = np.sqrt(np.einsum("ij,ij->i", V, V))
+                V /= s[:, None]
+                if t >= start:
+                    g += np.log(s)
+    exponents = None
+    if tangents is not None:
+        exponents = np.full(X0.shape[0], np.nan)
+        exponents[idx] = g[:idx.size] / (horizon - start)
+    return _Lockstep(guards, tail_min, tail_max, snap, exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +395,18 @@ def _guard_statistics(run, size, horizon) -> dict:
 
 def _permanence_verdict(run, size, horizon, tail_fraction, floor, ceiling,
                         seed) -> EmpiricalVerdict:
-    tail_min = float(run.tail_min[:size].min(initial=np.inf))
-    tail_max = float(run.tail_max[:size].max(initial=-np.inf))
+    lo = float(run.tail_min[:size].min(initial=np.inf))
+    hi = float(run.tail_max[:size].max(initial=-np.inf))
+    reached = lo <= hi  # False when every orbit was lost before the tail
     guards = _guard_statistics(run, size, horizon)
-    passed = (not guards["guard_terminations"] and tail_min >= floor
-              and tail_max <= ceiling)
+    passed = (not guards["guard_terminations"] and reached and floor <= lo
+              and hi <= ceiling)
     return EmpiricalVerdict(
-        kind="permanence",
-        passed=bool(passed),
-        ensemble_size=size,
-        horizon=horizon,
-        seed=seed,
-        statistics={"tail_min": tail_min, "tail_max": tail_max, **guards},
-        params={
-            "tail_fraction": tail_fraction, "floor": floor,
-            "ceiling": ceiling, "ic_low": IC_LOW, "ic_high": IC_HIGH,
-        },
-    )
+        "permanence", bool(passed), size, horizon, seed,
+        {"tail_min": lo if reached else None,
+         "tail_max": hi if reached else None, **guards},
+        {"tail_fraction": tail_fraction, "floor": floor, "ceiling": ceiling,
+         "ic_low": IC_LOW, "ic_high": IC_HIGH})
 
 
 def _attractivity_verdict(run, size, horizon, target, tol,
@@ -431,17 +419,10 @@ def _attractivity_verdict(run, size, horizon, target, tol,
             run.snapshot[:size] - target, axis=1)))
     passed = max_dist is not None and max_dist <= tol
     return EmpiricalVerdict(
-        kind="attractivity",
-        passed=bool(passed),
-        ensemble_size=size,
-        horizon=horizon,
-        seed=seed,
-        statistics={"max_final_distance": max_dist, **guards},
-        params={
-            "target": target.tolist(), "tol": tol,
-            "ic_low": IC_LOW, "ic_high": IC_HIGH,
-        },
-    )
+        "attractivity", bool(passed), size, horizon, seed,
+        {"max_final_distance": max_dist, **guards},
+        {"target": target.tolist(), "tol": tol, "ic_low": IC_LOW,
+         "ic_high": IC_HIGH})
 
 
 def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
@@ -458,8 +439,7 @@ def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
     if floor <= 0 or ceiling <= floor:
         raise InvalidArgument("need 0 < floor < ceiling")
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
-    run = _lockstep(sys, X0, [horizon] * ensemble_size,
-                    tail=_tail_window(horizon, tail_fraction))
+    run = _lockstep(sys, X0, horizon, tail=_tail_window(horizon, tail_fraction))
     return _permanence_verdict(run, ensemble_size, horizon, tail_fraction,
                                floor, ceiling, seed)
 
@@ -474,7 +454,7 @@ def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
     """
     target = as_state(target, sys.n)
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
-    run = _lockstep(sys, X0, [horizon] * ensemble_size, snapshot=horizon)
+    run = _lockstep(sys, X0, horizon, snapshot=horizon)
     return _attractivity_verdict(run, ensemble_size, horizon, target, tol,
                                  seed)
 
@@ -482,55 +462,67 @@ def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
 @dataclass(frozen=True)
 class VerificationPass:
     """The three probes of ``verification_pass``.  ``attractivity`` is
-    None without a target; exactly one of ``lyapunov`` and
-    ``lyapunov_error`` is set; ``lyapunov_params`` echoes the orbit and
-    schedule of the estimate."""
+    None without a target.  ``lyapunov`` is the mean exponent over the
+    orbits that finished, and ``lyapunov_error`` is set instead when none
+    did; ``lyapunov_statistics`` holds their count, sd, standard error,
+    min and max, and ``lyapunov_params`` echoes the orbits and schedule."""
 
     permanence: EmpiricalVerdict
     attractivity: EmpiricalVerdict | None
     lyapunov: float | None
     lyapunov_error: str | None
+    lyapunov_statistics: dict
     lyapunov_params: dict
 
 
 def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
     """Permanence, attractivity and Lyapunov probes from one lockstep run.
 
-    Advances the seeded default ensemble and the orbit of x0 = (1, ..., 1)
-    as one more member.  ``target`` may be None, which skips
-    attractivity.  Permanence is read over the ensemble's tail,
-    attractivity toward ``target`` from the ensemble's states at step
-    ATTRACTIVITY_HORIZON (counting only guards before it), and the
-    Lyapunov estimate from the member's tangent.  Rows never depend on
-    their batch-mates, so each probe equals its standalone function:
-    ``empirical_permanence(sys, seed=seed)``,
+    Advances the seeded default ensemble and x0 = (1, ..., 1), as one
+    more member, for PERMANENCE_HORIZON steps, each row with a seeded
+    tangent.  ``target`` may be None, which skips attractivity.
+    Permanence is read over the ensemble's tail, attractivity toward
+    ``target`` at step ATTRACTIVITY_HORIZON (counting only guards before
+    it), and the Lyapunov estimate is the mean over the rows that finish
+    with a finite log growth, summed after LYAPUNOV_TRANSIENT.  Rows
+    never depend on their batch-mates, so the ensemble probes equal
+    ``empirical_permanence(sys, seed=seed)`` and
     ``empirical_attractivity(sys, target, tol=VERIFY_ATTRACTIVITY_TOL,
-    seed=seed)`` and ``largest_lyapunov(sys, ones, seed=seed)``, whose
-    GuardTermination message becomes ``lyapunov_error``.
+    seed=seed)``, and row 0's exponent equals ``largest_lyapunov(sys,
+    X0[0], LYAPUNOV_TRANSIENT, PERMANENCE_HORIZON - LYAPUNOV_TRANSIENT,
+    seed)``.
     """
     size, n = ENSEMBLE_SIZE, sys.n
     X0 = _draw_initial_conditions(seed, size, n)
     if target is not None:
         target = as_state(target, n)
+    horizon = max(PERMANENCE_HORIZON, ATTRACTIVITY_HORIZON)
     run = _lockstep(
-        sys, np.vstack([X0, np.ones(n)]),
-        [max(PERMANENCE_HORIZON, ATTRACTIVITY_HORIZON)] * size
-        + [LYAPUNOV_TRANSIENT + LYAPUNOV_SAMPLES],
+        sys, np.vstack([X0, np.ones(n)]), horizon,
         tail=_tail_window(PERMANENCE_HORIZON, TAIL_FRACTION),
         snapshot=None if target is None else ATTRACTIVITY_HORIZON,
-        tangent=(size, LYAPUNOV_TRANSIENT, _tangent_direction(seed, n)))
+        tangents=(LYAPUNOV_TRANSIENT,
+                  _tangent_directions(seed, size + 1, n)))
     permanence = _permanence_verdict(
         run, size, PERMANENCE_HORIZON, TAIL_FRACTION, PROXY_FLOOR,
         PROXY_CEILING, seed)
     attractivity = None if target is None else _attractivity_verdict(
         run, size, ATTRACTIVITY_HORIZON, target, VERIFY_ATTRACTIVITY_TOL,
         seed)
-    error = _lyapunov_error(run, size)
-    lyapunov = None if error is not None else run.log_growth / LYAPUNOV_SAMPLES
+    exponents = run.exponents[np.isfinite(run.exponents)]
+    k = exponents.size
+    sd = float(np.std(exponents, ddof=1)) if k > 1 else None
     return VerificationPass(
-        permanence, attractivity, lyapunov, error,
-        {"x0": [1.0] * n, "transient": LYAPUNOV_TRANSIENT,
-         "samples": LYAPUNOV_SAMPLES, "seed": seed})
+        permanence, attractivity,
+        float(exponents.mean()) if k else None,
+        None if k else _lyapunov_error(run),
+        {"orbits": k, "sd": sd,
+         "stderr": None if sd is None else sd / math.sqrt(k),
+         "min": float(exponents.min()) if k else None,
+         "max": float(exponents.max()) if k else None},
+        {"orbits": size + 1, "x0": [1.0] * n,
+         "transient": LYAPUNOV_TRANSIENT,
+         "samples": horizon - LYAPUNOV_TRANSIENT, "seed": seed})
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,20 @@ from pathlib import Path
 
 import numpy as np
 
-from qpd import QMTMatrix, QPSystem, check_theorem3, load_system
+from qpd import (
+    QMTMatrix,
+    QPSystem,
+    check_theorem3,
+    load_system,
+    qp_fixed_point,
+    qp_jacobian,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+#: The fixtures whose orbits converge to the interior fixed point.
+ATTRACTIVE_FIXTURES = ["example1_lv", "example1_qp_rho05",
+                       "example1_qp_rho10", "example2_predator_prey"]
 
 
 def fixture_path(name):
@@ -15,6 +26,13 @@ def fixture_path(name):
 
 def load_fixture(name):
     return load_system(fixture_path(name))
+
+
+def exact_exponent(sys):
+    """log of the spectral radius of the Jacobian at the fixed point: the
+    largest Lyapunov exponent of every orbit that converges to it."""
+    J = qp_jacobian(sys, qp_fixed_point(sys))
+    return float(np.log(np.max(np.abs(np.linalg.eigvals(J)))))
 
 
 def behind(B):

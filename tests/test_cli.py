@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import qpd.cli
-from conftest import fixture_path, load_fixture
+from conftest import (
+    ATTRACTIVE_FIXTURES,
+    exact_exponent,
+    fixture_path,
+    load_fixture,
+)
 from qpd import QPSystem, apply_qmt
 from qpd.cli import build_analysis_report, main
 from qpd.dynamics import (
@@ -15,7 +20,6 @@ from qpd.dynamics import (
     VerificationPass,
     empirical_attractivity,
     empirical_permanence,
-    largest_lyapunov,
     qp_fixed_point,
 )
 
@@ -52,7 +56,10 @@ class TestAnalyze:
         assert code == 0
         assert "ChaoticDiamond" in out
         assert "T3  not applicable" in out
-        assert "largest Lyapunov estimate" in out
+        lyapunov, = [line for line in out.splitlines()
+                     if "largest Lyapunov estimate" in line]
+        assert lyapunov.startswith("  largest Lyapunov estimate: mean ")
+        assert ", sd " in lyapunov and lyapunov.endswith(" over 51 orbits")
         assert "permanence probe: pass" in out
 
     def test_output_is_deterministic(self, capsys):
@@ -162,9 +169,41 @@ class TestVerificationBlock:
             assert block["attractivity"] == empirical_attractivity(
                 system, target, tol=VERIFY_ATTRACTIVITY_TOL,
                 seed=seed).to_dict()
-        # x0 = 1 is one orbit for every seed: check its estimate once
-        assert block["largest_lyapunov"] == largest_lyapunov(
-            system, np.ones(system.n), seed=123456)
+            # every orbit finishes; on an attractive fixture each one
+            # converges to x*, where the exponent is exact
+            spread = block["lyapunov_statistics"]
+            assert spread["orbits"] == 51
+            if name in ATTRACTIVE_FIXTURES:
+                assert (abs(block["largest_lyapunov"] - exact_exponent(system))
+                        <= 1e-10)
+                assert spread["sd"] <= 1e-12
+            else:
+                assert spread["min"] > 0.0
+
+    def test_lost_ensemble_reports_strict_json(self, capsys, tmp_path):
+        # x -> x exp(1 + x / 2) overflows from every initial state
+        path = write_system(tmp_path, [[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0])
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "analyze", path, "--verify",
+                           "--json", str(out_path))
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        block = json.loads(out_path.read_text(),
+                           parse_constant=reject)["verify"]
+        stats = block["permanence"]["statistics"]
+        assert (stats["tail_min"], stats["tail_max"]) == (None, None)
+        assert stats["guard_terminations"] == 50
+        assert ("tail range undefined (every orbit lost before the tail)"
+                in out)
+        row, t, reason = stats["first_guard"]
+        assert block["largest_lyapunov"] == {
+            "error": f"no orbit finished: 51 of 51 hit a guard, first orbit "
+                     f"{row} at step {t} ({reason}); 0 lost the tangent vector"}
+        assert block["lyapunov_statistics"] == {
+            "orbits": 0, "sd": None, "stderr": None, "min": None,
+            "max": None}
 
 
 def crafted_pass(permanence, attractivity, lyapunov):
@@ -179,7 +218,9 @@ def crafted_pass(permanence, attractivity, lyapunov):
                      "guard_terminations": 0}),
             verdict("attractivity", attractivity,
                     {"max_final_distance": 0.5}),
-            lyapunov, None, {})
+            lyapunov, None,
+            {"orbits": 51, "sd": 0.0, "stderr": 0.0, "min": lyapunov,
+             "max": lyapunov}, {})
     return fake
 
 
@@ -229,8 +270,8 @@ class TestDisagreements:
                              str(fixture_path("example3_qp_rho32")),
                              "--verify", "--strict")
         assert (code, err) == (0, "")
-        assert ("  warning: T7 certifies chaos but the Lyapunov estimate "
-                "along this orbit is nonpositive (-0.05)") in out
+        assert ("  warning: T7 certifies chaos but the mean Lyapunov "
+                "estimate over the ensemble is nonpositive (-0.05)") in out
         assert "analytic and numerical verdicts agree" in out
 
 
@@ -253,7 +294,8 @@ class TestVerifyProtocol:
         assert params.pop("target") == block["fixed_point"]
         assert params == {"tol": 1e-4, "ic_low": 1e-2, "ic_high": 1e2}
         assert block["lyapunov_params"] == {
-            "x0": [1.0, 1.0], "transient": 1000, "samples": 10000, "seed": 7}
+            "orbits": 51, "x0": [1.0, 1.0], "transient": 1000,
+            "samples": 4000, "seed": 7}
 
 
 class TestSimulate:
