@@ -15,8 +15,8 @@ runs a block of trials as one direct and one conjugate orbit, two
 matrix at 128**2 doubles, and at most
 ``CONJUGACY_BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds a block's
 two stored orbits at 2**20 doubles (8 MiB); it always holds at least one
-trial.  A guard stops a whole block, and the command line then reruns
-that block's trials one at a time to name the trials that hit it.
+trial.  A block that hits a guard is rerun one trial at a time, and
+those one-trial runs, the tested reference, decide each of its trials.
 
 Guard policy: every map evaluation here goes through the one guarded
 kernel ``systems.advance``, which labels a guarded step by the sign of
@@ -34,7 +34,6 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (
-    BlockGuardTermination,
     GuardTermination,
     InvalidArgument,
     NoInteriorFixedPoint,
@@ -574,9 +573,10 @@ def _block_deviations(sys, qmts, X0, steps) -> np.ndarray:
     return out
 
 
-def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int) -> np.ndarray:
+def conjugacy_deviations(sys: QPSystem, qmts, X0,
+                         steps: int) -> tuple[np.ndarray, dict[int, str]]:
     """Maximum relative gap between each trial's orbit and its conjugate
-    image, one per trial.
+    image, one per trial, and the guards that stopped trials.
 
     Trial i runs the system from ``X0[i]`` and its image under
     ``qmts[i]`` from the mapped initial state, maps the second orbit
@@ -591,9 +591,12 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int) -> np.ndarray:
     are one orbit of ``diag(sys, ..., sys)`` and its conjugate orbits one
     orbit of ``diag(apply_qmt(sys, C_1), ...)``.  A block costs two
     ``simulate`` calls and ``2 (steps + 1) k n`` doubles for its k
-    trials.  A one-trial block is the system itself.  A guard stops a
-    whole block; BlockGuardTermination then reports every stopped block
-    together with the deviations of the blocks that completed.
+    trials.  A one-trial block is the system itself.  A block that hits
+    a guard is rerun one trial at a time, and those runs are its
+    results; a one-trial block is not run twice.  ``guards`` maps each
+    trial whose own run hit a guard to its ``GuardTermination`` message,
+    e.g. "direct orbit terminated early: (17, 'overflow')", and that
+    trial's deviation is NaN.
     """
     n = sys.n
     X0 = [as_state(x0, n) for x0 in X0]
@@ -604,22 +607,29 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int) -> np.ndarray:
         raise InvalidArgument("steps must be nonnegative")
     size = max(1, min(CONJUGACY_BLOCK_DIM // n,
                       CONJUGACY_BLOCK_DOUBLES // (2 * (steps + 1) * n)))
-    deviations = np.empty(len(X0))
-    stopped = []
-    for start in range(0, len(X0), size):
-        stop = min(start + size, len(X0))
+    deviations = np.full(len(X0), np.nan)
+    guards = {}
+
+    def run(block: slice):
         try:
-            deviations[start:stop] = _block_deviations(
-                sys, qmts[start:stop], X0[start:stop], steps)
+            deviations[block] = _block_deviations(
+                sys, qmts[block], X0[block], steps)
         except GuardTermination as exc:
-            deviations[start:stop] = np.nan
-            stopped.append((range(start, stop), str(exc)))
-    if stopped:
-        raise BlockGuardTermination(deviations, stopped)
-    return deviations
+            if block.stop - block.start == 1:
+                guards[block.start] = str(exc)
+            else:
+                for t in range(block.start, block.stop):
+                    run(slice(t, t + 1))
+
+    for start in range(0, len(X0), size):
+        run(slice(start, min(start + size, len(X0))))
+    return deviations, guards
 
 
 def conjugacy_deviation(sys: QPSystem, qmt: QMTMatrix, x0, steps: int) -> float:
     """``conjugacy_deviations`` of one trial.  Raises GuardTermination
     if either orbit fails to reach the horizon."""
-    return float(conjugacy_deviations(sys, [qmt], [x0], steps)[0])
+    (deviation,), guards = conjugacy_deviations(sys, [qmt], [x0], steps)
+    if guards:
+        raise GuardTermination(guards[0])
+    return float(deviation)

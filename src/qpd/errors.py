@@ -56,22 +56,6 @@ class GuardTermination(QPDError):
     """An orbit hit the overflow/underflow guard before the requested horizon."""
 
 
-class BlockGuardTermination(GuardTermination):
-    """Blocks of conjugacy trials stopped at a guard.
-
-    ``deviations`` holds one deviation per trial, NaN for each trial of
-    a stopped block; ``stopped`` lists ``(trials, reason)`` per stopped
-    block, ``trials`` a range of trial indices and ``reason`` the orbit
-    and its guard, e.g. "direct orbit terminated early: (17, 'overflow')".
-    The message is the reasons joined by "; ".
-    """
-
-    def __init__(self, deviations, stopped):
-        super().__init__("; ".join(reason for _, reason in stopped))
-        self.deviations = deviations
-        self.stopped = stopped
-
-
 class SchemaError(QPDError):
     """A system-definition document is missing a key or has a mistyped value."""
 

@@ -22,6 +22,7 @@ from qpd.dynamics import (
     empirical_permanence,
     qp_fixed_point,
 )
+from qpd.errors import GuardTermination
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -543,15 +544,36 @@ class TestConjugacyFailures:
             f"*** trial {t}: direct orbit terminated early: (17, 'overflow')"
             for t in (1, 70, 129)]
 
-    def test_block_guard_no_single_trial_reproduces(self, capsys, monkeypatch,
-                                                    tmp_path):
-        monkeypatch.setattr(qpd.cli, "conjugacy_deviation", lambda *a: 0.0)
-        code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 3, {1})
+    def test_every_trial_guarded_leaves_deviation_undefined(
+            self, capsys, monkeypatch, tmp_path):
+        code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 3,
+                                        {0, 1, 2})
         assert code == 2
+        assert "max orbit deviation: undefined (budget 2.000e-06)" in out
         assert failure_lines(out) == [
-            "*** trials 0-2: direct orbit terminated early: (17, 'overflow') "
-            "as one block, but in no single-trial rerun"]
-        assert "all trials within budget" not in out
+            f"*** trial {t}: direct orbit terminated early: (17, 'overflow')"
+            for t in range(3)]
+
+    def test_stopped_block_takes_its_one_trial_runs(self, capsys,
+                                                    monkeypatch):
+        args = ("conjugacy", str(fixture_path("example1_lv")),
+                "--seed", "1", "--trials", "20", "--steps", "50")
+        # n = 2: one trial a block, so every trial runs alone
+        with monkeypatch.context() as patch:
+            patch.setattr(qpd.dynamics, "CONJUGACY_BLOCK_DIM", 2)
+            single = run(capsys, *args)
+        block_deviations = qpd.dynamics._block_deviations
+
+        def one_trial_only(sys, qmts, X0, steps):
+            if len(qmts) > 1:
+                raise GuardTermination(
+                    "direct orbit terminated early: (3, 'overflow')")
+            return block_deviations(sys, qmts, X0, steps)
+
+        monkeypatch.setattr(qpd.dynamics, "_block_deviations", one_trial_only)
+        assert run(capsys, *args) == single
+        assert single[0] == 0
+        assert single[1].endswith("all trials within budget\n")
 
     def test_invariant_drift_is_a_failure(self, capsys, monkeypatch):
         def drifting(system, qmt):

@@ -43,7 +43,6 @@ from qpd.dynamics import (
 )
 from qpd.systems import GUARD_REASONS, advance
 from qpd.errors import (
-    BlockGuardTermination,
     GuardTermination,
     InvalidArgument,
     SingularSystem,
@@ -539,6 +538,20 @@ def conjugacy_trials(rng, n, trials):
     return qmts, X0
 
 
+@pytest.fixture
+def block_runs(monkeypatch):
+    """The trial count of each block that conjugacy_deviations runs."""
+    runs = []
+    block_deviations = qpd.dynamics._block_deviations
+
+    def spy(sys, qmts, X0, steps):
+        runs.append(len(qmts))
+        return block_deviations(sys, qmts, X0, steps)
+
+    monkeypatch.setattr(qpd.dynamics, "_block_deviations", spy)
+    return runs
+
+
 class TestConjugacyDeviations:
     @pytest.mark.parametrize("name", [
         "example1_lv", "example1_qp_rho05", "example2_predator_prey",
@@ -575,7 +588,8 @@ class TestConjugacyDeviations:
         if doubles is not None:
             monkeypatch.setattr(qpd.dynamics, "CONJUGACY_BLOCK_DOUBLES",
                                 doubles)
-        blocked = conjugacy_deviations(sys, qmts, X0, 200)
+        blocked, guards = conjugacy_deviations(sys, qmts, X0, 200)
+        assert guards == {}
         assert len(dims) == 2 * blocks
         assert max(dims) <= CONJUGACY_BLOCK_DIM
         monkeypatch.undo()
@@ -586,23 +600,48 @@ class TestConjugacyDeviations:
         assert max(single) <= 1e-12
         assert (blocked == 0.0).tolist() == [t % 3 == 0 for t in range(trials)]
 
-    def test_guard_stops_only_its_block(self):
+    def test_guard_stops_only_its_block(self, block_runs):
         # x_1 gains e^40 a step: from x_1 = 1 the image overflows out of
         # step 17, from x_1 = e^-600 not before step 32
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
         X0 = np.full((130, 2), [np.exp(-600.0), 1.0])
         X0[[3, 129]] = 1.0
-        qmts = [QMTMatrix.from_matrix(np.diag([1.0, 2.0]))] * 130
-        with pytest.raises(BlockGuardTermination) as exc:
-            conjugacy_deviations(sys, qmts, X0, 20)
+        qmt = QMTMatrix.from_matrix(np.diag([1.0, 2.0]))
+        deviations, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
         reason = "direct orbit terminated early: (17, 'overflow')"
-        assert exc.value.stopped == [(range(0, 64), reason),
-                                     (range(128, 130), reason)]
-        assert str(exc.value) == f"{reason}; {reason}"
-        deviations = exc.value.deviations
-        assert np.isnan(deviations[:64]).all()
-        assert np.isnan(deviations[128:]).all()
+        assert guards == {3: reason, 129: reason}
+        # blocks 0-63 and 128-129 stop and rerun one trial at a time
+        assert block_runs == [64] + [1] * 64 + [64, 2, 1, 1]
+        assert np.isnan(deviations[[3, 129]]).all()
+        for t in [*range(64), 128]:
+            if t != 3:
+                assert deviations[t] == reference_conjugacy_deviation(
+                    sys, qmt, X0[t], 20)
         assert (deviations[64:128] <= 1e-12).all()
+
+    def test_one_trial_block_runs_once(self, block_runs):
+        sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
+        deviations, guards = conjugacy_deviations(
+            sys, [QMTMatrix.identity(2)], [[1.0, 1.0]], 20)
+        assert block_runs == [1]
+        assert guards == {0: "direct orbit terminated early: (17, 'overflow')"}
+        assert np.isnan(deviations).all()
+
+    def test_conjugate_orbit_guard_names_its_trial(self):
+        # x_2 gains e^8 a step, so the image under C = diag(1, 0.01),
+        # log y = C^-1 log x, gains e^800 and overflows out of step 0
+        sys = QPSystem(np.zeros((2, 2)), np.eye(2), [0.1, 8.0])
+        qmts = [QMTMatrix.identity(2),
+                QMTMatrix.from_matrix(np.diag([1.0, 0.01])),
+                QMTMatrix.identity(2)]
+        deviations, guards = conjugacy_deviations(
+            sys, qmts, [[1.0, 1.0]] * 3, 20)
+        assert guards == {
+            1: "conjugate orbit terminated early: (0, 'overflow')"}
+        assert deviations[0] == 0.0 and deviations[2] == 0.0
+        assert np.isnan(deviations[1])
+        with pytest.raises(GuardTermination, match="conjugate orbit"):
+            conjugacy_deviation(sys, qmts[1], [1.0, 1.0], 20)
 
     def test_trial_counts_must_agree(self):
         sys = load_fixture("example1_lv")
