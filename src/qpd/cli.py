@@ -22,6 +22,7 @@ from . import __version__
 from .dynamics import (
     checked_seed,
     conjugacy_deviations,
+    falsifications,
     qp_fixed_point,
     seeded_generator,
     simulate,
@@ -120,7 +121,6 @@ def build_analysis_report(system, tol=DEFAULT_SIGN_TOL, seed=0,
 
 def _verification_block(system, verdicts, seed) -> dict:
     """Numerical cross-checks plus analytic/numeric disagreement flags."""
-    by_id = {v.theorem_id: v for v in verdicts}
     block: dict = {}
 
     fixed_point = None
@@ -132,46 +132,17 @@ def _verification_block(system, verdicts, seed) -> dict:
         block["fixed_point"] = {"error": str(exc)}
 
     checks = verification_pass(system, fixed_point, seed)
-    permanence, attractivity = checks.permanence, checks.attractivity
-    block["permanence"] = permanence.to_dict()
-    if attractivity is not None:
-        block["attractivity"] = attractivity.to_dict()
-    else:
-        block["attractivity"] = {
-            "skipped": "no interior fixed point available as target"}
-    lyapunov = checks.lyapunov
+    block["permanence"] = checks.permanence.to_dict()
+    block["attractivity"] = (
+        {"skipped": "no interior fixed point available as target"}
+        if checks.attractivity is None else checks.attractivity.to_dict())
     block["largest_lyapunov"] = (
-        lyapunov if checks.lyapunov_error is None
+        checks.lyapunov if checks.lyapunov_error is None
         else {"error": checks.lyapunov_error})
     block["lyapunov_statistics"] = checks.lyapunov_statistics
     block["lyapunov_params"] = checks.lyapunov_params
-
-    disagreements = []
-    warnings = []
-    if by_id["T2"].applicable and not permanence.passed:
-        disagreements.append(
-            "T2 concludes permanence but the ensemble left the proxy box "
-            f"(statistics: {permanence.statistics})")
-    if by_id["T1"].applicable and permanence.passed:
-        disagreements.append(
-            "T1 concludes non-permanence but the ensemble stayed inside "
-            "the proxy box")
-    attractive = by_id["T3"].applicable or by_id["T4"].applicable
-    if attractive and attractivity is not None and not attractivity.passed:
-        disagreements.append(
-            "an attractivity theorem applies but the ensemble did not "
-            f"converge (statistics: {attractivity.statistics})")
-    if attractive and isinstance(lyapunov, float) and lyapunov > 0.0:
-        disagreements.append(
-            "an attractivity theorem applies but the largest Lyapunov "
-            f"estimate is positive ({lyapunov:.6g})")
-    if by_id["T7"].applicable and isinstance(lyapunov, float) and lyapunov <= 0.0:
-        warnings.append(
-            "T7 certifies chaos but the mean Lyapunov estimate over the "
-            f"ensemble is nonpositive ({lyapunov:.6g}); the chaotic set need "
-            "not be attracting")
-    block["disagreements"] = disagreements
-    block["warnings"] = warnings
+    block["disagreements"], block["warnings"] = falsifications(verdicts,
+                                                               checks)
     return block
 
 

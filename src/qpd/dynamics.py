@@ -6,6 +6,8 @@ and largest-Lyapunov-exponent estimation with the analytic tangent map
 of the QP map in log coordinates.  The ensemble probes, the Lyapunov
 estimate and ``verification_pass``, which runs all three probes as one
 batch in which every orbit carries a tangent, share one lockstep engine.
+``falsifications`` reads that pass against the theorem verdicts, one
+rule per claim: it lists the disagreements and warnings of a report.
 
 Conjugacy trials run as block-diagonal systems: a QMT of a
 block-diagonal system is block-diagonal, so ``conjugacy_deviations``
@@ -49,6 +51,7 @@ from .systems import (
     as_state,
     step,
 )
+from .theorems import Conclusion
 from .transform import (
     QMTMatrix,
     _invert,
@@ -373,8 +376,8 @@ def _draw_initial_conditions(seed, size, n):
     return np.exp(rng.uniform(np.log(IC_LOW), np.log(IC_HIGH), size=(size, n)))
 
 
-def _tail_window(horizon, tail_fraction):
-    return range(horizon - max(1, int(round(tail_fraction * horizon))) + 1,
+def _tail_window(horizon):
+    return range(horizon - max(1, int(round(TAIL_FRACTION * horizon))) + 1,
                  horizon + 1)
 
 
@@ -392,20 +395,19 @@ def _guard_statistics(run, size, horizon) -> dict:
     }
 
 
-def _permanence_verdict(run, size, horizon, tail_fraction, floor, ceiling,
-                        seed) -> EmpiricalVerdict:
+def _permanence_verdict(run, size, horizon, seed) -> EmpiricalVerdict:
     lo = float(run.tail_min[:size].min(initial=np.inf))
     hi = float(run.tail_max[:size].max(initial=-np.inf))
     reached = lo <= hi  # False when every orbit was lost before the tail
     guards = _guard_statistics(run, size, horizon)
-    passed = (not guards["guard_terminations"] and reached and floor <= lo
-              and hi <= ceiling)
+    passed = (not guards["guard_terminations"] and reached
+              and PROXY_FLOOR <= lo and hi <= PROXY_CEILING)
     return EmpiricalVerdict(
         "permanence", bool(passed), size, horizon, seed,
         {"tail_min": lo if reached else None,
          "tail_max": hi if reached else None, **guards},
-        {"tail_fraction": tail_fraction, "floor": floor, "ceiling": ceiling,
-         "ic_low": IC_LOW, "ic_high": IC_HIGH})
+        {"tail_fraction": TAIL_FRACTION, "floor": PROXY_FLOOR,
+         "ceiling": PROXY_CEILING, "ic_low": IC_LOW, "ic_high": IC_HIGH})
 
 
 def _attractivity_verdict(run, size, horizon, target, tol,
@@ -425,22 +427,17 @@ def _attractivity_verdict(run, size, horizon, target, tol,
 
 
 def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
-                         horizon=PERMANENCE_HORIZON,
-                         tail_fraction=TAIL_FRACTION, floor=PROXY_FLOOR,
-                         ceiling=PROXY_CEILING, seed=0) -> EmpiricalVerdict:
+                         horizon=PERMANENCE_HORIZON, seed=0) -> EmpiricalVerdict:
     """Falsifiable proxy for permanence over a seeded ensemble.
 
     Passes iff no orbit hits a guard and, over the final
-    ``tail_fraction * horizon`` steps, every component of every orbit
-    stays inside [floor, ceiling].  The box stands in for the compact
-    set whose existence permanence asserts.
+    ``TAIL_FRACTION * horizon`` steps, every component of every orbit
+    stays inside [PROXY_FLOOR, PROXY_CEILING].  The box stands in for the
+    compact set whose existence permanence asserts.
     """
-    if floor <= 0 or ceiling <= floor:
-        raise InvalidArgument("need 0 < floor < ceiling")
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
-    run = _lockstep(sys, X0, horizon, tail=_tail_window(horizon, tail_fraction))
-    return _permanence_verdict(run, ensemble_size, horizon, tail_fraction,
-                               floor, ceiling, seed)
+    run = _lockstep(sys, X0, horizon, tail=_tail_window(horizon))
+    return _permanence_verdict(run, ensemble_size, horizon, seed)
 
 
 def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
@@ -498,13 +495,11 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
     horizon = max(PERMANENCE_HORIZON, ATTRACTIVITY_HORIZON)
     run = _lockstep(
         sys, np.vstack([X0, np.ones(n)]), horizon,
-        tail=_tail_window(PERMANENCE_HORIZON, TAIL_FRACTION),
+        tail=_tail_window(PERMANENCE_HORIZON),
         snapshot=None if target is None else ATTRACTIVITY_HORIZON,
         tangents=(LYAPUNOV_TRANSIENT,
                   _tangent_directions(seed, size + 1, n)))
-    permanence = _permanence_verdict(
-        run, size, PERMANENCE_HORIZON, TAIL_FRACTION, PROXY_FLOOR,
-        PROXY_CEILING, seed)
+    permanence = _permanence_verdict(run, size, PERMANENCE_HORIZON, seed)
     attractivity = None if target is None else _attractivity_verdict(
         run, size, ATTRACTIVITY_HORIZON, target, VERIFY_ATTRACTIVITY_TOL,
         seed)
@@ -522,6 +517,49 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
         {"orbits": size + 1, "x0": [1.0] * n,
          "transient": LYAPUNOV_TRANSIENT,
          "samples": horizon - LYAPUNOV_TRANSIENT, "seed": seed})
+
+
+def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
+    """Disagreements and warnings between applicable verdicts and a
+    verification pass, each rule chosen by the verdict's claim.
+
+    Permanent needs the permanence probe to pass and NotPermanent needs
+    it to fail; GloballyAttractive needs attractivity to pass where it
+    ran and a nonpositive Lyapunov estimate.  A chaotic claim with a
+    nonpositive estimate is a warning only: the chaotic set need not
+    attract.  GlobalAttractorExists and Dissipative have no rule.
+    """
+    def claiming(*claims):
+        return [v.theorem_id for v in verdicts
+                if v.applicable and v.claim in claims]
+
+    permanence, attractivity = checks.permanence, checks.attractivity
+    lyapunov = checks.lyapunov
+    disagreements = [
+        f"{theorem} concludes permanence but the ensemble left the proxy "
+        f"box (statistics: {permanence.statistics})"
+        for theorem in claiming(Conclusion.PERMANENT) if not permanence.passed]
+    disagreements += [
+        f"{theorem} concludes non-permanence but the ensemble stayed inside "
+        "the proxy box"
+        for theorem in claiming(Conclusion.NOT_PERMANENT) if permanence.passed]
+    if claiming(Conclusion.GLOBALLY_ATTRACTIVE):
+        if attractivity is not None and not attractivity.passed:
+            disagreements.append(
+                "an attractivity theorem applies but the ensemble did not "
+                f"converge (statistics: {attractivity.statistics})")
+        if lyapunov is not None and lyapunov > 0.0:
+            disagreements.append(
+                "an attractivity theorem applies but the largest Lyapunov "
+                f"estimate is positive ({lyapunov:.6g})")
+    warnings = [
+        f"{theorem} certifies chaos but the mean Lyapunov estimate over the "
+        f"ensemble is nonpositive ({lyapunov:.6g}); the chaotic set need not "
+        "be attracting"
+        for theorem in claiming(Conclusion.CHAOTIC_DIAMOND,
+                                Conclusion.CHAOTIC_MAROTTO)
+        if lyapunov is not None and lyapunov <= 0.0]
+    return disagreements, warnings
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,10 @@ def test_criterion_6_chaos_vs_attractivity_dichotomy():
                                          horizon=2000, tol=1e-4, seed=4242)
         assert not attract.passed
         perm = empirical_permanence(sys, ensemble_size=50, horizon=10_000,
-                                    tail_fraction=0.2, floor=1e-6,
-                                    ceiling=1e6, seed=4242)
+                                    seed=4242)
+        params = perm.params
+        assert (params["tail_fraction"], params["floor"],
+                params["ceiling"]) == (0.2, 1e-6, 1e6)
         assert perm.passed, perm.statistics
 
 

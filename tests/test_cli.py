@@ -20,9 +20,11 @@ from qpd.dynamics import (
     VerificationPass,
     empirical_attractivity,
     empirical_permanence,
+    falsifications,
     qp_fixed_point,
 )
 from qpd.errors import GuardTermination
+from qpd.theorems import Conclusion, HypothesisCheck, TheoremVerdict
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -274,6 +276,85 @@ class TestDisagreements:
         assert ("  warning: T7 certifies chaos but the mean Lyapunov "
                 "estimate over the ensemble is nonpositive (-0.05)") in out
         assert "analytic and numerical verdicts agree" in out
+
+
+#: Competitive with uniform growth 3, between the two chaos thresholds:
+#: T7 applies as ChaoticMarotto, and the ensemble exponent is about 0.39.
+MAROTTO = ([[-1.0, -0.2], [-0.2, -1.0]], [3.0, 3.0])
+
+#: The crafted pass's permanence and attractivity statistics as the
+#: messages print them.
+PERMANENCE_STATS = ("{'tail_min': 1e-09, 'tail_max': 2.0, "
+                    "'guard_terminations': 0}")
+ATTRACTIVITY_STATS = "{'max_final_distance': 0.5}"
+
+
+def claim_id(value):
+    return value.value if isinstance(value, Conclusion) else None
+
+
+class TestFalsificationsFollowTheClaim:
+    # "T9" is no theorem of the battery, so a rule that fires for it was
+    # chosen by the claim and names the verdict it checked
+    @pytest.mark.parametrize("claim, outcomes, disagreements, warnings", [
+        (Conclusion.PERMANENT, (False, True, -0.1),
+         ["T9 concludes permanence but the ensemble left the proxy box "
+          f"(statistics: {PERMANENCE_STATS})"], []),
+        (Conclusion.NOT_PERMANENT, (True, True, -0.1),
+         ["T9 concludes non-permanence but the ensemble stayed inside the "
+          "proxy box"], []),
+        (Conclusion.GLOBALLY_ATTRACTIVE, (True, False, 0.25),
+         ["an attractivity theorem applies but the ensemble did not "
+          f"converge (statistics: {ATTRACTIVITY_STATS})",
+          "an attractivity theorem applies but the largest Lyapunov "
+          "estimate is positive (0.25)"], []),
+        (Conclusion.CHAOTIC_MAROTTO, (True, True, -0.05), [],
+         ["T9 certifies chaos but the mean Lyapunov estimate over the "
+          "ensemble is nonpositive (-0.05); the chaotic set need not be "
+          "attracting"]),
+        (Conclusion.CHAOTIC_DIAMOND, (False, False, -0.05), [],
+         ["T9 certifies chaos but the mean Lyapunov estimate over the "
+          "ensemble is nonpositive (-0.05); the chaotic set need not be "
+          "attracting"]),
+        (Conclusion.GLOBAL_ATTRACTOR_EXISTS, (False, False, 0.25), [], []),
+        (Conclusion.DISSIPATIVE, (False, False, 0.25), [], []),
+    ], ids=claim_id)
+    def test_rule_is_chosen_by_the_claim(self, claim, outcomes,
+                                         disagreements, warnings):
+        checks = crafted_pass(*outcomes)(None, None, 0)
+        verdict = TheoremVerdict("T9", claim, ())
+        assert falsifications([verdict], checks) == (disagreements, warnings)
+
+    @pytest.mark.parametrize("claim, outcomes", [
+        (Conclusion.PERMANENT, (False, True, -0.1)),
+        (Conclusion.NOT_PERMANENT, (True, True, -0.1)),
+        (Conclusion.GLOBALLY_ATTRACTIVE, (True, False, 0.25)),
+        (Conclusion.CHAOTIC_MAROTTO, (True, True, -0.05)),
+    ], ids=claim_id)
+    def test_inapplicable_verdict_is_not_checked(self, claim, outcomes):
+        checks = crafted_pass(*outcomes)(None, None, 0)
+        failed = (HypothesisCheck("stand-in hypothesis", False, {}),)
+        verdict = TheoremVerdict("T9", claim, failed)
+        assert falsifications([verdict], checks) == ([], [])
+
+    @pytest.mark.parametrize("system, lines", [
+        (COOPERATIVE, ["   T1  applicable      NotPermanent",
+                       "  permanence probe: FAIL "]),
+        (MAROTTO, ["   T2  applicable      Permanent",
+                   "   T7  applicable      ChaoticMarotto",
+                   "  permanence probe: pass "]),
+    ], ids=["T1-cooperative", "T7-marotto"])
+    def test_rows_no_fixture_exercises_agree_end_to_end(
+            self, capsys, tmp_path, system, lines):
+        path = write_system(tmp_path, *system)
+        for seed in ("0", "7", "123456"):
+            code, out, err = run(capsys, "analyze", path, "--verify",
+                                 "--strict", "--seed", seed)
+            assert (code, err) == (0, "")
+            assert "analytic and numerical verdicts agree" in out
+            assert "warning:" not in out
+            for line in lines:
+                assert any(row.startswith(line) for row in out.splitlines())
 
 
 class TestVerifyProtocol:

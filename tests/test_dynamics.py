@@ -266,13 +266,6 @@ class TestEmpiricalPermanence:
         b = empirical_permanence(sys, ensemble_size=10, horizon=500, seed=9)
         assert a == b
 
-    def test_parameter_validation(self):
-        sys = load_fixture("example1_lv")
-        with pytest.raises(ValueError):
-            empirical_permanence(sys, floor=-1.0)
-        with pytest.raises(ValueError):
-            empirical_permanence(sys, floor=2.0, ceiling=1.0)
-
 
 class TestEmpiricalAttractivity:
     def test_example1_converges(self):
