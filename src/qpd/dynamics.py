@@ -81,6 +81,11 @@ VERIFY_ATTRACTIVITY_TOL = 1e-4
 LYAPUNOV_TRANSIENT = 1000
 LYAPUNOV_SAMPLES = 10000
 
+#: log(2^-52): an estimate at or below it is the double-precision rounding
+#: floor, a tangent shrunk by the rounding unit each step (an orbit one ulp
+#: off a superattracting point, whose true exponent is -inf).
+LYAPUNOV_ROUNDING_FLOOR = math.log(2.0**-52)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -527,7 +532,9 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
     it to fail; GloballyAttractive needs attractivity to pass where it
     ran and a nonpositive Lyapunov estimate.  A chaotic claim with a
     nonpositive estimate is a warning only: the chaotic set need not
-    attract.  GlobalAttractorExists and Dissipative have no rule.
+    attract.  GlobalAttractorExists and Dissipative have no rule.  Apart
+    from any claim, estimates that all sit at LYAPUNOV_ROUNDING_FLOOR or
+    below add one warning: they are rounding, not a measurement.
     """
     def claiming(*claims):
         return [v.theorem_id for v in verdicts
@@ -559,6 +566,13 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
         for theorem in claiming(Conclusion.CHAOTIC_DIAMOND,
                                 Conclusion.CHAOTIC_MAROTTO)
         if lyapunov is not None and lyapunov <= 0.0]
+    top = checks.lyapunov_statistics["max"]
+    if top is not None and top <= LYAPUNOV_ROUNDING_FLOOR:
+        warnings.append(
+            f"the largest Lyapunov estimate of every orbit is at most "
+            f"{top:.6g}, at the double-precision rounding floor log(2^-52) "
+            f"= {LYAPUNOV_ROUNDING_FLOOR:.4g}; it is not a measurement (the "
+            "true exponent may be -inf)")
     return disagreements, warnings
 
 

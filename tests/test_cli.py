@@ -15,6 +15,7 @@ from conftest import (
 from qpd import QPSystem, apply_qmt
 from qpd.cli import build_analysis_report, main
 from qpd.dynamics import (
+    LYAPUNOV_ROUNDING_FLOOR,
     VERIFY_ATTRACTIVITY_TOL,
     EmpiricalVerdict,
     VerificationPass,
@@ -336,6 +337,43 @@ class TestFalsificationsFollowTheClaim:
         failed = (HypothesisCheck("stand-in hypothesis", False, {}),)
         verdict = TheoremVerdict("T9", claim, failed)
         assert falsifications([verdict], checks) == ([], [])
+
+    @pytest.mark.parametrize("lyapunov, flagged", [
+        (-36.7368005697, True),
+        (LYAPUNOV_ROUNDING_FLOOR, True),
+        (-36.0, False),
+        (-0.1, False),
+    ])
+    def test_rounding_floor_is_flagged_whatever_the_claim(self, lyapunov,
+                                                          flagged):
+        checks = crafted_pass(True, True, lyapunov)(None, None, 0)
+        for claim in (Conclusion.GLOBALLY_ATTRACTIVE, Conclusion.DISSIPATIVE):
+            verdict = TheoremVerdict("T9", claim, ())
+            disagreements, warnings = falsifications([verdict], checks)
+            assert disagreements == []
+            assert len(warnings) == flagged
+            if flagged:
+                assert warnings[0].startswith(
+                    f"the largest Lyapunov estimate of every orbit is at most "
+                    f"{lyapunov:.6g}, at the double-precision rounding floor "
+                    "log(2^-52) = -36.04; it is not a measurement")
+
+    def test_superattracting_point_reports_the_floor(self, capsys, tmp_path):
+        # x -> x exp(1 - x) componentwise: J(x*) = 0 at x* = (1, 1), and the
+        # orbits that finish settle one ulp off x*
+        path = write_system(tmp_path, [[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0])
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "analyze", path, "--verify", "--strict",
+                             "--seed", "7", "--json", str(out_path))
+        assert (code, err) == (0, "")
+        block = json.loads(out_path.read_text())["verify"]
+        spread = block["lyapunov_statistics"]
+        assert (spread["orbits"], spread["sd"]) == (10, 0.0)
+        assert spread["max"] == pytest.approx(-36.7368, abs=1e-4)
+        assert block["disagreements"] == []
+        assert len(block["warnings"]) == 1
+        assert "at the double-precision rounding floor" in block["warnings"][0]
+        assert f"  warning: {block['warnings'][0]}" in out.splitlines()
 
     @pytest.mark.parametrize("system, lines", [
         (COOPERATIVE, ["   T1  applicable      NotPermanent",

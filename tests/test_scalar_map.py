@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from qpd import (
     analyze_xi,
@@ -21,6 +22,7 @@ from qpd.scalar_map import (
     KIND_PERIOD3,
     KIND_SNAPBACK,
     _forward_check,
+    _preimage,
     _preimages,
     expanding_radius,
 )
@@ -183,12 +185,15 @@ class TestPeriod3AgainstReferenceLoop:
 
 
 class TestPreimages:
-    # at EXP_ARG_LIMIT the right-branch target -v e^-rho underflows for
-    # small v, past the reach of lambertw
+    # at EXP_ARG_LIMIT z = v e^-rho is subnormal or 0 for small v, so the
+    # right preimage comes from rho - log v; the values just below the
+    # peak sit near the branch point, where both roots approach 1
     @pytest.mark.parametrize("rho", [2.9, 20.0, 50.0, EXP_ARG_LIMIT])
     def test_each_preimage_solves_the_map_on_its_side(self, rho):
         worst = 0.0
-        for v in np.geomspace(1e-250, math.exp(rho - 1.0), 500):
+        peak = math.exp(rho - 1.0)
+        near_peak = [peak * (1.0 - 10.0**-k) for k in range(2, 16)]
+        for v in [*np.geomspace(1e-250, peak, 500), *near_peak]:
             ys = _preimages(float(v), rho)
             assert 1 <= len(ys) <= 2
             assert ys[-1] >= 1.0
@@ -197,6 +202,28 @@ class TestPreimages:
             for y in ys:
                 worst = max(worst, abs(xi(y, rho) - v) / v)
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("rho", [2.9, 3.1, 5.0, 20.0, 50.0, 300.0,
+                                     699.0, EXP_ARG_LIMIT])
+    def test_roots_match_the_lambert_w_branches(self, rho):
+        # y e^(rho - y) = v is y = -W_k(-z), z = v e^-rho, with k = 0 left
+        # and k = -1 right of 1; scipy's lambertw is the oracle where z is
+        # normal, away from the branch point whose conditioning both share
+        checked = 0
+        for v in map(float, np.geomspace(1e-250, math.exp(rho - 1.0), 2000)):
+            z = float(v * np.exp(-rho))
+            for left, branch in ((True, 0), (False, -1)):
+                y = _preimage(v, rho, left)
+                if y is None:
+                    continue
+                assert type(y) is float
+                assert abs(xi(y, rho) - v) <= 1e-12 * v
+                if z < np.finfo(float).tiny or abs(1.0 - y) <= 1e-4:
+                    continue
+                oracle = -lambertw(-z, branch).real
+                assert abs(y - oracle) <= 4 * np.spacing(oracle), (v, left)
+                checked += 1
+        assert checked > 2000
 
     def test_left_preimage_only_above_the_floor(self):
         # the left branch is kept only while its preimage exceeds the
@@ -291,15 +318,19 @@ class TestOneEvaluator:
             self, monkeypatch):
         solves = []
 
-        def preimages(value, rho):
-            solves.append(value)
-            return _preimages(value, rho)
+        def preimage(value, rho, left):
+            solves.append(left)
+            return _preimage(value, rho, left)
 
-        monkeypatch.setattr(scalar_map, "_preimages", preimages)
-        for detector, rho in ((find_period3, 3.2), (find_snap_back, 3.0)):
+        monkeypatch.setattr(scalar_map, "_preimage", preimage)
+        for detector, rho in ((find_snap_back, 3.0), (find_period3, 3.2)):
             solves.clear()
             assert detector(rho) is not None
             assert solves
+        # each period-3 sweep solves right, right, then left: only the
+        # branches it keeps
+        sweeps = len(solves) // 3
+        assert sweeps > 1 and solves == [False, False, True] * sweeps
         monkeypatch.setattr(scalar_map, "_forward_check", lambda *_: None)
         assert find_period3(3.2) is None
         assert find_snap_back(3.0) is None
