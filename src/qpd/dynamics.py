@@ -43,6 +43,7 @@ from .errors import (
     SingularSystem,
 )
 from .systems import (
+    DEFAULT_SIGN_TOL,
     GUARD_OK,
     GUARD_REASONS,
     LVSystem,
@@ -466,7 +467,9 @@ class VerificationPass:
     None without a target.  ``lyapunov`` is the mean exponent over the
     orbits that finished, and ``lyapunov_error`` is set instead when none
     did; ``lyapunov_statistics`` holds their count, sd, standard error,
-    min and max, and ``lyapunov_params`` echoes the orbits and schedule."""
+    min and max, and ``lyapunov_params`` echoes the orbits and schedule.
+    ``spectral_radius`` is that of the Jacobian at the target, None
+    without a target or where ``qp_jacobian`` guards; no report shows it."""
 
     permanence: EmpiricalVerdict
     attractivity: EmpiricalVerdict | None
@@ -474,6 +477,7 @@ class VerificationPass:
     lyapunov_error: str | None
     lyapunov_statistics: dict
     lyapunov_params: dict
+    spectral_radius: float | None
 
 
 def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
@@ -510,6 +514,14 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
         seed)
     exponents = run.exponents[np.isfinite(run.exponents)]
     k = exponents.size
+    spectral_radius = None
+    if target is not None:
+        try:
+            J = qp_jacobian(sys, target)
+        except OverflowGuard:
+            pass
+        else:
+            spectral_radius = float(np.max(np.abs(np.linalg.eigvals(J))))
     sd = float(np.std(exponents, ddof=1)) if k > 1 else None
     return VerificationPass(
         permanence, attractivity,
@@ -521,7 +533,8 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
          "max": float(exponents.max()) if k else None},
         {"orbits": size + 1, "x0": [1.0] * n,
          "transient": LYAPUNOV_TRANSIENT,
-         "samples": horizon - LYAPUNOV_TRANSIENT, "seed": seed})
+         "samples": horizon - LYAPUNOV_TRANSIENT, "seed": seed},
+        spectral_radius)
 
 
 def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
@@ -530,11 +543,13 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 
     Permanent needs the permanence probe to pass and NotPermanent needs
     it to fail; GloballyAttractive needs attractivity to pass where it
-    ran and a nonpositive Lyapunov estimate.  A chaotic claim with a
-    nonpositive estimate is a warning only: the chaotic set need not
-    attract.  GlobalAttractorExists and Dissipative have no rule.  Apart
-    from any claim, estimates that all sit at LYAPUNOV_ROUNDING_FLOOR or
-    below add one warning: they are rounding, not a measurement.
+    ran, a nonpositive Lyapunov estimate and a fixed point that is not
+    linearly unstable (spectral radius at most 1 + DEFAULT_SIGN_TOL).  A
+    chaotic claim with a nonpositive estimate is a warning only: the
+    chaotic set need not attract.  GlobalAttractorExists and Dissipative
+    have no rule.  Apart from any claim, estimates that all sit at
+    LYAPUNOV_ROUNDING_FLOOR or below add one warning: they are rounding,
+    not a measurement.
     """
     def claiming(*claims):
         return [v.theorem_id for v in verdicts
@@ -559,6 +574,11 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
             disagreements.append(
                 "an attractivity theorem applies but the largest Lyapunov "
                 f"estimate is positive ({lyapunov:.6g})")
+        radius = checks.spectral_radius
+        if radius is not None and radius > 1.0 + DEFAULT_SIGN_TOL:
+            disagreements.append(
+                "an attractivity theorem applies but the fixed point is "
+                f"linearly unstable (spectral radius of J(x*) = {radius:.12g})")
     warnings = [
         f"{theorem} certifies chaos but the mean Lyapunov estimate over the "
         f"ensemble is nonpositive ({lyapunov:.6g}); the chaotic set need not "

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq  # only reader: tracer leaf scalar_map.brentq
 
 from .errors import InvalidArgument, OverflowGuard
 from .systems import EXP_ARG_LIMIT
@@ -380,3 +379,14 @@ def write_scan_csv(result: ScanResult, path) -> None:
         fh.write("rho,detected,detail\n")
         for rho, detected, detail in result.grid:
             fh.write(f"{rho:.17g},{int(detected)},{detail}\n")
+
+
+def __getattr__(name):
+    # Exists only for the benchmark tracer's stale ``scalar_map.brentq``
+    # leaf, which it resolves by ``getattr``; qpd calls no scipy code, and
+    # an untraced run never imports it.  Delete with that leaf (ROADMAP
+    # item 1).
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

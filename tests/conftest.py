@@ -40,6 +40,11 @@ def behind(B):
     return QPSystem(-np.eye(len(B)), B, np.ones(len(B)))
 
 
+def hilbert(n):
+    """The n x n Hilbert matrix 1 / (i + j + 1), severely ill-conditioned."""
+    return 1.0 / (np.add.outer(np.arange(n), np.arange(n)) + 1.0)
+
+
 def random_system(rng, n):
     """Generic bounded random QP system (no dynamical guarantees)."""
     return QPSystem(

@@ -12,7 +12,7 @@ from conftest import (
     fixture_path,
     load_fixture,
 )
-from qpd import QPSystem, apply_qmt
+from qpd import DEFAULT_SIGN_TOL, QPSystem, apply_qmt
 from qpd.cli import build_analysis_report, main
 from qpd.dynamics import (
     LYAPUNOV_ROUNDING_FLOOR,
@@ -210,7 +210,7 @@ class TestVerificationBlock:
             "max": None}
 
 
-def crafted_pass(permanence, attractivity, lyapunov):
+def crafted_pass(permanence, attractivity, lyapunov, spectral_radius=None):
     """A stand-in for ``verification_pass`` with the given outcomes."""
     def fake(system, target, seed):
         def verdict(kind, passed, statistics):
@@ -224,7 +224,7 @@ def crafted_pass(permanence, attractivity, lyapunov):
                     {"max_final_distance": 0.5}),
             lyapunov, None,
             {"orbits": 51, "sd": 0.0, "stderr": 0.0, "min": lyapunov,
-             "max": lyapunov}, {})
+             "max": lyapunov}, {}, spectral_radius)
     return fake
 
 
@@ -337,6 +337,34 @@ class TestFalsificationsFollowTheClaim:
         failed = (HypothesisCheck("stand-in hypothesis", False, {}),)
         verdict = TheoremVerdict("T9", claim, failed)
         assert falsifications([verdict], checks) == ([], [])
+
+    @pytest.mark.parametrize("radius, fires", [
+        (2.2, True),
+        (1.0 + 2 * DEFAULT_SIGN_TOL, True),
+        (1.0 + DEFAULT_SIGN_TOL, False),
+        (1.0, False),
+        (0.833, False),
+        (None, False),
+    ])
+    def test_unstable_fixed_point_falsifies_attractivity(self, radius, fires):
+        # every other probe agrees, so only the linearization can fire
+        checks = crafted_pass(True, True, -0.1, radius)(None, None, 0)
+        attractive = TheoremVerdict("T9", Conclusion.GLOBALLY_ATTRACTIVE, ())
+        expected = ["an attractivity theorem applies but the fixed point is "
+                    "linearly unstable (spectral radius of J(x*) = "
+                    f"{radius:.12g})"] if fires else []
+        # two attractive verdicts still make one disagreement
+        assert falsifications([attractive, attractive], checks) == (
+            expected, [])
+        for claim in Conclusion:
+            if claim is not Conclusion.GLOBALLY_ATTRACTIVE:
+                verdict = TheoremVerdict("T9", claim, ())
+                disagreements, _ = falsifications([verdict], checks)
+                assert not any("linearly unstable" in d for d in disagreements)
+        failed = (HypothesisCheck("stand-in hypothesis", False, {}),)
+        inapplicable = TheoremVerdict("T9", Conclusion.GLOBALLY_ATTRACTIVE,
+                                      failed)
+        assert falsifications([inapplicable], checks) == ([], [])
 
     @pytest.mark.parametrize("lyapunov, flagged", [
         (-36.7368005697, True),

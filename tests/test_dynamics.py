@@ -45,6 +45,7 @@ from qpd.systems import GUARD_REASONS, advance
 from qpd.errors import (
     GuardTermination,
     InvalidArgument,
+    OverflowGuard,
     SingularSystem,
 )
 
@@ -400,6 +401,19 @@ class TestVerificationPass:
         assert spread["orbits"] == (ENSEMBLE_SIZE + 1
                                     - late["guard_terminations"])
         assert spread["min"] <= checks.lyapunov <= spread["max"]
+
+    def test_spectral_radius_is_read_at_the_target(self):
+        sys = load_fixture("example3_qp_rho32")
+        checks = verification_pass(sys, qp_fixed_point(sys), 0)
+        assert checks.spectral_radius == pytest.approx(
+            np.exp(exact_exponent(sys)), rel=1e-12)
+        assert checks.spectral_radius == pytest.approx(2.2, rel=1e-12)
+        assert verification_pass(self.SYS, None, 0).spectral_radius is None
+        # x_2's exponent at x_1 = 1e4 is -999.8: the Jacobian guards there
+        with pytest.raises(OverflowGuard):
+            qp_jacobian(self.SYS, [1e4, 1.0])
+        assert verification_pass(self.SYS, [1e4, 1.0],
+                                 0).spectral_radius is None
 
     def test_guard_counts_follow_single_orbits(self):
         verdict = empirical_permanence(self.SYS, ensemble_size=8, seed=3)

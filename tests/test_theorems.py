@@ -2,9 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from scipy.linalg import hilbert
 
-from conftest import behind, load_fixture, random_qmt, random_system
+from conftest import behind, hilbert, load_fixture, random_qmt, random_system
 from qpd import (
     DEFAULT_SIGN_TOL,
     MINUS,

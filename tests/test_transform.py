@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import hilbert
 
-from conftest import behind, load_fixture, random_contracting_system, random_qmt, random_system
+from conftest import behind, hilbert, load_fixture, random_contracting_system, random_qmt, random_system
 from qpd import (
     QMTMatrix,
     QPSystem,
