@@ -48,7 +48,7 @@ deviation = conjugacy_deviation(sys, qmt, x0, 100)
 print(f"\nmax relative orbit deviation over 100 steps: {deviation:.3e}")
 
 # the fixed points correspond through the same monomial map
-y_orbit = simulate(lv.as_qp(), map_state(qmt.inverse(), x0), 400)
+y_orbit = simulate(lv, map_state(qmt.inverse(), x0), 400)
 x_orbit = simulate(sys, x0, 400)
 print("LV orbit limit:     ", y_orbit.final)
 print("QP orbit limit:     ", x_orbit.final)

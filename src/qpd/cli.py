@@ -33,6 +33,7 @@ from .errors import (
     InvalidArgument,
     NoInteriorFixedPoint,
     NonPositiveState,
+    OverflowGuard,
     QPDError,
     SchemaError,
     SingularMatrix,
@@ -128,7 +129,7 @@ def _verification_block(system, verdicts, seed) -> dict:
         fixed_point = qp_fixed_point(system)
         block["fixed_point"] = (
             None if fixed_point is None else fixed_point.tolist())
-    except (SingularMatrix, NoInteriorFixedPoint) as exc:
+    except (SingularMatrix, NoInteriorFixedPoint, OverflowGuard) as exc:
         block["fixed_point"] = {"error": str(exc)}
 
     checks = verification_pass(system, fixed_point, seed)

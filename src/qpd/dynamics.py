@@ -46,10 +46,10 @@ from .systems import (
     DEFAULT_SIGN_TOL,
     GUARD_OK,
     GUARD_REASONS,
-    LVSystem,
     QPSystem,
     advance,
     as_state,
+    is_lotka_volterra,
     step,
 )
 from .theorems import Conclusion
@@ -140,14 +140,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 # fixed points
 # ---------------------------------------------------------------------------
 
-def lv_interior_fixed_point(lv: LVSystem):
+def lv_interior_fixed_point(lv: QPSystem):
     """Interior fixed point of an LV system, or None.
 
     Solves ``A x = -lam``; returns x only when the solve is well posed
     and x is strictly positive.  Raises SingularSystem when A is singular
-    within tolerance.  Uniqueness beyond this linear construction is not
-    claimed.
+    within tolerance, and InvalidArgument unless ``is_lotka_volterra``.
+    Uniqueness beyond this linear construction is not claimed.
     """
+    if not is_lotka_volterra(lv):
+        raise InvalidArgument("B is not the identity; use qp_fixed_point")
     _invert(lv.A, "LV interaction matrix", SingularSystem)
     x = np.linalg.solve(lv.A, -lv.lam)
     residual = float(np.max(np.abs(lv.lam + lv.A @ x)))
@@ -167,7 +169,8 @@ def qp_fixed_point(sys: QPSystem):
     of variables, then verified against the one-step map; the linear
     solve in LV coordinates is exact, which is why root-finding on the
     map itself is not used.  Returns None when the canonical form has no
-    interior fixed point.
+    interior fixed point, and raises OverflowGuard when mapping it back
+    or its verifying step hits a guard.
     """
     lv, qmt = canonical_lv(sys)
     y = lv_interior_fixed_point(lv)
@@ -622,15 +625,17 @@ def _direct_sum(systems) -> QPSystem:
 
 def _block_deviations(sys, qmts, X0, steps) -> np.ndarray:
     """Deviations of one block of trials from two orbits; raises
-    GuardTermination naming the orbit and its guard."""
+    GuardTermination naming the guarded orbit or initial state."""
     n = sys.n
+    try:
+        Y0 = np.concatenate([map_state(qmt.inverse(), x0)
+                             for qmt, x0 in zip(qmts, X0)])
+    except OverflowGuard as exc:
+        raise GuardTermination(f"conjugate initial state: {exc}") from None
     direct = simulate(_direct_sum([sys] * len(qmts)), np.concatenate(X0),
                       steps)
     conjugate = simulate(
-        _direct_sum([apply_qmt(sys, qmt) for qmt in qmts]),
-        np.concatenate([map_state(qmt.inverse(), x0)
-                        for qmt, x0 in zip(qmts, X0)]),
-        steps)
+        _direct_sum([apply_qmt(sys, qmt) for qmt in qmts]), Y0, steps)
     for label, traj in (("direct", direct), ("conjugate", conjugate)):
         if traj.terminated_early is not None:
             raise GuardTermination(
@@ -667,7 +672,8 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0,
     a guard is rerun one trial at a time, and those runs are its
     results; a one-trial block is not run twice.  ``guards`` maps each
     trial whose own run hit a guard to its ``GuardTermination`` message,
-    e.g. "direct orbit terminated early: (17, 'overflow')", and that
+    e.g. "direct orbit terminated early: (17, 'overflow')" or "conjugate
+    initial state: state mapping hit the overflow guard", and that
     trial's deviation is NaN.
     """
     n = sys.n

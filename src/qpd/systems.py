@@ -112,28 +112,11 @@ class QPSystem:
         }
 
 
-@dataclass(frozen=True)
-class LVSystem:
-    """A Lotka-Volterra system: interaction matrix A and growth vector lam.
+class LVSystem(QPSystem):
+    """A Lotka-Volterra system: the QPSystem (A, I, lam)."""
 
-    Semantically a QPSystem whose exponent matrix is the identity.
-    """
-
-    A: np.ndarray
-    lam: np.ndarray
-    name: str | None = None
-
-    def __post_init__(self):
-        qp = QPSystem(self.A, np.eye(len(np.atleast_1d(self.lam))), self.lam)
-        object.__setattr__(self, "A", qp.A)
-        object.__setattr__(self, "lam", qp.lam)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    def as_qp(self) -> QPSystem:
-        return QPSystem(self.A, np.eye(self.n), self.lam, name=self.name)
+    def __init__(self, A, lam, name=None):
+        super().__init__(A, np.eye(len(np.atleast_1d(A))), lam, name)
 
 
 def as_state(x, n) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each checker tests its hypotheses on the transformation-class invariants
 (interaction = B A, growth = B lam) plus invertibility of B, so verdicts
-are identical across every system in a QMT class.  Inapplicability is a
+are identical across every system in a QMT class, except T6's: its
+``B^-1 >= 0`` becomes ``C^-1 B^-1 >= 0`` under a QMT C.  Inapplicability is a
 verdict with a full hypothesis trace, never an error: the point of these
 functions is diagnosis.  A negative or non-finite tol is InvalidArgument.
 

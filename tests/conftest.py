@@ -15,6 +15,10 @@ from qpd import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+#: Every bundled fixture.
+FIXTURE_NAMES = ("example1_lv", "example1_qp_rho05", "example1_qp_rho10",
+                 "example2_predator_prey", "example3_qp_rho32")
+
 #: The fixtures whose orbits converge to the interior fixed point.
 ATTRACTIVE_FIXTURES = ["example1_lv", "example1_qp_rho05",
                        "example1_qp_rho10", "example2_predator_prey"]

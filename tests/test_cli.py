@@ -8,6 +8,7 @@ import pytest
 import qpd.cli
 from conftest import (
     ATTRACTIVE_FIXTURES,
+    FIXTURE_NAMES,
     exact_exponent,
     fixture_path,
     load_fixture,
@@ -28,9 +29,6 @@ from qpd.errors import GuardTermination
 from qpd.theorems import Conclusion, HypothesisCheck, TheoremVerdict
 
 DATA = Path(__file__).resolve().parent / "data"
-
-FIXTURE_NAMES = ("example1_lv", "example1_qp_rho05", "example1_qp_rho10",
-                 "example2_predator_prey", "example3_qp_rho32")
 
 
 def run(capsys, *argv):
@@ -158,6 +156,26 @@ class TestAnalyze:
         assert "DISAGREEMENT" in out
         code, out, _ = run(capsys, "analyze", str(path), "--verify")
         assert code == 0  # without --strict the disagreement only reports
+
+    def test_fixed_point_past_the_guard_still_reports(self, capsys,
+                                                      tmp_path):
+        # x* = 1e305: its verifying step exponent, A x* = -10, is fine,
+        # but the quasimonomial exponent log x* = 702 passes the guard
+        path = write_system(tmp_path, [[-1e-304, 0.0], [0.0, -1e-304]],
+                            [10.0, 10.0])
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "analyze", path, "--verify", "--strict",
+                             "--json", str(out_path))
+        assert (code, err) == (0, "")
+        assert "  fixed point: step hit the overflow guard" in out
+        assert ("  permanence probe: FAIL (tail range undefined (every orbit "
+                "lost before the tail), 50 guard terminations)") in out
+        assert ("  attractivity probe: skipped (no interior fixed point "
+                "available as target)") in out
+        block = json.loads(out_path.read_text())["verify"]
+        assert block["fixed_point"] == {"error": "step hit the overflow guard"}
+        assert block["attractivity"] == {
+            "skipped": "no interior fixed point available as target"}
 
 
 class TestVerificationBlock:

@@ -4,6 +4,7 @@ import pytest
 import qpd.dynamics
 from conftest import (
     ATTRACTIVE_FIXTURES,
+    FIXTURE_NAMES,
     exact_exponent,
     load_fixture,
     random_contracting_system,
@@ -16,9 +17,11 @@ from qpd import (
     QPSystem,
     apply_qmt,
     canonical_lv,
+    check_all_theorems,
     conjugacy_deviation,
     empirical_attractivity,
     empirical_permanence,
+    is_lotka_volterra,
     largest_lyapunov,
     lv_interior_fixed_point,
     map_state,
@@ -26,8 +29,10 @@ from qpd import (
     qp_jacobian,
     simulate,
     step,
+    system_from_dict,
     write_trajectory_csv,
 )
+from qpd.cli import build_analysis_report
 from qpd.dynamics import (
     ATTRACTIVITY_HORIZON,
     CONJUGACY_BLOCK_DIM,
@@ -130,6 +135,11 @@ class TestLVFixedPoint:
         lv = LVSystem(-np.eye(2), [-1.0, 1.0])
         assert lv_interior_fixed_point(lv) is None
 
+    def test_refuses_a_system_that_is_not_lv(self):
+        # the canonical form's point (0.857, 0.286) is not this system's
+        with pytest.raises(InvalidArgument, match="B is not the identity"):
+            lv_interior_fixed_point(load_fixture("example2_predator_prey"))
+
     def test_matches_adjugate_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
         checked = 0
@@ -179,6 +189,30 @@ class TestQPFixedPoint:
         sys = QPSystem([[1.0, 2.0], [2.0, 4.0]], np.eye(2), [1.0, 1.0])
         with pytest.raises(SingularSystem):
             qp_fixed_point(sys)
+
+
+class TestCanonicalRepresentative:
+    """The canonical LV form is a system like any other."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_runs_through_every_function(self, name):
+        sys = load_fixture(name)
+        lv, qmt = canonical_lv(sys)
+        assert isinstance(lv, QPSystem) and is_lotka_volterra(lv)
+        assert system_from_dict(lv.to_dict()).to_dict() == lv.to_dict()
+        y = qp_fixed_point(lv)
+        assert np.array_equal(map_state(qmt, y), qp_fixed_point(sys))
+        traj = simulate(lv, map_state(qmt.inverse(), [1.0, 1.0]), 100)
+        assert traj.terminated_early is None
+        checks = verification_pass(lv, y, 0)
+        assert checks.attractivity.params["target"] == y.tolist()
+        assert build_analysis_report(lv)["system"] == lv.to_dict()
+        # T6's B^-1 >= 0 belongs to the representative, not to the class
+        class_level = [(v.theorem_id, v.conclusion)
+                       for v in check_all_theorems(sys) if v.theorem_id != "T6"]
+        assert class_level == [(v.theorem_id, v.conclusion)
+                               for v in check_all_theorems(lv)
+                               if v.theorem_id != "T6"]
 
 
 class TestJacobian:
@@ -649,6 +683,22 @@ class TestConjugacyDeviations:
         assert np.isnan(deviations[1])
         with pytest.raises(GuardTermination, match="conjugate orbit"):
             conjugacy_deviation(sys, qmts[1], [1.0, 1.0], 20)
+
+    def test_guarded_conjugate_initial_state_is_its_trials_guard(self):
+        # C^-1 = diag(1, 1000) maps x0 = (1, e) to log y = (0, 1000)
+        sys = load_fixture("example1_lv")
+        qmts = [QMTMatrix.identity(2),
+                QMTMatrix.from_matrix(np.diag([1.0, 1e-3])),
+                QMTMatrix.identity(2)]
+        X0 = [[1.0, 1.0], [1.0, np.e], [1.0, 1.0]]
+        deviations, guards = conjugacy_deviations(sys, qmts, X0, 20)
+        assert guards == {1: "conjugate initial state: state mapping hit "
+                             "the overflow guard"}
+        assert deviations[0] == 0.0 and deviations[2] == 0.0
+        assert np.isnan(deviations[1])
+        with pytest.raises(GuardTermination,
+                           match="conjugate initial state.*overflow guard"):
+            conjugacy_deviation(sys, qmts[1], X0[1], 20)
 
     def test_trial_counts_must_agree(self):
         sys = load_fixture("example1_lv")

@@ -9,6 +9,7 @@ from qpd import (
     MINUS,
     PLUS,
     ZERO,
+    LVSystem,
     QPSystem,
     is_lotka_volterra,
     sign_pattern,
@@ -64,6 +65,19 @@ class TestValidation:
         sys = QPSystem(LV1_A, np.eye(2), LV1_LAM)
         with pytest.raises(ValueError):
             sys.A[0, 0] = 7.0
+
+
+class TestLVSystem:
+    def test_is_the_qp_system_with_identity_exponents(self):
+        lv = LVSystem(LV1_A, LV1_LAM, name="lv1")
+        assert isinstance(lv, QPSystem)
+        assert lv.to_dict() == QPSystem(LV1_A, np.eye(2), LV1_LAM,
+                                        name="lv1").to_dict()
+
+    def test_length_error_names_lam(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^lam must have length 3, got shape \(2,\)$"):
+            LVSystem(np.eye(3), [1.0, 2.0])
 
 
 class TestStep:
