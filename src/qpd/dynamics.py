@@ -20,11 +20,17 @@ two stored orbits at 2**20 doubles (8 MiB); it always holds at least one
 trial.  A block that hits a guard is rerun one trial at a time, and
 those one-trial runs, the tested reference, decide each of its trials.
 
-Guard policy: every map evaluation here goes through the one guarded
-kernel ``systems.advance``, which labels a guarded step by the sign of
-its exponent: "overflow" for a blow-up, "underflow" for a collapse toward
-0 (including a component below UNDERFLOW_FLOOR).  The orbit terminates
-there; ensemble verdicts treat either termination as failure.
+Guard policy: every map evaluation here goes through the one kernel
+``systems.image`` and its guard rule ``systems.guard_codes``, which
+labels a guarded step by the sign of its exponent: "overflow" for a
+blow-up, "underflow" for a collapse toward 0 (including a component
+below UNDERFLOW_FLOOR).  The orbit terminates there; ensemble verdicts
+treat either termination as failure.  ``simulate`` and the lockstep
+engine check the guard once per block of at most BLOCK_STEPS steps, whose
+buffers stay within BLOCK_DOUBLES doubles: a tripped lockstep block is
+rerun step by step from its checkpoint with ``systems.advance``, the
+per-step check, and ``simulate`` reads its first guarded step from the
+block's codes.  Every result is bit-identical to checking every step.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .systems import (
     QPSystem,
     advance,
     as_state,
+    guard_codes,
+    image,
     is_lotka_volterra,
     step,
 )
@@ -87,6 +95,16 @@ LYAPUNOV_SAMPLES = 10000
 #: off a superattracting point, whose true exponent is -inf).
 LYAPUNOV_ROUNDING_FLOOR = math.log(2.0**-52)
 
+#: Steps per block of ``simulate`` and the lockstep engine: the guard is
+#: checked once over each block's buffers, not once per step.
+BLOCK_STEPS = 64
+
+#: Storage cap of one block: its images, log quasimonomials and step
+#: exponents, 3 m n doubles a step for m rows, stay at most 2**20 doubles
+#: (8 MiB) besides the block's start state, so a large batch takes
+#: shorter blocks, down to one step, rather than more memory.
+BLOCK_DOUBLES = 2**20
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -109,8 +127,20 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
+def _block_steps(m, n):
+    """Steps of one block of an orbit loop over m rows of n components:
+    at most BLOCK_STEPS and at most BLOCK_DOUBLES // (3 m n), but at
+    least one."""
+    return max(1, min(BLOCK_STEPS, BLOCK_DOUBLES // max(1, 3 * m * n)))
+
+
 def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
-    """Iterate the map ``steps`` times or until a guard triggers."""
+    """Iterate the map ``steps`` times or until a guard triggers.
+
+    Each image is written straight into the trajectory, a block of
+    ``_block_steps(1, n)`` steps at a time, and a block is checked once;
+    the first guarded step of a tripped block ends the orbit.
+    """
     if steps < 0:
         raise InvalidArgument("steps must be nonnegative")
     try:
@@ -118,12 +148,21 @@ def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
     except (ValueError, MemoryError):
         raise InvalidArgument(
             f"{steps} steps make a trajectory too large to allocate") from None
-    states[0] = x = as_state(x0, sys.n)
-    for t in range(steps):
-        x, _, guard = advance(sys, x)
-        if guard != GUARD_OK:
-            return Trajectory(states[:t + 1].copy(), (t, GUARD_REASONS[guard]))
-        states[t + 1] = x
+    states[0] = as_state(x0, sys.n)
+    size = _block_steps(1, sys.n)
+    W, arg = np.empty((2, size, sys.n))
+    with np.errstate(all="ignore"):
+        for start in range(0, steps, size):
+            k = min(size, steps - start)
+            for t in range(start, start + k):
+                image(sys, states[t], W[t - start], arg[t - start],
+                      states[t + 1])
+            guard = guard_codes(W[:k], arg[:k],
+                                states[start + 1:start + k + 1])
+            if guard.any():
+                t = int(np.flatnonzero(guard)[0])
+                return Trajectory(states[:start + t + 1].copy(),
+                                  (start + t, GUARD_REASONS[guard[t]]))
     return Trajectory(states)
 
 
@@ -299,14 +338,22 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
     """Advance the rows of X0 in lockstep for ``horizon`` steps.
 
     A guarded row freezes; it records its guard and leaves the batch.
-    Row extrema are taken over the states of the steps in ``tail``, and
-    the states after step ``snapshot`` are copied out.  ``tangents`` is
-    ``(start, V)``: row i carries the tangent vector V[i] through every
-    transition, renormalized each step, and averages its log growth over
-    the transitions out of the states t >= start.  A tangent that
-    collapses to 0 or leaves the representable range leaves a non-finite
-    exponent and never ends its row.  The live rows are advanced as one
-    compact batch, rebuilt only when a row guards.
+    Row extrema are taken over the states of the steps in ``tail``, a
+    range of consecutive steps, and the states after step ``snapshot``
+    are copied out.  ``tangents`` is ``(start, V)``: row i carries the
+    tangent vector V[i] through every transition, renormalized each
+    step, and averages its log growth over the transitions out of the
+    states t >= start.  A tangent that collapses to 0 or leaves the
+    representable range leaves a non-finite exponent and never ends its
+    row.
+
+    The live rows are advanced as one compact batch, a block of
+    ``_block_steps`` steps at a time into preallocated buffers, and the
+    guard is checked once over each block; the tail extrema and the
+    snapshot are read from the block's buffers.  A tripped block restores
+    its checkpoint (states, tangents, log growth, rows) and is rerun one
+    step at a time with ``advance``, rebuilding the batch at each guarded
+    step, so every result is bit-identical to checking every step.
     """
     X0 = np.asarray(X0, dtype=float)
     tail_min = np.full(X0.shape, np.inf)
@@ -320,31 +367,66 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
         start, V = tangents
         V, g = V[rows], np.zeros(rows.size)
         At, Bt = np.ascontiguousarray(sys.A.T), np.ascontiguousarray(sys.B.T)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for t in range(horizon + 1):
-            if t in tail:
-                live = L[:idx.size]
-                tail_min[idx] = np.minimum(tail_min[idx], live)
-                tail_max[idx] = np.maximum(tail_max[idx], live)
-            if t == snapshot:
-                snap[idx] = L[:idx.size]
-            if t == horizon or not idx.size:
-                break
-            L, q, guard = advance(sys, L)
-            if guard.any():
-                ok = guard[:idx.size] == GUARD_OK
-                for k in np.flatnonzero(~ok):
-                    guards.append((int(idx[k]), t, GUARD_REASONS[guard[k]]))
-                rows, idx = _rows(ok), idx[ok]
-                L, q = L[rows], q[rows]
-                if tangents is not None:
-                    V, g = V[rows], g[rows]
+
+    def observe(t, states):
+        """Tail extrema and snapshot over the states of steps t, t + 1, ..."""
+        live = states[:, :idx.size]
+        window = live[max(tail.start - t, 0):max(tail.stop - t, 0)]
+        if window.size:
+            tail_min[idx] = np.minimum(tail_min[idx], window.min(axis=0))
+            tail_max[idx] = np.maximum(tail_max[idx], window.max(axis=0))
+        if snapshot is not None and t <= snapshot < t + len(live):
+            snap[idx] = live[snapshot - t]
+
+    def propagate(t, q):
+        nonlocal V, g
+        V += (q * (V @ Bt)) @ At
+        s = np.sqrt(np.einsum("ij,ij->i", V, V))
+        V /= s[:, None]
+        if t >= start:
+            g += np.log(s)
+
+    t, S = 0, None
+    with np.errstate(all="ignore"):
+        while t < horizon and idx.size:
+            if S is None:  # a new batch: buffers of its size
+                size = _block_steps(*L.shape)
+                S = np.empty((size + 1, *L.shape))
+                W, arg = np.empty((2, size, *L.shape))
+            S[0] = L
+            k = min(size, horizon - t)
             if tangents is not None:
-                V += (q * (V @ Bt)) @ At
-                s = np.sqrt(np.einsum("ij,ij->i", V, V))
-                V /= s[:, None]
-                if t >= start:
-                    g += np.log(s)
+                checkpoint = V.copy(), g.copy()
+            for j in range(k):
+                q = image(sys, S[j], W[j], arg[j], S[j + 1])[1]
+                if tangents is not None:
+                    propagate(t + j, q)
+            if not guard_codes(W[:k], arg[:k], S[1:k + 1]).any():
+                observe(t, S[:k])
+                L, t = S[k], t + k
+                continue
+            # rerun the tripped block from its checkpoint, step by step
+            L = S[0]
+            if tangents is not None:
+                V, g = checkpoint
+            for t in range(t, t + k):
+                observe(t, L[None])
+                L, q, guard = advance(sys, L)
+                if guard.any():
+                    ok = guard[:idx.size] == GUARD_OK
+                    for i in np.flatnonzero(~ok):
+                        guards.append(
+                            (int(idx[i]), t, GUARD_REASONS[guard[i]]))
+                    rows, idx = _rows(ok), idx[ok]
+                    L, q = L[rows], q[rows]
+                    if tangents is not None:
+                        V, g = V[rows], g[rows]
+                if tangents is not None:
+                    propagate(t, q)
+                if not idx.size:
+                    break
+            t, S = t + 1, None
+        observe(t, L[None])
     exponents = None
     if tangents is not None:
         exponents = np.full(X0.shape[0], np.nan)

@@ -9,8 +9,9 @@ with square real matrices A, B and a real vector lam.  The products
 are the special case B = identity, where these terms are the state
 components themselves.
 
-This module owns validation, the one guarded batched map kernel
-(``advance``), sign-pattern extraction, and the system-definition JSON
+This module owns validation, the one batched map kernel (``image``, with
+its guard rule ``guard_codes``; ``advance`` is the two together),
+sign-pattern extraction, and the system-definition JSON
 schema used by fixtures and the command line.
 """
 
@@ -45,7 +46,7 @@ EXP_ARG_LIMIT = 700.0
 #: collapse, distinguished from roundoff zero).
 UNDERFLOW_FLOOR = 1e-300
 
-#: Guard codes returned by ``advance``, and the reason label of each.
+#: Guard codes returned by ``guard_codes``, and the reason label of each.
 GUARD_OK, GUARD_OVERFLOW, GUARD_UNDERFLOW = 0, 1, 2
 GUARD_REASONS = (None, "overflow", "underflow")
 
@@ -134,42 +135,73 @@ def as_state(x, n) -> np.ndarray:
     return out
 
 
+def image(sys: QPSystem, X, W=None, arg=None, out=None):
+    """The unchecked image of the QP map for each row of X.
+
+    Returns ``(W, q, arg, X')``: the log quasimonomials ``W = log X B^T``,
+    the quasimonomial terms ``q = exp(W)``, the step exponents
+    ``arg = lam + q A^T`` and the images ``X' = X * exp(arg)``, each the
+    shape of X.  ``W``, ``arg`` and ``out`` may be buffers of that shape,
+    which receive W, arg and X'.  The image is ``X * exp(arg)``, not
+    ``exp(log X + arg)``, so that a zero exponent reproduces the state
+    exactly.  Nothing is checked, and a state past a guard gives inf, NaN
+    or 0 entries: evaluate it under ``np.errstate`` and read the result
+    through ``guard_codes``.
+    """
+    W = np.matmul(np.log(X), sys.B.T, out=W)
+    q = np.exp(W)
+    arg = np.add(np.matmul(q, sys.A.T, out=arg), sys.lam, out=arg)
+    out = np.multiply(X, np.exp(arg, out=out), out=out)
+    return W, q, arg, out
+
+
+def guard_codes(W, arg, Xn):
+    """The guard code of each image ``image`` made, for any leading shape:
+    a code per vector of the last axis.
+
+    GUARD_OVERFLOW when a log quasimonomial or a step exponent exceeds
+    +EXP_ARG_LIMIT or the image is not finite, GUARD_UNDERFLOW when a step
+    exponent is below -EXP_ARG_LIMIT or a component falls below
+    UNDERFLOW_FLOOR, else GUARD_OK.  The limits are checked on the extrema
+    of the whole array first; per-vector codes are computed only when
+    that check trips, which a NaN anywhere also does.
+    """
+    if (W.max() <= EXP_ARG_LIMIT
+            and -EXP_ARG_LIMIT <= arg.min()
+            and arg.max() <= EXP_ARG_LIMIT
+            and UNDERFLOW_FLOOR <= Xn.min()
+            and Xn.max() < np.inf):
+        return np.zeros(Xn.shape[:-1], dtype=int)
+    # vector extrema keep the guard cheap for one row; NaN fails "< inf"
+    over = ((W.max(axis=-1) > EXP_ARG_LIMIT)
+            | (arg.max(axis=-1) > EXP_ARG_LIMIT)
+            | ~(Xn.max(axis=-1) < np.inf))
+    under = ((arg.min(axis=-1) < -EXP_ARG_LIMIT)
+             | (Xn.min(axis=-1) < UNDERFLOW_FLOOR))
+    return np.where(over, GUARD_OVERFLOW,
+                    np.where(under, GUARD_UNDERFLOW, GUARD_OK))
+
+
 def advance(sys: QPSystem, X):
-    """One guarded step of the QP map for each row of X.
+    """One guarded step of the QP map for each row of X: ``image`` and
+    its ``guard_codes``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
-    vector.  Returns ``(X', q, guard)``: the images, the quasimonomial terms
-    ``q = exp(log X B^T)`` and a guard code per row, valid X' only where
-    it is GUARD_OK.  The sign of the exponent labels a guarded row:
-    GUARD_OVERFLOW when an exponent exceeds +EXP_ARG_LIMIT or the image
-    is not finite, GUARD_UNDERFLOW when a step exponent is below
-    -EXP_ARG_LIMIT or a component falls below UNDERFLOW_FLOOR.  The image
-    is ``X * exp(arg)``, not ``exp(log X + arg)``, so that a zero
-    exponent reproduces the state exactly.
-
-    The guard is checked on batch-wide extrema first; per-row codes are
-    computed only when that check trips, which a NaN anywhere also does.
+    vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
+    terms and a guard code per row, valid X' only where it is GUARD_OK.
+    This is the per-step check, which ``step``, ``qp_jacobian`` and the
+    reruns of guarded blocks use.  ``dynamics.simulate`` and the lockstep
+    engine instead call ``image`` for a block of up to
+    ``dynamics.BLOCK_STEPS`` steps into their own buffers, capped at
+    ``dynamics.BLOCK_DOUBLES`` doubles, and check the whole block once
+    with ``guard_codes``.  A tripped lockstep block is rerun from its
+    checkpoint step by step with ``advance``, and ``simulate`` reads its
+    first guarded step from the block's codes, so their results are
+    bit-identical to checking every step.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        W = np.log(X) @ sys.B.T
-        q = np.exp(W)
-        arg = sys.lam + q @ sys.A.T
-        Xn = X * np.exp(arg)
-        if (W.max() <= EXP_ARG_LIMIT
-                and -EXP_ARG_LIMIT <= arg.min()
-                and arg.max() <= EXP_ARG_LIMIT
-                and UNDERFLOW_FLOOR <= Xn.min()
-                and Xn.max() < np.inf):
-            return Xn, q, np.zeros(X.shape[:-1], dtype=int)
-        # row extrema keep the guard cheap for one row; NaN fails "< inf"
-        over = ((W.max(axis=-1) > EXP_ARG_LIMIT)
-                | (arg.max(axis=-1) > EXP_ARG_LIMIT)
-                | ~(Xn.max(axis=-1) < np.inf))
-        under = ((arg.min(axis=-1) < -EXP_ARG_LIMIT)
-                 | (Xn.min(axis=-1) < UNDERFLOW_FLOOR))
-    guard = np.where(over, GUARD_OVERFLOW,
-                     np.where(under, GUARD_UNDERFLOW, GUARD_OK))
-    return Xn, q, guard
+        W, q, arg, Xn = image(sys, X)
+        return Xn, q, guard_codes(W, arg, Xn)
 
 
 def step(sys: QPSystem, x) -> np.ndarray:

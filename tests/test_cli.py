@@ -102,6 +102,20 @@ class TestAnalyze:
         assert out.encode() == Path(f"{golden}.stdout").read_bytes()
         assert out_json.read_bytes() == Path(f"{golden}.json").read_bytes()
 
+    def test_guarded_verify_report_matches_golden_files(self, capsys,
+                                                        tmp_path):
+        # 36 of the 51 orbits hit a guard, before step 2000 and after it,
+        # so blocks of the lockstep engine trip and are rerun step by step
+        out_json = tmp_path / "report.json"
+        code, out, err = run(capsys, "analyze",
+                             str(DATA / "guarded_drift.json"), "--verify",
+                             "--seed", "7", "--json", str(out_json))
+        golden = DATA / "analyze_guarded_drift_seed7"
+        assert code == 0 and err == ""
+        assert "36 guard terminations" in out and "over 15 orbits" in out
+        assert out.encode() == Path(f"{golden}.stdout").read_bytes()
+        assert out_json.read_bytes() == Path(f"{golden}.json").read_bytes()
+
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "broken", "n": 2,\n  "A": [[1, 2], [3, ]]}\n')

@@ -35,18 +35,22 @@ from qpd import (
 from qpd.cli import build_analysis_report
 from qpd.dynamics import (
     ATTRACTIVITY_HORIZON,
+    BLOCK_DOUBLES,
+    BLOCK_STEPS,
     CONJUGACY_BLOCK_DIM,
     ENSEMBLE_SIZE,
     LYAPUNOV_TRANSIENT,
     PERMANENCE_HORIZON,
     VERIFY_ATTRACTIVITY_TOL,
+    _block_steps,
     _draw_initial_conditions,
     _lockstep,
+    _rows,
     _tangent_directions,
     conjugacy_deviations,
     verification_pass,
 )
-from qpd.systems import GUARD_REASONS, advance
+from qpd.systems import GUARD_REASONS, UNDERFLOW_FLOOR, advance
 from qpd.errors import (
     GuardTermination,
     InvalidArgument,
@@ -529,6 +533,213 @@ class TestTangentIsolation:
         assert (spread["min"], spread["max"]) == (finished.min(),
                                                   finished.max())
         assert checks.lyapunov_error is None
+
+
+def reference_lockstep(sys, X0, horizon, tail=range(0), snapshot=None,
+                       tangents=None):
+    """The per-step lockstep loop: the guard is checked after every step
+    and the batch is rebuilt at each guarded step."""
+    X0 = np.asarray(X0, dtype=float)
+    tail_min = np.full(X0.shape, np.inf)
+    tail_max = np.full(X0.shape, -np.inf)
+    snap = None if snapshot is None else np.full(X0.shape, np.nan)
+    guards = []
+    idx = np.arange(X0.shape[0])
+    rows = _rows(np.ones(idx.size, dtype=bool))
+    L = X0[rows]
+    if tangents is not None:
+        start, V = tangents
+        V, g = V[rows], np.zeros(rows.size)
+        At, Bt = np.ascontiguousarray(sys.A.T), np.ascontiguousarray(sys.B.T)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(horizon + 1):
+            if t in tail:
+                live = L[:idx.size]
+                tail_min[idx] = np.minimum(tail_min[idx], live)
+                tail_max[idx] = np.maximum(tail_max[idx], live)
+            if t == snapshot:
+                snap[idx] = L[:idx.size]
+            if t == horizon or not idx.size:
+                break
+            L, q, guard = advance(sys, L)
+            if guard.any():
+                ok = guard[:idx.size] == 0
+                for k in np.flatnonzero(~ok):
+                    guards.append((int(idx[k]), t, GUARD_REASONS[guard[k]]))
+                rows, idx = _rows(ok), idx[ok]
+                L, q = L[rows], q[rows]
+                if tangents is not None:
+                    V, g = V[rows], g[rows]
+            if tangents is not None:
+                V += (q * (V @ Bt)) @ At
+                s = np.sqrt(np.einsum("ij,ij->i", V, V))
+                V /= s[:, None]
+                if t >= start:
+                    g += np.log(s)
+        exponents = None
+        if tangents is not None:
+            exponents = np.full(X0.shape[0], np.nan)
+            exponents[idx] = g[:idx.size] / (horizon - start)
+    return guards, tail_min, tail_max, snap, exponents
+
+
+def reference_simulate(sys, x0, steps):
+    """The per-step orbit loop: states and (t, reason) of the first guard."""
+    states = [np.array(x0, dtype=float)]
+    for t in range(steps):
+        x, _, guard = advance(sys, states[-1])
+        if guard:
+            return np.array(states), (t, GUARD_REASONS[guard])
+        states.append(x)
+    return np.array(states), None
+
+
+K = BLOCK_STEPS
+#: x_1 never moves and log x_2 moves by 0.2 - 0.1 x_1 a step
+#: (TestVerificationPass.SYS): x_1 = 2 stays put, x_1 = 1 climbs to the
+#: overflow guard on log x_2 > 700, x_1 = 3 falls to the underflow floor.
+DRIFT = TestVerificationPass.SYS
+STILL = [2.0, 5.0]
+
+
+def guarded_at(T, reason):
+    """A state of DRIFT whose transition out of step T is guarded."""
+    if reason == "overflow":
+        return [1.0, np.exp(700.05 - 0.1 * T)]
+    return [3.0, np.exp(np.log(UNDERFLOW_FLOOR) - 0.05 + 0.1 * (T + 1))]
+
+
+def drift_batch(*steps):
+    """Guarded rows at the given steps, alternating overflow and
+    underflow, between rows that never guard."""
+    rows = [STILL]
+    for i, T in enumerate(steps):
+        rows += [guarded_at(T, ("overflow", "underflow")[i % 2]),
+                 [2.0 + 0.01 * (i + 1), 1.0]]
+    return np.array(rows)
+
+
+def with_tangents(start, m, seed=3):
+    return start, _tangent_directions(seed, m, 2)
+
+
+OFFSETS = (0, 1, K - 1, K, K + 1)
+HORIZON = 3 * K + 5  # not a multiple of K
+
+LOCKSTEP_CASES = {
+    **{f"guard-at-{T}": (DRIFT, drift_batch(T), HORIZON,
+                         range(K + 10, HORIZON + 1), K + 3)
+       for T in OFFSETS},
+    "guards-at-every-offset": (DRIFT, drift_batch(*OFFSETS), HORIZON,
+                               range(K + 10, HORIZON + 1), K + 3),
+    "guard-at-horizon-1": (DRIFT, drift_batch(HORIZON - 1, K + 1), HORIZON,
+                           range(HORIZON - 7, HORIZON + 1), HORIZON),
+    "tail-and-snapshot-inside-blocks": (DRIFT, drift_batch(5, 2 * K + 9),
+                                        HORIZON, range(K // 2, 2 * K + 11),
+                                        2 * K + 9),
+    "horizon-0": (DRIFT, drift_batch(0, 3), 0, range(0, 1), 0),
+    "horizon-1": (DRIFT, drift_batch(0, 3), 1, range(0, 2), 1),
+    "lone-row": (DRIFT, np.array([guarded_at(K + 1, "overflow")]), HORIZON,
+                 range(K, HORIZON + 1), K + 1),
+    "lone-still-row": (load_fixture("example3_qp_rho32"),
+                       np.array([[1.0, 1.0]]), HORIZON,
+                       range(K - 3, HORIZON + 1), K),
+    "batch-shrinks-to-one-row": (
+        DRIFT, np.array([guarded_at(K + 2, "overflow"), STILL,
+                         guarded_at(K + 5, "underflow")]),
+        HORIZON, range(K + 1, HORIZON + 1), 2 * K),
+    "every-row-guarded-in-one-block": (
+        DRIFT, np.array([guarded_at(T, reason)
+                         for T in (K + 2, K + 9, 2 * K - 3, K + 9)
+                         for reason in ("overflow", "underflow")]),
+        HORIZON, range(K, HORIZON + 1), K + 5),
+    "verification-pass-batch": (
+        DRIFT, np.vstack([_draw_initial_conditions(7, ENSEMBLE_SIZE, 2),
+                          np.ones(2)]),
+        PERMANENCE_HORIZON, range(4001, 5001), ATTRACTIVITY_HORIZON),
+}
+
+
+class TestBlockedLockstep:
+    # every case without tangents, and with a tangent window that starts
+    # at step 0 or inside the first block wherever that precedes the horizon
+    @pytest.mark.parametrize("case, tangent_start", [
+        (case, start) for case, (*_, horizon, _, _) in LOCKSTEP_CASES.items()
+        for start in (None, 0, 7) if start is None or start < horizon])
+    def test_matches_the_per_step_loop(self, case, tangent_start):
+        sys, X0, horizon, tail, snapshot = LOCKSTEP_CASES[case]
+        tangents = (None if tangent_start is None
+                    else with_tangents(tangent_start, len(X0)))
+        run = _lockstep(sys, X0, horizon, tail=tail, snapshot=snapshot,
+                        tangents=tangents)
+        guards, lo, hi, snap, exponents = reference_lockstep(
+            sys, X0, horizon, tail=tail, snapshot=snapshot,
+            tangents=tangents)
+        assert run.guards == guards
+        for got, expected in ((run.tail_min, lo), (run.tail_max, hi),
+                              (run.snapshot, snap),
+                              (run.exponents, exponents)):
+            assert (got is None if expected is None
+                    else np.array_equal(got, expected, equal_nan=True))
+
+    def test_cases_guard_where_they_say(self):
+        guards = reference_lockstep(DRIFT, drift_batch(*OFFSETS), HORIZON)[0]
+        assert [(t, reason) for _, t, reason in guards] == [
+            (T, ("overflow", "underflow")[i % 2])
+            for i, T in enumerate(OFFSETS)]
+        guards = reference_lockstep(
+            *LOCKSTEP_CASES["every-row-guarded-in-one-block"][:3])[0]
+        assert len(guards) == 8
+        assert {t // K for _, t, _ in guards} == {1}
+        assert reference_lockstep(
+            *LOCKSTEP_CASES["guard-at-horizon-1"][:3])[0][-1][1] == HORIZON - 1
+
+    def test_tangent_that_collapses_mid_block(self):
+        # x -> x exp(1 - x): a tangent collapses to 0 once its orbit lands
+        # exactly on x* = (1, 1); 40 of these rows land at steps 5 to 91,
+        # inside the first two blocks
+        sys = TestTangentIsolation.SYS
+        X0 = np.vstack([_draw_initial_conditions(7, ENSEMBLE_SIZE, 2),
+                        np.ones(2)])
+        tangents = with_tangents(LYAPUNOV_TRANSIENT // 10, len(X0), seed=7)
+        run = _lockstep(sys, X0, 5 * K + 3, tangents=tangents)
+        *_, exponents = reference_lockstep(sys, X0, 5 * K + 3,
+                                           tangents=tangents)
+        assert not run.guards
+        assert 0 < np.isfinite(exponents).sum() < len(X0)
+        assert np.array_equal(run.exponents, exponents, equal_nan=True)
+
+    def test_block_buffers_are_capped(self):
+        assert _block_steps(ENSEMBLE_SIZE + 1, 2) == K
+        assert _block_steps(1, 128) == K
+        for m, n in ((10**4, 2), (10**5, 6), (10**6, 2), (0, 2)):
+            steps = _block_steps(m, n)
+            assert steps >= 1
+            assert steps == 1 or 3 * steps * m * n <= BLOCK_DOUBLES
+
+
+class TestBlockedSimulate:
+    @pytest.mark.parametrize("reason", ["overflow", "underflow"])
+    @pytest.mark.parametrize("T", OFFSETS)
+    def test_guard_at_a_block_offset(self, T, reason):
+        x0 = guarded_at(T, reason)
+        states, stop = reference_simulate(DRIFT, x0, HORIZON)
+        assert stop == (T, reason)
+        traj = simulate(DRIFT, x0, HORIZON)
+        assert traj.terminated_early == stop
+        assert traj.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 1, K, K + 1])
+    def test_run_lengths(self, steps):
+        cases = [(load_fixture("example3_qp_rho32"), [1.0, 1.0]),
+                 (DRIFT, STILL)]
+        if steps:  # guarded at the run's last transition
+            cases.append((DRIFT, guarded_at(steps - 1, "overflow")))
+        for sys, x0 in cases:
+            states, stop = reference_simulate(sys, x0, steps)
+            traj = simulate(sys, x0, steps)
+            assert traj.terminated_early == stop
+            assert traj.states.tobytes() == states.tobytes()
 
 
 class TestConjugacyDeviation:
