@@ -21,16 +21,25 @@ trial.  A block that hits a guard is rerun one trial at a time, and
 those one-trial runs, the tested reference, decide each of its trials.
 
 Guard policy: every map evaluation here goes through the one kernel
-``systems.image`` and its guard rule ``systems.guard_codes``, which
-labels a guarded step by the sign of its exponent: "overflow" for a
-blow-up, "underflow" for a collapse toward 0 (including a component
-below UNDERFLOW_FLOOR).  The orbit terminates there; ensemble verdicts
-treat either termination as failure.  ``simulate`` and the lockstep
-engine check the guard once per block of at most BLOCK_STEPS steps, whose
-buffers stay within BLOCK_DOUBLES doubles: a tripped lockstep block is
-rerun step by step from its checkpoint with ``systems.advance``, the
-per-step check, and ``simulate`` reads its first guarded step from the
-block's codes.  Every result is bit-identical to checking every step.
+``systems.image``, or its tangent-carrying form ``systems.TangentImage``,
+and the guard rule ``systems.guard_codes``, which labels a guarded step
+by the sign of its exponent: "overflow" for a blow-up, "underflow" for
+a collapse toward 0 (including a component below UNDERFLOW_FLOOR).  The
+orbit terminates there; ensemble verdicts treat either termination as
+failure.  ``simulate`` and the lockstep engine check the guard once per
+block of at most BLOCK_STEPS steps, whose buffers stay within
+BLOCK_DOUBLES doubles: a tripped lockstep block is rerun from its
+checkpoint as blocks of one step, the per-step check, and ``simulate``
+reads its first guarded step from the block's codes.  Every result is
+bit-identical to checking every step.
+
+The Lyapunov tangents ride the map: with tangents, each step of the
+lockstep engine is one fused map-and-tangent step, ``TangentImage``,
+which stacks the log-states and the tangent rows into one operand, so
+the image and the tangent update share two matmuls.  The tangent norms
+of a block are kept, and its log growth is added once per block: one
+``np.log`` over the norms and one axis-0 ``np.add.reduce``, whose sum
+runs in step order like a per-step ``g += log(s)``.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ from .systems import (
     GUARD_OK,
     GUARD_REASONS,
     QPSystem,
+    TangentImage,
     advance,
     as_state,
     guard_codes,
@@ -99,10 +109,10 @@ LYAPUNOV_ROUNDING_FLOOR = math.log(2.0**-52)
 #: checked once over each block's buffers, not once per step.
 BLOCK_STEPS = 64
 
-#: Storage cap of one block: its images, log quasimonomials and step
-#: exponents, 3 m n doubles a step for m rows, stay at most 2**20 doubles
-#: (8 MiB) besides the block's start state, so a large batch takes
-#: shorter blocks, down to one step, rather than more memory.
+#: Storage cap of one block: what it stores a step for m rows, 3 m n
+#: doubles or m (4 n + 1) with tangents (see ``_block_steps``), stays at
+#: most 2**20 doubles (8 MiB) besides the block's start state, so a large
+#: batch takes shorter blocks, down to one step, rather than more memory.
 BLOCK_DOUBLES = 2**20
 
 
@@ -127,11 +137,16 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def _block_steps(m, n):
+def _block_steps(m, n, tangents=False):
     """Steps of one block of an orbit loop over m rows of n components:
-    at most BLOCK_STEPS and at most BLOCK_DOUBLES // (3 m n), but at
-    least one."""
-    return max(1, min(BLOCK_STEPS, BLOCK_DOUBLES // max(1, 3 * m * n)))
+    at most BLOCK_STEPS and at most BLOCK_DOUBLES over the doubles a step
+    stores, but at least one.  A step stores 3 m n doubles, its images,
+    log quasimonomials and step exponents; with tangents it stores
+    m (4 n + 1): the images, the stacked log quasimonomials and tangent
+    rows ``[W; V B^T]`` (2 m n), the step exponents and the tangent norms
+    that become the block's log-growth rows."""
+    per_step = m * (4 * n + 1) if tangents else 3 * m * n
+    return max(1, min(BLOCK_STEPS, BLOCK_DOUBLES // max(1, per_step)))
 
 
 def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
@@ -252,9 +267,10 @@ def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
                      samples=LYAPUNOV_SAMPLES, seed=0) -> float:
     """Largest Lyapunov exponent estimate along one orbit.
 
-    Propagates a tangent vector in log coordinates, v <- v + A (q * B v)
-    with q from the kernel call that advances the state, renormalizing
-    every step from step 0 and averaging the log growth over the
+    Propagates a tangent vector in log coordinates, v <- v + A (q * B v),
+    in the fused map-and-tangent step ``systems.TangentImage`` that
+    advances the state and shares its q, renormalizing every step from
+    step 0, and averaging the log growth over the
     ``samples`` steps that follow the first ``transient``, which align
     the tangent with the dominant direction.  The tangent direction is
     drawn from a seeded generator: a fixed deterministic direction can
@@ -348,12 +364,17 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
     row.
 
     The live rows are advanced as one compact batch, a block of
-    ``_block_steps`` steps at a time into preallocated buffers, and the
-    guard is checked once over each block; the tail extrema and the
-    snapshot are read from the block's buffers.  A tripped block restores
-    its checkpoint (states, tangents, log growth, rows) and is rerun one
-    step at a time with ``advance``, rebuilding the batch at each guarded
-    step, so every result is bit-identical to checking every step.
+    ``_block_steps`` steps at a time into preallocated buffers, by
+    ``systems.image`` or, with tangents, by the fused map-and-tangent
+    step ``systems.TangentImage``.  The guard is checked once over each
+    block, and the tail extrema, the snapshot and the tangents' log
+    growth are read from the block's buffers: one ``np.log`` over the
+    block's tangent norms and one axis-0 ``np.add.reduce`` whose first
+    row is the growth so far, which sums in step order.  A tripped block
+    restores its checkpoint (states and tangents) and is rerun as blocks
+    of one step, the per-step check; a tripped one-step block drops its
+    guarded rows and rebuilds the batch, so every result is
+    bit-identical to checking every step.
     """
     X0 = np.asarray(X0, dtype=float)
     tail_min = np.full(X0.shape, np.inf)
@@ -366,7 +387,6 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
     if tangents is not None:
         start, V = tangents
         V, g = V[rows], np.zeros(rows.size)
-        At, Bt = np.ascontiguousarray(sys.A.T), np.ascontiguousarray(sys.B.T)
 
     def observe(t, states):
         """Tail extrema and snapshot over the states of steps t, t + 1, ..."""
@@ -378,54 +398,55 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
         if snapshot is not None and t <= snapshot < t + len(live):
             snap[idx] = live[snapshot - t]
 
-    def propagate(t, q):
-        nonlocal V, g
-        V += (q * (V @ Bt)) @ At
-        s = np.sqrt(np.einsum("ij,ij->i", V, V))
-        V /= s[:, None]
-        if t >= start:
-            g += np.log(s)
+    def grow(t, k):
+        """Add the log growth of the steps t .. t + k - 1 from start on."""
+        j = max(start - t, 0)
+        if j < k:
+            norms[j] = g
+            np.log(norms[j + 1:k + 1], out=norms[j + 1:k + 1])
+            np.add.reduce(norms[j:k + 1], axis=0, out=g)
 
-    t, S = 0, None
+    t, S, rerun_to = 0, None, 0
     with np.errstate(all="ignore"):
         while t < horizon and idx.size:
             if S is None:  # a new batch: buffers of its size
-                size = _block_steps(*L.shape)
-                S = np.empty((size + 1, *L.shape))
-                W, arg = np.empty((2, size, *L.shape))
+                m, n = L.shape
+                size = _block_steps(m, n, tangents is not None)
+                S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
+                if tangents is None:
+                    W = np.empty((size, m, n))
+                else:
+                    fused = TangentImage(sys, V, S, arg)
+                    W, norms = fused.W, fused.norms
             S[0] = L
-            k = min(size, horizon - t)
-            if tangents is not None:
-                checkpoint = V.copy(), g.copy()
-            for j in range(k):
-                q = image(sys, S[j], W[j], arg[j], S[j + 1])[1]
+            k = 1 if t < rerun_to else min(size, horizon - t)
+            if tangents is None:
+                for j in range(k):
+                    image(sys, S[j], W[j], arg[j], S[j + 1])
+            else:
+                if k > 1:
+                    checkpoint = fused.V.copy()
+                for j in range(k):
+                    fused.step(j)
+            guard = guard_codes(W[:k], arg[:k], S[1:k + 1])
+            if k > 1 and guard.any():
+                # rerun the tripped block from its checkpoint, step by step
+                L, rerun_to = S[0], t + k
                 if tangents is not None:
-                    propagate(t + j, q)
-            if not guard_codes(W[:k], arg[:k], S[1:k + 1]).any():
-                observe(t, S[:k])
-                L, t = S[k], t + k
+                    fused.V[...] = checkpoint
                 continue
-            # rerun the tripped block from its checkpoint, step by step
-            L = S[0]
+            observe(t, S[:k])
             if tangents is not None:
-                V, g = checkpoint
-            for t in range(t, t + k):
-                observe(t, L[None])
-                L, q, guard = advance(sys, L)
-                if guard.any():
-                    ok = guard[:idx.size] == GUARD_OK
-                    for i in np.flatnonzero(~ok):
-                        guards.append(
-                            (int(idx[i]), t, GUARD_REASONS[guard[i]]))
-                    rows, idx = _rows(ok), idx[ok]
-                    L, q = L[rows], q[rows]
-                    if tangents is not None:
-                        V, g = V[rows], g[rows]
+                grow(t, k)
+            L, t = S[k], t + k
+            if guard.any():  # a guarded step: its rows leave the batch
+                ok = guard[0, :idx.size] == GUARD_OK
+                guards += [(int(idx[i]), t - 1, GUARD_REASONS[guard[0, i]])
+                           for i in np.flatnonzero(~ok)]
+                rows, idx = _rows(ok), idx[ok]
+                L, S = L[rows], None
                 if tangents is not None:
-                    propagate(t, q)
-                if not idx.size:
-                    break
-            t, S = t + 1, None
+                    V, g = fused.V[rows], g[rows]
         observe(t, L[None])
     exponents = None
     if tangents is not None:

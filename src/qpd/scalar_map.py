@@ -13,6 +13,7 @@ bisection resolution and is not clamped to the references.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -175,6 +176,14 @@ def expanding_radius(rho):
 _TINY = np.finfo(float).tiny  #: smallest normal double
 
 
+@functools.lru_cache(maxsize=1)
+def _branch_limits(rho):
+    """The constants of every ``_preimage`` solve at rho, computed once
+    per growth rate: the peak exp(rho - 1), the image of _TINY, which
+    bounds the left branch from below, and exp(-rho)."""
+    return np.exp(rho - 1.0), _xi_iterate(_TINY, rho, 1), np.exp(-rho)
+
+
 def _preimage(value, rho, left):
     """The float preimage of v left (y <= 1) or right (y >= 1) of 1, or None.
 
@@ -185,12 +194,13 @@ def _preimage(value, rho, left):
     at 1 -+ sqrt(2 (s - 1)) if s < 2, else at z or s + log s, and stop
     when a step is negligible or stops shrinking.  Measured ulp losses
     avoided: exp(y - rho) for z e^y, 433 at rho = 700; rho - log v
-    throughout, 141 near the peak at 700; math.exp for the peak, 1.
+    throughout, 141 near the peak at 700; math.exp for the peak, 1.  The
+    constants of rho come from ``_branch_limits``, once per growth rate.
     """
-    if not 0.0 < value <= np.exp(rho - 1.0) or (
-            left and not _xi_iterate(_TINY, rho, 1) < value):
+    peak, floor, decay = _branch_limits(rho)
+    if not 0.0 < value <= peak or (left and not floor < value):
         return None
-    z = float(value * np.exp(-rho))
+    z = float(value * decay)
     s = -math.log(z) if z >= _TINY else rho - math.log(value)
     if s <= 1.0:  # within rounding of the peak
         return 1.0

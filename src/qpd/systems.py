@@ -10,9 +10,10 @@ are the special case B = identity, where these terms are the state
 components themselves.
 
 This module owns validation, the one batched map kernel (``image``, with
-its guard rule ``guard_codes``; ``advance`` is the two together),
-sign-pattern extraction, and the system-definition JSON
-schema used by fixtures and the command line.
+its guard rule ``guard_codes``; ``advance`` is the two together, and
+``TangentImage`` its tangent-carrying form), sign-pattern extraction,
+and the system-definition JSON schema used by fixtures and the command
+line.
 """
 
 from __future__ import annotations
@@ -146,13 +147,74 @@ def image(sys: QPSystem, X, W=None, arg=None, out=None):
     ``exp(log X + arg)``, so that a zero exponent reproduces the state
     exactly.  Nothing is checked, and a state past a guard gives inf, NaN
     or 0 entries: evaluate it under ``np.errstate`` and read the result
-    through ``guard_codes``.
+    through ``guard_codes``.  ``TangentImage`` is the same step for rows
+    that carry tangent vectors, fused with the tangent update.
     """
     W = np.matmul(np.log(X), sys.B.T, out=W)
     q = np.exp(W)
     arg = np.add(np.matmul(q, sys.A.T, out=arg), sys.lam, out=arg)
     out = np.multiply(X, np.exp(arg, out=out), out=out)
     return W, q, arg, out
+
+
+class TangentImage:
+    """``image`` for a batch whose rows carry tangent vectors: the fused
+    map-and-tangent step of the Lyapunov estimate.
+
+    In log coordinates u = log x the map is u' = u + lam + A exp(B u), and
+    a tangent row v steps to v + A (q * B v) with q = exp(B u).  The
+    log-states and the tangent rows V share one (2m, n) operand
+    ``P = [log X; V]``, so one matmul gives ``P B^T = [W; V B^T]`` and a
+    second gives ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``; lam
+    is tiled to (m, n) once, so its add is same-shape.  A step computes
+    W, q, arg and X' exactly as ``image`` does, adds the tangent increment
+    to V and renormalizes each row of V, keeping the norm it divided by.
+
+    Built once per batch, with the tangent rows ``V`` (m, n), over the
+    caller's block buffers of up to ``size`` steps, ``S`` (size + 1, m, n)
+    of states and ``arg`` (size, m, n) of step exponents; it adds its own
+    block buffers, ``[W; V B^T]`` (size, 2m, n), whose top half is ``W``,
+    and ``norms`` (size + 1, m).  ``step(j)`` advances the rows S[j] into
+    S[j + 1], writes W[j] and arg[j], and the norms of the tangent rows
+    before renormalization into norms[j + 1]; the renormalized rows stay
+    in ``V``.  Every operand is a buffer or view made here, so a step is
+    12 numpy calls, 2 of them matmuls and 1 a broadcast.  Like ``image``,
+    nothing is checked: run it under ``np.errstate`` and read the block
+    through ``guard_codes``.
+    """
+
+    def __init__(self, sys: QPSystem, V, S, arg):
+        size, m, n = arg.shape
+        WV = np.empty((size, 2 * m, n))
+        self.W, self.norms = WV[:, :m], np.empty((size + 1, m))
+        self._P, self._Q, self._R = P, Q, R = np.empty((3, 2 * m, n))
+        P[m:] = V
+        self.V, self._logX = P[m:], P[:m]
+        self._q, self._qVB, self._qA, self._dV = Q[:m], Q[m:], R[:m], R[m:]
+        # contiguous copies multiply faster than the transposed views
+        self._At = np.ascontiguousarray(sys.A.T)
+        self._Bt = np.ascontiguousarray(sys.B.T)
+        self._lam = np.tile(sys.lam, (m, 1))
+        norms = self.norms
+        self._steps = [
+            (S[j], WV[j], WV[j, :m], WV[j, m:], arg[j], S[j + 1],
+             norms[j + 1], norms[j + 1, :, None])
+            for j in range(size)]
+
+    def step(self, j):
+        """Advance the rows S[j] of the block by one fused step."""
+        X, WV, W, VB, arg, out, s, s_col = self._steps[j]
+        V, q = self.V, self._q
+        np.log(X, out=self._logX)
+        np.matmul(self._P, self._Bt, out=WV)
+        np.exp(W, out=q)
+        np.multiply(q, VB, out=self._qVB)
+        np.matmul(self._Q, self._At, out=self._R)
+        np.add(self._qA, self._lam, out=arg)
+        np.multiply(X, np.exp(arg, out=out), out=out)
+        np.add(V, self._dV, out=V)
+        np.sqrt(np.einsum("ij,ij->i", V, V, out=s), out=s)
+        np.divide(V, s_col, out=V)
 
 
 def guard_codes(W, arg, Xn):
@@ -189,14 +251,14 @@ def advance(sys: QPSystem, X):
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
     terms and a guard code per row, valid X' only where it is GUARD_OK.
-    This is the per-step check, which ``step``, ``qp_jacobian`` and the
-    reruns of guarded blocks use.  ``dynamics.simulate`` and the lockstep
-    engine instead call ``image`` for a block of up to
+    This is the per-step check of ``step`` and ``qp_jacobian``.
+    ``dynamics.simulate`` and the lockstep engine instead call ``image``,
+    or ``TangentImage`` for rows with tangents, for a block of up to
     ``dynamics.BLOCK_STEPS`` steps into their own buffers, capped at
     ``dynamics.BLOCK_DOUBLES`` doubles, and check the whole block once
     with ``guard_codes``.  A tripped lockstep block is rerun from its
-    checkpoint step by step with ``advance``, and ``simulate`` reads its
-    first guarded step from the block's codes, so their results are
+    checkpoint as blocks of one step, and ``simulate`` reads its first
+    guarded step from the block's codes, so their results are
     bit-identical to checking every step.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):

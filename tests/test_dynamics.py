@@ -660,6 +660,43 @@ LOCKSTEP_CASES = {
 }
 
 
+#: DRIFT with a third component behind a coupled exponent matrix: the
+#: quasimonomial x_1^0.5 x_3 settles at 1, and W_2 = log x_2 + 0.25 log x_3
+#: drifts like DRIFT's log x_2, so rows near ``guarded_at`` guard mid-block
+DRIFT3 = QPSystem([[0.0, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.0, 0.0, -0.5]],
+                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.25], [0.5, 0.0, 1.0]],
+                  [0.0, 0.2, 0.5])
+
+
+def wide_case(system, m):
+    """(sys, X0) of an n > 2 batch of m rows: a ``stable_lv_image`` of
+    dimension n, or DRIFT3 with every fifth row guarded inside a block."""
+    rng = np.random.default_rng(m)
+    if system == "drift3":
+        X0 = np.column_stack([np.full(m, 2.0), rng.uniform(0.5, 2.0, (m, 2))])
+        for i in range(0, m, 5):
+            X0[i, :2] = guarded_at((K // 2, K + 9, 2 * K - 3)[i // 5 % 3],
+                                   ("overflow", "underflow")[i // 5 % 2])
+        return DRIFT3, X0
+    n = int(system.rsplit("n", 1)[1])
+    return stable_lv_image(rng, n), np.exp(
+        rng.uniform(np.log(0.5), np.log(2.0), size=(m, n)))
+
+
+def assert_matches_the_per_step_loop(sys, X0, horizon, tail, snapshot,
+                                     tangents):
+    run = _lockstep(sys, X0, horizon, tail=tail, snapshot=snapshot,
+                    tangents=tangents)
+    guards, lo, hi, snap, exponents = reference_lockstep(
+        sys, X0, horizon, tail=tail, snapshot=snapshot, tangents=tangents)
+    assert run.guards == guards
+    for got, expected in ((run.tail_min, lo), (run.tail_max, hi),
+                          (run.snapshot, snap), (run.exponents, exponents)):
+        assert (got is None if expected is None
+                else np.array_equal(got, expected, equal_nan=True))
+    return run
+
+
 class TestBlockedLockstep:
     # every case without tangents, and with a tangent window that starts
     # at step 0 or inside the first block wherever that precedes the horizon
@@ -670,17 +707,41 @@ class TestBlockedLockstep:
         sys, X0, horizon, tail, snapshot = LOCKSTEP_CASES[case]
         tangents = (None if tangent_start is None
                     else with_tangents(tangent_start, len(X0)))
-        run = _lockstep(sys, X0, horizon, tail=tail, snapshot=snapshot,
-                        tangents=tangents)
-        guards, lo, hi, snap, exponents = reference_lockstep(
-            sys, X0, horizon, tail=tail, snapshot=snapshot,
-            tangents=tangents)
-        assert run.guards == guards
-        for got, expected in ((run.tail_min, lo), (run.tail_max, hi),
-                              (run.snapshot, snap),
-                              (run.exponents, exponents)):
-            assert (got is None if expected is None
-                    else np.array_equal(got, expected, equal_nan=True))
+        assert_matches_the_per_step_loop(sys, X0, horizon, tail, snapshot,
+                                         tangents)
+
+    # the fused step multiplies (2m, n) operands: wider BLAS shapes than
+    # the n = 2 cases, a lone row, a pair and the pass's 51 rows
+    @pytest.mark.parametrize("tangent_start", [0, 7])
+    @pytest.mark.parametrize("m", [1, 2, ENSEMBLE_SIZE + 1])
+    @pytest.mark.parametrize("system", [
+        "stable-lv-image-n3", "stable-lv-image-n6", "stable-lv-image-n10",
+        "drift3"])
+    def test_wide_tangents_match_the_per_step_loop(self, system, m,
+                                                   tangent_start):
+        sys, X0 = wide_case(system, m)
+        tangents = tangent_start, _tangent_directions(3, m, sys.n)
+        run = assert_matches_the_per_step_loop(
+            sys, X0, HORIZON, range(K + 10, HORIZON + 1), K + 3, tangents)
+        guarded = {row for row, _, _ in run.guards}
+        assert set(np.flatnonzero(~np.isfinite(run.exponents))) == guarded
+        if system == "drift3":
+            assert guarded and all(0 < t % K < K - 1
+                                   for _, t, _ in run.guards)
+        else:
+            assert not guarded
+
+    def test_short_blocks_match_the_per_step_loop(self, monkeypatch):
+        # 51 rows of 3 store 51 * 13 doubles a step with tangents and
+        # 51 * 9 without: blocks of 5 and of 7 steps
+        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 5 * 51 * 13 + 12)
+        sys, X0 = wide_case("drift3", ENSEMBLE_SIZE + 1)
+        assert _block_steps(len(X0), 3, True) == 5
+        assert _block_steps(len(X0), 3) == 7
+        for tangents in (None, (7, _tangent_directions(3, len(X0), 3))):
+            assert_matches_the_per_step_loop(
+                sys, X0, HORIZON, range(K + 10, HORIZON + 1), K + 3,
+                tangents)
 
     def test_cases_guard_where_they_say(self):
         guards = reference_lockstep(DRIFT, drift_batch(*OFFSETS), HORIZON)[0]
@@ -710,12 +771,16 @@ class TestBlockedLockstep:
         assert np.array_equal(run.exponents, exponents, equal_nan=True)
 
     def test_block_buffers_are_capped(self):
-        assert _block_steps(ENSEMBLE_SIZE + 1, 2) == K
-        assert _block_steps(1, 128) == K
-        for m, n in ((10**4, 2), (10**5, 6), (10**6, 2), (0, 2)):
-            steps = _block_steps(m, n)
-            assert steps >= 1
-            assert steps == 1 or 3 * steps * m * n <= BLOCK_DOUBLES
+        # a step stores 3 m n doubles, or m (4 n + 1) with tangents: the
+        # states, [W; V B^T], the step exponents and the tangent norms
+        for tangents, per_row in ((False, lambda n: 3 * n),
+                                  (True, lambda n: 4 * n + 1)):
+            assert _block_steps(ENSEMBLE_SIZE + 1, 2, tangents) == K
+            assert _block_steps(1, 128, tangents) == K
+            for m, n in ((10**4, 2), (10**5, 6), (10**6, 2), (0, 2)):
+                steps = _block_steps(m, n, tangents)
+                assert steps >= 1
+                assert steps == 1 or steps * m * per_row(n) <= BLOCK_DOUBLES
 
 
 class TestBlockedSimulate:

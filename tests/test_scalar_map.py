@@ -237,6 +237,18 @@ class TestPreimages:
         assert _preimages(0.0, 3.0) == []
         assert _preimages(math.exp(2.0) * (1 + 1e-12), 3.0) == []
 
+    @pytest.mark.parametrize("detector, rho", [(find_period3, 3.2),
+                                               (find_snap_back, 3.0)])
+    def test_branch_limits_once_per_search(self, detector, rho):
+        # the peak, the left floor and exp(-rho) of every solve at rho
+        # are computed by the first one
+        scalar_map._branch_limits.cache_clear()
+        assert detector(rho) is not None
+        info = scalar_map._branch_limits.cache_info()
+        assert (info.misses, info.hits > 0) == (1, True)
+        assert scalar_map._branch_limits(rho) == (
+            np.exp(rho - 1.0), xi(np.finfo(float).tiny, rho), np.exp(-rho))
+
 
 class TestSnapBack:
     def test_witness_in_marotto_regime(self):
