@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,6 +33,7 @@ from .dynamics import (
 from .errors import (
     InvalidArgument,
     NoInteriorFixedPoint,
+    NonFinite,
     NonPositiveState,
     OverflowGuard,
     QPDError,
@@ -111,7 +113,7 @@ def build_analysis_report(system, tol=DEFAULT_SIGN_TOL, seed=0,
             "C": _matrix(qmt.C),
             "condition_estimate": qmt.condition(),
         }
-    except SingularMatrix as exc:
+    except (SingularMatrix, NonFinite) as exc:
         report["canonical_lv"] = {"error": str(exc)}
     verdicts = check_all_theorems(system, tol)
     report["theorems"] = [v.to_dict() for v in verdicts]
@@ -129,7 +131,8 @@ def _verification_block(system, verdicts, seed) -> dict:
         fixed_point = qp_fixed_point(system)
         block["fixed_point"] = (
             None if fixed_point is None else fixed_point.tolist())
-    except (SingularMatrix, NoInteriorFixedPoint, OverflowGuard) as exc:
+    except (SingularMatrix, NonFinite, NoInteriorFixedPoint,
+            OverflowGuard) as exc:
         block["fixed_point"] = {"error": str(exc)}
 
     checks = verification_pass(system, fixed_point, seed)
@@ -145,6 +148,18 @@ def _verification_block(system, verdicts, seed) -> dict:
     block["disagreements"], block["warnings"] = falsifications(verdicts,
                                                                checks)
     return block
+
+
+def _strict_json(value):
+    """The report with each non-finite float spelled as the text report
+    spells it, the string "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{value}"
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
 
 
 def _fmt(v) -> str:
@@ -250,7 +265,7 @@ def cmd_analyze(args) -> int:
     print(render_report(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
     if args.strict and args.verify and report["verify"]["disagreements"]:
         print("exiting with status 2: analytic/numeric disagreement",

@@ -15,8 +15,8 @@ runs a block of trials as one direct and one conjugate orbit, two
 ``simulate`` calls per block.  A block holds at most
 ``CONJUGACY_BLOCK_DIM // n`` trials, which bounds each dense block
 matrix at 128**2 doubles, and at most
-``CONJUGACY_BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds a block's
-two stored orbits at 2**20 doubles (8 MiB); it always holds at least one
+``BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds a block's two
+stored orbits at 2**20 doubles (8 MiB); it always holds at least one
 trial.  A block that hits a guard is rerun one trial at a time, and
 those one-trial runs, the tested reference, decide each of its trials.
 
@@ -28,10 +28,10 @@ a collapse toward 0 (including a component below UNDERFLOW_FLOOR).  The
 orbit terminates there; ensemble verdicts treat either termination as
 failure.  ``simulate`` and the lockstep engine check the guard once per
 block of at most BLOCK_STEPS steps, whose buffers stay within
-BLOCK_DOUBLES doubles: a tripped lockstep block is rerun from its
-checkpoint as blocks of one step, the per-step check, and ``simulate``
-reads its first guarded step from the block's codes.  Every result is
-bit-identical to checking every step.
+BLOCK_DOUBLES doubles, and a tripped block ends at its first guarded
+step, read from the block's codes.  The lockstep engine keeps its batch
+and buffers: each row guarded there becomes a shadow of a live row.
+Every result is bit-identical to checking every step.
 
 The Lyapunov tangents ride the map: with tangents, each step of the
 lockstep engine is one fused map-and-tangent step, ``TangentImage``,
@@ -110,9 +110,10 @@ LYAPUNOV_ROUNDING_FLOOR = math.log(2.0**-52)
 BLOCK_STEPS = 64
 
 #: Storage cap of one block: what it stores a step for m rows, 3 m n
-#: doubles or m (4 n + 1) with tangents (see ``_block_steps``), stays at
+#: doubles or m (6 n + 1) with tangents (see ``_block_steps``), stays at
 #: most 2**20 doubles (8 MiB) besides the block's start state, so a large
 #: batch takes shorter blocks, down to one step, rather than more memory.
+#: A block of conjugacy trials keeps its two stored orbits within it too.
 BLOCK_DOUBLES = 2**20
 
 
@@ -142,10 +143,11 @@ def _block_steps(m, n, tangents=False):
     at most BLOCK_STEPS and at most BLOCK_DOUBLES over the doubles a step
     stores, but at least one.  A step stores 3 m n doubles, its images,
     log quasimonomials and step exponents; with tangents it stores
-    m (4 n + 1): the images, the stacked log quasimonomials and tangent
-    rows ``[W; V B^T]`` (2 m n), the step exponents and the tangent norms
-    that become the block's log-growth rows."""
-    per_step = m * (4 * n + 1) if tangents else 3 * m * n
+    m (6 n + 1): the images, the stacked operands ``[log X; V]`` (2 m n),
+    the stacked log quasimonomials and tangent rows ``[W; V B^T]``
+    (2 m n), the step exponents and the tangent norms that become the
+    block's log-growth rows."""
+    per_step = m * (6 * n + 1) if tangents else 3 * m * n
     return max(1, min(BLOCK_STEPS, BLOCK_DOUBLES // max(1, per_step)))
 
 
@@ -340,20 +342,12 @@ class _Lockstep:
     exponents: np.ndarray | None
 
 
-def _rows(keep):
-    """Batch positions of the rows that ``keep`` selects.  A lone row is
-    taken twice: numpy multiplies a one-row matrix through another BLAS
-    kernel, whose rounding differs, and an orbit must not depend on
-    which rows share its batch."""
-    rows = np.flatnonzero(keep)
-    return np.repeat(rows, 2) if rows.size == 1 else rows
-
-
 def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
               tangents=None) -> _Lockstep:
     """Advance the rows of X0 in lockstep for ``horizon`` steps.
 
-    A guarded row freezes; it records its guard and leaves the batch.
+    A guarded row records its guard and stays in the batch as a shadow
+    behind the ``live`` mask, which keeps it out of every result.
     Row extrema are taken over the states of the steps in ``tail``, a
     range of consecutive steps, and the states after step ``snapshot``
     are copied out.  ``tangents`` is ``(start, V)``: row i carries the
@@ -363,40 +357,51 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
     representable range leaves a non-finite exponent and never ends its
     row.
 
-    The live rows are advanced as one compact batch, a block of
-    ``_block_steps`` steps at a time into preallocated buffers, by
-    ``systems.image`` or, with tangents, by the fused map-and-tangent
-    step ``systems.TangentImage``.  The guard is checked once over each
+    The rows are advanced as one batch, a block of ``_block_steps``
+    steps at a time into buffers allocated once, by ``systems.image``
+    or, with tangents, by the fused map-and-tangent step
+    ``systems.TangentImage``.  The guard is checked once over each
     block, and the tail extrema, the snapshot and the tangents' log
     growth are read from the block's buffers: one ``np.log`` over the
     block's tangent norms and one axis-0 ``np.add.reduce`` whose first
     row is the growth so far, which sums in step order.  A tripped block
-    restores its checkpoint (states and tangents) and is rerun as blocks
-    of one step, the per-step check; a tripped one-step block drops its
-    guarded rows and rebuilds the batch, so every result is
-    bit-identical to checking every step.
+    ends at its first guarded step, and each row guarded there becomes
+    a shadow: it takes a copy of the state and tangent of the first live
+    row, so it cannot trip on its own, and the ``live`` mask keeps every
+    shadow out of the extrema, the snapshot, the guards and the
+    exponents.  A lone row gets one shadow from the start: numpy
+    multiplies a one-row matrix through another BLAS kernel, whose
+    rounding differs, and an orbit must not depend on which rows share
+    its batch.  Every result is bit-identical to checking every step.
     """
     X0 = np.asarray(X0, dtype=float)
-    tail_min = np.full(X0.shape, np.inf)
-    tail_max = np.full(X0.shape, -np.inf)
-    snap = None if snapshot is None else np.full(X0.shape, np.nan)
+    m0, n = X0.shape
+    rows = np.zeros(2, dtype=int) if m0 == 1 else np.arange(m0)
+    m = rows.size
+    live = np.arange(m) < m0
+    tail_min, tail_max = np.full((m, n), np.inf), np.full((m, n), -np.inf)
+    snap = None if snapshot is None else np.full((m, n), np.nan)
     guards: list[tuple[int, int, str]] = []
-    idx = np.arange(X0.shape[0])
-    rows = _rows(np.ones(idx.size, dtype=bool))
-    L = X0[rows]
-    if tangents is not None:
+    size = _block_steps(m, n, tangents is not None)
+    S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
+    S[0] = X0[rows]
+    if tangents is None:
+        W = np.empty((size, m, n))
+    else:
         start, V = tangents
-        V, g = V[rows], np.zeros(rows.size)
+        fused = TangentImage(sys, V[rows], S, arg)
+        W, V, norms, g = fused.W, fused.V, fused.norms, np.zeros(m)
 
     def observe(t, states):
-        """Tail extrema and snapshot over the states of steps t, t + 1, ..."""
-        live = states[:, :idx.size]
-        window = live[max(tail.start - t, 0):max(tail.stop - t, 0)]
+        """Tail extrema and snapshot of the live rows over the states of
+        steps t, t + 1, ..."""
+        mask = live[:, None]
+        window = states[max(tail.start - t, 0):max(tail.stop - t, 0)]
         if window.size:
-            tail_min[idx] = np.minimum(tail_min[idx], window.min(axis=0))
-            tail_max[idx] = np.maximum(tail_max[idx], window.max(axis=0))
-        if snapshot is not None and t <= snapshot < t + len(live):
-            snap[idx] = live[snapshot - t]
+            np.minimum(tail_min, window.min(axis=0), out=tail_min, where=mask)
+            np.maximum(tail_max, window.max(axis=0), out=tail_max, where=mask)
+        if snapshot is not None and t <= snapshot < t + len(states):
+            np.copyto(snap, states[snapshot - t], where=mask)
 
     def grow(t, k):
         """Add the log growth of the steps t .. t + k - 1 from start on."""
@@ -406,53 +411,41 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
             np.log(norms[j + 1:k + 1], out=norms[j + 1:k + 1])
             np.add.reduce(norms[j:k + 1], axis=0, out=g)
 
-    t, S, rerun_to = 0, None, 0
+    t = 0
     with np.errstate(all="ignore"):
-        while t < horizon and idx.size:
-            if S is None:  # a new batch: buffers of its size
-                m, n = L.shape
-                size = _block_steps(m, n, tangents is not None)
-                S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
-                if tangents is None:
-                    W = np.empty((size, m, n))
-                else:
-                    fused = TangentImage(sys, V, S, arg)
-                    W, norms = fused.W, fused.norms
-            S[0] = L
-            k = 1 if t < rerun_to else min(size, horizon - t)
+        while t < horizon and live.any():
+            k = min(size, horizon - t)
             if tangents is None:
                 for j in range(k):
                     image(sys, S[j], W[j], arg[j], S[j + 1])
             else:
-                if k > 1:
-                    checkpoint = fused.V.copy()
                 for j in range(k):
                     fused.step(j)
-            guard = guard_codes(W[:k], arg[:k], S[1:k + 1])
-            if k > 1 and guard.any():
-                # rerun the tripped block from its checkpoint, step by step
-                L, rerun_to = S[0], t + k
-                if tangents is not None:
-                    fused.V[...] = checkpoint
-                continue
+            guard = guard_codes(W[:k], arg[:k], S[1:k + 1]) * live
+            tripped = np.flatnonzero(guard.any(axis=1))
+            if tripped.size:  # the block ends at its first guarded step
+                k = int(tripped[0]) + 1
             observe(t, S[:k])
             if tangents is not None:
                 grow(t, k)
-            L, t = S[k], t + k
-            if guard.any():  # a guarded step: its rows leave the batch
-                ok = guard[0, :idx.size] == GUARD_OK
-                guards += [(int(idx[i]), t - 1, GUARD_REASONS[guard[0, i]])
-                           for i in np.flatnonzero(~ok)]
-                rows, idx = _rows(ok), idx[ok]
-                L, S = L[rows], None
-                if tangents is not None:
-                    V, g = fused.V[rows], g[rows]
-        observe(t, L[None])
+                V[0] = V[k]
+            S[0], t = S[k], t + k
+            if tripped.size:  # its guarded rows become shadows
+                guarded = np.flatnonzero(guard[k - 1])
+                guards += [(int(i), t - 1, GUARD_REASONS[guard[k - 1, i]])
+                           for i in guarded]
+                live[guarded] = False
+                if live.any():
+                    source = np.argmax(live)
+                    S[0, ~live] = S[0, source]
+                    if tangents is not None:
+                        V[0, ~live] = V[0, source]
+        observe(t, S[:1])
     exponents = None
     if tangents is not None:
-        exponents = np.full(X0.shape[0], np.nan)
-        exponents[idx] = g[:idx.size] / (horizon - start)
-    return _Lockstep(guards, tail_min, tail_max, snap, exponents)
+        exponents = np.where(live, g, np.nan)[:m0] / (horizon - start)
+    return _Lockstep(guards, tail_min[:m0], tail_max[:m0],
+                     None if snap is None else snap[:m0], exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +703,6 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 #: matrices stay at most CONJUGACY_BLOCK_DIM**2 doubles each.
 CONJUGACY_BLOCK_DIM = 128
 
-#: Storage cap of one block of conjugacy trials: its two orbits, of
-#: 2 (steps + 1) n doubles per trial, stay at most 2**20 doubles (8 MiB).
-CONJUGACY_BLOCK_DOUBLES = 2**20
-
 
 def _direct_sum(systems) -> QPSystem:
     """The block-diagonal system of equal-dimension systems; one system
@@ -766,7 +755,7 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0,
 
     Consecutive trials run together, at most
     ``max(1, min(CONJUGACY_BLOCK_DIM // n,
-    CONJUGACY_BLOCK_DOUBLES // (2 (steps + 1) n)))`` at a time: a QMT of a
+    BLOCK_DOUBLES // (2 (steps + 1) n)))`` at a time: a QMT of a
     block-diagonal system is block-diagonal, so a block's direct orbits
     are one orbit of ``diag(sys, ..., sys)`` and its conjugate orbits one
     orbit of ``diag(apply_qmt(sys, C_1), ...)``.  A block costs two
@@ -787,7 +776,7 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0,
     if steps < 0:
         raise InvalidArgument("steps must be nonnegative")
     size = max(1, min(CONJUGACY_BLOCK_DIM // n,
-                      CONJUGACY_BLOCK_DOUBLES // (2 * (steps + 1) * n)))
+                      BLOCK_DOUBLES // (2 * (steps + 1) * n)))
     deviations = np.full(len(X0), np.nan)
     guards = {}
 

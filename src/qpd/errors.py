@@ -61,5 +61,5 @@ class SchemaError(QPDError):
 
 
 class ParseError(QPDError):
-    """A system-definition file is not valid JSON; the message names the
-    line and column."""
+    """A system-definition file is not UTF-8 text or not valid JSON; for
+    malformed JSON the message names the line and column."""

@@ -168,53 +168,55 @@ class TangentImage:
     second gives ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``; lam
     is tiled to (m, n) once, so its add is same-shape.  A step computes
     W, q, arg and X' exactly as ``image`` does, adds the tangent increment
-    to V and renormalizes each row of V, keeping the norm it divided by.
+    to V and renormalizes each row of the sum, keeping the norm it
+    divided by.
 
     Built once per batch, with the tangent rows ``V`` (m, n), over the
     caller's block buffers of up to ``size`` steps, ``S`` (size + 1, m, n)
     of states and ``arg`` (size, m, n) of step exponents; it adds its own
-    block buffers, ``[W; V B^T]`` (size, 2m, n), whose top half is ``W``,
-    and ``norms`` (size + 1, m).  ``step(j)`` advances the rows S[j] into
-    S[j + 1], writes W[j] and arg[j], and the norms of the tangent rows
-    before renormalization into norms[j + 1]; the renormalized rows stay
-    in ``V``.  Every operand is a buffer or view made here, so a step is
-    12 numpy calls, 2 of them matmuls and 1 a broadcast.  Like ``image``,
-    nothing is checked: run it under ``np.errstate`` and read the block
-    through ``guard_codes``.
+    block buffers, the operands ``[log X; V]`` (size + 1, 2m, n), whose
+    bottom halves are the tangent rows ``V`` of each step, ``[W; V B^T]``
+    (size, 2m, n), whose top half is ``W``, and ``norms`` (size + 1, m).
+    ``step(j)`` advances the rows S[j] and tangent rows V[j] into S[j + 1]
+    and V[j + 1], writes W[j] and arg[j], and the norms of the tangent
+    rows before renormalization into norms[j + 1], so a batch can resume
+    after any step of a block.  Every operand is a buffer or view made
+    here, so a step is 12 numpy calls, 2 of them matmuls and 1 a
+    broadcast.  Like ``image``, nothing is checked: run it under
+    ``np.errstate`` and read the block through ``guard_codes``.
     """
 
     def __init__(self, sys: QPSystem, V, S, arg):
         size, m, n = arg.shape
-        WV = np.empty((size, 2 * m, n))
-        self.W, self.norms = WV[:, :m], np.empty((size + 1, m))
-        self._P, self._Q, self._R = P, Q, R = np.empty((3, 2 * m, n))
-        P[m:] = V
-        self.V, self._logX = P[m:], P[:m]
+        P, WV = np.empty((size + 1, 2 * m, n)), np.empty((size, 2 * m, n))
+        P[0, m:] = V
+        self.V, self.W = P[:, m:], WV[:, :m]
+        self.norms = norms = np.empty((size + 1, m))
+        self._Q, self._R = Q, R = np.empty((2, 2 * m, n))
         self._q, self._qVB, self._qA, self._dV = Q[:m], Q[m:], R[:m], R[m:]
         # contiguous copies multiply faster than the transposed views
         self._At = np.ascontiguousarray(sys.A.T)
         self._Bt = np.ascontiguousarray(sys.B.T)
         self._lam = np.tile(sys.lam, (m, 1))
-        norms = self.norms
         self._steps = [
-            (S[j], WV[j], WV[j, :m], WV[j, m:], arg[j], S[j + 1],
-             norms[j + 1], norms[j + 1, :, None])
+            (S[j], P[j], P[j, :m], P[j, m:], P[j + 1, m:], WV[j], WV[j, :m],
+             WV[j, m:], arg[j], S[j + 1], norms[j + 1], norms[j + 1, :, None])
             for j in range(size)]
 
     def step(self, j):
-        """Advance the rows S[j] of the block by one fused step."""
-        X, WV, W, VB, arg, out, s, s_col = self._steps[j]
-        V, q = self.V, self._q
-        np.log(X, out=self._logX)
-        np.matmul(self._P, self._Bt, out=WV)
+        """Advance the rows S[j] and V[j] of the block by one fused step."""
+        X, P, logX, V, Vn, WV, W, VB, arg, out, s, s_col = self._steps[j]
+        q = self._q
+        np.log(X, out=logX)
+        np.matmul(P, self._Bt, out=WV)
         np.exp(W, out=q)
         np.multiply(q, VB, out=self._qVB)
         np.matmul(self._Q, self._At, out=self._R)
         np.add(self._qA, self._lam, out=arg)
         np.multiply(X, np.exp(arg, out=out), out=out)
-        np.add(V, self._dV, out=V)
-        np.sqrt(np.einsum("ij,ij->i", V, V, out=s), out=s)
-        np.divide(V, s_col, out=V)
+        np.add(V, self._dV, out=Vn)
+        np.sqrt(np.einsum("ij,ij->i", Vn, Vn, out=s), out=s)
+        np.divide(Vn, s_col, out=Vn)
 
 
 def guard_codes(W, arg, Xn):
@@ -256,9 +258,8 @@ def advance(sys: QPSystem, X):
     or ``TangentImage`` for rows with tangents, for a block of up to
     ``dynamics.BLOCK_STEPS`` steps into their own buffers, capped at
     ``dynamics.BLOCK_DOUBLES`` doubles, and check the whole block once
-    with ``guard_codes``.  A tripped lockstep block is rerun from its
-    checkpoint as blocks of one step, and ``simulate`` reads its first
-    guarded step from the block's codes, so their results are
+    with ``guard_codes``.  Both read the first guarded step from the
+    block's codes and end the block there, so their results are
     bit-identical to checking every step.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -353,15 +354,22 @@ def system_from_dict(doc: dict) -> QPSystem:
 def load_system(path) -> QPSystem:
     """Load a system-definition JSON file.
 
-    Raises ParseError (naming the line and column) on malformed JSON and
-    SchemaError on a well-formed document that does not match the schema.
+    Raises ParseError on a file that is not UTF-8 text, on malformed JSON
+    (naming the line and column) and on JSON nested too deeply to parse,
+    and SchemaError on a well-formed document that does not match the
+    schema.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too "
+                         "deeply") from None
     return system_from_dict(doc)

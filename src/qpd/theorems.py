@@ -376,14 +376,20 @@ _BATTERY = (_theorem1, _theorem2, _theorem3, _theorem4, _theorem5,
 
 
 def check_all_theorems(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> list[TheoremVerdict]:
-    """Run the full battery T1..T7 in order on one class decision."""
-    decision = _decide_class(sys, tol)
-    return [theorem(decision) for theorem in _BATTERY]
+    """Run the full battery T1..T7 in order on one class decision.
+
+    The battery runs under ``np.errstate``: a hypothesis value that
+    overflows is recorded as inf or NaN, not warned about.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        decision = _decide_class(sys, tol)
+        return [theorem(decision) for theorem in _BATTERY]
 
 
 def _checker(number, theorem):
     def check(sys: QPSystem, tol=DEFAULT_SIGN_TOL) -> TheoremVerdict:
-        return theorem(_decide_class(sys, tol))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return theorem(_decide_class(sys, tol))
     check.__name__ = check.__qualname__ = f"check_theorem{number}"
     check.__doc__ = theorem.__doc__
     return check

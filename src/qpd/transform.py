@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OverflowGuard, SingularB, SingularMatrix
+from .errors import (DimensionMismatch, NonFinite, OverflowGuard, SingularB,
+                     SingularMatrix)
 from .systems import (EXP_ARG_LIMIT, UNDERFLOW_FLOOR, LVSystem, QPSystem,
                       as_state, _frozen)
 
@@ -121,8 +122,10 @@ class ClassInvariants:
 
 
 def class_invariants(sys: QPSystem) -> ClassInvariants:
-    """Compute the transformation-class invariants (B A, B lam)."""
-    return ClassInvariants(sys.B @ sys.A, sys.B @ sys.lam)
+    """Compute the transformation-class invariants (B A, B lam); a product
+    that overflows holds inf or NaN entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ClassInvariants(sys.B @ sys.A, sys.B @ sys.lam)
 
 
 def apply_qmt(sys: QPSystem, qmt: QMTMatrix) -> QPSystem:
@@ -144,11 +147,15 @@ def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
 
     Returns the LV system whose matrices are the class invariants together
     with the transformation C = B^-1 that produces it.  Raises SingularB
-    when B is singular within tolerance: no canonical form exists then.
+    when B is singular within tolerance, and NonFinite when an invariant
+    overflows the double range: no canonical form exists then.
     """
     B_inv = _invert(sys.B, "exponent matrix B", SingularB)
     qmt = QMTMatrix(B_inv, sys.B)
     inv = class_invariants(sys)
+    for label, part in (("B A", inv.interaction), ("B lam", inv.growth)):
+        if not np.all(np.isfinite(part)):
+            raise NonFinite(f"class invariant {label} overflows")
     return LVSystem(inv.interaction, inv.growth, name=sys.name), qmt
 
 

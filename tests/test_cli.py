@@ -13,7 +13,8 @@ from conftest import (
     fixture_path,
     load_fixture,
 )
-from qpd import DEFAULT_SIGN_TOL, QPSystem, apply_qmt
+from qpd import (DEFAULT_SIGN_TOL, QPSystem, apply_qmt, canonical_lv,
+                 load_system)
 from qpd.cli import build_analysis_report, main
 from qpd.dynamics import (
     LYAPUNOV_ROUNDING_FLOOR,
@@ -25,7 +26,7 @@ from qpd.dynamics import (
     falsifications,
     qp_fixed_point,
 )
-from qpd.errors import GuardTermination
+from qpd.errors import GuardTermination, NonFinite
 from qpd.theorems import Conclusion, HypothesisCheck, TheoremVerdict
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -35,6 +36,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reject(constant):
+    """``parse_constant`` of strict JSON: NaN and Infinity are refused."""
+    raise ValueError(f"{constant} is not JSON")
 
 
 def write_system(tmp_path, A, lam, B=None):
@@ -105,7 +111,7 @@ class TestAnalyze:
     def test_guarded_verify_report_matches_golden_files(self, capsys,
                                                         tmp_path):
         # 36 of the 51 orbits hit a guard, before step 2000 and after it,
-        # so blocks of the lockstep engine trip and are rerun step by step
+        # so blocks of the lockstep engine trip and end at their first guard
         out_json = tmp_path / "report.json"
         code, out, err = run(capsys, "analyze",
                              str(DATA / "guarded_drift.json"), "--verify",
@@ -122,6 +128,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf8", "nested-too-deeply"])
+    def test_unreadable_file_is_one_error_line(self, capsys, tmp_path,
+                                               content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_schema_error(self, capsys, tmp_path):
         doc = json.loads(fixture_path("example1_lv").read_text())
@@ -150,6 +166,48 @@ class TestAnalyze:
         assert code == 0
         assert "canonical LV form: unavailable" in out
         assert "T2  not applicable" in out
+
+    @pytest.mark.parametrize("A, lam, label", [
+        ([[1e308, 1e308], [1e308, 1e308]], [1e308, 1e308], "B A"),
+        ([[-1e-300, 0.0], [0.0, -1e-300]], [1e308, 1e308], "B lam"),
+    ], ids=["interaction", "growth"])
+    def test_overflowing_invariant_still_reports(self, capsys, tmp_path, A,
+                                                 lam, label):
+        # A, B and lam are finite, but an invariant of B = 1e308 I is not
+        path = write_system(tmp_path, A, lam,
+                            B=[[1e308, 0.0], [0.0, 1e308]])
+        message = f"class invariant {label} overflows"
+        with pytest.raises(NonFinite, match=message):
+            canonical_lv(load_system(path))
+        out_path = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", path, "--verify",
+                                 "--json", str(out_path))
+        assert (code, err) == (0, "")
+        assert f"canonical LV form: unavailable ({message})" in out
+        assert f"  fixed point: {message}" in out
+        assert "theorem battery:" in out and "T7" in out
+        report = json.loads(out_path.read_text(), parse_constant=reject)
+        assert report["canonical_lv"] == {"error": message}
+        assert report["verify"]["fixed_point"] == {"error": message}
+        assert report["class_invariants"]["growth"] == ["inf", "inf"]
+        assert len(report["theorems"]) == 7
+
+    def test_overflowing_hypothesis_values_are_strict_json(self, capsys,
+                                                          tmp_path):
+        # B lam = (1e200, 1e200): five hypothesis witnesses overflow
+        path = write_system(tmp_path, [[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0],
+                            B=[[1e200, 0.0], [0.0, 1e200]])
+        out_path = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "analyze", path, "--json",
+                               str(out_path))
+        assert (code, err) == (0, "")
+        text = out_path.read_text()
+        json.loads(text, parse_constant=reject)
+        assert (text.count('"inf"'), text.count('"-inf"')) == (3, 2)
 
     def test_strict_flags_proxy_disagreement(self, capsys, tmp_path):
         # Permanence holds analytically for this competitive system, but
@@ -223,9 +281,6 @@ class TestVerificationBlock:
         code, out, _ = run(capsys, "analyze", path, "--verify",
                            "--json", str(out_path))
         assert code == 0
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
         block = json.loads(out_path.read_text(),
                            parse_constant=reject)["verify"]
         stats = block["permanence"]["statistics"]

@@ -45,12 +45,11 @@ from qpd.dynamics import (
     _block_steps,
     _draw_initial_conditions,
     _lockstep,
-    _rows,
     _tangent_directions,
     conjugacy_deviations,
     verification_pass,
 )
-from qpd.systems import GUARD_REASONS, UNDERFLOW_FLOOR, advance
+from qpd.systems import GUARD_REASONS, UNDERFLOW_FLOOR, TangentImage, advance
 from qpd.errors import (
     GuardTermination,
     InvalidArgument,
@@ -535,6 +534,15 @@ class TestTangentIsolation:
         assert checks.lyapunov_error is None
 
 
+def _rows(keep):
+    """Batch positions of the rows that ``keep`` selects.  A lone row is
+    taken twice: numpy multiplies a one-row matrix through another BLAS
+    kernel, whose rounding differs, and an orbit must not depend on
+    which rows share its batch."""
+    rows = np.flatnonzero(keep)
+    return np.repeat(rows, 2) if rows.size == 1 else rows
+
+
 def reference_lockstep(sys, X0, horizon, tail=range(0), snapshot=None,
                        tangents=None):
     """The per-step lockstep loop: the guard is checked after every step
@@ -653,6 +661,14 @@ LOCKSTEP_CASES = {
                          for T in (K + 2, K + 9, 2 * K - 3, K + 9)
                          for reason in ("overflow", "underflow")]),
         HORIZON, range(K, HORIZON + 1), K + 5),
+    # rows 1 and 2 guard and shadow row 0, the first live row; row 0
+    # guards with its shadows, and row 3 takes over until it guards too
+    "shadow-source-guards": (
+        DRIFT, np.array([guarded_at(2 * K + 3, "overflow"),
+                         guarded_at(5, "underflow"),
+                         guarded_at(K + 1, "overflow"),
+                         guarded_at(2 * K + 20, "underflow"), STILL]),
+        HORIZON, range(K + 10, HORIZON + 1), 2 * K + 9),
     "verification-pass-batch": (
         DRIFT, np.vstack([_draw_initial_conditions(7, ENSEMBLE_SIZE, 2),
                           np.ones(2)]),
@@ -732,12 +748,12 @@ class TestBlockedLockstep:
             assert not guarded
 
     def test_short_blocks_match_the_per_step_loop(self, monkeypatch):
-        # 51 rows of 3 store 51 * 13 doubles a step with tangents and
-        # 51 * 9 without: blocks of 5 and of 7 steps
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 5 * 51 * 13 + 12)
+        # 51 rows of 3 store 51 * 19 doubles a step with tangents and
+        # 51 * 9 without: blocks of 5 and of 10 steps
+        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 5 * 51 * 19 + 12)
         sys, X0 = wide_case("drift3", ENSEMBLE_SIZE + 1)
         assert _block_steps(len(X0), 3, True) == 5
-        assert _block_steps(len(X0), 3) == 7
+        assert _block_steps(len(X0), 3) == 10
         for tangents in (None, (7, _tangent_directions(3, len(X0), 3))):
             assert_matches_the_per_step_loop(
                 sys, X0, HORIZON, range(K + 10, HORIZON + 1), K + 3,
@@ -754,6 +770,28 @@ class TestBlockedLockstep:
         assert {t // K for _, t, _ in guards} == {1}
         assert reference_lockstep(
             *LOCKSTEP_CASES["guard-at-horizon-1"][:3])[0][-1][1] == HORIZON - 1
+        assert reference_lockstep(
+            *LOCKSTEP_CASES["shadow-source-guards"][:3])[0] == [
+                (1, 5, "underflow"), (2, K + 1, "overflow"),
+                (0, 2 * K + 3, "overflow"), (3, 2 * K + 20, "underflow")]
+
+    def test_a_run_builds_one_tangent_image(self, monkeypatch):
+        # DRIFT is tests/data/guarded_drift.json; the pass's batch at seed
+        # 7 guards 36 of its 51 rows, at 36 different steps
+        builds = []
+
+        class Counted(TangentImage):
+            def __init__(self, *args):
+                builds.append(args[1].shape)
+                super().__init__(*args)
+
+        monkeypatch.setattr(qpd.dynamics, "TangentImage", Counted)
+        sys, X0, horizon, tail, snapshot = LOCKSTEP_CASES[
+            "verification-pass-batch"]
+        run = _lockstep(sys, X0, horizon, tail, snapshot,
+                        tangents=with_tangents(LYAPUNOV_TRANSIENT, len(X0)))
+        assert len(run.guards) == 36
+        assert builds == [(len(X0), 2)]
 
     def test_tangent_that_collapses_mid_block(self):
         # x -> x exp(1 - x): a tangent collapses to 0 once its orbit lands
@@ -771,10 +809,11 @@ class TestBlockedLockstep:
         assert np.array_equal(run.exponents, exponents, equal_nan=True)
 
     def test_block_buffers_are_capped(self):
-        # a step stores 3 m n doubles, or m (4 n + 1) with tangents: the
-        # states, [W; V B^T], the step exponents and the tangent norms
+        # a step stores 3 m n doubles, or m (6 n + 1) with tangents: the
+        # states, [log X; V], [W; V B^T], the step exponents and the
+        # tangent norms
         for tangents, per_row in ((False, lambda n: 3 * n),
-                                  (True, lambda n: 4 * n + 1)):
+                                  (True, lambda n: 6 * n + 1)):
             assert _block_steps(ENSEMBLE_SIZE + 1, 2, tangents) == K
             assert _block_steps(1, 128, tangents) == K
             for m, n in ((10**4, 2), (10**5, 6), (10**6, 2), (0, 2)):
@@ -903,8 +942,7 @@ class TestConjugacyDeviations:
 
         monkeypatch.setattr(qpd.dynamics, "simulate", spy)
         if doubles is not None:
-            monkeypatch.setattr(qpd.dynamics, "CONJUGACY_BLOCK_DOUBLES",
-                                doubles)
+            monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
         blocked, guards = conjugacy_deviations(sys, qmts, X0, 200)
         assert guards == {}
         assert len(dims) == 2 * blocks
