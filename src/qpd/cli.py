@@ -54,6 +54,7 @@ from .transform import (
     apply_qmt,
     canonical_lv,
     class_invariants,
+    finite_class_invariants,
 )
 
 #: Per-step relative budget for conjugacy verification; roundoff passes
@@ -337,7 +338,7 @@ def cmd_conjugacy(args) -> int:
         print("warning: --trials 0 requested; vacuous pass")
         return 0
     budget = CONJUGACY_STEP_BUDGET * args.steps
-    base = class_invariants(system)
+    base = finite_class_invariants(system)
     rejected = 0
     qmts, X0, drifts = [], [], []
     for trial in range(args.trials):

@@ -3,22 +3,19 @@
 Trajectory simulation, interior fixed points via the canonical LV form,
 ensemble probes for permanence and attractivity, conjugacy verification,
 and largest-Lyapunov-exponent estimation with the analytic tangent map
-of the QP map in log coordinates.  The ensemble probes, the Lyapunov
-estimate and ``verification_pass``, which runs all three probes as one
-batch in which every orbit carries a tangent, share one lockstep engine.
-``falsifications`` reads that pass against the theorem verdicts, one
-rule per claim: it lists the disagreements and warnings of a report.
+of the QP map in log coordinates.  Every orbit here, from ``simulate``'s
+one row to ``verification_pass``'s batch of 51 with tangents, is a row
+of the one lockstep engine ``_lockstep``, which advances the rows of
+``systems.as_batch``, so one x0 has one float orbit.  ``falsifications``
+reads that pass against the theorem verdicts, one rule per claim.
 
-Conjugacy trials run as block-diagonal systems: a QMT of a
-block-diagonal system is block-diagonal, so ``conjugacy_deviations``
-runs a block of trials as one direct and one conjugate orbit, two
-``simulate`` calls per block.  A block holds at most
-``CONJUGACY_BLOCK_DIM // n`` trials, which bounds each dense block
-matrix at 128**2 doubles, and at most
-``BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds a block's two
-stored orbits at 2**20 doubles (8 MiB); it always holds at least one
-trial.  A block that hits a guard is rerun one trial at a time, and
-those one-trial runs, the tested reference, decide each of its trials.
+Conjugacy trials run in blocks: a block's direct orbits are rows of the
+system, and, since a QMT of a block-diagonal system is block-diagonal,
+its conjugate orbits are one row of the ``systems.DirectSum`` of their
+transformed systems.  Each orbit is, to the bit, the one its trial's
+own run gives.  A block holds at most ``CONJUGACY_BLOCK_DIM // n``
+trials and at most ``BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds
+its two recorded orbits at 2**20 doubles (8 MiB), but at least one.
 
 Guard policy: every map evaluation here goes through the one kernel
 ``systems.image``, or its tangent-carrying form ``systems.TangentImage``,
@@ -26,12 +23,11 @@ and the guard rule ``systems.guard_codes``, which labels a guarded step
 by the sign of its exponent: "overflow" for a blow-up, "underflow" for
 a collapse toward 0 (including a component below UNDERFLOW_FLOOR).  The
 orbit terminates there; ensemble verdicts treat either termination as
-failure.  ``simulate`` and the lockstep engine check the guard once per
-block of at most BLOCK_STEPS steps, whose buffers stay within
-BLOCK_DOUBLES doubles, and a tripped block ends at its first guarded
-step, read from the block's codes.  The lockstep engine keeps its batch
-and buffers: each row guarded there becomes a shadow of a live row.
-Every result is bit-identical to checking every step.
+failure.  The lockstep engine checks the guard once per block of at most
+BLOCK_STEPS steps, whose buffers stay within BLOCK_DOUBLES doubles; a
+tripped block ends at its first guarded step, where each guarded row
+becomes a shadow of a live row.  Every result is bit-identical to
+checking every step.
 
 The Lyapunov tangents ride the map: with tangents, each step of the
 lockstep engine is one fused map-and-tangent step, ``TangentImage``,
@@ -61,9 +57,11 @@ from .systems import (
     DEFAULT_SIGN_TOL,
     GUARD_OK,
     GUARD_REASONS,
+    DirectSum,
     QPSystem,
     TangentImage,
     advance,
+    as_batch,
     as_state,
     guard_codes,
     image,
@@ -105,8 +103,8 @@ LYAPUNOV_SAMPLES = 10000
 #: off a superattracting point, whose true exponent is -inf).
 LYAPUNOV_ROUNDING_FLOOR = math.log(2.0**-52)
 
-#: Steps per block of ``simulate`` and the lockstep engine: the guard is
-#: checked once over each block's buffers, not once per step.
+#: Steps per block of the lockstep engine: the guard is checked once
+#: over each block's buffers, not once per step.
 BLOCK_STEPS = 64
 
 #: Storage cap of one block: what it stores a step for m rows, 3 m n
@@ -154,33 +152,18 @@ def _block_steps(m, n, tangents=False):
 def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
     """Iterate the map ``steps`` times or until a guard triggers.
 
-    Each image is written straight into the trajectory, a block of
-    ``_block_steps(1, n)`` steps at a time, and a block is checked once;
-    the first guarded step of a tripped block ends the orbit.
+    The orbit is a one-row lockstep run that records every step, so it
+    is the orbit of x0 in any batch; its first guard ends it.
     """
     if steps < 0:
         raise InvalidArgument("steps must be nonnegative")
-    try:
-        states = np.empty((steps + 1, sys.n))
-    except (ValueError, MemoryError):
-        raise InvalidArgument(
-            f"{steps} steps make a trajectory too large to allocate") from None
-    states[0] = as_state(x0, sys.n)
-    size = _block_steps(1, sys.n)
-    W, arg = np.empty((2, size, sys.n))
-    with np.errstate(all="ignore"):
-        for start in range(0, steps, size):
-            k = min(size, steps - start)
-            for t in range(start, start + k):
-                image(sys, states[t], W[t - start], arg[t - start],
-                      states[t + 1])
-            guard = guard_codes(W[:k], arg[:k],
-                                states[start + 1:start + k + 1])
-            if guard.any():
-                t = int(np.flatnonzero(guard)[0])
-                return Trajectory(states[:start + t + 1].copy(),
-                                  (start + t, GUARD_REASONS[guard[t]]))
-    return Trajectory(states)
+    run = _lockstep(sys, as_state(x0, sys.n)[None], steps,
+                    record=range(steps + 1))
+    states = run.record[:, 0]
+    if not run.guards:
+        return Trajectory(states)
+    _, t, reason = run.guards[0]
+    return Trajectory(states[:t + 1].copy(), (t, reason))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -329,8 +312,8 @@ class _Lockstep:
     ``guards`` lists (row, t, reason) in step order, rows ascending
     within a step, where t is the step whose transition was guarded.
     ``tail_min``/``tail_max`` are per-row componentwise extrema over the
-    tail window (inf/-inf where a row recorded none); ``snapshot`` holds
-    the states at the snapshot step, NaN for rows no longer live then.
+    tail window (inf/-inf where a row recorded none); ``record[j]`` holds
+    the states of the j-th recorded step, NaN for rows no longer live then.
     ``exponents`` holds each row's mean tangent log growth, NaN for a
     row that guarded; it is None for a run without tangents.
     """
@@ -338,70 +321,75 @@ class _Lockstep:
     guards: list
     tail_min: np.ndarray
     tail_max: np.ndarray
-    snapshot: np.ndarray | None
+    record: np.ndarray
     exponents: np.ndarray | None
 
 
-def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
+def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
               tangents=None) -> _Lockstep:
-    """Advance the rows of X0 in lockstep for ``horizon`` steps.
+    """Advance the rows of X0 in lockstep for ``horizon`` steps: the one
+    orbit loop of qpd.
 
-    A guarded row records its guard and stays in the batch as a shadow
-    behind the ``live`` mask, which keeps it out of every result.
-    Row extrema are taken over the states of the steps in ``tail``, a
-    range of consecutive steps, and the states after step ``snapshot``
-    are copied out.  ``tangents`` is ``(start, V)``: row i carries the
-    tangent vector V[i] through every transition, renormalized each
+    Row extrema are taken over the states of the steps in ``tail``, and
+    the states of the steps in ``record`` are copied out; both are ranges
+    of consecutive steps.  ``tangents`` is ``(start, V)``: row i carries
+    the tangent vector V[i] through every transition, renormalized each
     step, and averages its log growth over the transitions out of the
     states t >= start.  A tangent that collapses to 0 or leaves the
     representable range leaves a non-finite exponent and never ends its
-    row.
+    row.  Raises InvalidArgument when the record is too large to allocate.
 
-    The rows are advanced as one batch, a block of ``_block_steps``
-    steps at a time into buffers allocated once, by ``systems.image``
-    or, with tangents, by the fused map-and-tangent step
-    ``systems.TangentImage``.  The guard is checked once over each
-    block, and the tail extrema, the snapshot and the tangents' log
-    growth are read from the block's buffers: one ``np.log`` over the
-    block's tangent norms and one axis-0 ``np.add.reduce`` whose first
-    row is the growth so far, which sums in step order.  A tripped block
-    ends at its first guarded step, and each row guarded there becomes
-    a shadow: it takes a copy of the state and tangent of the first live
-    row, so it cannot trip on its own, and the ``live`` mask keeps every
-    shadow out of the extrema, the snapshot, the guards and the
-    exponents.  A lone row gets one shadow from the start: numpy
-    multiplies a one-row matrix through another BLAS kernel, whose
-    rounding differs, and an orbit must not depend on which rows share
-    its batch.  Every result is bit-identical to checking every step.
+    The batch is ``systems.as_batch(X0)``, so a lone row rounds as it does
+    in any batch and in ``advance``.  It is advanced a block of
+    ``_block_steps`` steps at a time into buffers allocated once, by
+    ``systems.image``, for which sys may be a ``systems.DirectSum``, or,
+    with tangents, by the fused map-and-tangent step
+    ``systems.TangentImage``.  The guard is checked once over each block,
+    and the tail extrema, the record and the tangents' log growth are
+    read from the block's buffers: one ``np.log`` over the block's tangent
+    norms and one axis-0 ``np.add.reduce`` whose first row is the growth
+    so far, which sums in step order.  A tripped block ends at its first
+    guarded step, and each row guarded there records its guard and
+    becomes a shadow: it takes a copy of the state and tangent of the
+    first live row, so it cannot trip on its own, and the ``live`` mask
+    keeps every shadow out of every result.  Every result is
+    bit-identical to checking every step.
     """
     X0 = np.asarray(X0, dtype=float)
     m0, n = X0.shape
-    rows = np.zeros(2, dtype=int) if m0 == 1 else np.arange(m0)
-    m = rows.size
+    try:
+        rec = np.full((len(record), m0, n), np.nan)
+    except (ValueError, MemoryError):
+        raise InvalidArgument(f"{horizon} steps make a trajectory too large "
+                              "to allocate") from None
+    S0 = as_batch(X0)
+    m = len(S0)
     live = np.arange(m) < m0
     tail_min, tail_max = np.full((m, n), np.inf), np.full((m, n), -np.inf)
-    snap = None if snapshot is None else np.full((m, n), np.nan)
     guards: list[tuple[int, int, str]] = []
     size = _block_steps(m, n, tangents is not None)
     S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
-    S[0] = X0[rows]
+    S[0] = S0
     if tangents is None:
         W = np.empty((size, m, n))
+        operands = [(S[j], W[j], arg[j], S[j + 1]) for j in range(size)]
     else:
         start, V = tangents
-        fused = TangentImage(sys, V[rows], S, arg)
+        fused = TangentImage(sys, as_batch(V), S, arg)
         W, V, norms, g = fused.W, fused.V, fused.norms, np.zeros(m)
 
     def observe(t, states):
-        """Tail extrema and snapshot of the live rows over the states of
+        """Tail extrema and record of the live rows over the states of
         steps t, t + 1, ..."""
         mask = live[:, None]
         window = states[max(tail.start - t, 0):max(tail.stop - t, 0)]
         if window.size:
             np.minimum(tail_min, window.min(axis=0), out=tail_min, where=mask)
             np.maximum(tail_max, window.max(axis=0), out=tail_max, where=mask)
-        if snapshot is not None and t <= snapshot < t + len(states):
-            np.copyto(snap, states[snapshot - t], where=mask)
+        a, b = max(record.start, t), min(record.stop, t + len(states))
+        if a < b:
+            np.copyto(rec[a - record.start:b - record.start],
+                      states[a - t:b - t, :m0], where=mask[:m0])
 
     def grow(t, k):
         """Add the log growth of the steps t .. t + k - 1 from start on."""
@@ -416,8 +404,8 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
         while t < horizon and live.any():
             k = min(size, horizon - t)
             if tangents is None:
-                for j in range(k):
-                    image(sys, S[j], W[j], arg[j], S[j + 1])
+                for step_operands in operands[:k]:
+                    image(sys, *step_operands)
             else:
                 for j in range(k):
                     fused.step(j)
@@ -444,8 +432,7 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), snapshot=None,
     exponents = None
     if tangents is not None:
         exponents = np.where(live, g, np.nan)[:m0] / (horizon - start)
-    return _Lockstep(guards, tail_min[:m0], tail_max[:m0],
-                     None if snap is None else snap[:m0], exponents)
+    return _Lockstep(guards, tail_min[:m0], tail_max[:m0], rec, exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +509,7 @@ def _attractivity_verdict(run, size, horizon, target, tol,
         max_dist = None  # some orbit never reached the horizon
     else:
         max_dist = float(np.max(np.linalg.norm(
-            run.snapshot[:size] - target, axis=1)))
+            run.record[0, :size] - target, axis=1)))
     passed = max_dist is not None and max_dist <= tol
     return EmpiricalVerdict(
         "attractivity", bool(passed), size, horizon, seed,
@@ -555,7 +542,7 @@ def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
     """
     target = as_state(target, sys.n)
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
-    run = _lockstep(sys, X0, horizon, snapshot=horizon)
+    run = _lockstep(sys, X0, horizon, record=range(horizon, horizon + 1))
     return _attractivity_verdict(run, ensemble_size, horizon, target, tol,
                                  seed)
 
@@ -604,7 +591,7 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
     run = _lockstep(
         sys, np.vstack([X0, np.ones(n)]), horizon,
         tail=_tail_window(PERMANENCE_HORIZON),
-        snapshot=None if target is None else ATTRACTIVITY_HORIZON,
+        record=range(ATTRACTIVITY_HORIZON, ATTRACTIVITY_HORIZON + 1),
         tangents=(LYAPUNOV_TRANSIENT,
                   _tangent_directions(seed, size + 1, n)))
     permanence = _permanence_verdict(run, size, PERMANENCE_HORIZON, seed)
@@ -699,47 +686,54 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 # conjugacy verification
 # ---------------------------------------------------------------------------
 
-#: Dimension cap of one block of conjugacy trials: the dense block
-#: matrices stay at most CONJUGACY_BLOCK_DIM**2 doubles each.
+#: Dimension cap of one block of conjugacy trials: its conjugate orbits
+#: are one row of at most CONJUGACY_BLOCK_DIM components.
 CONJUGACY_BLOCK_DIM = 128
 
 
-def _direct_sum(systems) -> QPSystem:
-    """The block-diagonal system of equal-dimension systems; one system
-    gives its own matrices back."""
-    n, k = systems[0].n, len(systems)
-    A, B = np.zeros((2, k * n, k * n))
-    for i, part in enumerate(systems):
-        block = slice(i * n, (i + 1) * n)
-        A[block, block], B[block, block] = part.A, part.B
-    return QPSystem(A, B, np.concatenate([part.lam for part in systems]))
+def _block_deviations(sys, qmts, X0, steps):
+    """Deviations of one block of trials, and the guards that stopped
+    some of them, keyed by the trial's place in the block.
 
-
-def _block_deviations(sys, qmts, X0, steps) -> np.ndarray:
-    """Deviations of one block of trials from two orbits; raises
-    GuardTermination naming the guarded orbit or initial state."""
+    The direct orbits are rows of one run of sys, and the conjugate orbits
+    of the other trials one row of the ``DirectSum`` of their transformed
+    systems.  Each is, to the bit, the orbit its trial's run alone gives,
+    so a guarded direct row is its trial's guard, and a guarded conjugate
+    row is rerun one trial at a time.
+    """
     n = sys.n
-    try:
-        Y0 = np.concatenate([map_state(qmt.inverse(), x0)
-                             for qmt, x0 in zip(qmts, X0)])
-    except OverflowGuard as exc:
-        raise GuardTermination(f"conjugate initial state: {exc}") from None
-    direct = simulate(_direct_sum([sys] * len(qmts)), np.concatenate(X0),
-                      steps)
-    conjugate = simulate(
-        _direct_sum([apply_qmt(sys, qmt) for qmt in qmts]), Y0, steps)
-    for label, traj in (("direct", direct), ("conjugate", conjugate)):
-        if traj.terminated_early is not None:
-            raise GuardTermination(
-                f"{label} orbit terminated early: {traj.terminated_early}")
-    out = np.empty(len(qmts))
-    for i, qmt in enumerate(qmts):
-        block = slice(i * n, (i + 1) * n)
-        gap = (np.log(conjugate.states[:, block]) @ qmt.C.T
-               - np.log(direct.states[:, block]))
-        with np.errstate(over="ignore"):
-            out[i] = np.max(np.abs(np.expm1(gap)))
-    return out
+    out, guards, Y0 = np.full(len(qmts), np.nan), {}, {}
+    for i, (qmt, x0) in enumerate(zip(qmts, X0)):
+        try:
+            Y0[i] = map_state(qmt.inverse(), x0)
+        except OverflowGuard as exc:
+            guards[i] = f"conjugate initial state: {exc}"
+    direct = _lockstep(sys, np.array(X0), steps, record=range(steps + 1))
+    for i, t, reason in direct.guards:
+        guards.setdefault(i, f"direct orbit terminated early: {(t, reason)}")
+
+    def conjugate(trials):
+        block = DirectSum.of([apply_qmt(sys, qmts[i]) for i in trials])
+        run = _lockstep(block, np.concatenate([Y0[i] for i in trials])[None],
+                        steps, record=range(steps + 1))
+        if not run.guards:
+            for j, i in enumerate(trials):
+                gap = (np.log(run.record[:, 0, j * n:(j + 1) * n])
+                       @ qmts[i].C.T - np.log(direct.record[:, i]))
+                with np.errstate(over="ignore"):
+                    out[i] = np.max(np.abs(np.expm1(gap)))
+        elif len(trials) > 1:
+            for i in trials:
+                conjugate([i])
+        else:
+            _, t, reason = run.guards[0]
+            guards[trials[0]] = (
+                f"conjugate orbit terminated early: {(t, reason)}")
+
+    rest = [i for i in range(len(qmts)) if i not in guards]
+    if rest:
+        conjugate(rest)
+    return out, guards
 
 
 def conjugacy_deviations(sys: QPSystem, qmts, X0,
@@ -755,18 +749,18 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0,
 
     Consecutive trials run together, at most
     ``max(1, min(CONJUGACY_BLOCK_DIM // n,
-    BLOCK_DOUBLES // (2 (steps + 1) n)))`` at a time: a QMT of a
-    block-diagonal system is block-diagonal, so a block's direct orbits
-    are one orbit of ``diag(sys, ..., sys)`` and its conjugate orbits one
-    orbit of ``diag(apply_qmt(sys, C_1), ...)``.  A block costs two
-    ``simulate`` calls and ``2 (steps + 1) k n`` doubles for its k
-    trials.  A one-trial block is the system itself.  A block that hits
-    a guard is rerun one trial at a time, and those runs are its
-    results; a one-trial block is not run twice.  ``guards`` maps each
-    trial whose own run hit a guard to its ``GuardTermination`` message,
-    e.g. "direct orbit terminated early: (17, 'overflow')" or "conjugate
-    initial state: state mapping hit the overflow guard", and that
-    trial's deviation is NaN.
+    BLOCK_DOUBLES // (2 (steps + 1) n)))`` at a time, in two lockstep
+    runs that record ``2 (steps + 1) k n`` doubles for k trials: the
+    direct orbits as k rows of ``sys`` and, since a QMT of a
+    block-diagonal system is block-diagonal, the conjugate orbits as one
+    row of the ``DirectSum`` of ``apply_qmt(sys, C_i)``.  Every orbit in
+    a block is the orbit of its trial run alone, to the bit, so a block
+    gives its trials' own results.  A guarded direct row stops only its
+    trial; a guarded conjugate row is rerun one trial at a time.
+    ``guards`` maps each trial whose run hit a guard to its
+    ``GuardTermination`` message, e.g. "direct orbit terminated early:
+    (17, 'overflow')" or "conjugate initial state: state mapping hit the
+    overflow guard", and that trial's deviation is NaN.
     """
     n = sys.n
     X0 = [as_state(x0, n) for x0 in X0]
@@ -779,20 +773,11 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0,
                       BLOCK_DOUBLES // (2 * (steps + 1) * n)))
     deviations = np.full(len(X0), np.nan)
     guards = {}
-
-    def run(block: slice):
-        try:
-            deviations[block] = _block_deviations(
-                sys, qmts[block], X0[block], steps)
-        except GuardTermination as exc:
-            if block.stop - block.start == 1:
-                guards[block.start] = str(exc)
-            else:
-                for t in range(block.start, block.stop):
-                    run(slice(t, t + 1))
-
     for start in range(0, len(X0), size):
-        run(slice(start, min(start + size, len(X0))))
+        block = slice(start, min(start + size, len(X0)))
+        deviations[block], stopped = _block_deviations(
+            sys, qmts[block], X0[block], steps)
+        guards.update((start + i, msg) for i, msg in sorted(stopped.items()))
     return deviations, guards
 
 

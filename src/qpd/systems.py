@@ -10,10 +10,10 @@ are the special case B = identity, where these terms are the state
 components themselves.
 
 This module owns validation, the one batched map kernel (``image``, with
-its guard rule ``guard_codes``; ``advance`` is the two together, and
-``TangentImage`` its tangent-carrying form), sign-pattern extraction,
-and the system-definition JSON schema used by fixtures and the command
-line.
+its guard rule ``guard_codes``; ``advance`` is the two together,
+``TangentImage`` its tangent-carrying form, and ``as_batch`` the rows
+they multiply), sign-pattern extraction, and the system-definition JSON
+schema used by fixtures and the command line.
 """
 
 from __future__ import annotations
@@ -136,6 +136,40 @@ def as_state(x, n) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class DirectSum:
+    """The block-diagonal system of k systems of dimension n, kept as the
+    stacks of its diagonal blocks: ``A`` and ``B`` (k, n, n), ``lam``
+    (k n,).  ``image`` multiplies each block of a row by its own block,
+    so the block rounds as a row of its own system does in any batch;
+    a dense block-diagonal matrix would round it otherwise."""
+
+    A: np.ndarray
+    B: np.ndarray
+    lam: np.ndarray
+
+    @classmethod
+    def of(cls, systems) -> "DirectSum":
+        def stack(blocks):  # views of the contiguous transposes image reads
+            T = np.ascontiguousarray([block.T for block in blocks])
+            return T.swapaxes(1, 2)
+        return cls(stack([part.A for part in systems]),
+                   stack([part.B for part in systems]),
+                   np.concatenate([part.lam for part in systems]))
+
+
+def _times_transpose(X, M, out=None):
+    """X M^T for the rows of X, M a matrix or a ``DirectSum`` stack of
+    blocks; ``out``, if given, is a contiguous buffer that receives it."""
+    if M.ndim == 2:
+        return np.matmul(X, M.T, out=out)
+    out = np.empty_like(X) if out is None else out
+    k, n, _ = M.shape
+    np.matmul(X.reshape(-1, k, n).swapaxes(0, 1), M.swapaxes(1, 2),
+              out=out.reshape(-1, k, n).swapaxes(0, 1))
+    return out
+
+
 def image(sys: QPSystem, X, W=None, arg=None, out=None):
     """The unchecked image of the QP map for each row of X.
 
@@ -147,12 +181,13 @@ def image(sys: QPSystem, X, W=None, arg=None, out=None):
     ``exp(log X + arg)``, so that a zero exponent reproduces the state
     exactly.  Nothing is checked, and a state past a guard gives inf, NaN
     or 0 entries: evaluate it under ``np.errstate`` and read the result
-    through ``guard_codes``.  ``TangentImage`` is the same step for rows
-    that carry tangent vectors, fused with the tangent update.
+    through ``guard_codes``.  sys may be a ``DirectSum``.  ``TangentImage``
+    is the same step for rows that carry tangent vectors, fused with the
+    tangent update.
     """
-    W = np.matmul(np.log(X), sys.B.T, out=W)
+    W = _times_transpose(np.log(X), sys.B, W)
     q = np.exp(W)
-    arg = np.add(np.matmul(q, sys.A.T, out=arg), sys.lam, out=arg)
+    arg = np.add(_times_transpose(q, sys.A, arg), sys.lam, out=arg)
     out = np.multiply(X, np.exp(arg, out=out), out=out)
     return W, q, arg, out
 
@@ -246,25 +281,34 @@ def guard_codes(W, arg, Xn):
                     np.where(under, GUARD_UNDERFLOW, GUARD_OK))
 
 
+def as_batch(X) -> np.ndarray:
+    """The rows that a step multiplies for X, (m, n) rows or one (n,)
+    vector: the rows of X, but a lone row twice.  numpy multiplies a
+    one-row matrix or a vector through another BLAS kernel, whose rounding
+    differs, and an orbit must not depend on which rows share its batch:
+    ``advance`` and the lockstep engine both step these rows."""
+    X = np.asarray(X, dtype=float)
+    X = X.reshape(-1, X.shape[-1])
+    return X[[0, 0]] if len(X) == 1 else X
+
+
 def advance(sys: QPSystem, X):
-    """One guarded step of the QP map for each row of X: ``image`` and
-    its ``guard_codes``.
+    """One guarded step of the QP map for each row of X: ``image`` of
+    ``as_batch(X)`` and its ``guard_codes``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
     terms and a guard code per row, valid X' only where it is GUARD_OK.
-    This is the per-step check of ``step`` and ``qp_jacobian``.
-    ``dynamics.simulate`` and the lockstep engine instead call ``image``,
-    or ``TangentImage`` for rows with tangents, for a block of up to
-    ``dynamics.BLOCK_STEPS`` steps into their own buffers, capped at
-    ``dynamics.BLOCK_DOUBLES`` doubles, and check the whole block once
-    with ``guard_codes``.  Both read the first guarded step from the
-    block's codes and end the block there, so their results are
-    bit-identical to checking every step.
+    This is the per-step check of ``step`` and ``qp_jacobian``; the
+    lockstep engine, ``dynamics._lockstep``, checks a block of steps at
+    once with the same result.
     """
+    X = np.asarray(X)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        W, q, arg, Xn = image(sys, X)
-        return Xn, q, guard_codes(W, arg, Xn)
+        W, q, arg, Xn = image(sys, as_batch(X))
+        guard = guard_codes(W, arg, Xn)
+    rows = slice(len(X)) if X.ndim == 2 else 0
+    return Xn[rows], q[rows], guard[rows]
 
 
 def step(sys: QPSystem, x) -> np.ndarray:

@@ -128,18 +128,32 @@ def class_invariants(sys: QPSystem) -> ClassInvariants:
         return ClassInvariants(sys.B @ sys.A, sys.B @ sys.lam)
 
 
+def finite_class_invariants(sys: QPSystem) -> ClassInvariants:
+    """``class_invariants``, or NonFinite naming an invariant that
+    overflows the double range: no canonical form exists then, and no
+    transformation of the system can be checked against them."""
+    inv = class_invariants(sys)
+    for label, part in (("B A", inv.interaction), ("B lam", inv.growth)):
+        if not np.all(np.isfinite(part)):
+            raise NonFinite(f"class invariant {label} overflows")
+    return inv
+
+
 def apply_qmt(sys: QPSystem, qmt: QMTMatrix) -> QPSystem:
-    """Transform a system by a QMT: A' = C^-1 A, B' = B C, lam' = C^-1 lam."""
+    """Transform a system by a QMT: A' = C^-1 A, B' = B C, lam' = C^-1 lam.
+
+    Raises NonFinite naming the transformed matrix that overflows.
+    """
     if qmt.n != sys.n:
         raise DimensionMismatch(
             f"transformation is {qmt.n}x{qmt.n} but system has dimension {sys.n}"
         )
-    return QPSystem(
-        qmt.C_inv @ sys.A,
-        sys.B @ qmt.C,
-        qmt.C_inv @ sys.lam,
-        name=sys.name,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B, lam = qmt.C_inv @ sys.A, sys.B @ qmt.C, qmt.C_inv @ sys.lam
+    try:
+        return QPSystem(A, B, lam, name=sys.name)
+    except NonFinite as exc:
+        raise NonFinite(f"transformed {exc}") from None
 
 
 def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
@@ -152,10 +166,7 @@ def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
     """
     B_inv = _invert(sys.B, "exponent matrix B", SingularB)
     qmt = QMTMatrix(B_inv, sys.B)
-    inv = class_invariants(sys)
-    for label, part in (("B A", inv.interaction), ("B lam", inv.growth)):
-        if not np.all(np.isfinite(part)):
-            raise NonFinite(f"class invariant {label} overflows")
+    inv = finite_class_invariants(sys)
     return LVSystem(inv.interaction, inv.growth, name=sys.name), qmt
 
 

@@ -26,7 +26,7 @@ from qpd.dynamics import (
     falsifications,
     qp_fixed_point,
 )
-from qpd.errors import GuardTermination, NonFinite
+from qpd.errors import NonFinite
 from qpd.theorems import Conclusion, HypothesisCheck, TheoremVerdict
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -703,6 +703,18 @@ class TestConjugacy:
         assert out.encode() == golden.read_bytes()
         assert run(capsys, *args)[1] == out
 
+    def test_overflowing_invariant_is_refused(self, capsys, tmp_path):
+        # A, B and lam are finite, but B A of B = 1e308 I is not: no
+        # transformation can be checked against it, so no trial is drawn
+        path = write_system(tmp_path, [[1e308, 1e308], [1e308, 1e308]],
+                            [1e308, 1e308], B=[[1e308, 0.0], [0.0, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "conjugacy", path, "--trials", "3",
+                                 "--steps", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: class invariant B A overflows\n"
+
     def test_chaotic_fixture_exceeds_budget_at_long_horizon(self, capsys):
         # positive Lyapunov exponent amplifies roundoff by ~e^(0.1 t), so
         # 400 steps decisively blow the 1e-7/step budget: honest exit 2
@@ -796,15 +808,15 @@ class TestConjugacyFailures:
         with monkeypatch.context() as patch:
             patch.setattr(qpd.dynamics, "CONJUGACY_BLOCK_DIM", 2)
             single = run(capsys, *args)
-        block_deviations = qpd.dynamics._block_deviations
+        lockstep = qpd.dynamics._lockstep
 
-        def one_trial_only(sys, qmts, X0, steps):
-            if len(qmts) > 1:
-                raise GuardTermination(
-                    "direct orbit terminated early: (3, 'overflow')")
-            return block_deviations(sys, qmts, X0, steps)
+        def one_trial_only(block, rows, steps, **kwargs):
+            result = lockstep(block, rows, steps, **kwargs)
+            if rows.shape[1] > 2:  # a conjugate row of several trials
+                result.guards.append((0, 3, "overflow"))
+            return result
 
-        monkeypatch.setattr(qpd.dynamics, "_block_deviations", one_trial_only)
+        monkeypatch.setattr(qpd.dynamics, "_lockstep", one_trial_only)
         assert run(capsys, *args) == single
         assert single[0] == 0
         assert single[1].endswith("all trials within budget\n")

@@ -337,14 +337,21 @@ class TestGuardPathAgreement:
         [[800.0, 1.0], [699.0, 1.0], [1.0, 1e-4], [1.0, 1.0]],
     ])
 
-    def test_ensemble_guards_match_single_orbits(self):
+    def test_ensemble_orbits_match_single_orbits(self):
+        # each row's recorded orbit is its simulated trajectory, to the
+        # bit and up to its guard, and NaN after it
         sys, X0 = self.SYS, self.X0
-        guards = _lockstep(sys, X0, 200).guards
+        run = _lockstep(sys, X0, 200, record=range(201))
+        guards = run.guards
         assert {reason for _, _, reason in guards} == {"overflow", "underflow"}
         assert len(guards) < len(X0)
         by_orbit = {i: (t, reason) for i, t, reason in guards}
         for i, x0 in enumerate(X0):
-            assert simulate(sys, x0, 200).terminated_early == by_orbit.get(i)
+            traj = simulate(sys, x0, 200)
+            assert traj.terminated_early == by_orbit.get(i)
+            stored = len(traj.states)
+            assert traj.states.tobytes() == run.record[:stored, i].tobytes()
+            assert np.isnan(run.record[stored:, i]).all()
 
 
 def reference_ensemble(sys, X0, steps, tail_start):
@@ -469,10 +476,11 @@ class TestVerificationPass:
         sys = load_fixture("example3_qp_rho32")
         X0 = np.array([[1.0, 1.0], [0.5, 2.0], [3.0, 0.25]])
         V = np.random.default_rng(1).standard_normal((3, 2))
-        alone = _lockstep(sys, X0[:1], 300, snapshot=300,
+        alone = _lockstep(sys, X0[:1], 300, record=range(300, 301),
                           tangents=(100, V[:1]))
-        batched = _lockstep(sys, X0, 300, snapshot=300, tangents=(100, V))
-        assert np.array_equal(alone.snapshot[0], batched.snapshot[0])
+        batched = _lockstep(sys, X0, 300, record=range(300, 301),
+                            tangents=(100, V))
+        assert np.array_equal(alone.record[0, 0], batched.record[0, 0])
         assert alone.exponents[0] == batched.exponents[0]
 
     def test_row_zero_is_the_standalone_estimate(self):
@@ -543,14 +551,14 @@ def _rows(keep):
     return np.repeat(rows, 2) if rows.size == 1 else rows
 
 
-def reference_lockstep(sys, X0, horizon, tail=range(0), snapshot=None,
+def reference_lockstep(sys, X0, horizon, tail=range(0), record=range(0),
                        tangents=None):
     """The per-step lockstep loop: the guard is checked after every step
     and the batch is rebuilt at each guarded step."""
     X0 = np.asarray(X0, dtype=float)
     tail_min = np.full(X0.shape, np.inf)
     tail_max = np.full(X0.shape, -np.inf)
-    snap = None if snapshot is None else np.full(X0.shape, np.nan)
+    rec = np.full((len(record),) + X0.shape, np.nan)
     guards = []
     idx = np.arange(X0.shape[0])
     rows = _rows(np.ones(idx.size, dtype=bool))
@@ -565,8 +573,8 @@ def reference_lockstep(sys, X0, horizon, tail=range(0), snapshot=None,
                 live = L[:idx.size]
                 tail_min[idx] = np.minimum(tail_min[idx], live)
                 tail_max[idx] = np.maximum(tail_max[idx], live)
-            if t == snapshot:
-                snap[idx] = L[:idx.size]
+            if t in record:
+                rec[t - record.start, idx] = L[:idx.size]
             if t == horizon or not idx.size:
                 break
             L, q, guard = advance(sys, L)
@@ -588,7 +596,7 @@ def reference_lockstep(sys, X0, horizon, tail=range(0), snapshot=None,
         if tangents is not None:
             exponents = np.full(X0.shape[0], np.nan)
             exponents[idx] = g[:idx.size] / (horizon - start)
-    return guards, tail_min, tail_max, snap, exponents
+    return guards, tail_min, tail_max, rec, exponents
 
 
 def reference_simulate(sys, x0, steps):
@@ -634,33 +642,43 @@ def with_tangents(start, m, seed=3):
 OFFSETS = (0, 1, K - 1, K, K + 1)
 HORIZON = 3 * K + 5  # not a multiple of K
 
+
+def at(t):
+    """The record of the one step t."""
+    return range(t, t + 1)
+
+
 LOCKSTEP_CASES = {
     **{f"guard-at-{T}": (DRIFT, drift_batch(T), HORIZON,
-                         range(K + 10, HORIZON + 1), K + 3)
+                         range(K + 10, HORIZON + 1), at(K + 3))
        for T in OFFSETS},
     "guards-at-every-offset": (DRIFT, drift_batch(*OFFSETS), HORIZON,
-                               range(K + 10, HORIZON + 1), K + 3),
+                               range(K + 10, HORIZON + 1), at(K + 3)),
     "guard-at-horizon-1": (DRIFT, drift_batch(HORIZON - 1, K + 1), HORIZON,
-                           range(HORIZON - 7, HORIZON + 1), HORIZON),
-    "tail-and-snapshot-inside-blocks": (DRIFT, drift_batch(5, 2 * K + 9),
-                                        HORIZON, range(K // 2, 2 * K + 11),
-                                        2 * K + 9),
-    "horizon-0": (DRIFT, drift_batch(0, 3), 0, range(0, 1), 0),
-    "horizon-1": (DRIFT, drift_batch(0, 3), 1, range(0, 2), 1),
+                           range(HORIZON - 7, HORIZON + 1), at(HORIZON)),
+    "tail-and-record-inside-blocks": (DRIFT, drift_batch(5, 2 * K + 9),
+                                      HORIZON, range(K // 2, 2 * K + 11),
+                                      range(K + 7, 2 * K + 10)),
+    # every state of every row, through guards at each block offset and
+    # inside a block, and across every block end
+    "record-every-step": (DRIFT, drift_batch(*OFFSETS, 2 * K + 9), HORIZON,
+                          range(K + 10, HORIZON + 1), range(HORIZON + 1)),
+    "horizon-0": (DRIFT, drift_batch(0, 3), 0, range(0, 1), at(0)),
+    "horizon-1": (DRIFT, drift_batch(0, 3), 1, range(0, 2), range(0, 2)),
     "lone-row": (DRIFT, np.array([guarded_at(K + 1, "overflow")]), HORIZON,
-                 range(K, HORIZON + 1), K + 1),
+                 range(K, HORIZON + 1), at(K + 1)),
     "lone-still-row": (load_fixture("example3_qp_rho32"),
                        np.array([[1.0, 1.0]]), HORIZON,
-                       range(K - 3, HORIZON + 1), K),
+                       range(K - 3, HORIZON + 1), range(K - 2, K + 3)),
     "batch-shrinks-to-one-row": (
         DRIFT, np.array([guarded_at(K + 2, "overflow"), STILL,
                          guarded_at(K + 5, "underflow")]),
-        HORIZON, range(K + 1, HORIZON + 1), 2 * K),
+        HORIZON, range(K + 1, HORIZON + 1), at(2 * K)),
     "every-row-guarded-in-one-block": (
         DRIFT, np.array([guarded_at(T, reason)
                          for T in (K + 2, K + 9, 2 * K - 3, K + 9)
                          for reason in ("overflow", "underflow")]),
-        HORIZON, range(K, HORIZON + 1), K + 5),
+        HORIZON, range(K, HORIZON + 1), at(K + 5)),
     # rows 1 and 2 guard and shadow row 0, the first live row; row 0
     # guards with its shadows, and row 3 takes over until it guards too
     "shadow-source-guards": (
@@ -668,11 +686,11 @@ LOCKSTEP_CASES = {
                          guarded_at(5, "underflow"),
                          guarded_at(K + 1, "overflow"),
                          guarded_at(2 * K + 20, "underflow"), STILL]),
-        HORIZON, range(K + 10, HORIZON + 1), 2 * K + 9),
+        HORIZON, range(K + 10, HORIZON + 1), at(2 * K + 9)),
     "verification-pass-batch": (
         DRIFT, np.vstack([_draw_initial_conditions(7, ENSEMBLE_SIZE, 2),
                           np.ones(2)]),
-        PERMANENCE_HORIZON, range(4001, 5001), ATTRACTIVITY_HORIZON),
+        PERMANENCE_HORIZON, range(4001, 5001), at(ATTRACTIVITY_HORIZON)),
 }
 
 
@@ -699,15 +717,15 @@ def wide_case(system, m):
         rng.uniform(np.log(0.5), np.log(2.0), size=(m, n)))
 
 
-def assert_matches_the_per_step_loop(sys, X0, horizon, tail, snapshot,
+def assert_matches_the_per_step_loop(sys, X0, horizon, tail, record,
                                      tangents):
-    run = _lockstep(sys, X0, horizon, tail=tail, snapshot=snapshot,
+    run = _lockstep(sys, X0, horizon, tail=tail, record=record,
                     tangents=tangents)
-    guards, lo, hi, snap, exponents = reference_lockstep(
-        sys, X0, horizon, tail=tail, snapshot=snapshot, tangents=tangents)
+    guards, lo, hi, rec, exponents = reference_lockstep(
+        sys, X0, horizon, tail=tail, record=record, tangents=tangents)
     assert run.guards == guards
     for got, expected in ((run.tail_min, lo), (run.tail_max, hi),
-                          (run.snapshot, snap), (run.exponents, exponents)):
+                          (run.record, rec), (run.exponents, exponents)):
         assert (got is None if expected is None
                 else np.array_equal(got, expected, equal_nan=True))
     return run
@@ -720,10 +738,10 @@ class TestBlockedLockstep:
         (case, start) for case, (*_, horizon, _, _) in LOCKSTEP_CASES.items()
         for start in (None, 0, 7) if start is None or start < horizon])
     def test_matches_the_per_step_loop(self, case, tangent_start):
-        sys, X0, horizon, tail, snapshot = LOCKSTEP_CASES[case]
+        sys, X0, horizon, tail, record = LOCKSTEP_CASES[case]
         tangents = (None if tangent_start is None
                     else with_tangents(tangent_start, len(X0)))
-        assert_matches_the_per_step_loop(sys, X0, horizon, tail, snapshot,
+        assert_matches_the_per_step_loop(sys, X0, horizon, tail, record,
                                          tangents)
 
     # the fused step multiplies (2m, n) operands: wider BLAS shapes than
@@ -738,7 +756,8 @@ class TestBlockedLockstep:
         sys, X0 = wide_case(system, m)
         tangents = tangent_start, _tangent_directions(3, m, sys.n)
         run = assert_matches_the_per_step_loop(
-            sys, X0, HORIZON, range(K + 10, HORIZON + 1), K + 3, tangents)
+            sys, X0, HORIZON, range(K + 10, HORIZON + 1), range(K - 2, K + 3),
+            tangents)
         guarded = {row for row, _, _ in run.guards}
         assert set(np.flatnonzero(~np.isfinite(run.exponents))) == guarded
         if system == "drift3":
@@ -756,8 +775,8 @@ class TestBlockedLockstep:
         assert _block_steps(len(X0), 3) == 10
         for tangents in (None, (7, _tangent_directions(3, len(X0), 3))):
             assert_matches_the_per_step_loop(
-                sys, X0, HORIZON, range(K + 10, HORIZON + 1), K + 3,
-                tangents)
+                sys, X0, HORIZON, range(K + 10, HORIZON + 1),
+                range(K - 2, K + 3), tangents)
 
     def test_cases_guard_where_they_say(self):
         guards = reference_lockstep(DRIFT, drift_batch(*OFFSETS), HORIZON)[0]
@@ -786,9 +805,9 @@ class TestBlockedLockstep:
                 super().__init__(*args)
 
         monkeypatch.setattr(qpd.dynamics, "TangentImage", Counted)
-        sys, X0, horizon, tail, snapshot = LOCKSTEP_CASES[
+        sys, X0, horizon, tail, record = LOCKSTEP_CASES[
             "verification-pass-batch"]
-        run = _lockstep(sys, X0, horizon, tail, snapshot,
+        run = _lockstep(sys, X0, horizon, tail, record,
                         tangents=with_tangents(LYAPUNOV_TRANSIENT, len(X0)))
         assert len(run.guards) == 36
         assert builds == [(len(X0), 2)]
@@ -846,6 +865,39 @@ class TestBlockedSimulate:
             assert traj.states.tobytes() == states.tobytes()
 
 
+class TestOneOrbitPerState:
+    # simulate, step and a lockstep row multiply a state alike, so one x0
+    # has one float orbit; on the chaotic example3 orbit any rounding
+    # difference would grow over the 5000 steps
+    @pytest.mark.parametrize("system", ["example3_qp_rho32",
+                                        "stable-lv-image-n6"])
+    def test_simulate_is_the_verification_pass_row(self, system):
+        sys = (stable_lv_image(np.random.default_rng(6), 6)
+               if system == "stable-lv-image-n6" else load_fixture(system))
+        n, seed = sys.n, 0
+        X0 = np.vstack([_draw_initial_conditions(seed, ENSEMBLE_SIZE, n),
+                        np.ones(n)])
+        run = _lockstep(sys, X0, PERMANENCE_HORIZON,
+                        record=range(PERMANENCE_HORIZON + 1),
+                        tangents=(LYAPUNOV_TRANSIENT, _tangent_directions(
+                            seed, ENSEMBLE_SIZE + 1, n)))
+        traj = simulate(sys, np.ones(n), PERMANENCE_HORIZON)
+        # other rows may guard and shadow a live row; the x0 row never does
+        assert traj.terminated_early is None
+        assert ENSEMBLE_SIZE not in {row for row, _, _ in run.guards}
+        assert traj.states.tobytes() == run.record[:, -1].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_step_is_the_first_lockstep_step(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            sys = stable_lv_image(rng, n)
+            X0 = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=(5, n)))
+            run = _lockstep(sys, X0, 1, record=range(1, 2))
+            for x0, x1 in zip(X0, run.record[0]):
+                assert step(sys, x0).tobytes() == x1.tobytes()
+
+
 class TestConjugacyDeviation:
     def test_identity_transformation_is_exact(self):
         sys = load_fixture("example1_lv")
@@ -896,15 +948,15 @@ def conjugacy_trials(rng, n, trials):
 
 @pytest.fixture
 def block_runs(monkeypatch):
-    """The trial count of each block that conjugacy_deviations runs."""
-    runs = []
-    block_deviations = qpd.dynamics._block_deviations
+    """The (rows, components) of each lockstep run that
+    conjugacy_deviations makes."""
+    runs, lockstep = [], qpd.dynamics._lockstep
 
-    def spy(sys, qmts, X0, steps):
-        runs.append(len(qmts))
-        return block_deviations(sys, qmts, X0, steps)
+    def spy(block, rows, steps, **kwargs):
+        runs.append(rows.shape)
+        return lockstep(block, rows, steps, **kwargs)
 
-    monkeypatch.setattr(qpd.dynamics, "_block_deviations", spy)
+    monkeypatch.setattr(qpd.dynamics, "_lockstep", spy)
     return runs
 
 
@@ -926,32 +978,31 @@ class TestConjugacyDeviations:
         ("example1_lv", 20, 3 * 804 + 803, 7),
     ], ids=["example1_lv-20", "stable-lv-image-n6-45",
             "example1_lv-20-storage-capped"])
-    def test_blocks_match_single_trials(self, monkeypatch, system, trials,
-                                        doubles, blocks):
+    def test_blocks_match_single_trials(self, monkeypatch, block_runs,
+                                        system, trials, doubles, blocks):
         rng = np.random.default_rng(5)
         sys = (stable_lv_image(rng, 6) if system == "stable-lv-image-n6"
                else load_fixture(system))
         qmts, X0 = conjugacy_trials(rng, sys.n, trials)
         # identity trials deviate by exactly 0 and pin the trial order
         qmts[::3] = [QMTMatrix.identity(sys.n)] * len(qmts[::3])
-        dims = []
-
-        def spy(block, x0, steps):
-            dims.append(block.n)
-            return simulate(block, x0, steps)
-
-        monkeypatch.setattr(qpd.dynamics, "simulate", spy)
         if doubles is not None:
             monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
         blocked, guards = conjugacy_deviations(sys, qmts, X0, 200)
         assert guards == {}
-        assert len(dims) == 2 * blocks
-        assert max(dims) <= CONJUGACY_BLOCK_DIM
+        # per block, its direct trials as rows of the system, then its
+        # conjugate trials as one row of their direct sum
+        assert len(block_runs) == 2 * blocks
+        direct, conjugate = block_runs[::2], block_runs[1::2]
+        assert {n for _, n in direct} == {sys.n}
+        assert sum(m for m, _ in direct) == trials
+        assert [(1, m * sys.n) for m, _ in direct] == conjugate
+        assert max(n for _, n in conjugate) <= CONJUGACY_BLOCK_DIM
         monkeypatch.undo()
         single = [conjugacy_deviation(sys, qmt, x0, 200)
                   for qmt, x0 in zip(qmts, X0)]
-        assert blocked.shape == (trials,)
-        np.testing.assert_allclose(blocked, single, rtol=0.0, atol=1e-14)
+        # each orbit of a block is its trial's own, to the bit
+        np.testing.assert_array_equal(blocked, single)
         assert max(single) <= 1e-12
         assert (blocked == 0.0).tolist() == [t % 3 == 0 for t in range(trials)]
 
@@ -965,8 +1016,10 @@ class TestConjugacyDeviations:
         deviations, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
         reason = "direct orbit terminated early: (17, 'overflow')"
         assert guards == {3: reason, 129: reason}
-        # blocks 0-63 and 128-129 stop and rerun one trial at a time
-        assert block_runs == [64] + [1] * 64 + [64, 2, 1, 1]
+        # a guarded direct row stops only its trial: each block's other
+        # trials go on as one conjugate row, and nothing is rerun
+        assert block_runs == [(64, 2), (1, 126), (64, 2), (1, 128),
+                              (2, 2), (1, 2)]
         assert np.isnan(deviations[[3, 129]]).all()
         for t in [*range(64), 128]:
             if t != 3:
@@ -978,11 +1031,11 @@ class TestConjugacyDeviations:
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
         deviations, guards = conjugacy_deviations(
             sys, [QMTMatrix.identity(2)], [[1.0, 1.0]], 20)
-        assert block_runs == [1]
+        assert block_runs == [(1, 2)]
         assert guards == {0: "direct orbit terminated early: (17, 'overflow')"}
         assert np.isnan(deviations).all()
 
-    def test_conjugate_orbit_guard_names_its_trial(self):
+    def test_conjugate_orbit_guard_names_its_trial(self, block_runs):
         # x_2 gains e^8 a step, so the image under C = diag(1, 0.01),
         # log y = C^-1 log x, gains e^800 and overflows out of step 0
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [0.1, 8.0])
@@ -993,6 +1046,8 @@ class TestConjugacyDeviations:
             sys, qmts, [[1.0, 1.0]] * 3, 20)
         assert guards == {
             1: "conjugate orbit terminated early: (0, 'overflow')"}
+        # the guarded conjugate row is rerun one trial at a time
+        assert block_runs == [(3, 2), (1, 6), (1, 2), (1, 2), (1, 2)]
         assert deviations[0] == 0.0 and deviations[2] == 0.0
         assert np.isnan(deviations[1])
         with pytest.raises(GuardTermination, match="conjugate orbit"):

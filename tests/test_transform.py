@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from qpd import (
     is_lotka_volterra,
     map_state,
 )
-from qpd.errors import DimensionMismatch, OverflowGuard, SingularB, SingularMatrix
+from qpd.errors import (DimensionMismatch, NonFinite, OverflowGuard, SingularB,
+                        SingularMatrix)
 from qpd.transform import INVERSE_RESIDUAL_LIMIT, SINGULARITY_RTOL, invertibility
 
 
@@ -63,6 +66,21 @@ class TestApplyQmt:
         sys = load_fixture("example1_lv")
         with pytest.raises(DimensionMismatch):
             apply_qmt(sys, QMTMatrix.identity(3))
+
+    # A' = C^-1 A, B' = B C and lam' = C^-1 lam of C = scale I
+    @pytest.mark.parametrize("A, B, lam, scale, label", [
+        (1e300 * np.eye(2), np.eye(2), [1.0, 1.0], 1e-10, "A"),
+        (np.eye(2), 1e300 * np.eye(2), [1.0, 1.0], 1e10, "B"),
+        (np.eye(2), np.eye(2), [1.0, 1e300], 1e-10, "lam"),
+    ], ids=["A", "B", "lam"])
+    def test_overflowing_image_names_its_matrix(self, A, B, lam, scale,
+                                                label):
+        qmt = QMTMatrix.from_matrix(scale * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"^transformed {label} "
+                                                "contains NaN or infinite"):
+                apply_qmt(QPSystem(A, B, lam), qmt)
 
     def test_group_law(self):
         rng = np.random.default_rng(2)
