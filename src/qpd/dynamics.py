@@ -17,9 +17,9 @@ own run gives.  A block holds at most ``CONJUGACY_BLOCK_DIM // n``
 trials and at most ``BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds
 its two recorded orbits at 2**20 doubles (8 MiB), but at least one.
 
-Guard policy: every map evaluation here goes through the one kernel
-``systems.image``, or its tangent-carrying form ``systems.TangentImage``,
-and the guard rule ``systems.guard_codes``, which labels a guarded step
+Guard policy: every map evaluation here goes through the one map kernel
+``systems.MapStep``, with or without tangent rows, and the guard rule
+``systems.guard_codes``, which labels a guarded step
 by the sign of its exponent: "overflow" for a blow-up, "underflow" for
 a collapse toward 0 (including a component below UNDERFLOW_FLOOR).  The
 orbit terminates there; ensemble verdicts treat either termination as
@@ -29,10 +29,9 @@ tripped block ends at its first guarded step, where each guarded row
 becomes a shadow of a live row.  Every result is bit-identical to
 checking every step.
 
-The Lyapunov tangents ride the map: with tangents, each step of the
-lockstep engine is one fused map-and-tangent step, ``TangentImage``,
-which stacks the log-states and the tangent rows into one operand, so
-the image and the tangent update share two matmuls.  The tangent norms
+The Lyapunov tangents ride the map: with tangents, each ``MapStep``
+step stacks the log-states and the tangent rows into one operand, so
+the image and the tangent update share its two matmuls.  The tangent norms
 of a block are kept, and its log growth is added once per block: one
 ``np.log`` over the norms and one axis-0 ``np.add.reduce``, whose sum
 runs in step order like a per-step ``g += log(s)``.
@@ -58,13 +57,12 @@ from .systems import (
     GUARD_OK,
     GUARD_REASONS,
     DirectSum,
+    MapStep,
     QPSystem,
-    TangentImage,
     advance,
     as_batch,
     as_state,
     guard_codes,
-    image,
     is_lotka_volterra,
     step,
 )
@@ -140,11 +138,13 @@ def _block_steps(m, n, tangents=False):
     """Steps of one block of an orbit loop over m rows of n components:
     at most BLOCK_STEPS and at most BLOCK_DOUBLES over the doubles a step
     stores, but at least one.  A step stores 3 m n doubles, its images,
-    log quasimonomials and step exponents; with tangents it stores
-    m (6 n + 1): the images, the stacked operands ``[log X; V]`` (2 m n),
-    the stacked log quasimonomials and tangent rows ``[W; V B^T]``
-    (2 m n), the step exponents and the tangent norms that become the
-    block's log-growth rows."""
+    log quasimonomials and step exponents, since the ``systems.MapStep``
+    of a run without tangents keeps one operand ``log X`` for all its
+    steps, not one per step; with tangents it stores m (6 n + 1): the
+    images, the stacked operands ``[log X; V]`` (2 m n), the stacked log
+    quasimonomials and tangent rows ``[W; V B^T]`` (2 m n), the step
+    exponents and the tangent norms that become the block's log-growth
+    rows."""
     per_step = m * (6 * n + 1) if tangents else 3 * m * n
     return max(1, min(BLOCK_STEPS, BLOCK_DOUBLES // max(1, per_step)))
 
@@ -253,14 +253,13 @@ def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
     """Largest Lyapunov exponent estimate along one orbit.
 
     Propagates a tangent vector in log coordinates, v <- v + A (q * B v),
-    in the fused map-and-tangent step ``systems.TangentImage`` that
-    advances the state and shares its q, renormalizing every step from
-    step 0, and averaging the log growth over the
-    ``samples`` steps that follow the first ``transient``, which align
-    the tangent with the dominant direction.  The tangent direction is
-    drawn from a seeded generator: a fixed deterministic direction can
-    sit exactly on a non-dominant eigendirection (e.g. for symmetric
-    systems) and never rotate away from it.
+    in the ``systems.MapStep`` step that advances the state and shares
+    its q, renormalizing every step from step 0, and averaging the log
+    growth over the ``samples`` steps that follow the first ``transient``,
+    which align the tangent with the dominant direction.  The tangent
+    direction is drawn from a seeded generator: a fixed deterministic
+    direction can sit exactly on a non-dominant eigendirection (e.g. for
+    symmetric systems) and never rotate away from it.
     """
     x = as_state(x0, sys.n)
     if transient < 0 or samples < 1:
@@ -341,10 +340,10 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
 
     The batch is ``systems.as_batch(X0)``, so a lone row rounds as it does
     in any batch and in ``advance``.  It is advanced a block of
-    ``_block_steps`` steps at a time into buffers allocated once, by
-    ``systems.image``, for which sys may be a ``systems.DirectSum``, or,
-    with tangents, by the fused map-and-tangent step
-    ``systems.TangentImage``.  The guard is checked once over each block,
+    ``_block_steps`` steps at a time into buffers allocated once, by one
+    ``systems.MapStep`` built over them, with the tangent rows or
+    without, for which sys may be a ``systems.DirectSum``; its steps are
+    the one stepping loop.  The guard is checked once over each block,
     and the tail extrema, the record and the tangents' log growth are
     read from the block's buffers: one ``np.log`` over the block's tangent
     norms and one axis-0 ``np.add.reduce`` whose first row is the growth
@@ -370,13 +369,9 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     size = _block_steps(m, n, tangents is not None)
     S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
     S[0] = S0
-    if tangents is None:
-        W = np.empty((size, m, n))
-        operands = [(S[j], W[j], arg[j], S[j + 1]) for j in range(size)]
-    else:
-        start, V = tangents
-        fused = TangentImage(sys, as_batch(V), S, arg)
-        W, V, norms, g = fused.W, fused.V, fused.norms, np.zeros(m)
+    start, V = tangents or (0, None)
+    kernel = MapStep(sys, S, arg, None if V is None else as_batch(V))
+    W, V, norms, g = kernel.W, kernel.V, kernel.norms, np.zeros(m)
 
     def observe(t, states):
         """Tail extrema and record of the live rows over the states of
@@ -403,12 +398,8 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     with np.errstate(all="ignore"):
         while t < horizon and live.any():
             k = min(size, horizon - t)
-            if tangents is None:
-                for step_operands in operands[:k]:
-                    image(sys, *step_operands)
-            else:
-                for j in range(k):
-                    fused.step(j)
+            for j in range(k):
+                kernel.step(j)
             guard = guard_codes(W[:k], arg[:k], S[1:k + 1]) * live
             tripped = np.flatnonzero(guard.any(axis=1))
             if tripped.size:  # the block ends at its first guarded step

@@ -9,11 +9,11 @@ with square real matrices A, B and a real vector lam.  The products
 are the special case B = identity, where these terms are the state
 components themselves.
 
-This module owns validation, the one batched map kernel (``image``, with
-its guard rule ``guard_codes``; ``advance`` is the two together,
-``TangentImage`` its tangent-carrying form, and ``as_batch`` the rows
-they multiply), sign-pattern extraction, and the system-definition JSON
-schema used by fixtures and the command line.
+This module owns validation, the one map kernel (``MapStep``, a block
+step shared by every orbit, with or without tangent vectors; its guard
+rule ``guard_codes``; ``advance``, one guarded step of the two; and
+``as_batch``, the rows they multiply), sign-pattern extraction, and the
+system-definition JSON schema used by fixtures and the command line.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def as_state(x, n) -> np.ndarray:
 class DirectSum:
     """The block-diagonal system of k systems of dimension n, kept as the
     stacks of its diagonal blocks: ``A`` and ``B`` (k, n, n), ``lam``
-    (k n,).  ``image`` multiplies each block of a row by its own block,
+    (k n,).  ``MapStep`` multiplies each block of a row by its own block,
     so the block rounds as a row of its own system does in any batch;
     a dense block-diagonal matrix would round it otherwise."""
 
@@ -150,113 +150,102 @@ class DirectSum:
 
     @classmethod
     def of(cls, systems) -> "DirectSum":
-        def stack(blocks):  # views of the contiguous transposes image reads
-            T = np.ascontiguousarray([block.T for block in blocks])
-            return T.swapaxes(1, 2)
-        return cls(stack([part.A for part in systems]),
-                   stack([part.B for part in systems]),
+        return cls(np.stack([part.A for part in systems]),
+                   np.stack([part.B for part in systems]),
                    np.concatenate([part.lam for part in systems]))
 
 
-def _times_transpose(X, M, out=None):
-    """X M^T for the rows of X, M a matrix or a ``DirectSum`` stack of
-    blocks; ``out``, if given, is a contiguous buffer that receives it."""
-    if M.ndim == 2:
-        return np.matmul(X, M.T, out=out)
-    out = np.empty_like(X) if out is None else out
-    k, n, _ = M.shape
-    np.matmul(X.reshape(-1, k, n).swapaxes(0, 1), M.swapaxes(1, 2),
-              out=out.reshape(-1, k, n).swapaxes(0, 1))
-    return out
+class MapStep:
+    """The one map kernel: unchecked steps of the QP map for the rows of
+    a block buffer, which may carry tangent vectors.
 
-
-def image(sys: QPSystem, X, W=None, arg=None, out=None):
-    """The unchecked image of the QP map for each row of X.
-
-    Returns ``(W, q, arg, X')``: the log quasimonomials ``W = log X B^T``,
-    the quasimonomial terms ``q = exp(W)``, the step exponents
-    ``arg = lam + q A^T`` and the images ``X' = X * exp(arg)``, each the
-    shape of X.  ``W``, ``arg`` and ``out`` may be buffers of that shape,
-    which receive W, arg and X'.  The image is ``X * exp(arg)``, not
+    In log coordinates u = log x the map is u' = u + lam + A exp(B u).  A
+    step computes the log quasimonomials ``W = log X B^T``, the
+    quasimonomial terms ``q = exp(W)``, the step exponents
+    ``arg = lam + q A^T`` and the images ``X' = X * exp(arg)``, not
     ``exp(log X + arg)``, so that a zero exponent reproduces the state
-    exactly.  Nothing is checked, and a state past a guard gives inf, NaN
-    or 0 entries: evaluate it under ``np.errstate`` and read the result
-    through ``guard_codes``.  sys may be a ``DirectSum``.  ``TangentImage``
-    is the same step for rows that carry tangent vectors, fused with the
-    tangent update.
-    """
-    W = _times_transpose(np.log(X), sys.B, W)
-    q = np.exp(W)
-    arg = np.add(_times_transpose(q, sys.A, arg), sys.lam, out=arg)
-    out = np.multiply(X, np.exp(arg, out=out), out=out)
-    return W, q, arg, out
+    exactly.  A tangent row v steps to v + A (q * B v) and is renormalized,
+    keeping the norm it was divided by.  The log-states and tangent rows
+    share one (2m, n) operand ``P = [log X; V]``, so one matmul gives
+    ``P B^T = [W; V B^T]`` and a second gives
+    ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``.
 
-
-class TangentImage:
-    """``image`` for a batch whose rows carry tangent vectors: the fused
-    map-and-tangent step of the Lyapunov estimate.
-
-    In log coordinates u = log x the map is u' = u + lam + A exp(B u), and
-    a tangent row v steps to v + A (q * B v) with q = exp(B u).  The
-    log-states and the tangent rows V share one (2m, n) operand
-    ``P = [log X; V]``, so one matmul gives ``P B^T = [W; V B^T]`` and a
-    second gives ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``; lam
-    is tiled to (m, n) once, so its add is same-shape.  A step computes
-    W, q, arg and X' exactly as ``image`` does, adds the tangent increment
-    to V and renormalizes each row of the sum, keeping the norm it
-    divided by.
-
-    Built once per batch, with the tangent rows ``V`` (m, n), over the
-    caller's block buffers of up to ``size`` steps, ``S`` (size + 1, m, n)
-    of states and ``arg`` (size, m, n) of step exponents; it adds its own
-    block buffers, the operands ``[log X; V]`` (size + 1, 2m, n), whose
-    bottom halves are the tangent rows ``V`` of each step, ``[W; V B^T]``
-    (size, 2m, n), whose top half is ``W``, and ``norms`` (size + 1, m).
-    ``step(j)`` advances the rows S[j] and tangent rows V[j] into S[j + 1]
-    and V[j + 1], writes W[j] and arg[j], and the norms of the tangent
-    rows before renormalization into norms[j + 1], so a batch can resume
-    after any step of a block.  Every operand is a buffer or view made
-    here, so a step is 12 numpy calls, 2 of them matmuls and 1 a
-    broadcast.  Like ``image``, nothing is checked: run it under
-    ``np.errstate`` and read the block through ``guard_codes``.
+    Built once per batch over the caller's block buffers of up to
+    ``size`` steps, ``S`` (size + 1, m, n) of states and ``arg``
+    (size, m, n) of step exponents, and with the tangent rows ``V``
+    (m, n) or None.  ``step(j)`` advances the rows S[j] into S[j + 1] and
+    writes W[j] and arg[j]; with tangents it also advances V[j] into
+    V[j + 1] and writes the norms of the tangent rows before
+    renormalization into norms[j + 1], so a batch can resume after any
+    step of a block.  Without tangents the kernel keeps one operand
+    ``log X`` for every step and a block buffer ``W`` (size, m, n); with
+    tangents it keeps the operands ``[log X; V]`` (size + 1, 2m, n),
+    whose bottom halves are the tangent rows ``V`` of each step,
+    ``[W; V B^T]`` (size, 2m, n), whose top half is ``W``, and ``norms``
+    (size + 1, m).  The transposes of A and B are contiguous copies,
+    taken once, and lam is tiled to (m, n) once; sys may be a
+    ``DirectSum`` of k blocks, whose operands are multiplied as
+    (k, rows, n / k) stacks of their blocks.  A step is 7 numpy calls,
+    2 of them matmuls, and 5 more with tangents; every operand is a
+    buffer or view made here.  Nothing is checked, and a state past a
+    guard gives inf, NaN or 0 entries: run it under ``np.errstate`` and
+    read the block through ``guard_codes``.
     """
 
-    def __init__(self, sys: QPSystem, V, S, arg):
+    def __init__(self, sys: QPSystem, S, arg, V=None):
         size, m, n = arg.shape
-        P, WV = np.empty((size + 1, 2 * m, n)), np.empty((size, 2 * m, n))
-        P[0, m:] = V
-        self.V, self.W = P[:, m:], WV[:, :m]
-        self.norms = norms = np.empty((size + 1, m))
-        self._Q, self._R = Q, R = np.empty((2, 2 * m, n))
-        self._q, self._qVB, self._qA, self._dV = Q[:m], Q[m:], R[:m], R[m:]
+        rows = m if V is None else 2 * m
+        # without tangents every step shares the one operand P[0]
+        P = np.empty((1 if V is None else size + 1, rows, n))
+        WV, Q, R = (np.empty((size, rows, n)), np.empty((rows, n)),
+                    np.empty((rows, n)))
+        self.W, self.q, self._qA = WV[:, :m], Q[:m], R[:m]
         # contiguous copies multiply faster than the transposed views
-        self._At = np.ascontiguousarray(sys.A.T)
-        self._Bt = np.ascontiguousarray(sys.B.T)
-        self._lam = np.tile(sys.lam, (m, 1))
+        self._At = np.ascontiguousarray(sys.A.swapaxes(-1, -2))
+        self._Bt = np.ascontiguousarray(sys.B.swapaxes(-1, -2))
+        self._lam = sys.lam[None].repeat(m, axis=0)
+
+        def operand(Y):  # a DirectSum multiplies its rows block by block
+            if self._Bt.ndim == 2:
+                return Y
+            return Y.reshape(rows, len(self._Bt), -1).swapaxes(0, 1)
+
+        self._Q, self._R = operand(Q), operand(R)
+        self.V = self.norms = None
+        tangent = [None] * size
+        if V is not None:
+            P[0, m:] = V
+            self.V, self.norms = P[:, m:], np.empty((size + 1, m))
+            self._qVB, self._dV = Q[m:], R[m:]
+            tangent = [(WV[j, m:], P[j, m:], P[j + 1, m:], self.norms[j + 1],
+                        self.norms[j + 1, :, None]) for j in range(size)]
+        operands = [P[0]] * size if V is None else P[:size]
         self._steps = [
-            (S[j], P[j], P[j, :m], P[j, m:], P[j + 1, m:], WV[j], WV[j, :m],
-             WV[j, m:], arg[j], S[j + 1], norms[j + 1], norms[j + 1, :, None])
-            for j in range(size)]
+            (S[j], Pj[:m], operand(Pj), operand(WV[j]), WV[j, :m], arg[j],
+             S[j + 1], tangent[j]) for j, Pj in enumerate(operands)]
 
     def step(self, j):
-        """Advance the rows S[j] and V[j] of the block by one fused step."""
-        X, P, logX, V, Vn, WV, W, VB, arg, out, s, s_col = self._steps[j]
-        q = self._q
+        """Advance the rows S[j], and their tangent rows, by one step."""
+        X, logX, P, WV, W, arg, out, tangent = self._steps[j]
+        q = self.q
         np.log(X, out=logX)
         np.matmul(P, self._Bt, out=WV)
         np.exp(W, out=q)
-        np.multiply(q, VB, out=self._qVB)
+        if tangent:
+            VB, V, Vn, s, s_col = tangent
+            np.multiply(q, VB, out=self._qVB)
         np.matmul(self._Q, self._At, out=self._R)
         np.add(self._qA, self._lam, out=arg)
         np.multiply(X, np.exp(arg, out=out), out=out)
-        np.add(V, self._dV, out=Vn)
-        np.sqrt(np.einsum("ij,ij->i", Vn, Vn, out=s), out=s)
-        np.divide(Vn, s_col, out=Vn)
+        if tangent:
+            np.add(V, self._dV, out=Vn)
+            np.sqrt(np.einsum("ij,ij->i", Vn, Vn, out=s), out=s)
+            np.divide(Vn, s_col, out=Vn)
 
 
 def guard_codes(W, arg, Xn):
-    """The guard code of each image ``image`` made, for any leading shape:
-    a code per vector of the last axis.
+    """The guard code of each image a ``MapStep`` made, for any leading
+    shape: a code per vector of the last axis.
 
     GUARD_OVERFLOW when a log quasimonomial or a step exponent exceeds
     +EXP_ARG_LIMIT or the image is not finite, GUARD_UNDERFLOW when a step
@@ -293,22 +282,25 @@ def as_batch(X) -> np.ndarray:
 
 
 def advance(sys: QPSystem, X):
-    """One guarded step of the QP map for each row of X: ``image`` of
-    ``as_batch(X)`` and its ``guard_codes``.
+    """One guarded step of the QP map for each row of X: one step of a
+    one-step ``MapStep`` over ``as_batch(X)``, and its ``guard_codes``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
     terms and a guard code per row, valid X' only where it is GUARD_OK.
     This is the per-step check of ``step`` and ``qp_jacobian``; the
-    lockstep engine, ``dynamics._lockstep``, checks a block of steps at
-    once with the same result.
+    lockstep engine, ``dynamics._lockstep``, runs the same kernel and
+    checks a block of steps at once with the same result.
     """
     X = np.asarray(X)
+    S = as_batch(X)[None].repeat(2, axis=0)
+    arg = np.empty_like(S[1:])
+    kernel = MapStep(sys, S, arg)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        W, q, arg, Xn = image(sys, as_batch(X))
-        guard = guard_codes(W, arg, Xn)
+        kernel.step(0)
+        guard = guard_codes(kernel.W[0], arg[0], S[1])
     rows = slice(len(X)) if X.ndim == 2 else 0
-    return Xn[rows], q[rows], guard[rows]
+    return S[1, rows], kernel.q[rows], guard[rows]
 
 
 def step(sys: QPSystem, x) -> np.ndarray:

@@ -49,7 +49,13 @@ from qpd.dynamics import (
     conjugacy_deviations,
     verification_pass,
 )
-from qpd.systems import GUARD_REASONS, UNDERFLOW_FLOOR, TangentImage, advance
+from qpd.systems import (
+    GUARD_REASONS,
+    UNDERFLOW_FLOOR,
+    DirectSum,
+    MapStep,
+    advance,
+)
 from qpd.errors import (
     GuardTermination,
     InvalidArgument,
@@ -794,23 +800,24 @@ class TestBlockedLockstep:
                 (1, 5, "underflow"), (2, K + 1, "overflow"),
                 (0, 2 * K + 3, "overflow"), (3, 2 * K + 20, "underflow")]
 
-    def test_a_run_builds_one_tangent_image(self, monkeypatch):
+    @pytest.mark.parametrize("tangents", [False, True])
+    def test_a_run_builds_one_kernel(self, monkeypatch, tangents):
         # DRIFT is tests/data/guarded_drift.json; the pass's batch at seed
         # 7 guards 36 of its 51 rows, at 36 different steps
         builds = []
 
-        class Counted(TangentImage):
-            def __init__(self, *args):
-                builds.append(args[1].shape)
-                super().__init__(*args)
+        class Counted(MapStep):
+            def __init__(self, sys, S, arg, V=None):
+                builds.append(None if V is None else V.shape)
+                super().__init__(sys, S, arg, V)
 
-        monkeypatch.setattr(qpd.dynamics, "TangentImage", Counted)
+        monkeypatch.setattr(qpd.dynamics, "MapStep", Counted)
         sys, X0, horizon, tail, record = LOCKSTEP_CASES[
             "verification-pass-batch"]
-        run = _lockstep(sys, X0, horizon, tail, record,
-                        tangents=with_tangents(LYAPUNOV_TRANSIENT, len(X0)))
+        run = _lockstep(sys, X0, horizon, tail, record, tangents=(
+            with_tangents(LYAPUNOV_TRANSIENT, len(X0)) if tangents else None))
         assert len(run.guards) == 36
-        assert builds == [(len(X0), 2)]
+        assert builds == [(len(X0), 2) if tangents else None]
 
     def test_tangent_that_collapses_mid_block(self):
         # x -> x exp(1 - x): a tangent collapses to 0 once its orbit lands
@@ -944,6 +951,34 @@ def conjugacy_trials(rng, n, trials):
     qmts = [random_qmt(rng, n) for _ in range(trials)]
     X0 = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=(trials, n)))
     return qmts, X0
+
+
+class TestDirectSum:
+    # each block of a DirectSum row is multiplied by its own block in one
+    # stacked product, so it rounds as a row of its own system alone
+    @pytest.mark.parametrize("guarded", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 21])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_blocks_are_their_own_orbits(self, n, k, guarded):
+        rng = np.random.default_rng(100 * n + k)
+        systems = [stable_lv_image(rng, n) for _ in range(k)]
+        X0 = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=(k, n)))
+        if guarded:  # x_1 gains e^40 a step and overflows out of step 17
+            systems[k // 2] = QPSystem(np.zeros((n, n)), np.eye(n),
+                                       [40.0] + [-1.0] * (n - 1))
+            X0[k // 2] = 1.0
+        horizon = 2 * K + 5
+        run = _lockstep(DirectSum.of(systems), X0.reshape(1, -1), horizon,
+                        record=range(horizon + 1))
+        own = [_lockstep(part, x0[None], horizon, record=range(horizon + 1))
+               for part, x0 in zip(systems, X0)]
+        stop = 17 if guarded else horizon
+        assert run.guards == own[k // 2].guards == (
+            [(0, stop, "overflow")] if guarded else [])
+        for i, alone in enumerate(own):
+            orbit = run.record[:stop + 1, 0, i * n:(i + 1) * n]
+            assert orbit.tobytes() == alone.record[:stop + 1, 0].tobytes()
+        assert np.isnan(run.record[stop + 1:]).all()
 
 
 @pytest.fixture
