@@ -23,9 +23,12 @@ from .errors import InvalidArgument, OverflowGuard
 from .systems import EXP_ARG_LIMIT
 from .theorems import DIAMOND_RHO_THRESHOLD, MAROTTO_RHO_THRESHOLD
 
-#: Sweep cap of the inverse-branch iteration in ``find_period3``; just
-#: above the onset the sweeps slow like a saddle-node ghost (about 2 700
-#: at onset + 1e-6), and a search that hits the cap finds nothing.
+#: Sweep cap of the inverse-branch search in ``find_period3``, Newton
+#: trials included; a search that hits the cap finds nothing.  Above the
+#: onset the Newton steps need at most 40 sweeps, where plain sweeps slow
+#: like a saddle-node ghost (about 2 700 at onset + 1e-6); within about
+#: 1e-9 below it the plain sweeps that the safeguard falls back on still
+#: crawl through the ghost up to the cap.
 PERIOD3_MAX_SWEEPS = 10_000
 
 #: Snap-back search: neighborhood radius cap and preimage-chain depth,
@@ -132,24 +135,50 @@ def find_period3(rho):
 
     The cycle with itinerary L R R that the saddle-node at the onset
     creates is unstable, so it is an attracting fixed point of the
-    monotone composition y -> L^-1(R^-1(R^-1(y))) of inverse branches.
-    A sweep from y (first rho + 0.5) makes three ``_preimage`` solves,
-    c = R^-1(y), b = R^-1(c), a = L^-1(b); the sweeps leave a branch's
-    domain (None), move y by at most 1e-15 relative (converged) or give
-    up after PERIOD3_MAX_SWEEPS.  The cycle must pass ``_forward_check``.
+    monotone composition F = L^-1 R^-1 R^-1 of inverse branches.  A sweep
+    from y (first rho + 0.5) makes three ``_preimage`` solves,
+    c = R^-1(y), b = R^-1(c), a = L^-1(b) = F(y), and gives the slope
+    F'(y) = 1 / (xi'(a) xi'(b) xi'(c)) for free.  Where F'(y) < 1 the
+    search tries the Newton point n = y + (F(y) - y) / (1 - F'(y)) of
+    F(y) - y and keeps it if the sweep from n is defined, F(n) <= n and
+    F'(n) < 1, which keeps n above the attracting fixed point; otherwise
+    it sweeps y <- F(y).  The search stops when a plain sweep leaves a
+    branch's domain (None), when a kept sweep moves y by at most 1e-15
+    relative (converged), or when its sweeps, Newton trials included,
+    reach PERIOD3_MAX_SWEEPS.  The cycle must pass ``_forward_check``.
     """
     _guard_growth_rate(rho)
     y = rho + 0.5
-    for _ in range(PERIOD3_MAX_SWEEPS):
-        if ((c := _preimage(y, rho, left=False)) is None
-                or (b := _preimage(c, rho, left=False)) is None
-                or (a := _preimage(b, rho, left=True)) is None):
-            return None
+    sweep = _period3_sweep(y, rho)
+    budget = PERIOD3_MAX_SWEEPS - 1
+    while sweep is not None:
+        a, b, c, slope = sweep
         if abs(a - y) <= 1e-15 * a:
             landed = _forward_check((a, b, c), a, rho) is not None
             return np.array((a, b, c)) if landed else None
-        y = a
+        if slope < 1.0 and budget:
+            budget -= 1
+            n = y + (a - y) / (1.0 - slope)
+            trial = _period3_sweep(n, rho)
+            if trial is not None and trial[0] <= n and trial[3] < 1.0:
+                y, sweep = n, trial
+                continue
+        if not budget:
+            return None
+        budget -= 1
+        y, sweep = a, _period3_sweep(a, rho)
     return None
+
+
+def _period3_sweep(y, rho):
+    """(a, b, c, F'(y)) of one sweep from y, or None off a branch's domain;
+    the slope is infinite where a point sits at the critical point 1."""
+    if ((c := _preimage(y, rho, left=False)) is None
+            or (b := _preimage(c, rho, left=False)) is None
+            or (a := _preimage(b, rho, left=True)) is None):
+        return None
+    product = math.prod(math.exp(rho - x) * (1.0 - x) for x in (a, b, c))
+    return a, b, c, 1.0 / product if product > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,26 @@ def reference_period3(rho):
     return None
 
 
+#: The saddle-node onset of period 3, 3.10243991563542661: the root of
+#: f^3(x) = x, (f^3)'(x) = 1 solved in 40-digit arithmetic, as a double.
+PERIOD3_ONSET = 3.1024399156354266
+
+
+def plain_sweeps_period3(rho):
+    """The cycle of the inverse-branch iteration y <- L^-1 R^-1 R^-1 (y)
+    from rho + 0.5 by plain sweeps only: the fixed point it converges to
+    is the attracting one."""
+    y = rho + 0.5
+    for _ in range(100_000):
+        c = _preimage(y, rho, left=False)
+        b = _preimage(c, rho, left=False)
+        a = _preimage(b, rho, left=True)
+        if abs(a - y) <= 1e-15 * a:
+            return np.array((a, b, c))
+        y = a
+    raise AssertionError(f"plain sweeps did not converge at rho = {rho}")
+
+
 def exact_iterate(x, rho, times):
     """``times`` steps of the map in 50-digit decimal arithmetic."""
     with localcontext() as ctx:
@@ -132,6 +152,8 @@ class TestPeriod3:
     def test_absent_below_onset(self):
         assert find_period3(2.0) is None
         assert find_period3(3.0) is None
+        for offset in (1e-3, 1e-6, 1e-9, 1e-15):
+            assert find_period3(PERIOD3_ONSET - offset) is None
 
     @pytest.mark.parametrize("rho", [8.0, 10.0, 12.0])
     def test_found_at_large_growth(self, rho):
@@ -156,12 +178,59 @@ class TestPeriod3:
         assert failures == []
 
     def test_sweeps_stop_at_the_cap(self, monkeypatch):
-        # just above the onset the sweeps slow like a saddle-node ghost,
-        # about 2 700 of them at onset + 1e-6
-        rho = 3.1024399159 + 1e-6
-        assert find_period3(rho) is not None
-        monkeypatch.setattr(scalar_map, "PERIOD3_MAX_SWEEPS", 1000)
-        assert find_period3(rho) is None
+        # a search that reaches PERIOD3_MAX_SWEEPS finds nothing; at
+        # rho = 3.2 it needs more than two sweeps, Newton trials included
+        sweeps = []
+        sweep = scalar_map._period3_sweep
+        monkeypatch.setattr(scalar_map, "_period3_sweep",
+                            lambda y, rho: sweeps.append(y) or sweep(y, rho))
+        assert find_period3(3.2) is not None
+        needed = len(sweeps)
+        assert needed > 2
+        monkeypatch.setattr(scalar_map, "PERIOD3_MAX_SWEEPS", needed)
+        assert find_period3(3.2) is not None
+        for cap in (needed - 1, 2):
+            monkeypatch.setattr(scalar_map, "PERIOD3_MAX_SWEEPS", cap)
+            assert find_period3(3.2) is None
+
+    def test_found_just_above_the_onset(self):
+        # plain sweeps crawl there like a saddle-node ghost and hit the
+        # cap from about 5e-8 above the onset down; a Newton point kept
+        # past the attracting fixed point loses the cycle at some of these
+        rhos = [3.1024399159 + 1e-8,
+                *(PERIOD3_ONSET + np.logspace(-16, -2, 300))]
+        misses = []
+        for rho in map(float, rhos):
+            cycle = find_period3(rho)
+            if cycle is None or _forward_check(
+                    tuple(cycle), cycle[0], rho) is None:
+                misses.append(rho)
+        assert misses == []
+
+    @pytest.mark.parametrize("rho", [3.1025, 3.103, 3.11, 3.2, 3.5, 5.0,
+                                     12.0, 100.0, 700.0])
+    def test_newton_keeps_the_cycle_of_plain_sweeps(self, rho):
+        # the safeguard keeps every Newton point above the attracting
+        # fixed point, so the search never lands on the repelling one,
+        # the stable cycle of the saddle-node pair
+        cycle = find_period3(rho)
+        np.testing.assert_allclose(cycle, plain_sweeps_period3(rho),
+                                   rtol=1e-13)
+        assert abs(np.prod([xi_deriv(x, rho) for x in cycle])) > 1.0
+
+    def test_solves_per_search(self, monkeypatch):
+        solves = []
+
+        def preimage(value, rho, left):
+            solves.append(rho)
+            return _preimage(value, rho, left)
+
+        monkeypatch.setattr(scalar_map, "_preimage", preimage)
+        threshold_scan(KIND_PERIOD3, 2.5, 3.5, 0.01)
+        assert len(solves) <= 2_000
+        solves.clear()
+        assert find_period3(3.1025) is not None
+        assert len(solves) <= 100
 
 
 class TestPeriod3AgainstReferenceLoop:
@@ -402,6 +471,12 @@ class TestThresholdScan:
         assert abs(result.threshold - result.reference) <= 0.03
         assert result.threshold == 3.102499999999987
         assert result.resolution == pytest.approx(0.001)
+
+    def test_period3_bisection_just_above_the_onset(self):
+        # this scan's bisection asks about 3.102439931237285, about 1.5e-8
+        # above the onset, where plain sweeps hit the cap
+        result = threshold_scan(KIND_PERIOD3, 2.503689931237298, 3.5, 0.01)
+        assert result.threshold == 3.102439931237285
 
     def test_snapback_threshold_near_reference(self):
         result = threshold_scan(KIND_SNAPBACK, 2.5, 3.5, 0.01)
