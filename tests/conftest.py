@@ -1,9 +1,11 @@
-"""Shared paths and random-instance generators for the test suite."""
+"""Shared paths, random-instance generators and a kernel step counter
+for the test suite."""
 
 from pathlib import Path
 
 import numpy as np
 
+import qpd.dynamics
 from qpd import (
     QMTMatrix,
     QPSystem,
@@ -12,6 +14,7 @@ from qpd import (
     qp_fixed_point,
     qp_jacobian,
 )
+from qpd.systems import MapStep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,3 +101,17 @@ def random_contracting_system(rng):
                        np.linalg.solve(B, growth))
         if check_theorem3(sys).applicable:
             return sys
+
+
+def counted_kernel(monkeypatch):
+    """The steps that the kernels of ``dynamics._lockstep`` run, one entry
+    a step."""
+    steps = []
+
+    class Counted(MapStep):
+        def step(self, j):
+            steps.append(j)
+            super().step(j)
+
+    monkeypatch.setattr(qpd.dynamics, "MapStep", Counted)
+    return steps

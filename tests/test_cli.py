@@ -9,6 +9,7 @@ import qpd.cli
 from conftest import (
     ATTRACTIVE_FIXTURES,
     FIXTURE_NAMES,
+    counted_kernel,
     exact_exponent,
     fixture_path,
     load_fixture,
@@ -546,6 +547,22 @@ class TestSimulate:
         assert lines[0] == "t,x_1,x_2"
         final = np.array([float(v) for v in lines[-1].split(",")[1:]])
         assert np.linalg.norm(final - np.array([1.0 / 3.0, 1.0 / 3.0])) <= 1e-6
+
+    def test_replayed_orbit_matches_golden_file(self, capsys, tmp_path,
+                                                monkeypatch):
+        # the orbit of (1, 1) repeats within its first block, so the other
+        # 31 blocks are filled from the stored cycle; the golden file was
+        # written by an engine that stepped all 2000 steps
+        steps = counted_kernel(monkeypatch)
+        out_csv = tmp_path / "orbit.csv"
+        code, out, _ = run(capsys, "simulate",
+                           str(fixture_path("example1_lv")),
+                           "--x0", "1,1", "--steps", "2000",
+                           "--out", str(out_csv))
+        assert code == 0 and "guard events: none" in out
+        assert len(steps) == 64
+        golden = DATA / "simulate_example1_lv_2000.csv"
+        assert out_csv.read_bytes() == golden.read_bytes()
 
     def test_rejects_nonpositive_initial_condition(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate",

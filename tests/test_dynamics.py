@@ -5,6 +5,7 @@ import qpd.dynamics
 from conftest import (
     ATTRACTIVE_FIXTURES,
     FIXTURE_NAMES,
+    counted_kernel,
     exact_exponent,
     load_fixture,
     random_contracting_system,
@@ -870,6 +871,130 @@ class TestBlockedSimulate:
             traj = simulate(sys, x0, steps)
             assert traj.terminated_early == stop
             assert traj.states.tobytes() == states.tobytes()
+
+
+def pass_batch(seed, n=2):
+    """The verification pass's rows and tangent directions at a seed."""
+    X0 = np.vstack([_draw_initial_conditions(seed, ENSEMBLE_SIZE, n),
+                    np.ones(n)])
+    return X0, _tangent_directions(seed, ENSEMBLE_SIZE + 1, n)
+
+
+#: The period of the verification pass's batch, tangents included, once
+#: it repeats: example3 never does.
+CYCLE_PERIODS = {"example1_lv": 1, "example1_qp_rho05": 1,
+                 "example1_qp_rho10": 6, "example2_predator_prey": 2}
+
+
+class TestCycleReplay:
+    # a float orbit lives on a finite set, so a batch that settles on an
+    # attracting cycle repeats bit for bit, tangents included; from then
+    # on the engine fills its blocks from the stored cycle
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_pass_matches_the_per_step_loop(self, monkeypatch, name, seed):
+        cycles = []
+        find = qpd.dynamics._cycle
+
+        def spy(*args):
+            cycles.append(find(*args))
+            return cycles[-1]
+
+        monkeypatch.setattr(qpd.dynamics, "_cycle", spy)
+        X0, V = pass_batch(seed)
+        run = assert_matches_the_per_step_loop(
+            load_fixture(name), X0, PERMANENCE_HORIZON,
+            qpd.dynamics._tail_window(PERMANENCE_HORIZON),
+            at(ATTRACTIVITY_HORIZON), (LYAPUNOV_TRANSIENT, V))
+        found = [cycle for cycle in cycles if cycle is not None]
+        if name in CYCLE_PERIODS:  # found before the Lyapunov sum starts
+            (origin, (states, _, _)), = found
+            assert len(states) == CYCLE_PERIODS[name]
+            assert origin <= run.stepped <= LYAPUNOV_TRANSIENT
+        else:
+            assert not found and run.stepped == PERMANENCE_HORIZON
+
+    @pytest.mark.parametrize("tangent_start", [None, 7, 500])
+    def test_a_cycle_of_states(self, tangent_start):
+        # the fixtures' batches settle on fixed states, and only their
+        # tangents cycle; x -> x exp(2.6 (1 - x)) has an attracting
+        # 4-cycle, on which these rows repeat with period 8
+        sys = QPSystem(-2.6 * np.eye(2), np.eye(2), [2.6, 2.6])
+        X0 = np.exp(np.random.default_rng(1).uniform(-1.0, 1.0, (5, 2)))
+        run = assert_matches_the_per_step_loop(
+            sys, X0, 1000, range(900, 1001), range(1001),
+            None if tangent_start is None
+            else with_tangents(tangent_start, len(X0)))
+        assert run.stepped <= 3 * K
+        assert len({row.tobytes() for row in run.record[-8:]}) == 8
+
+    @pytest.mark.parametrize("tangent_start", [None, 0, LYAPUNOV_TRANSIENT])
+    def test_guarded_pass_matches_the_per_step_loop(self, tangent_start):
+        # tests/data/guarded_drift.json at seed 7 trips 36 blocks, and
+        # its tangents shear, so the batch never repeats
+        sys, X0, horizon, tail, record = LOCKSTEP_CASES[
+            "verification-pass-batch"]
+        tangents = (None if tangent_start is None
+                    else with_tangents(tangent_start, len(X0)))
+        run = assert_matches_the_per_step_loop(sys, X0, horizon, tail,
+                                               record, tangents)
+        assert len(run.guards) == 36 and run.stepped > horizon
+
+    @pytest.mark.parametrize("tangent_start", [None, 0, LYAPUNOV_TRANSIENT])
+    def test_a_trip_then_a_cycle(self, tangent_start):
+        # two rows underflow at step 0 and shadow row 0; the batch then
+        # repeats, after the Lyapunov sum has started when it starts at 0,
+        # so the stored cycle must carry the raw tangent norms
+        X0, V = pass_batch(0)
+        X0[[3, 17]] = 1e3
+        run = assert_matches_the_per_step_loop(
+            load_fixture("example1_lv"), X0, PERMANENCE_HORIZON,
+            qpd.dynamics._tail_window(PERMANENCE_HORIZON),
+            range(ATTRACTIVITY_HORIZON - 70, ATTRACTIVITY_HORIZON + 1),
+            None if tangent_start is None else (tangent_start, V))
+        assert run.guards == [(3, 0, "underflow"), (17, 0, "underflow")]
+        assert run.stepped < 1024
+
+    def test_cycle_before_the_lyapunov_sum(self):
+        # the lone orbit of (1, 1) repeats within its first blocks, so the
+        # whole sum over steps 3000 to 4999 replays stored raw norms
+        sys, x0 = load_fixture("example1_lv"), np.ones((1, 2))
+        tangents = (3000, _tangent_directions(0, 1, 2))
+        assert _lockstep(sys, x0, 5000, tangents=tangents).stepped < 3000
+        *_, exponents = reference_lockstep(sys, x0, 5000, tangents=tangents)
+        estimate = largest_lyapunov(sys, x0[0], transient=3000, samples=2000)
+        assert estimate == exponents[0]
+
+    def test_pass_steps_only_until_the_batch_repeats(self, monkeypatch):
+        steps = counted_kernel(monkeypatch)
+        lv = load_fixture("example1_lv")
+        verification_pass(lv, qp_fixed_point(lv), 0)
+        assert len(steps) <= 1024
+        steps.clear()
+        chaotic = load_fixture("example3_qp_rho32")
+        verification_pass(chaotic, qp_fixed_point(chaotic), 0)
+        assert len(steps) == PERMANENCE_HORIZON
+
+    def test_stepped_counts_the_kernel_steps(self, monkeypatch):
+        steps = counted_kernel(monkeypatch)
+        for name in ("example1_lv", "example3_qp_rho32"):
+            steps.clear()
+            X0, _ = pass_batch(0)
+            run = _lockstep(load_fixture(name), X0, PERMANENCE_HORIZON)
+            assert run.stepped == len(steps)
+
+    def test_bit_patterns_are_compared(self):
+        # a fixed batch of states whose tangent batches differ only in the
+        # sign of a zero, or agree only as NaN bit patterns
+        S, norms = np.ones((3, 2, 2)), np.ones((3, 2))
+        V = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1, 1))
+        V[1, 0, 0] = -0.0  # == 0.0, yet batch 1 is not batch 2
+        origin, (states, tangents, _) = qpd.dynamics._cycle(5, 2, S, V, norms)
+        assert (origin, len(states)) == (6, 2)
+        assert np.signbit(tangents[:, 0, 0]).tolist() == [True, False]
+        V[:, 0, 0] = np.nan, 0.0, np.nan  # NaN != NaN, yet batch 0 is batch 2
+        assert qpd.dynamics._cycle(5, 2, S, V, norms)[0] == 6
 
 
 class TestOneOrbitPerState:
