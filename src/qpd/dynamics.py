@@ -9,13 +9,12 @@ of the one lockstep engine ``_lockstep``, which advances the rows of
 ``systems.as_batch``, so one x0 has one float orbit.  ``falsifications``
 reads that pass against the theorem verdicts, one rule per claim.
 
-Conjugacy trials run in blocks: a block's direct orbits are rows of the
-system, and, since a QMT of a block-diagonal system is block-diagonal,
-its conjugate orbits are one row of the ``systems.DirectSum`` of their
-transformed systems.  Each orbit is, to the bit, the one its trial's
-own run gives.  A block holds at most ``CONJUGACY_BLOCK_DIM // n``
-trials and at most ``BLOCK_DOUBLES // (2 (steps + 1) n)``, which bounds
-its two recorded orbits at 2**20 doubles (8 MiB), but at least one.
+A conjugacy is checked as the one-step identity F(h(y)) = h(G(y)) on
+the direct orbit alone: its recorded states are mapped to each trial's
+conjugate coordinates and stepped once by the transformed system, as
+one batch, so no conjugate orbit is run.  The direct orbits of at most
+``BLOCK_DOUBLES // ((steps + 1) n)`` trials, but at least one, are rows
+of one run, which bounds their record at 2**20 doubles (8 MiB).
 
 Guard policy: every map evaluation here goes through the one map kernel
 ``systems.MapStep``, with or without tangent rows, and the guard rule
@@ -66,7 +65,6 @@ from .systems import (
     DEFAULT_SIGN_TOL,
     GUARD_OK,
     GUARD_REASONS,
-    DirectSum,
     MapStep,
     QPSystem,
     advance,
@@ -83,6 +81,7 @@ from .transform import (
     apply_qmt,
     canonical_lv,
     map_state,
+    map_states,
 )
 
 # The verification protocol.  ``verification_pass`` runs exactly these
@@ -119,7 +118,8 @@ BLOCK_STEPS = 64
 #: doubles or m (6 n + 1) with tangents (see ``_block_steps``), stays at
 #: most 2**20 doubles (8 MiB) besides the block's start state, so a large
 #: batch takes shorter blocks, down to one step, rather than more memory.
-#: A block of conjugacy trials keeps its two stored orbits within it too.
+#: The recorded direct orbits of a run of conjugacy trials stay within it
+#: too.
 #: A run's stored cycle, m (2 n + 1) doubles a step or m n without
 #: tangents, adds less than half a block (see ``_lockstep``).
 BLOCK_DOUBLES = 2**20
@@ -357,17 +357,17 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     in any batch and in ``advance``.  It is advanced a block of
     ``_block_steps`` steps at a time into buffers allocated once, by one
     ``systems.MapStep`` built over them, with the tangent rows or
-    without, for which sys may be a ``systems.DirectSum``; its steps are
-    the one stepping loop.  The guard is checked once over each block,
-    and the tail extrema, the record and the tangents' log growth are
-    read from the block's buffers: one ``np.log`` over the block's tangent
-    norms and one axis-0 ``np.add.reduce`` whose first row is the growth
-    so far, which sums in step order.  A tripped block ends at its first
-    guarded step, and each row guarded there records its guard and
-    becomes a shadow: it takes a copy of the state and tangent of the
-    first live row, so it cannot trip on its own, and the ``live`` mask
-    keeps every shadow out of every result.  Every result is
-    bit-identical to checking every step.
+    without; its steps are the one stepping loop.  The guard is checked
+    once over each block, and the tail extrema, the record and the
+    tangents' log growth are read from the block's buffers: one
+    ``np.log`` over the block's tangent norms and one axis-0
+    ``np.add.reduce`` whose first row is the growth so far, which sums
+    in step order.  A tripped block ends at its first guarded step, and
+    each row guarded there records its guard and becomes a shadow: it
+    takes a copy of the state and tangent of the first live row, so it
+    cannot trip on its own, and the ``live`` mask keeps every shadow out
+    of every result.  Every result is bit-identical to checking every
+    step.
 
     After each block that trips no guard, ``_cycle`` looks for the
     block's last batch, states and tangent rows, among its earlier ones.
@@ -739,104 +739,90 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 # conjugacy verification
 # ---------------------------------------------------------------------------
 
-#: Dimension cap of one block of conjugacy trials: its conjugate orbits
-#: are one row of at most CONJUGACY_BLOCK_DIM components.
-CONJUGACY_BLOCK_DIM = 128
+def _one_step_defect(sys, qmt, X):
+    """The one-step defect of one trial along its direct orbit X, the
+    (steps + 1, n) states it recorded, and the message of the guard that
+    stopped it, or None.
 
-
-def _block_deviations(sys, qmts, X0, steps):
-    """Deviations of one block of trials, and the guards that stopped
-    some of them, keyed by the trial's place in the block.
-
-    The direct orbits are rows of one run of sys, and the conjugate orbits
-    of the other trials one row of the ``DirectSum`` of their transformed
-    systems.  Each is, to the bit, the orbit its trial's run alone gives,
-    so a guarded direct row is its trial's guard, and a guarded conjugate
-    row is rerun one trial at a time.
+    Its states are mapped to the conjugate coordinates, log y = C^-1 log
+    x, and the transformed system steps them once, as one batch; the
+    guards come in step order, a state's mapping before its step.
     """
-    n = sys.n
-    out, guards, Y0 = np.full(len(qmts), np.nan), {}, {}
-    for i, (qmt, x0) in enumerate(zip(qmts, X0)):
-        try:
-            Y0[i] = map_state(qmt.inverse(), x0)
-        except OverflowGuard as exc:
-            guards[i] = f"conjugate initial state: {exc}"
-    direct = _lockstep(sys, np.array(X0), steps, record=range(steps + 1))
-    for i, t, reason in direct.guards:
-        guards.setdefault(i, f"direct orbit terminated early: {(t, reason)}")
-
-    def conjugate(trials):
-        block = DirectSum.of([apply_qmt(sys, qmts[i]) for i in trials])
-        run = _lockstep(block, np.concatenate([Y0[i] for i in trials])[None],
-                        steps, record=range(steps + 1))
-        if not run.guards:
-            for j, i in enumerate(trials):
-                gap = (np.log(run.record[:, 0, j * n:(j + 1) * n])
-                       @ qmts[i].C.T - np.log(direct.record[:, i]))
-                with np.errstate(over="ignore"):
-                    out[i] = np.max(np.abs(np.expm1(gap)))
-        elif len(trials) > 1:
-            for i in trials:
-                conjugate([i])
-        else:
-            _, t, reason = run.guards[0]
-            guards[trials[0]] = (
-                f"conjugate orbit terminated early: {(t, reason)}")
-
-    rest = [i for i in range(len(qmts)) if i not in guards]
-    if rest:
-        conjugate(rest)
-    return out, guards
+    Y, mapped = map_states(qmt.inverse(), X)
+    with np.errstate(divide="ignore"):  # a guarded state may hold a 0
+        images, _, stepped = advance(apply_qmt(sys, qmt), Y[:-1])
+    codes = np.empty(2 * len(Y) - 1, dtype=int)
+    codes[0::2], codes[1::2] = mapped, stepped
+    if codes.any():
+        k = int(np.flatnonzero(codes)[0])
+        t, reason = k // 2, GUARD_REASONS[codes[k]]
+        if k % 2:
+            return np.nan, f"conjugate state {t}: step hit the {reason} guard"
+        where = "conjugate initial state" if t == 0 else f"conjugate state {t}"
+        return np.nan, f"{where}: state mapping hit the {reason} guard"
+    gap = np.log(images) @ qmt.C.T - np.log(X[1:])
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(np.expm1(gap)))), None
 
 
 def conjugacy_deviations(sys: QPSystem, qmts, X0,
                          steps: int) -> tuple[np.ndarray, dict[int, str]]:
-    """Maximum relative gap between each trial's orbit and its conjugate
-    image, one per trial, and the guards that stopped trials.
+    """Largest one-step defect of each trial's conjugacy, and the guards
+    that stopped trials.
 
-    Trial i runs the system from ``X0[i]`` and its image under
-    ``qmts[i]`` from the mapped initial state, maps the second orbit
-    back in log coordinates, where the QMT is linear (log x = C log y),
-    and takes the largest componentwise relative deviation
-    ``max |expm1(log Y C^T - log X)|`` over all recorded steps.
+    A QMT x = y^C conjugates ``sys``, F, to ``apply_qmt(sys, C)``, G,
+    when ``F(y^C) = G(y)^C`` for every state, one step at a time.  Trial
+    i runs the direct orbit x_0 = ``X0[i]``, ..., x_steps of sys, maps
+    each state to y_t with log y_t = C^-1 log x_t (``transform.map_states``,
+    whose exact identity shortcut gives an identity QMT a defect of
+    exactly 0), steps the transformed system once on those states
+    (``systems.advance``) and takes the largest componentwise relative
+    defect ``max |expm1(log G(y_t) C^T - log x_(t+1))|`` over t < steps.
+    A chaotic orbit amplifies rounding step by step; a one-step defect
+    does not.
 
-    Consecutive trials run together, at most
-    ``max(1, min(CONJUGACY_BLOCK_DIM // n,
-    BLOCK_DOUBLES // (2 (steps + 1) n)))`` at a time, in two lockstep
-    runs that record ``2 (steps + 1) k n`` doubles for k trials: the
-    direct orbits as k rows of ``sys`` and, since a QMT of a
-    block-diagonal system is block-diagonal, the conjugate orbits as one
-    row of the ``DirectSum`` of ``apply_qmt(sys, C_i)``.  Every orbit in
-    a block is the orbit of its trial run alone, to the bit, so a block
-    gives its trials' own results.  A guarded direct row stops only its
-    trial; a guarded conjugate row is rerun one trial at a time.
-    ``guards`` maps each trial whose run hit a guard to its
-    ``GuardTermination`` message, e.g. "direct orbit terminated early:
-    (17, 'overflow')" or "conjugate initial state: state mapping hit the
-    overflow guard", and that trial's deviation is NaN.
+    The direct orbits of consecutive trials are rows of one lockstep
+    run, at most ``max(1, BLOCK_DOUBLES // ((steps + 1) n))`` at a time,
+    so the recorded orbits stay within BLOCK_DOUBLES doubles.  A row
+    is, to the bit, its trial's own orbit.  ``guards`` maps each trial
+    whose check hit a guard to its ``GuardTermination`` message, and that
+    trial's deviation is NaN.  A guarded direct orbit stops only its
+    trial, with "direct orbit terminated early: (17, 'overflow')";
+    along a whole orbit the first guard in step order names the trial:
+    "conjugate initial state: state mapping hit the overflow guard",
+    the same for a later state t as "conjugate state t: ...", or
+    "conjugate state t: step hit the overflow guard" when the one-step
+    image of y_t is guarded.
     """
     n = sys.n
     X0 = [as_state(x0, n) for x0 in X0]
     if len(qmts) != len(X0):
         raise InvalidArgument(
             f"{len(qmts)} transformations for {len(X0)} initial states")
-    if steps < 0:
-        raise InvalidArgument("steps must be nonnegative")
-    size = max(1, min(CONJUGACY_BLOCK_DIM // n,
-                      BLOCK_DOUBLES // (2 * (steps + 1) * n)))
+    if steps < 1:
+        raise InvalidArgument("steps must be at least 1")
+    size = max(1, BLOCK_DOUBLES // ((steps + 1) * n))
     deviations = np.full(len(X0), np.nan)
     guards = {}
     for start in range(0, len(X0), size):
-        block = slice(start, min(start + size, len(X0)))
-        deviations[block], stopped = _block_deviations(
-            sys, qmts[block], X0[block], steps)
-        guards.update((start + i, msg) for i, msg in sorted(stopped.items()))
+        direct = _lockstep(sys, np.array(X0[start:start + size]), steps,
+                           record=range(steps + 1))
+        stopped = {i: (t, reason) for i, t, reason in direct.guards}
+        for i, qmt in enumerate(qmts[start:start + size]):
+            if i in stopped:
+                guards[start + i] = (
+                    f"direct orbit terminated early: {stopped[i]}")
+                continue
+            deviations[start + i], guard = _one_step_defect(
+                sys, qmt, direct.record[:, i])
+            if guard is not None:
+                guards[start + i] = guard
     return deviations, guards
 
 
 def conjugacy_deviation(sys: QPSystem, qmt: QMTMatrix, x0, steps: int) -> float:
     """``conjugacy_deviations`` of one trial.  Raises GuardTermination
-    if either orbit fails to reach the horizon."""
+    with its guard message if the check hit a guard."""
     (deviation,), guards = conjugacy_deviations(sys, [qmt], [x0], steps)
     if guards:
         raise GuardTermination(guards[0])

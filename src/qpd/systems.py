@@ -136,25 +136,6 @@ def as_state(x, n) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    """The block-diagonal system of k systems of dimension n, kept as the
-    stacks of its diagonal blocks: ``A`` and ``B`` (k, n, n), ``lam``
-    (k n,).  ``MapStep`` multiplies each block of a row by its own block,
-    so the block rounds as a row of its own system does in any batch;
-    a dense block-diagonal matrix would round it otherwise."""
-
-    A: np.ndarray
-    B: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def of(cls, systems) -> "DirectSum":
-        return cls(np.stack([part.A for part in systems]),
-                   np.stack([part.B for part in systems]),
-                   np.concatenate([part.lam for part in systems]))
-
-
 class MapStep:
     """The one map kernel: unchecked steps of the QP map for the rows of
     a block buffer, which may carry tangent vectors.
@@ -183,9 +164,7 @@ class MapStep:
     whose bottom halves are the tangent rows ``V`` of each step,
     ``[W; V B^T]`` (size, 2m, n), whose top half is ``W``, and ``norms``
     (size + 1, m).  The transposes of A and B are contiguous copies,
-    taken once, and lam is tiled to (m, n) once; sys may be a
-    ``DirectSum`` of k blocks, whose operands are multiplied as
-    (k, rows, n / k) stacks of their blocks.  A step is 7 numpy calls,
+    taken once, and lam is tiled to (m, n) once.  A step is 7 numpy calls,
     2 of them matmuls, and 5 more with tangents; every operand is a
     buffer or view made here.  Nothing is checked, and a state past a
     guard gives inf, NaN or 0 entries: run it under ``np.errstate`` and
@@ -201,16 +180,10 @@ class MapStep:
                     np.empty((rows, n)))
         self.W, self.q, self._qA = WV[:, :m], Q[:m], R[:m]
         # contiguous copies multiply faster than the transposed views
-        self._At = np.ascontiguousarray(sys.A.swapaxes(-1, -2))
-        self._Bt = np.ascontiguousarray(sys.B.swapaxes(-1, -2))
+        self._At = np.ascontiguousarray(sys.A.T)
+        self._Bt = np.ascontiguousarray(sys.B.T)
         self._lam = sys.lam[None].repeat(m, axis=0)
-
-        def operand(Y):  # a DirectSum multiplies its rows block by block
-            if self._Bt.ndim == 2:
-                return Y
-            return Y.reshape(rows, len(self._Bt), -1).swapaxes(0, 1)
-
-        self._Q, self._R = operand(Q), operand(R)
+        self._Q, self._R = Q, R
         self.V = self.norms = None
         tangent = [None] * size
         if V is not None:
@@ -220,9 +193,8 @@ class MapStep:
             tangent = [(WV[j, m:], P[j, m:], P[j + 1, m:], self.norms[j + 1],
                         self.norms[j + 1, :, None]) for j in range(size)]
         operands = [P[0]] * size if V is None else P[:size]
-        self._steps = [
-            (S[j], Pj[:m], operand(Pj), operand(WV[j]), WV[j, :m], arg[j],
-             S[j + 1], tangent[j]) for j, Pj in enumerate(operands)]
+        self._steps = [(S[j], Pj[:m], Pj, WV[j], WV[j, :m], arg[j], S[j + 1],
+                        tangent[j]) for j, Pj in enumerate(operands)]
 
     def step(self, j):
         """Advance the rows S[j], and their tangent rows, by one step."""

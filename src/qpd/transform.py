@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonFinite, OverflowGuard, SingularB,
                      SingularMatrix)
-from .systems import (EXP_ARG_LIMIT, UNDERFLOW_FLOOR, LVSystem, QPSystem,
-                      as_state, _frozen)
+from .systems import (GUARD_OK, GUARD_REASONS, LVSystem, QPSystem, as_batch,
+                      as_state, guard_codes, _frozen)
 
 #: Relative singular-value floor: a matrix is treated as singular when
 #: rcond = s_min / s_max < SINGULARITY_RTOL, which no rescaling changes.
@@ -170,19 +170,36 @@ def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
     return LVSystem(inv.interaction, inv.growth, name=sys.name), qmt
 
 
+def map_states(qmt: QMTMatrix, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Map each row of Y, (m, n) positive states, through the monomial
+    change of variables: ``(X, guard)``, the rows ``exp(log Y C^T)`` and
+    a guard code per row, valid X only where it is GUARD_OK.
+
+    The guard is the one-step map's rule, ``systems.guard_codes`` with
+    the exponents ``log Y C^T`` as both the log quasimonomials and the
+    step exponents: an exponent above +EXP_ARG_LIMIT is overflow, an image
+    component below UNDERFLOW_FLOOR underflow.  The identity returns Y
+    itself: the exp/log round trip would wobble by an ulp.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if np.array_equal(qmt.C, np.eye(qmt.n)):
+        return Y, np.full(len(Y), GUARD_OK)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        W = np.log(Y) @ qmt.C.T
+        X = np.exp(W)
+        return X, guard_codes(W, W, X)
+
+
 def map_state(qmt: QMTMatrix, y) -> np.ndarray:
     """Map a state through the monomial change of variables.
 
-    x_i = prod_j y_j ** C[i,j], evaluated as exp(C @ log y).  Strictly
-    positive in, strictly positive out; guarded like the one-step map.
+    x_i = prod_j y_j ** C[i,j], evaluated as ``map_states`` of
+    ``systems.as_batch(y)``, so a state maps as it does in any batch of
+    rows.  Strictly positive in, strictly positive out; raises
+    OverflowGuard naming the guard ``map_states`` labels the image with.
     """
-    y = as_state(y, qmt.n)
-    if np.array_equal(qmt.C, np.eye(qmt.n)):
-        return y  # exact: the exp/log round trip would wobble by an ulp
-    w = qmt.C @ np.log(y)
-    if w.max() > EXP_ARG_LIMIT:
-        raise OverflowGuard("state mapping hit the overflow guard")
-    x = np.exp(w)
-    if x.min() < UNDERFLOW_FLOOR:
-        raise OverflowGuard("state mapping hit the underflow guard")
-    return x
+    X, guard = map_states(qmt, as_batch(as_state(y, qmt.n)))
+    if guard[0] != GUARD_OK:
+        raise OverflowGuard(
+            f"state mapping hit the {GUARD_REASONS[guard[0]]} guard")
+    return X[0]

@@ -38,7 +38,6 @@ from qpd.dynamics import (
     ATTRACTIVITY_HORIZON,
     BLOCK_DOUBLES,
     BLOCK_STEPS,
-    CONJUGACY_BLOCK_DIM,
     ENSEMBLE_SIZE,
     LYAPUNOV_TRANSIENT,
     PERMANENCE_HORIZON,
@@ -53,7 +52,6 @@ from qpd.dynamics import (
 from qpd.systems import (
     GUARD_REASONS,
     UNDERFLOW_FLOOR,
-    DirectSum,
     MapStep,
     advance,
 )
@@ -1049,13 +1047,15 @@ class TestConjugacyDeviation:
             conjugacy_deviation(sys, QMTMatrix.identity(2), [2.0, 2.0], 1000)
 
 
-def reference_conjugacy_deviation(sys, qmt, x0, steps):
-    """One trial as two serial orbits, mapped back in log coordinates."""
+def reference_one_step_defect(sys, qmt, x0, steps):
+    """One trial state by state: the transformed system steps the mapped
+    state of each recorded x_t alone, and its image is mapped back."""
     direct = simulate(sys, x0, steps)
-    conjugate = simulate(apply_qmt(sys, qmt),
-                         map_state(qmt.inverse(), direct.states[0]), steps)
-    assert direct.terminated_early is None is conjugate.terminated_early
-    gap = np.log(conjugate.states) @ qmt.C.T - np.log(direct.states)
+    assert direct.terminated_early is None
+    image = apply_qmt(sys, qmt)
+    G = np.array([step(image, map_state(qmt.inverse(), x))
+                  for x in direct.states[:-1]])
+    gap = np.log(G) @ qmt.C.T - np.log(direct.states[1:])
     return float(np.max(np.abs(np.expm1(gap))))
 
 
@@ -1078,34 +1078,6 @@ def conjugacy_trials(rng, n, trials):
     return qmts, X0
 
 
-class TestDirectSum:
-    # each block of a DirectSum row is multiplied by its own block in one
-    # stacked product, so it rounds as a row of its own system alone
-    @pytest.mark.parametrize("guarded", [False, True])
-    @pytest.mark.parametrize("k", [1, 2, 21])
-    @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_blocks_are_their_own_orbits(self, n, k, guarded):
-        rng = np.random.default_rng(100 * n + k)
-        systems = [stable_lv_image(rng, n) for _ in range(k)]
-        X0 = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=(k, n)))
-        if guarded:  # x_1 gains e^40 a step and overflows out of step 17
-            systems[k // 2] = QPSystem(np.zeros((n, n)), np.eye(n),
-                                       [40.0] + [-1.0] * (n - 1))
-            X0[k // 2] = 1.0
-        horizon = 2 * K + 5
-        run = _lockstep(DirectSum.of(systems), X0.reshape(1, -1), horizon,
-                        record=range(horizon + 1))
-        own = [_lockstep(part, x0[None], horizon, record=range(horizon + 1))
-               for part, x0 in zip(systems, X0)]
-        stop = 17 if guarded else horizon
-        assert run.guards == own[k // 2].guards == (
-            [(0, stop, "overflow")] if guarded else [])
-        for i, alone in enumerate(own):
-            orbit = run.record[:stop + 1, 0, i * n:(i + 1) * n]
-            assert orbit.tobytes() == alone.record[:stop + 1, 0].tobytes()
-        assert np.isnan(run.record[stop + 1:]).all()
-
-
 @pytest.fixture
 def block_runs(monkeypatch):
     """The (rows, components) of each lockstep run that
@@ -1121,21 +1093,35 @@ def block_runs(monkeypatch):
 
 
 class TestConjugacyDeviations:
-    @pytest.mark.parametrize("name", [
-        "example1_lv", "example1_qp_rho05", "example2_predator_prey",
-        "example3_qp_rho32"])
-    def test_single_trial_matches_serial_reference(self, name):
+    @pytest.mark.parametrize("steps", [1, 100])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_single_trial_matches_per_state_oracle(self, name, steps):
         sys = load_fixture(name)
         rng = np.random.default_rng(11)
         for qmt, x0 in zip(*conjugacy_trials(rng, 2, 5)):
-            assert (conjugacy_deviation(sys, qmt, x0, 100)
-                    == reference_conjugacy_deviation(sys, qmt, x0, 100))
+            assert (conjugacy_deviation(sys, qmt, x0, steps)
+                    == reference_one_step_defect(sys, qmt, x0, steps))
+
+    @pytest.mark.parametrize("system", [
+        *FIXTURE_NAMES, *(f"stable-lv-image-n6-{seed}" for seed in range(4))])
+    def test_defect_stays_at_rounding_at_long_horizon(self, system):
+        # example3's chaotic orbit amplifies rounding along the orbit, but
+        # a one-step defect does not grow with the horizon
+        if system.startswith("stable-lv-image-n6"):
+            rng = np.random.default_rng(int(system.rsplit("-", 1)[1]))
+            sys = stable_lv_image(rng, 6)
+        else:
+            rng, sys = np.random.default_rng(1), load_fixture(system)
+        qmts, X0 = conjugacy_trials(rng, sys.n, 20)
+        deviations, guards = conjugacy_deviations(sys, qmts, X0, 500)
+        assert guards == {}
+        assert deviations.max() <= 1e-13
 
     @pytest.mark.parametrize("system, trials, doubles, blocks", [
         ("example1_lv", 20, None, 1),
-        ("stable-lv-image-n6", 45, None, 3),  # 21 + 21 + 3 trials
-        # 2 (200 + 1) 2 = 804 doubles a trial: 3 trials a block
-        ("example1_lv", 20, 3 * 804 + 803, 7),
+        ("stable-lv-image-n6", 45, None, 1),
+        # (200 + 1) 2 = 402 doubles a trial: 3 trials a block
+        ("example1_lv", 20, 3 * 402 + 401, 7),
     ], ids=["example1_lv-20", "stable-lv-image-n6-45",
             "example1_lv-20-storage-capped"])
     def test_blocks_match_single_trials(self, monkeypatch, block_runs,
@@ -1150,42 +1136,38 @@ class TestConjugacyDeviations:
             monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
         blocked, guards = conjugacy_deviations(sys, qmts, X0, 200)
         assert guards == {}
-        # per block, its direct trials as rows of the system, then its
-        # conjugate trials as one row of their direct sum
-        assert len(block_runs) == 2 * blocks
-        direct, conjugate = block_runs[::2], block_runs[1::2]
-        assert {n for _, n in direct} == {sys.n}
-        assert sum(m for m, _ in direct) == trials
-        assert [(1, m * sys.n) for m, _ in direct] == conjugate
-        assert max(n for _, n in conjugate) <= CONJUGACY_BLOCK_DIM
+        # per block, one run of its direct orbits as rows of the system
+        assert len(block_runs) == blocks
+        assert {n for _, n in block_runs} == {sys.n}
+        assert sum(m for m, _ in block_runs) == trials
         monkeypatch.undo()
         single = [conjugacy_deviation(sys, qmt, x0, 200)
                   for qmt, x0 in zip(qmts, X0)]
         # each orbit of a block is its trial's own, to the bit
         np.testing.assert_array_equal(blocked, single)
-        assert max(single) <= 1e-12
+        assert max(single) <= 1e-13
         assert (blocked == 0.0).tolist() == [t % 3 == 0 for t in range(trials)]
 
-    def test_guard_stops_only_its_block(self, block_runs):
+    def test_guard_stops_only_its_trial(self, monkeypatch, block_runs):
         # x_1 gains e^40 a step: from x_1 = 1 the image overflows out of
         # step 17, from x_1 = e^-600 not before step 32
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
         X0 = np.full((130, 2), [np.exp(-600.0), 1.0])
         X0[[3, 129]] = 1.0
         qmt = QMTMatrix.from_matrix(np.diag([1.0, 2.0]))
+        # 64 trials a block: (20 + 1) 2 = 42 doubles a trial
+        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 64 * 42)
         deviations, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
         reason = "direct orbit terminated early: (17, 'overflow')"
         assert guards == {3: reason, 129: reason}
-        # a guarded direct row stops only its trial: each block's other
-        # trials go on as one conjugate row, and nothing is rerun
-        assert block_runs == [(64, 2), (1, 126), (64, 2), (1, 128),
-                              (2, 2), (1, 2)]
+        assert block_runs == [(64, 2), (64, 2), (2, 2)]
         assert np.isnan(deviations[[3, 129]]).all()
+        monkeypatch.undo()
         for t in [*range(64), 128]:
             if t != 3:
-                assert deviations[t] == reference_conjugacy_deviation(
+                assert deviations[t] == reference_one_step_defect(
                     sys, qmt, X0[t], 20)
-        assert (deviations[64:128] <= 1e-12).all()
+        assert (deviations[64:128] <= 1e-13).all()
 
     def test_one_trial_block_runs_once(self, block_runs):
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
@@ -1195,23 +1177,35 @@ class TestConjugacyDeviations:
         assert guards == {0: "direct orbit terminated early: (17, 'overflow')"}
         assert np.isnan(deviations).all()
 
-    def test_conjugate_orbit_guard_names_its_trial(self, block_runs):
+    def test_conjugate_step_guard_names_its_trial(self, block_runs):
         # x_2 gains e^8 a step, so the image under C = diag(1, 0.01),
-        # log y = C^-1 log x, gains e^800 and overflows out of step 0
+        # log y = C^-1 log x, gains e^800: the step of y_0 overflows
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [0.1, 8.0])
         qmts = [QMTMatrix.identity(2),
                 QMTMatrix.from_matrix(np.diag([1.0, 0.01])),
                 QMTMatrix.identity(2)]
         deviations, guards = conjugacy_deviations(
             sys, qmts, [[1.0, 1.0]] * 3, 20)
-        assert guards == {
-            1: "conjugate orbit terminated early: (0, 'overflow')"}
-        # the guarded conjugate row is rerun one trial at a time
-        assert block_runs == [(3, 2), (1, 6), (1, 2), (1, 2), (1, 2)]
+        assert guards == {1: "conjugate state 0: step hit the overflow guard"}
+        # the direct orbits are one run, and no conjugate orbit runs
+        assert block_runs == [(3, 2)]
         assert deviations[0] == 0.0 and deviations[2] == 0.0
         assert np.isnan(deviations[1])
-        with pytest.raises(GuardTermination, match="conjugate orbit"):
+        with pytest.raises(GuardTermination, match="conjugate state 0: step"):
             conjugacy_deviation(sys, qmts[1], [1.0, 1.0], 20)
+
+    def test_guarded_later_conjugate_state_names_its_step(self):
+        # log x_2 gains 1.01 a step and log y_2 = 7.07 log x_2: y_99 maps
+        # to log 699.9, whose image e^707 is finite, but y_100 exceeds
+        # the mapping's exponent limit
+        sys = QPSystem(np.zeros((2, 2)), np.eye(2), [0.1, 1.01])
+        qmt = QMTMatrix.from_matrix(np.diag([1.0, 1.0 / 7.0]))
+        deviations, guards = conjugacy_deviations(
+            sys, [qmt, QMTMatrix.identity(2)], [[1.0, 1.0]] * 2, 120)
+        assert guards == {0: "conjugate state 100: state mapping hit the "
+                             "overflow guard"}
+        assert np.isnan(deviations[0]) and deviations[1] == 0.0
+        assert conjugacy_deviation(sys, qmt, [1.0, 1.0], 99) <= 1e-13
 
     def test_guarded_conjugate_initial_state_is_its_trials_guard(self):
         # C^-1 = diag(1, 1000) maps x0 = (1, e) to log y = (0, 1000)
@@ -1235,8 +1229,9 @@ class TestConjugacyDeviations:
             conjugacy_deviations(sys, [QMTMatrix.identity(2)] * 2,
                                  [[1.0, 1.0]], 10)
 
-    def test_negative_steps_are_refused(self):
+    @pytest.mark.parametrize("steps", [-1, 0])
+    def test_steps_below_one_are_refused(self, steps):
         sys = load_fixture("example1_lv")
-        with pytest.raises(InvalidArgument, match="steps"):
+        with pytest.raises(InvalidArgument, match="steps must be at least 1"):
             conjugacy_deviations(sys, [QMTMatrix.identity(2)],
-                                 [[1.0, 1.0]], -1)
+                                 [[1.0, 1.0]], steps)
