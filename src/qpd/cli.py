@@ -51,7 +51,6 @@ from .theorems import check_all_theorems
 from .transform import (
     SINGULARITY_RTOL,
     QMTMatrix,
-    apply_qmt,
     canonical_lv,
     class_invariants,
     finite_class_invariants,
@@ -338,21 +337,17 @@ def cmd_conjugacy(args) -> int:
     if args.trials == 0:
         print("warning: --trials 0 requested; vacuous pass")
         return 0
-    base = finite_class_invariants(system)
+    finite_class_invariants(system)  # no drift is measured from an overflow
     rejected = 0
-    qmts, X0, drifts = [], [], []
+    qmts, X0 = [], []
     for trial in range(args.trials):
         qmt, regenerated = _draw_qmt(rng, system.n, trial)
         rejected += regenerated
         qmts.append(qmt)
         X0.append(np.exp(rng.uniform(np.log(0.5), np.log(2.0),
                                      size=system.n)))
-        other = class_invariants(apply_qmt(system, qmt))
-        drifts.append(max(
-            float(np.max(np.abs(other.interaction - base.interaction))),
-            float(np.max(np.abs(other.growth - base.growth))),
-        ))
-    defects, guards = conjugacy_deviations(system, qmts, X0, args.steps)
+    defects, drifts, guards = conjugacy_deviations(system, qmts, X0,
+                                                   args.steps)
     failures = []
     for trial, (drift, defect) in enumerate(zip(drifts, defects)):
         if drift > CONJUGACY_DRIFT_BUDGET:

@@ -12,9 +12,10 @@ reads that pass against the theorem verdicts, one rule per claim.
 A conjugacy is checked as the one-step identity F(h(y)) = h(G(y)) on
 the direct orbit alone: its recorded states are mapped to each trial's
 conjugate coordinates and stepped once by the transformed system, as
-one batch, so no conjugate orbit is run.  The direct orbits of at most
-``BLOCK_DOUBLES // ((steps + 1) n)`` trials, but at least one, are rows
-of one run, which bounds their record at 2**20 doubles (8 MiB).
+one batch, so no conjugate orbit is run; the invariant drift is read off
+the same transformed system, built once a trial.  The direct orbits of
+at most ``BLOCK_DOUBLES // ((steps + 1) n)`` trials, but at least one,
+are rows of one run, which bounds their record at 2**20 doubles (8 MiB).
 
 Guard policy: every map evaluation here goes through the one map kernel
 ``systems.MapStep``, with or without tangent rows, and the guard rule
@@ -80,6 +81,7 @@ from .transform import (
     _invert,
     apply_qmt,
     canonical_lv,
+    class_invariants,
     map_state,
     map_states,
 )
@@ -739,18 +741,19 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 # conjugacy verification
 # ---------------------------------------------------------------------------
 
-def _one_step_defect(sys, qmt, X):
+def _one_step_defect(image, qmt, X):
     """The one-step defect of one trial along its direct orbit X, the
     (steps + 1, n) states it recorded, and the message of the guard that
     stopped it, or None.
 
     Its states are mapped to the conjugate coordinates, log y = C^-1 log
-    x, and the transformed system steps them once, as one batch; the
-    guards come in step order, a state's mapping before its step.
+    x, and ``image``, the trial's transformed system, steps them once, as
+    one batch; the guards come in step order, a state's mapping before
+    its step.
     """
     Y, mapped = map_states(qmt.inverse(), X)
     with np.errstate(divide="ignore"):  # a guarded state may hold a 0
-        images, _, stepped = advance(apply_qmt(sys, qmt), Y[:-1])
+        images, _, stepped = advance(image, Y[:-1])
     codes = np.empty(2 * len(Y) - 1, dtype=int)
     codes[0::2], codes[1::2] = mapped, stepped
     if codes.any():
@@ -765,17 +768,20 @@ def _one_step_defect(sys, qmt, X):
         return float(np.max(np.abs(np.expm1(gap)))), None
 
 
-def conjugacy_deviations(sys: QPSystem, qmts, X0,
-                         steps: int) -> tuple[np.ndarray, dict[int, str]]:
-    """Largest one-step defect of each trial's conjugacy, and the guards
-    that stopped trials.
+def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
+                         ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Largest one-step defect of each trial's conjugacy, the drift of
+    each trial's class invariants, and the guards that stopped trials.
 
     A QMT x = y^C conjugates ``sys``, F, to ``apply_qmt(sys, C)``, G,
-    when ``F(y^C) = G(y)^C`` for every state, one step at a time.  Trial
-    i runs the direct orbit x_0 = ``X0[i]``, ..., x_steps of sys, maps
-    each state to y_t with log y_t = C^-1 log x_t (``transform.map_states``,
-    whose exact identity shortcut gives an identity QMT a defect of
-    exactly 0), steps the transformed system once on those states
+    when ``F(y^C) = G(y)^C`` for every state, one step at a time, and G
+    keeps F's class invariants.  Each trial's G is built once, and both
+    measures read it: its drift, ``max(|B'A' - BA|, |B'lam' - B lam|)``,
+    guarded or not (``apply_qmt`` raises NonFinite for a G that
+    overflows), and its defect.  Trial i runs the direct orbit x_0 =
+    ``X0[i]``, ..., x_steps of sys, maps each state to y_t with log y_t =
+    C^-1 log x_t (``transform.map_states``, whose exact identity shortcut
+    gives an identity QMT a defect of exactly 0), steps G once on those states
     (``systems.advance``) and takes the largest componentwise relative
     defect ``max |expm1(log G(y_t) C^T - log x_(t+1))|`` over t < steps.
     A chaotic orbit amplifies rounding step by step; a one-step defect
@@ -802,28 +808,35 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0,
     if steps < 1:
         raise InvalidArgument("steps must be at least 1")
     size = max(1, BLOCK_DOUBLES // ((steps + 1) * n))
+    base = class_invariants(sys)
     deviations = np.full(len(X0), np.nan)
+    drifts = np.empty(len(X0))
     guards = {}
     for start in range(0, len(X0), size):
         direct = _lockstep(sys, np.array(X0[start:start + size]), steps,
                            record=range(steps + 1))
         stopped = {i: (t, reason) for i, t, reason in direct.guards}
         for i, qmt in enumerate(qmts[start:start + size]):
+            image = apply_qmt(sys, qmt)
+            other = class_invariants(image)
+            drifts[start + i] = max(
+                np.max(np.abs(other.interaction - base.interaction)),
+                np.max(np.abs(other.growth - base.growth)))
             if i in stopped:
                 guards[start + i] = (
                     f"direct orbit terminated early: {stopped[i]}")
                 continue
             deviations[start + i], guard = _one_step_defect(
-                sys, qmt, direct.record[:, i])
+                image, qmt, direct.record[:, i])
             if guard is not None:
                 guards[start + i] = guard
-    return deviations, guards
+    return deviations, drifts, guards
 
 
 def conjugacy_deviation(sys: QPSystem, qmt: QMTMatrix, x0, steps: int) -> float:
     """``conjugacy_deviations`` of one trial.  Raises GuardTermination
     with its guard message if the check hit a guard."""
-    (deviation,), guards = conjugacy_deviations(sys, [qmt], [x0], steps)
+    (deviation,), _, guards = conjugacy_deviations(sys, [qmt], [x0], steps)
     if guards:
         raise GuardTermination(guards[0])
     return float(deviation)

@@ -54,8 +54,8 @@ SCAN_REFERENCES = {
 def xi(x, rho):
     """Evaluate x * exp(rho - x) on nonnegative scalars or arrays."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise InvalidArgument("xi is defined on nonnegative arguments")
+    if np.any(np.isnan(rho)) or not np.all(x >= 0.0):  # NaN included
+        raise InvalidArgument("xi is defined on nonnegative x and non-NaN rho")
     # a large negative exponent only underflows harmlessly toward 0
     if np.any(rho - x > EXP_ARG_LIMIT):
         raise OverflowGuard("xi exponent exceeds guard bound")
@@ -80,6 +80,8 @@ def _xi_iterate(x, rho, m):
 def _guard_growth_rate(rho):
     """Both detectors evaluate exp(rho - x) at x near 0; refuse a growth
     rate whose exponent would exceed the guard bound before any exp."""
+    if math.isnan(rho):  # which no comparison refuses
+        raise InvalidArgument("growth rate rho is nan")
     if rho > EXP_ARG_LIMIT:
         raise OverflowGuard(
             f"growth rate rho = {rho} exceeds the exponent guard bound "
@@ -114,7 +116,7 @@ class XiAnalysis:
 
 def analyze_xi(rho) -> XiAnalysis:
     """Fixed-point data plus period-3 and snap-back searches."""
-    if rho <= 0:
+    if not rho > 0:  # NaN included
         raise InvalidArgument("rho must be positive")
     snap = find_snap_back(rho) if rho > 2.0 else None
     return XiAnalysis(
@@ -296,7 +298,7 @@ def find_snap_back(rho):
 
     Requires rho > 2 so the fixed point is repelling.
     """
-    if rho <= 2.0:
+    if not rho > 2.0:  # NaN included
         raise InvalidArgument(
             f"snap-back search requires rho > 2 (fixed point repelling); "
             f"got rho = {rho} with multiplier {1.0 - rho}"

@@ -292,7 +292,7 @@ def sign_pattern(M, tol=DEFAULT_SIGN_TOL) -> np.ndarray:
 
     Entry (i, j) is ZERO iff |M[i,j]| <= tol, else the sign of M[i,j].
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN included
         raise InvalidArgument("tol must be nonnegative")
     M = np.asarray(M, dtype=float)
     pat = np.sign(M).astype(np.int8)

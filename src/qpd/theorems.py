@@ -116,10 +116,6 @@ class HierarchicalOrderWitness:
 
     permutation: tuple[int, ...]
 
-    def apply(self, P) -> np.ndarray:
-        idx = np.asarray(self.permutation)
-        return np.asarray(P, dtype=float)[np.ix_(idx, idx)]
-
 
 def perp(v) -> np.ndarray:
     """Quarter-turn of a 2-vector: (v1, v2) -> (v2, -v1)."""
@@ -133,15 +129,6 @@ def perp(v) -> np.ndarray:
 # hypothesis-check helpers
 # ---------------------------------------------------------------------------
 
-def _j(value):
-    """JSON-friendly copy of a witness value."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _near(value, boundary, tol):
     return abs(value - boundary) <= 10.0 * tol
 
@@ -154,7 +141,7 @@ def _check_pattern(label, M, template, tol):
         f"{label}: entry {value:.6g} within 10*tol of the sign boundary"
         for value in np.atleast_1d(M).ravel() if _near(value, 0.0, tol))
     return HypothesisCheck(label, passed, {
-        "values": _j(M),
+        "values": M.tolist(),
         "pattern": pattern_string(pat),
         "required": pattern_string(template),
     }, warnings)
@@ -324,7 +311,7 @@ def _theorem6(c: _ClassDecision) -> TheoremVerdict:
                     if _near(min_entry, 0.0, c.tol) else ())
         checks += (HypothesisCheck(
             "B^-1 is entrywise nonnegative", min_entry >= -c.tol,
-            {"B_inv": _j(c.B_inv), "min_entry": min_entry}, warnings),)
+            {"B_inv": c.B_inv.tolist(), "min_entry": min_entry}, warnings),)
     return TheoremVerdict("T6", Conclusion.DISSIPATIVE, checks)
 
 
@@ -341,7 +328,8 @@ def _theorem7(c: _ClassDecision) -> TheoremVerdict:
                          for value in g_inv_u if _near(value, 0.0, tol))
         checks.append(HypothesisCheck(
             "interaction^-1 . ones is entrywise negative",
-            bool(np.all(g_inv_u < -tol)), {"value": _j(g_inv_u)}, warnings))
+            bool(np.all(g_inv_u < -tol)), {"value": g_inv_u.tolist()},
+            warnings))
 
     rho = float(np.mean(L))
     max_dev = float(np.max(np.abs(L - rho)))

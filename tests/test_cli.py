@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from conftest import (
     fixture_path,
     load_fixture,
 )
-from qpd import (DEFAULT_SIGN_TOL, QPSystem, apply_qmt, canonical_lv,
-                 load_system)
+from qpd import (DEFAULT_SIGN_TOL, QMTMatrix, QPSystem, apply_qmt,
+                 canonical_lv, load_system)
 from qpd.cli import build_analysis_report, main
 from qpd.dynamics import (
     LYAPUNOV_ROUNDING_FLOOR,
@@ -148,6 +149,17 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 1
         assert "'A'" in err
+
+    @pytest.mark.parametrize("entry", ["1e400", "NaN"])
+    def test_non_finite_entry_is_a_schema_error(self, capsys, tmp_path,
+                                                entry):
+        bad = tmp_path / "overflow.json"
+        bad.write_text('{"n": 2, "A": [[%s, 0], [0, -1]], '
+                       '"B": [[1, 0], [0, 1]], "lambda": [1, 1]}' % entry)
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err == ("error: invalid system definition: A contains NaN or "
+                       "infinite entries\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nowhere.json"))
@@ -830,31 +842,56 @@ class TestConjugacyFailures:
         assert whole[0] == 0
         assert whole[1].endswith("all trials within budget\n")
 
-    @pytest.mark.parametrize("field", ["lam", "A"])
-    def test_perturbed_conjugate_system_is_a_failure(self, capsys,
-                                                     monkeypatch, field):
-        # the system that the check steps, not the one whose invariants
-        # drift, is off by 1e-6 relative in trial 3 only
+    @staticmethod
+    def run_with_image_of_trial_3(capsys, monkeypatch, image_of):
+        """``conjugacy --seed 1 --trials 6`` on example1_lv with trial 3's
+        transformed system replaced by ``image_of(system, qmt)``."""
         calls = []
 
-        def perturbed(system, qmt):
-            image = apply_qmt(system, qmt)
+        def replaced(system, qmt):
             calls.append(qmt)
             if len(calls) != 4:
-                return image
-            parts = {"A": image.A, "B": image.B, "lam": image.lam}
-            parts[field] = parts[field] * (1.0 + 1e-6)
-            return QPSystem(**parts)
+                return apply_qmt(system, qmt)
+            return image_of(system, qmt)
 
-        monkeypatch.setattr(qpd.dynamics, "apply_qmt", perturbed)
+        monkeypatch.setattr(qpd.dynamics, "apply_qmt", replaced)
         code, out, _ = run(capsys, "conjugacy",
                            str(fixture_path("example1_lv")),
                            "--seed", "1", "--trials", "6", "--steps", "50")
         assert code == 2
-        failures = failure_lines(out)
+        return failure_lines(out)
+
+    @pytest.mark.parametrize("field", ["lam", "A"])
+    def test_perturbed_conjugate_system_is_a_failure(self, capsys,
+                                                     monkeypatch, field):
+        # trial 3's transformed system is off by 1e-6 relative: its
+        # invariants drift, and the same system fails the one-step check
+        def perturbed(system, qmt):
+            image = apply_qmt(system, qmt)
+            parts = {"A": image.A, "B": image.B, "lam": image.lam}
+            parts[field] = parts[field] * (1.0 + 1e-6)
+            return QPSystem(**parts)
+
+        failures = self.run_with_image_of_trial_3(capsys, monkeypatch,
+                                                  perturbed)
+        assert len(failures) == 2
+        assert failures[0].startswith("*** trial 3: invariant drift ")
+        assert float(failures[0].rsplit(" ", 1)[1]) > 1e-9
+        assert failures[1].startswith("*** trial 3: one-step defect ")
+        assert failures[1].endswith(" exceeds budget 1.000e-07")
+        assert float(failures[1].split()[5]) > 1e-7
+
+    def test_image_under_another_transformation_fails_only_the_step(
+            self, capsys, monkeypatch):
+        # the image under C (1 + 1e-6) keeps the invariants to rounding,
+        # but it is not the system that C conjugates to
+        def misscaled(system, qmt):
+            return apply_qmt(system, QMTMatrix.from_matrix(qmt.C * (1 + 1e-6)))
+
+        failures = self.run_with_image_of_trial_3(capsys, monkeypatch,
+                                                  misscaled)
         assert len(failures) == 1
         assert failures[0].startswith("*** trial 3: one-step defect ")
-        assert failures[0].endswith(" exceeds budget 1.000e-07")
         assert float(failures[0].split()[5]) > 1e-7
 
     def test_invariant_drift_is_a_failure(self, capsys, monkeypatch):
@@ -862,14 +899,43 @@ class TestConjugacyFailures:
             image = apply_qmt(system, qmt)
             return QPSystem(image.A, image.B, image.lam + 1e-6)
 
-        monkeypatch.setattr(qpd.cli, "apply_qmt", drifting)
+        monkeypatch.setattr(qpd.dynamics, "apply_qmt", drifting)
         code, out, _ = run(capsys, "conjugacy",
                            str(fixture_path("example1_lv")), "--trials", "1")
         assert code == 2
+        # the drifting system is the one that the check steps, too
         failures = failure_lines(out)
-        assert len(failures) == 1
+        assert len(failures) == 2
         assert failures[0].startswith("*** trial 0: invariant drift ")
         assert float(failures[0].rsplit(" ", 1)[1]) > 1e-9
+        assert failures[1].startswith("*** trial 0: one-step defect ")
+
+    def test_each_trial_transforms_the_system_once(self, capsys,
+                                                   monkeypatch):
+        calls, original = [], qpd.transform.apply_qmt
+
+        def counted(system, qmt):
+            calls.append(qmt)
+            return original(system, qmt)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "apply_qmt", None) is original:
+                monkeypatch.setattr(module, "apply_qmt", counted)
+        code, _, _ = run(capsys, "conjugacy",
+                         str(fixture_path("example1_lv")),
+                         "--seed", "1", "--trials", "20")
+        assert code == 0
+        assert len(calls) == 20
+
+    def test_overflowing_transformed_system_is_an_error(self, capsys,
+                                                         tmp_path):
+        # the invariants B A = diag(1e298, -1e298) are finite, but C^-1 A
+        # overflows for the drawn C
+        path = write_system(tmp_path, [[1e308, 0.0], [0.0, -1e308]],
+                            [0.5, 0.5], B=[[1e-10, 0.0], [0.0, 1e-10]])
+        code, _, err = run(capsys, "conjugacy", path, "--seed", "1")
+        assert code == 1
+        assert err == "error: transformed A contains NaN or infinite entries\n"
 
 
 class TestUsageErrors:

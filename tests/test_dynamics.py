@@ -19,6 +19,7 @@ from qpd import (
     apply_qmt,
     canonical_lv,
     check_all_theorems,
+    class_invariants,
     conjugacy_deviation,
     empirical_attractivity,
     empirical_permanence,
@@ -103,6 +104,10 @@ class TestSimulate:
         # exponent 0.5 - 800 < -700: a collapse toward 0, not a blow-up
         sys = QPSystem([[-1.0]], [[1.0]], [0.5])
         assert simulate(sys, [800.0], 5).terminated_early == (0, "underflow")
+
+    def test_negative_steps_are_refused(self):
+        with pytest.raises(InvalidArgument, match="steps must be nonnegative"):
+            simulate(load_fixture("example1_lv"), [1.0, 1.0], -1)
 
     def test_trajectory_csv_format(self, tmp_path):
         traj = simulate(load_fixture("example1_lv"), [1.0, 1.0], 3)
@@ -268,6 +273,13 @@ class TestLyapunov:
         sys = QPSystem([[0.0, 1.0], [1.0, 0.0]], np.eye(2), [1.0, 1.0])
         with pytest.raises(GuardTermination):
             largest_lyapunov(sys, [2.0, 2.0], transient=1000, samples=100)
+
+    @pytest.mark.parametrize("schedule", [{"transient": -1}, {"samples": 0}],
+                             ids=["transient-1", "samples0"])
+    def test_schedule_out_of_range_is_refused(self, schedule):
+        with pytest.raises(InvalidArgument, match="transient >= 0"):
+            largest_lyapunov(load_fixture("example1_lv"), [1.0, 1.0],
+                             **schedule)
 
     def test_conjugate_estimates_agree(self):
         rng = np.random.default_rng(23)
@@ -1113,7 +1125,7 @@ class TestConjugacyDeviations:
         else:
             rng, sys = np.random.default_rng(1), load_fixture(system)
         qmts, X0 = conjugacy_trials(rng, sys.n, 20)
-        deviations, guards = conjugacy_deviations(sys, qmts, X0, 500)
+        deviations, _, guards = conjugacy_deviations(sys, qmts, X0, 500)
         assert guards == {}
         assert deviations.max() <= 1e-13
 
@@ -1134,7 +1146,7 @@ class TestConjugacyDeviations:
         qmts[::3] = [QMTMatrix.identity(sys.n)] * len(qmts[::3])
         if doubles is not None:
             monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
-        blocked, guards = conjugacy_deviations(sys, qmts, X0, 200)
+        blocked, _, guards = conjugacy_deviations(sys, qmts, X0, 200)
         assert guards == {}
         # per block, one run of its direct orbits as rows of the system
         assert len(block_runs) == blocks
@@ -1157,7 +1169,7 @@ class TestConjugacyDeviations:
         qmt = QMTMatrix.from_matrix(np.diag([1.0, 2.0]))
         # 64 trials a block: (20 + 1) 2 = 42 doubles a trial
         monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 64 * 42)
-        deviations, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
+        deviations, _, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
         reason = "direct orbit terminated early: (17, 'overflow')"
         assert guards == {3: reason, 129: reason}
         assert block_runs == [(64, 2), (64, 2), (2, 2)]
@@ -1171,7 +1183,7 @@ class TestConjugacyDeviations:
 
     def test_one_trial_block_runs_once(self, block_runs):
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
-        deviations, guards = conjugacy_deviations(
+        deviations, _, guards = conjugacy_deviations(
             sys, [QMTMatrix.identity(2)], [[1.0, 1.0]], 20)
         assert block_runs == [(1, 2)]
         assert guards == {0: "direct orbit terminated early: (17, 'overflow')"}
@@ -1184,7 +1196,7 @@ class TestConjugacyDeviations:
         qmts = [QMTMatrix.identity(2),
                 QMTMatrix.from_matrix(np.diag([1.0, 0.01])),
                 QMTMatrix.identity(2)]
-        deviations, guards = conjugacy_deviations(
+        deviations, _, guards = conjugacy_deviations(
             sys, qmts, [[1.0, 1.0]] * 3, 20)
         assert guards == {1: "conjugate state 0: step hit the overflow guard"}
         # the direct orbits are one run, and no conjugate orbit runs
@@ -1200,7 +1212,7 @@ class TestConjugacyDeviations:
         # the mapping's exponent limit
         sys = QPSystem(np.zeros((2, 2)), np.eye(2), [0.1, 1.01])
         qmt = QMTMatrix.from_matrix(np.diag([1.0, 1.0 / 7.0]))
-        deviations, guards = conjugacy_deviations(
+        deviations, _, guards = conjugacy_deviations(
             sys, [qmt, QMTMatrix.identity(2)], [[1.0, 1.0]] * 2, 120)
         assert guards == {0: "conjugate state 100: state mapping hit the "
                              "overflow guard"}
@@ -1214,7 +1226,7 @@ class TestConjugacyDeviations:
                 QMTMatrix.from_matrix(np.diag([1.0, 1e-3])),
                 QMTMatrix.identity(2)]
         X0 = [[1.0, 1.0], [1.0, np.e], [1.0, 1.0]]
-        deviations, guards = conjugacy_deviations(sys, qmts, X0, 20)
+        deviations, _, guards = conjugacy_deviations(sys, qmts, X0, 20)
         assert guards == {1: "conjugate initial state: state mapping hit "
                              "the overflow guard"}
         assert deviations[0] == 0.0 and deviations[2] == 0.0
@@ -1222,6 +1234,29 @@ class TestConjugacyDeviations:
         with pytest.raises(GuardTermination,
                            match="conjugate initial state.*overflow guard"):
             conjugacy_deviation(sys, qmts[1], X0[1], 20)
+
+    def test_drift_is_each_images_invariant_gap(self):
+        sys = load_fixture("example1_qp_rho05")
+        qmts, X0 = conjugacy_trials(np.random.default_rng(2), 2, 5)
+        _, drifts, guards = conjugacy_deviations(sys, qmts, X0, 20)
+        assert guards == {}
+        base = class_invariants(sys)
+        for qmt, drift in zip(qmts, drifts):
+            other = class_invariants(apply_qmt(sys, qmt))
+            assert drift == max(
+                np.max(np.abs(other.interaction - base.interaction)),
+                np.max(np.abs(other.growth - base.growth)))
+        assert drifts.max() <= 1e-13
+
+    def test_guarded_trial_keeps_its_drift(self):
+        # B' lam' = C C^-1 (40, -1) is exact for C = diag(1, 2)
+        sys = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
+        qmt = QMTMatrix.from_matrix(np.diag([1.0, 2.0]))
+        deviations, drifts, guards = conjugacy_deviations(
+            sys, [qmt], [[1.0, 1.0]], 20)
+        assert guards == {0: "direct orbit terminated early: (17, 'overflow')"}
+        assert np.isnan(deviations).all()
+        assert drifts.tolist() == [0.0]
 
     def test_trial_counts_must_agree(self):
         sys = load_fixture("example1_lv")

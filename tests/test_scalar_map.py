@@ -17,7 +17,7 @@ from qpd import (
     xi_deriv,
 )
 from qpd import scalar_map
-from qpd.errors import OverflowGuard
+from qpd.errors import InvalidArgument, OverflowGuard
 from qpd.scalar_map import (
     KIND_PERIOD3,
     KIND_SNAPBACK,
@@ -135,6 +135,13 @@ class TestXi:
     def test_overflow_guard(self):
         with pytest.raises(OverflowGuard):
             xi(0.5, 800.0)
+
+    @pytest.mark.parametrize("x, rho", [(math.nan, 3.0), (1.0, math.nan),
+                                        ([1.0, math.nan], 3.0)],
+                             ids=["x", "rho", "array"])
+    def test_rejects_nan(self, x, rho):
+        with pytest.raises(InvalidArgument):
+            xi(x, rho)
 
     def test_large_argument_underflows_to_zero(self):
         assert xi(1000.0, 3.0) == 0.0
@@ -331,6 +338,17 @@ class TestSnapBack:
     def test_absent_below_onset(self):
         assert find_snap_back(2.5) is None
 
+    @pytest.mark.parametrize("rho, radius", [(2.5, 0.3), (2.03, 0.15),
+                                             (2.01, 0.075)])
+    def test_expanding_radius_halves_near_the_flip(self, rho, radius):
+        # near rho = 2 the multiplier 1 - rho is just below -1, so |xi'|
+        # drops below 1 within 0.3 of the fixed point: the radius halves
+        assert expanding_radius(rho) == radius
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    def test_no_expanding_radius_at_a_non_repelling_point(self, rho):
+        assert expanding_radius(rho) is None
+
     @pytest.mark.parametrize("rho", [14.0, 20.0, 27.5, 40.0, 50.0])
     def test_witness_at_large_growth(self, rho):
         # left-branch preimages here are about rho e^-rho; the chain must
@@ -451,6 +469,14 @@ class TestLargeGrowthGuard:
         assert calls == []
 
 
+class TestNaNGrowthRate:
+    @pytest.mark.parametrize("function", [analyze_xi, find_period3,
+                                          find_snap_back])
+    def test_is_refused(self, function):
+        with pytest.raises(InvalidArgument):
+            function(math.nan)
+
+
 class TestAnalyzeXi:
     def test_summary_fields(self):
         analysis = analyze_xi(3.2)
@@ -463,6 +489,10 @@ class TestAnalyzeXi:
         analysis = analyze_xi(1.2)
         assert analysis.period3 is None
         assert analysis.snap_back is None
+
+    def test_rejects_zero_growth_rate(self):
+        with pytest.raises(InvalidArgument, match="rho must be positive"):
+            analyze_xi(0)
 
 
 class TestThresholdScan:
@@ -493,6 +523,21 @@ class TestThresholdScan:
         assert result.summary()["detected"] is False
         assert len(result.grid) == 11
         assert not any(detected for _, detected, _ in result.grid)
+
+    def test_snapback_grid_below_two_is_not_repelling(self):
+        result = threshold_scan(KIND_SNAPBACK, 1.9, 2.1, 0.1)
+        assert result.threshold is None
+        assert [row[2] for row in result.grid] == [
+            "fixed point not repelling", "fixed point not repelling", ""]
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(InvalidArgument, match="unknown scan kind"):
+            threshold_scan("period4", 2.5, 3.5, 0.5)
+
+    @pytest.mark.parametrize("step", [0.0, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(InvalidArgument, match="step must be positive"):
+            threshold_scan(KIND_PERIOD3, 2.5, 3.5, step)
 
     def test_csv_output(self, tmp_path):
         result = threshold_scan(KIND_SNAPBACK, 2.8, 3.0, 0.05)

@@ -13,6 +13,7 @@ from qpd import (
     QPSystem,
     is_lotka_volterra,
     sign_pattern,
+    load_system,
     step,
     system_from_dict,
 )
@@ -23,6 +24,7 @@ from qpd.systems import (
     GUARD_UNDERFLOW,
     UNDERFLOW_FLOOR,
     advance,
+    as_state,
 )
 from qpd.errors import (
     DimensionMismatch,
@@ -61,10 +63,24 @@ class TestValidation:
         with pytest.raises(NonFinite):
             QPSystem(LV1_A, np.eye(2), [np.inf, 0.5])
 
+    def test_rejects_exponent_matrix_of_wrong_shape(self):
+        with pytest.raises(DimensionMismatch, match="B must be 2x2"):
+            QPSystem(LV1_A, np.eye(3), LV1_LAM)
+
     def test_arrays_are_immutable(self):
         sys = QPSystem(LV1_A, np.eye(2), LV1_LAM)
         with pytest.raises(ValueError):
             sys.A[0, 0] = 7.0
+
+
+class TestAsState:
+    def test_rejects_matrix(self):
+        with pytest.raises(DimensionMismatch, match="state must be a vector"):
+            as_state(np.ones((2, 2)), 2)
+
+    def test_rejects_nan(self):
+        with pytest.raises(NonFinite):
+            as_state([1.0, np.nan], 2)
 
 
 class TestLVSystem:
@@ -231,6 +247,10 @@ class TestSignPattern:
         with pytest.raises(ValueError):
             sign_pattern(LV1_A, tol=-1.0)
 
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(InvalidArgument):
+            sign_pattern(LV1_A, tol=math.nan)
+
     def test_invalid_argument_is_a_qpd_error_and_a_value_error(self):
         # main reports every QPDError; library callers may catch ValueError
         assert issubclass(InvalidArgument, QPDError)
@@ -279,3 +299,37 @@ class TestJsonSchema:
         doc["B"] = [[1.0, 0.0]]
         with pytest.raises(SchemaError):
             system_from_dict(doc)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(SchemaError, match="must be a JSON object"):
+            system_from_dict([1, 2])
+
+    def test_name_must_be_a_string(self):
+        doc = json.loads(fixture_path("example1_lv").read_text())
+        doc["name"] = 7
+        with pytest.raises(SchemaError, match="'name' must be a string"):
+            system_from_dict(doc)
+
+    @pytest.mark.parametrize("n", [0, True, 2.0])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        doc = json.loads(fixture_path("example1_lv").read_text())
+        doc["n"] = n
+        with pytest.raises(SchemaError, match="'n' must be a positive integer"):
+            system_from_dict(doc)
+
+    @pytest.mark.parametrize("lam", [[0.5], [0.5, True]],
+                             ids=["short", "boolean"])
+    def test_lambda_must_be_n_numbers(self, lam):
+        doc = json.loads(fixture_path("example1_lv").read_text())
+        doc["lambda"] = lam
+        with pytest.raises(SchemaError, match="'lambda' must be a numeric"):
+            system_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", ["1e400", "NaN"])
+    def test_non_finite_entry_in_file(self, tmp_path, entry):
+        path = tmp_path / "system.json"
+        path.write_text('{"n": 2, "A": [[%s, 0], [0, -1]], '
+                        '"B": [[1, 0], [0, 1]], "lambda": [1, 1]}' % entry)
+        with pytest.raises(SchemaError,
+                           match="A contains NaN or infinite entries"):
+            load_system(path)

@@ -32,15 +32,22 @@ import qpd.theorems
 from qpd.errors import SingularB, WrongDimension
 
 
+def reordered(P, witness):
+    """P[sigma][:, sigma] for the rearrangement sigma of a witness."""
+    idx = np.asarray(witness.permutation)
+    return np.asarray(P, dtype=float)[np.ix_(idx, idx)]
+
+
 def hierarchically_ordered_bruteforce(P, tol=DEFAULT_SIGN_TOL):
     """Exhaustive n! reference for ``is_hierarchically_ordered`` (n <= ~8):
     the first rearrangement with a nonnegative upper triangle and a
     strictly positive diagonal, or None."""
     P = np.asarray(P, dtype=float)
     for order in permutations(range(P.shape[0])):
-        Q = HierarchicalOrderWitness(order).apply(P)
+        witness = HierarchicalOrderWitness(order)
+        Q = reordered(P, witness)
         if np.all(np.diag(Q) > tol) and np.all(np.triu(Q, 1) >= -tol):
-            return HierarchicalOrderWitness(order)
+            return witness
     return None
 
 
@@ -200,6 +207,10 @@ class TestHierarchicalOrdering:
         assert witness is not None
         assert witness.permutation == (0, 1)
 
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(WrongDimension, match="square"):
+            is_hierarchically_ordered(np.ones((2, 3)))
+
     def test_antidiagonal_has_no_ordering(self):
         assert is_hierarchically_ordered([[0.0, 1.0], [1.0, 0.0]]) is None
         assert hierarchically_ordered_bruteforce([[0.0, 1.0], [1.0, 0.0]]) is None
@@ -213,7 +224,7 @@ class TestHierarchicalOrdering:
         scrambled = base[np.ix_(sigma, sigma)]
         witness = is_hierarchically_ordered(scrambled)
         assert witness is not None
-        Q = witness.apply(scrambled)
+        Q = reordered(scrambled, witness)
         assert np.all(np.diag(Q) > 0.0)
         assert np.all(Q[np.triu_indices(4, 1)] >= 0.0)
 
@@ -227,7 +238,7 @@ class TestHierarchicalOrdering:
             slow = hierarchically_ordered_bruteforce(M)
             assert (fast is None) == (slow is None)
             if fast is not None:
-                Q = fast.apply(M)
+                Q = reordered(M, fast)
                 assert np.all(np.diag(Q) > 0.0)
                 if n > 1:
                     assert np.all(Q[np.triu_indices(n, 1)] >= -1e-9)
@@ -235,7 +246,7 @@ class TestHierarchicalOrdering:
     def test_search_is_total_beyond_ten_dimensions(self):
         witness = is_hierarchically_ordered(np.eye(12))
         assert witness is not None
-        assert np.array_equal(witness.apply(np.eye(12)), np.eye(12))
+        assert np.array_equal(reordered(np.eye(12), witness), np.eye(12))
         rng = np.random.default_rng(13)
         for n in (11, 12):
             verdicts = check_all_theorems(random_system(rng, n))
