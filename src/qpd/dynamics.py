@@ -23,11 +23,10 @@ Guard policy: every map evaluation here goes through the one map kernel
 by the sign of its exponent: "overflow" for a blow-up, "underflow" for
 a collapse toward 0 (including a component below UNDERFLOW_FLOOR).  The
 orbit terminates there; ensemble verdicts treat either termination as
-failure.  The lockstep engine checks the guard once per block of at most
-BLOCK_STEPS steps, whose buffers stay within BLOCK_DOUBLES doubles; a
-tripped block ends at its first guarded step, where each guarded row
-becomes a shadow of a live row.  Every result is bit-identical to
-checking every step.
+failure.  The lockstep engine checks the guard once per block of steps,
+which its ``MapStep`` allocates and sizes; a tripped block ends at its
+first guarded step, where each guarded row becomes a shadow of a live
+row.  Every result is bit-identical to checking every step.
 
 The Lyapunov tangents ride the map: with tangents, each ``MapStep``
 step stacks the log-states and the tangent rows into one operand, so
@@ -41,8 +40,8 @@ a batch that settles on an attracting fixed point or cycle repeats bit
 for bit, renormalized tangents included.  A step is a pure function of
 its whole batch, so once a block that tripped no guard ends on a batch
 it passed earlier in the block, the engine stops stepping: it keeps a
-copy of that cycle, at most one block's states, tangent rows and
-tangent norms, and fills every later block from it.  The verification
+copy of that cycle, at most one block's states and raw tangent norms,
+and fills every later block from it.  The verification
 pass's batch repeats by step 256 to 896 of 5000 on the attracting
 fixtures, and never on the chaotic example3.
 """
@@ -63,6 +62,7 @@ from .errors import (
     SingularSystem,
 )
 from .systems import (
+    BLOCK_DOUBLES,
     DEFAULT_SIGN_TOL,
     GUARD_OK,
     GUARD_REASONS,
@@ -112,21 +112,6 @@ LYAPUNOV_SAMPLES = 10000
 #: off a superattracting point, whose true exponent is -inf).
 LYAPUNOV_ROUNDING_FLOOR = math.log(2.0**-52)
 
-#: Steps per block of the lockstep engine: the guard is checked once
-#: over each block's buffers, not once per step.
-BLOCK_STEPS = 64
-
-#: Storage cap of one block: what it stores a step for m rows, 3 m n
-#: doubles or m (6 n + 1) with tangents (see ``_block_steps``), stays at
-#: most 2**20 doubles (8 MiB) besides the block's start state, so a large
-#: batch takes shorter blocks, down to one step, rather than more memory.
-#: The recorded direct orbits of a run of conjugacy trials stay within it
-#: too.
-#: A run's stored cycle, m (2 n + 1) doubles a step or m n without
-#: tangents, adds less than half a block (see ``_lockstep``).
-BLOCK_DOUBLES = 2**20
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A simulated orbit: row t of ``states`` is the state after t steps.
@@ -146,21 +131,6 @@ class Trajectory:
     @property
     def steps_completed(self) -> int:
         return self.states.shape[0] - 1
-
-
-def _block_steps(m, n, tangents=False):
-    """Steps of one block of an orbit loop over m rows of n components:
-    at most BLOCK_STEPS and at most BLOCK_DOUBLES over the doubles a step
-    stores, but at least one.  A step stores 3 m n doubles, its images,
-    log quasimonomials and step exponents, since the ``systems.MapStep``
-    of a run without tangents keeps one operand ``log X`` for all its
-    steps, not one per step; with tangents it stores m (6 n + 1): the
-    images, the stacked operands ``[log X; V]`` (2 m n), the stacked log
-    quasimonomials and tangent rows ``[W; V B^T]`` (2 m n), the step
-    exponents and the tangent norms that become the block's log-growth
-    rows."""
-    per_step = m * (6 * n + 1) if tangents else 3 * m * n
-    return max(1, min(BLOCK_STEPS, BLOCK_DOUBLES // max(1, per_step)))
 
 
 def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
@@ -356,10 +326,10 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     row.  Raises InvalidArgument when the record is too large to allocate.
 
     The batch is ``systems.as_batch(X0)``, so a lone row rounds as it does
-    in any batch and in ``advance``.  It is advanced a block of
-    ``_block_steps`` steps at a time into buffers allocated once, by one
-    ``systems.MapStep`` built over them, with the tangent rows or
-    without; its steps are the one stepping loop.  The guard is checked
+    in any batch and in ``advance``.  One ``systems.MapStep``, built from
+    it and the tangent rows or None, allocates the block buffers once and
+    advances the batch ``kernel.size`` steps at a time; its steps are the
+    one stepping loop.  The guard is checked
     once over each block, and the tail extrema, the record and the
     tangents' log growth are read from the block's buffers: one
     ``np.log`` over the block's tangent norms and one axis-0
@@ -373,14 +343,13 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
 
     After each block that trips no guard, ``_cycle`` looks for the
     block's last batch, states and tangent rows, among its earlier ones.
-    Once found, no step is run: each later block's states, tangent rows
-    and raw tangent norms are filled from the cycle's copies, which are
-    at most what a block stores of them, ``size (2 n + 1) m`` doubles
-    with tangents and ``size m n`` without, beside the ``BLOCK_DOUBLES``
-    of the block itself.  A filled block skips the guard, which its
-    cycle passed, and goes through the same extrema, record and
-    log-growth code as a stepped one, so every result is bit-identical
-    to stepping to the horizon.
+    Once found, no step is run: each later block's states and raw tangent
+    norms are filled from the cycle's copies, ``size (n + 1) m`` doubles
+    at most with tangents and ``size m n`` without, beside the block
+    itself; nothing reads the tangent rows again.  A filled block skips
+    the guard, which its cycle passed, and goes through the same extrema,
+    record and log-growth code as a stepped one, so every result is
+    bit-identical to stepping to the horizon.
     """
     X0 = np.asarray(X0, dtype=float)
     m0, n = X0.shape
@@ -394,11 +363,9 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     live = np.arange(m) < m0
     tail_min, tail_max = np.full((m, n), np.inf), np.full((m, n), -np.inf)
     guards: list[tuple[int, int, str]] = []
-    size = _block_steps(m, n, tangents is not None)
-    S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
-    S[0] = S0
     start, V = tangents or (0, None)
-    kernel = MapStep(sys, S, arg, None if V is None else as_batch(V))
+    kernel = MapStep(sys, S0, horizon, None if V is None else as_batch(V))
+    S, arg, size = kernel.S, kernel.arg, kernel.size
     W, V, norms, g = kernel.W, kernel.V, kernel.norms, np.zeros(m)
 
     def observe(t, states):
@@ -437,16 +404,17 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
                     k = int(tripped[0]) + 1
                 else:
                     cycle = _cycle(t, k, S, V, norms)
+                if V is not None:
+                    V[0] = V[k]
             else:  # a replay: its cycle tripped no guard, nor does it
                 origin, copies = cycle
                 at = (np.arange(t + 1, t + k + 1) - origin) % len(copies[0])
-                for stored, copy in zip((S, V, norms), copies):
+                for stored, copy in zip((S, norms), copies):
                     if copy is not None:
                         stored[1:k + 1] = copy[at]
             observe(t, S[:k])
             if tangents is not None:
                 grow(t, k)
-                V[0] = V[k]
             S[0], t = S[k], t + k
             if tripped.size:  # its guarded rows become shadows
                 guarded = np.flatnonzero(guard[k - 1])
@@ -468,16 +436,17 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
 
 def _cycle(t, k, S, V, norms):
     """The cycle of a block of k steps from step t that tripped no guard:
-    ``(origin, (states, tangents, norms))``, or None when the block's last
-    batch ``(S[k], V[k])`` equals none of its earlier ones bit for bit.
+    ``(origin, (states, norms))``, or None when the block's last batch
+    ``(S[k], V[k])`` equals none of its earlier ones bit for bit.
 
     When it equals ``(S[a], V[a])``, every later batch is a replay: a
     step is a pure function of its batch, so the batch of step
     ``T >= origin = t + a + 1`` is that of step ``origin + (T - origin) %
-    (k - a)``.  The copies are S[a + 1:k + 1], V[a + 1:k + 1] and the raw
-    tangent norms norms[a + 1:k + 1], taken before ``grow`` logs them in
-    place, for the largest such a.  Bit patterns are compared, since
-    ``-0.0 == 0.0`` and ``NaN != NaN``; row 0 picks the candidates."""
+    (k - a)``.  The copies are S[a + 1:k + 1] and the raw tangent norms
+    norms[a + 1:k + 1], taken before ``grow`` logs them in place, for the
+    largest such a; a replay reads no tangent row.  Bit patterns are
+    compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; row 0 picks the
+    candidates."""
     bits = S[:k + 1].view(np.int64)
     candidates = np.flatnonzero((bits[:k, 0] == bits[k, 0]).all(axis=1))
     for a in candidates[::-1]:
@@ -486,7 +455,7 @@ def _cycle(t, k, S, V, norms):
                                             V[k].view(np.int64))):
             return t + int(a) + 1, tuple(
                 None if X is None else X[a + 1:k + 1].copy()
-                for X in (S, V, norms))
+                for X in (S, norms))
     return None
 
 

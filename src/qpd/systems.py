@@ -10,10 +10,11 @@ are the special case B = identity, where these terms are the state
 components themselves.
 
 This module owns validation, the one map kernel (``MapStep``, a block
-step shared by every orbit, with or without tangent vectors; its guard
-rule ``guard_codes``; ``advance``, one guarded step of the two; and
-``as_batch``, the rows they multiply), sign-pattern extraction, and the
-system-definition JSON schema used by fixtures and the command line.
+of steps shared by every orbit, with or without tangent vectors, which
+allocates and sizes its own buffers; its guard rule ``guard_codes``;
+``advance``, one guarded step of the two; and ``as_batch``, the rows
+they multiply), sign-pattern extraction, and the system-definition JSON
+schema used by fixtures and the command line.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ EXP_ARG_LIMIT = 700.0
 #: A state component below this floor terminates the orbit (extinction-like
 #: collapse, distinguished from roundoff zero).
 UNDERFLOW_FLOOR = 1e-300
+
+#: Steps per block of a ``MapStep``: the lockstep engine checks the guard
+#: once over each block's buffers, not once per step.
+BLOCK_STEPS = 64
+
+#: Storage cap of one ``MapStep`` block: what it stores a step for m rows,
+#: 3 m n doubles or m (6 n + 1) with tangents, stays at most 2**20 doubles
+#: (8 MiB) besides the block's start state, so a large batch takes shorter
+#: blocks, down to one step, rather than more memory.  The lockstep
+#: engine's stored cycle, m (n + 1) doubles a step or m n without
+#: tangents, adds less than half a block.  The recorded direct orbits of
+#: a run of conjugacy trials stay within it too.
+BLOCK_DOUBLES = 2**20
 
 #: Guard codes returned by ``guard_codes``, and the reason label of each.
 GUARD_OK, GUARD_OVERFLOW, GUARD_UNDERFLOW = 0, 1, 2
@@ -137,8 +151,8 @@ def as_state(x, n) -> np.ndarray:
 
 
 class MapStep:
-    """The one map kernel: unchecked steps of the QP map for the rows of
-    a block buffer, which may carry tangent vectors.
+    """The one map kernel: a block of unchecked steps of the QP map for m
+    rows, which may carry tangent vectors.
 
     In log coordinates u = log x the map is u' = u + lam + A exp(B u).  A
     step computes the log quasimonomials ``W = log X B^T``, the
@@ -151,29 +165,39 @@ class MapStep:
     ``P B^T = [W; V B^T]`` and a second gives
     ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``.
 
-    Built once per batch over the caller's block buffers of up to
-    ``size`` steps, ``S`` (size + 1, m, n) of states and ``arg``
-    (size, m, n) of step exponents, and with the tangent rows ``V``
-    (m, n) or None.  ``step(j)`` advances the rows S[j] into S[j + 1] and
-    writes W[j] and arg[j]; with tangents it also advances V[j] into
-    V[j + 1] and writes the norms of the tangent rows before
-    renormalization into norms[j + 1], so a batch can resume after any
-    step of a block.  Without tangents the kernel keeps one operand
-    ``log X`` for every step and a block buffer ``W`` (size, m, n); with
-    tangents it keeps the operands ``[log X; V]`` (size + 1, 2m, n),
-    whose bottom halves are the tangent rows ``V`` of each step,
-    ``[W; V B^T]`` (size, 2m, n), whose top half is ``W``, and ``norms``
-    (size + 1, m).  The transposes of A and B are contiguous copies,
-    taken once, and lam is tiled to (m, n) once.  A step is 7 numpy calls,
-    2 of them matmuls, and 5 more with tangents; every operand is a
-    buffer or view made here.  Nothing is checked, and a state past a
-    guard gives inf, NaN or 0 entries: run it under ``np.errstate`` and
-    read the block through ``guard_codes``.
+    Built once per batch from its (m, n) rows X0, the number of steps it
+    will run and its tangent rows V, (m, n) or None.  It allocates every
+    buffer of a block of ``size`` steps: at most BLOCK_STEPS and
+    ``steps``, and at most BLOCK_DOUBLES over what a step stores, but at
+    least one.  A step stores 3 m n doubles, its states ``S``, log
+    quasimonomials ``W`` and step exponents ``arg``, since without
+    tangents one operand ``log X`` serves every step; with tangents it
+    stores m (6 n + 1): the states, the operands ``[log X; V]``, whose
+    bottom halves are the tangent rows ``V``, ``[W; V B^T]``, whose top
+    half is ``W``, the step exponents and the tangent ``norms``.  So
+    ``S`` is (size + 1, m, n) with S[0] = X0, ``arg`` and ``W`` are
+    (size, m, n), ``V`` is (size + 1, m, n) and ``norms`` (size + 1, m).
+    ``step(j)`` advances the rows S[j] into S[j + 1] and writes W[j] and
+    arg[j]; with tangents it also advances V[j] into V[j + 1] and writes
+    the norms of the tangent rows before renormalization into
+    norms[j + 1], so a batch can resume after any step of a block.  The
+    transposes of A and B are contiguous copies, taken once, and lam is
+    tiled to (m, n) once.  A step is 7 numpy calls, 2 of them matmuls,
+    and 5 more with tangents; every operand is a buffer or view made
+    here.  Nothing is checked, and a state past a guard gives inf, NaN or
+    0 entries: run it under ``np.errstate`` and read the block through
+    ``guard_codes``.
     """
 
-    def __init__(self, sys: QPSystem, S, arg, V=None):
-        size, m, n = arg.shape
+    def __init__(self, sys: QPSystem, X0, steps, V=None):
+        m, n = X0.shape
+        per_step = 3 * m * n if V is None else m * (6 * n + 1)
+        size = max(1, min(BLOCK_STEPS, steps,
+                          BLOCK_DOUBLES // max(1, per_step)))
         rows = m if V is None else 2 * m
+        S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
+        S[0] = X0
+        self.size, self.S, self.arg = size, S, arg
         # without tangents every step shares the one operand P[0]
         P = np.empty((1 if V is None else size + 1, rows, n))
         WV, Q, R = (np.empty((size, rows, n)), np.empty((rows, n)),
@@ -254,8 +278,8 @@ def as_batch(X) -> np.ndarray:
 
 
 def advance(sys: QPSystem, X):
-    """One guarded step of the QP map for each row of X: one step of a
-    one-step ``MapStep`` over ``as_batch(X)``, and its ``guard_codes``.
+    """One guarded step of the QP map for each row of X: the one step of
+    ``MapStep(sys, as_batch(X), 1)`` and its ``guard_codes``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
@@ -265,14 +289,12 @@ def advance(sys: QPSystem, X):
     checks a block of steps at once with the same result.
     """
     X = np.asarray(X)
-    S = as_batch(X)[None].repeat(2, axis=0)
-    arg = np.empty_like(S[1:])
-    kernel = MapStep(sys, S, arg)
+    kernel = MapStep(sys, as_batch(X), 1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         kernel.step(0)
-        guard = guard_codes(kernel.W[0], arg[0], S[1])
+        guard = guard_codes(kernel.W[0], kernel.arg[0], kernel.S[1])
     rows = slice(len(X)) if X.ndim == 2 else 0
-    return S[1, rows], kernel.q[rows], guard[rows]
+    return kernel.S[1, rows], kernel.q[rows], guard[rows]
 
 
 def step(sys: QPSystem, x) -> np.ndarray:

@@ -262,6 +262,29 @@ class TestAnalyze:
         assert block["attractivity"] == {
             "skipped": "no interior fixed point available as target"}
 
+    def test_failed_step_verification_still_reports(self, capsys,
+                                                    monkeypatch, tmp_path):
+        # no known system's canonical fixed point fails its verifying
+        # step, so the step is made to miss x* = (1/3, 1/3) by x* itself
+        monkeypatch.setattr(qpd.dynamics, "step", lambda sys, x: 2.0 * x)
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "analyze",
+                             str(fixture_path("example1_lv")), "--verify",
+                             "--json", str(out_path))
+        assert (code, err) == (0, "")
+        message = ("fixed-point candidate failed step verification "
+                   "(residual 3.333e-01)")
+        assert f"  fixed point: {message}" in out.splitlines()
+        assert ("  attractivity probe: skipped (no interior fixed point "
+                "available as target)") in out
+        # the rest of the pass runs
+        assert "  permanence probe: pass " in out
+        assert "  largest Lyapunov estimate: mean " in out
+        assert out.endswith("  analytic and numerical verdicts agree\n")
+        block = json.loads(out_path.read_text())["verify"]
+        assert block["fixed_point"] == {"error": message}
+        assert block["lyapunov_statistics"]["orbits"] == 51
+
 
 class TestVerificationBlock:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -744,6 +767,26 @@ class TestConjugacy:
         assert (code, out) == (1, "")
         assert err == "error: class invariant B A overflows\n"
 
+    def test_drift_budget_scales_with_the_invariants(self, capsys, tmp_path):
+        # example1_qp_rho05 with A and lam scaled by 1e8: invariants of
+        # about 1e8 round to about 1e-8 in each transformed system, past
+        # an absolute budget of 1e-9 in 18 of these 20 trials
+        system = load_fixture("example1_qp_rho05")
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(QPSystem(
+            1e8 * system.A, system.B, 1e8 * system.lam).to_dict()))
+        code, out, _ = run(capsys, "conjugacy", str(path), "--seed", "1",
+                           "--trials", "20", "--steps", "50")
+        assert not [line for line in failure_lines(out)
+                    if "invariant drift" in line]
+        inv = qpd.transform.class_invariants(load_system(path))
+        budget = 1e-9 * max(np.abs(inv.interaction).max(),
+                            np.abs(inv.growth).max())
+        assert budget > 0.01
+        drift, = [line for line in out.splitlines()
+                  if line.startswith("max invariant drift: ")]
+        assert drift.endswith(f" (budget {budget:g})")
+
     def test_chaotic_fixture_within_budget_at_long_horizon(self, capsys):
         # a positive Lyapunov exponent amplifies roundoff along an orbit,
         # but the one-step identity is checked state by state, so 500
@@ -939,6 +982,23 @@ class TestConjugacyFailures:
 
 
 class TestUsageErrors:
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        built, init = [], qpd.cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(qpd.cli._Parser, "__init__", counted)
+        qpd.cli._build_parser.cache_clear()
+        for _ in range(2):
+            code, out, _ = run(capsys, "conjugacy",
+                               str(fixture_path("example1_lv")),
+                               "--trials", "0")
+            assert (code, out) == (0, "warning: --trials 0 requested; "
+                                      "vacuous pass\n")
+        assert built.count("qpd") == 1
+
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -5,6 +5,7 @@ import qpd.dynamics
 from conftest import (
     ATTRACTIVE_FIXTURES,
     FIXTURE_NAMES,
+    behind,
     counted_kernel,
     exact_exponent,
     load_fixture,
@@ -37,13 +38,10 @@ from qpd import (
 from qpd.cli import build_analysis_report
 from qpd.dynamics import (
     ATTRACTIVITY_HORIZON,
-    BLOCK_DOUBLES,
-    BLOCK_STEPS,
     ENSEMBLE_SIZE,
     LYAPUNOV_TRANSIENT,
     PERMANENCE_HORIZON,
     VERIFY_ATTRACTIVITY_TOL,
-    _block_steps,
     _draw_initial_conditions,
     _lockstep,
     _tangent_directions,
@@ -51,6 +49,8 @@ from qpd.dynamics import (
     verification_pass,
 )
 from qpd.systems import (
+    BLOCK_DOUBLES,
+    BLOCK_STEPS,
     GUARD_REASONS,
     UNDERFLOW_FLOOR,
     MapStep,
@@ -786,11 +786,12 @@ class TestBlockedLockstep:
     def test_short_blocks_match_the_per_step_loop(self, monkeypatch):
         # 51 rows of 3 store 51 * 19 doubles a step with tangents and
         # 51 * 9 without: blocks of 5 and of 10 steps
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 5 * 51 * 19 + 12)
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 5 * 51 * 19 + 12)
         sys, X0 = wide_case("drift3", ENSEMBLE_SIZE + 1)
-        assert _block_steps(len(X0), 3, True) == 5
-        assert _block_steps(len(X0), 3) == 10
-        for tangents in (None, (7, _tangent_directions(3, len(X0), 3))):
+        V = _tangent_directions(3, len(X0), 3)
+        assert MapStep(sys, X0, HORIZON, V).size == 5
+        assert MapStep(sys, X0, HORIZON).size == 10
+        for tangents in (None, (7, V)):
             assert_matches_the_per_step_loop(
                 sys, X0, HORIZON, range(K + 10, HORIZON + 1),
                 range(K - 2, K + 3), tangents)
@@ -818,9 +819,9 @@ class TestBlockedLockstep:
         builds = []
 
         class Counted(MapStep):
-            def __init__(self, sys, S, arg, V=None):
+            def __init__(self, sys, X0, steps, V=None):
                 builds.append(None if V is None else V.shape)
-                super().__init__(sys, S, arg, V)
+                super().__init__(sys, X0, steps, V)
 
         monkeypatch.setattr(qpd.dynamics, "MapStep", Counted)
         sys, X0, horizon, tail, record = LOCKSTEP_CASES[
@@ -849,12 +850,19 @@ class TestBlockedLockstep:
         # a step stores 3 m n doubles, or m (6 n + 1) with tangents: the
         # states, [log X; V], [W; V B^T], the step exponents and the
         # tangent norms
+        def size(m, n, tangents, steps=HORIZON):
+            V = np.ones((m, n)) if tangents else None
+            return MapStep(behind(np.eye(n)), np.ones((m, n)), steps, V).size
+
         for tangents, per_row in ((False, lambda n: 3 * n),
                                   (True, lambda n: 6 * n + 1)):
-            assert _block_steps(ENSEMBLE_SIZE + 1, 2, tangents) == K
-            assert _block_steps(1, 128, tangents) == K
-            for m, n in ((10**4, 2), (10**5, 6), (10**6, 2), (0, 2)):
-                steps = _block_steps(m, n, tangents)
+            assert size(ENSEMBLE_SIZE + 1, 2, tangents) == K
+            assert size(1, 128, tangents) == K
+            # and never more steps than the run has
+            assert [size(2, 2, tangents, steps) for steps in (0, 1, 5)] == [
+                1, 1, 5]
+            for m, n in ((10**4, 2), (10**4, 6), (10**5, 2), (0, 2)):
+                steps = size(m, n, tangents)
                 assert steps >= 1
                 assert steps == 1 or steps * m * per_row(n) <= BLOCK_DOUBLES
 
@@ -919,7 +927,7 @@ class TestCycleReplay:
             at(ATTRACTIVITY_HORIZON), (LYAPUNOV_TRANSIENT, V))
         found = [cycle for cycle in cycles if cycle is not None]
         if name in CYCLE_PERIODS:  # found before the Lyapunov sum starts
-            (origin, (states, _, _)), = found
+            (origin, (states, _)), = found
             assert len(states) == CYCLE_PERIODS[name]
             assert origin <= run.stepped <= LYAPUNOV_TRANSIENT
         else:
@@ -1000,9 +1008,8 @@ class TestCycleReplay:
         S, norms = np.ones((3, 2, 2)), np.ones((3, 2))
         V = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1, 1))
         V[1, 0, 0] = -0.0  # == 0.0, yet batch 1 is not batch 2
-        origin, (states, tangents, _) = qpd.dynamics._cycle(5, 2, S, V, norms)
+        origin, (states, _) = qpd.dynamics._cycle(5, 2, S, V, norms)
         assert (origin, len(states)) == (6, 2)
-        assert np.signbit(tangents[:, 0, 0]).tolist() == [True, False]
         V[:, 0, 0] = np.nan, 0.0, np.nan  # NaN != NaN, yet batch 0 is batch 2
         assert qpd.dynamics._cycle(5, 2, S, V, norms)[0] == 6
 
