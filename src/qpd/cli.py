@@ -7,7 +7,7 @@ for identical (input file, flags, seed).
 Exit codes: 0 success, 1 usage error or any qpd error, bad argument
 values included (a one-line message on stderr, never a traceback), 2
 internal invariant violation (an analytic/numeric disagreement under
---verify --strict, or a conjugacy trial exceeding its budget).
+--strict, or a conjugacy trial exceeding its budget).
 """
 
 from __future__ import annotations
@@ -264,13 +264,13 @@ def render_report(report: dict) -> str:
 def cmd_analyze(args) -> int:
     system = load_system(args.path)
     report = build_analysis_report(system, tol=args.tol, seed=args.seed,
-                                   verify=args.verify)
+                                   verify=args.verify or args.strict)
     print(render_report(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
-    if args.strict and args.verify and report["verify"]["disagreements"]:
+    if args.strict and report["verify"]["disagreements"]:
         print("exiting with status 2: analytic/numeric disagreement",
               file=sys.stderr)
         return 2
@@ -398,7 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="also run the numerical cross-checks")
     p.add_argument("--strict", action="store_true",
-                   help="exit 2 on analytic/numeric disagreement")
+                   help="exit 2 on analytic/numeric disagreement; "
+                   "implies --verify")
     p.add_argument("--json", metavar="OUT",
                    help="also write the full report as JSON")
     p.add_argument("--tol", type=float, default=DEFAULT_SIGN_TOL,

@@ -18,32 +18,13 @@ at most ``BLOCK_DOUBLES // ((steps + 1) n)`` trials, but at least one,
 are rows of one run, which bounds their record at 2**20 doubles (8 MiB).
 
 Guard policy: every map evaluation here goes through the one map kernel
-``systems.MapStep``, with or without tangent rows, and the guard rule
-``systems.guard_codes``, which labels a guarded step
-by the sign of its exponent: "overflow" for a blow-up, "underflow" for
-a collapse toward 0 (including a component below UNDERFLOW_FLOOR).  The
-orbit terminates there; ensemble verdicts treat either termination as
-failure.  The lockstep engine checks the guard once per block of steps,
-which its ``MapStep`` allocates and sizes; a tripped block ends at its
-first guarded step, where each guarded row becomes a shadow of a live
-row.  Every result is bit-identical to checking every step.
-
-The Lyapunov tangents ride the map: with tangents, each ``MapStep``
-step stacks the log-states and the tangent rows into one operand, so
-the image and the tangent update share its two matmuls.  The tangent norms
-of a block are kept, and its log growth is added once per block: one
-``np.log`` over the norms and one axis-0 ``np.add.reduce``, whose sum
-runs in step order like a per-step ``g += log(s)``.
-
-A float orbit lives on a finite set, so it is eventually periodic, and
-a batch that settles on an attracting fixed point or cycle repeats bit
-for bit, renormalized tangents included.  A step is a pure function of
-its whole batch, so once a block that tripped no guard ends on a batch
-it passed earlier in the block, the engine stops stepping: it keeps a
-copy of that cycle, at most one block's states and raw tangent norms,
-and fills every later block from it.  The verification
-pass's batch repeats by step 256 to 896 of 5000 on the attracting
-fixtures, and never on the chaotic example3.
+``systems.MapStep``, with or without tangent rows, whose guard rule
+``systems.guard_codes`` labels a guarded step by the sign of its
+exponent: "overflow" for a blow-up, "underflow" for a collapse toward 0
+(including a component below UNDERFLOW_FLOOR).  The orbit terminates
+there; ensemble verdicts treat either termination as failure.  The
+kernel steps, checks and replays its blocks; every result is
+bit-identical to checking every step and to stepping to the horizon.
 """
 
 from __future__ import annotations
@@ -71,7 +52,6 @@ from .systems import (
     advance,
     as_batch,
     as_state,
-    guard_codes,
     is_lotka_volterra,
     step,
 )
@@ -326,30 +306,13 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     row.  Raises InvalidArgument when the record is too large to allocate.
 
     The batch is ``systems.as_batch(X0)``, so a lone row rounds as it does
-    in any batch and in ``advance``.  One ``systems.MapStep``, built from
-    it and the tangent rows or None, allocates the block buffers once and
-    advances the batch ``kernel.size`` steps at a time; its steps are the
-    one stepping loop.  The guard is checked
-    once over each block, and the tail extrema, the record and the
-    tangents' log growth are read from the block's buffers: one
-    ``np.log`` over the block's tangent norms and one axis-0
-    ``np.add.reduce`` whose first row is the growth so far, which sums
-    in step order.  A tripped block ends at its first guarded step, and
-    each row guarded there records its guard and becomes a shadow: it
-    takes a copy of the state and tangent of the first live row, so it
-    cannot trip on its own, and the ``live`` mask keeps every shadow out
-    of every result.  Every result is bit-identical to checking every
-    step.
-
-    After each block that trips no guard, ``_cycle`` looks for the
-    block's last batch, states and tangent rows, among its earlier ones.
-    Once found, no step is run: each later block's states and raw tangent
-    norms are filled from the cycle's copies, ``size (n + 1) m`` doubles
-    at most with tangents and ``size m n`` without, beside the block
-    itself; nothing reads the tangent rows again.  A filled block skips
-    the guard, which its cycle passed, and goes through the same extrema,
-    record and log-growth code as a stepped one, so every result is
-    bit-identical to stepping to the horizon.
+    in any batch and in ``advance``; one ``systems.MapStep`` runs it
+    block by block.  The tail extrema, the record and the log growth,
+    one ``np.log`` over the block's raw tangent norms and one axis-0
+    ``np.add.reduce`` that sums in step order, are read from each
+    block's states and norms.  A tripped block ends at its first guarded
+    step, where each guarded row records its guard and becomes a shadow,
+    and the ``live`` mask keeps every shadow out of every result.
     """
     X0 = np.asarray(X0, dtype=float)
     m0, n = X0.shape
@@ -365,8 +328,7 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     guards: list[tuple[int, int, str]] = []
     start, V = tangents or (0, None)
     kernel = MapStep(sys, S0, horizon, None if V is None else as_batch(V))
-    S, arg, size = kernel.S, kernel.arg, kernel.size
-    W, V, norms, g = kernel.W, kernel.V, kernel.norms, np.zeros(m)
+    S, norms, g = kernel.S, kernel.norms, np.zeros(m)
 
     def observe(t, states):
         """Tail extrema and record of the live rows over the states of
@@ -389,74 +351,30 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
             np.log(norms[j + 1:k + 1], out=norms[j + 1:k + 1])
             np.add.reduce(norms[j:k + 1], axis=0, out=g)
 
-    t = stepped = 0
-    cycle = None
+    t = 0
     with np.errstate(all="ignore"):
         while t < horizon and live.any():
-            k = min(size, horizon - t)
-            if cycle is None:
-                for j in range(k):
-                    kernel.step(j)
-                stepped += k
-                guard = guard_codes(W[:k], arg[:k], S[1:k + 1]) * live
-                tripped = np.flatnonzero(guard.any(axis=1))
-                if tripped.size:  # the block ends at its first guarded step
-                    k = int(tripped[0]) + 1
-                else:
-                    cycle = _cycle(t, k, S, V, norms)
-                if V is not None:
-                    V[0] = V[k]
-            else:  # a replay: its cycle tripped no guard, nor does it
-                origin, copies = cycle
-                at = (np.arange(t + 1, t + k + 1) - origin) % len(copies[0])
-                for stored, copy in zip((S, norms), copies):
-                    if copy is not None:
-                        stored[1:k + 1] = copy[at]
+            k = min(kernel.size, horizon - t)
+            guard = kernel.run(t, k, live)
+            tripped = guard is not None and guard.any()
+            if tripped:  # the block ends at its first guarded step
+                k = int(np.argmax(guard.any(axis=1))) + 1
             observe(t, S[:k])
             if tangents is not None:
                 grow(t, k)
-            S[0], t = S[k], t + k
-            if tripped.size:  # its guarded rows become shadows
+            t += k
+            if tripped:  # its guarded rows become shadows
                 guarded = np.flatnonzero(guard[k - 1])
                 guards += [(int(i), t - 1, GUARD_REASONS[guard[k - 1, i]])
                            for i in guarded]
                 live[guarded] = False
-                if live.any():
-                    source = np.argmax(live)
-                    S[0, ~live] = S[0, source]
-                    if tangents is not None:
-                        V[0, ~live] = V[0, source]
+            kernel.resume(k, ~live if tripped else None)
         observe(t, S[:1])
     exponents = None
     if tangents is not None:
         exponents = np.where(live, g, np.nan)[:m0] / (horizon - start)
     return _Lockstep(guards, tail_min[:m0], tail_max[:m0], rec, exponents,
-                     stepped)
-
-
-def _cycle(t, k, S, V, norms):
-    """The cycle of a block of k steps from step t that tripped no guard:
-    ``(origin, (states, norms))``, or None when the block's last batch
-    ``(S[k], V[k])`` equals none of its earlier ones bit for bit.
-
-    When it equals ``(S[a], V[a])``, every later batch is a replay: a
-    step is a pure function of its batch, so the batch of step
-    ``T >= origin = t + a + 1`` is that of step ``origin + (T - origin) %
-    (k - a)``.  The copies are S[a + 1:k + 1] and the raw tangent norms
-    norms[a + 1:k + 1], taken before ``grow`` logs them in place, for the
-    largest such a; a replay reads no tangent row.  Bit patterns are
-    compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; row 0 picks the
-    candidates."""
-    bits = S[:k + 1].view(np.int64)
-    candidates = np.flatnonzero((bits[:k, 0] == bits[k, 0]).all(axis=1))
-    for a in candidates[::-1]:
-        if np.array_equal(bits[a], bits[k]) and (
-                V is None or np.array_equal(V[a].view(np.int64),
-                                            V[k].view(np.int64))):
-            return t + int(a) + 1, tuple(
-                None if X is None else X[a + 1:k + 1].copy()
-                for X in (S, norms))
-    return None
+                     kernel.stepped)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +680,7 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     is, to the bit, its trial's own orbit.  ``guards`` maps each trial
     whose check hit a guard to its ``GuardTermination`` message, and that
     trial's deviation is NaN.  A guarded direct orbit stops only its
-    trial, with "direct orbit terminated early: (17, 'overflow')";
+    trial, with "direct orbit: step 17 hit the overflow guard";
     along a whole orbit the first guard in step order names the trial:
     "conjugate initial state: state mapping hit the overflow guard",
     the same for a later state t as "conjugate state t: ...", or
@@ -784,7 +702,8 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     for start in range(0, len(X0), size):
         direct = _lockstep(sys, np.array(X0[start:start + size]), steps,
                            record=range(steps + 1))
-        stopped = {i: (t, reason) for i, t, reason in direct.guards}
+        stopped = {i: f"direct orbit: step {t} hit the {reason} guard"
+                   for i, t, reason in direct.guards}
         for i, qmt in enumerate(qmts[start:start + size]):
             image = apply_qmt(sys, qmt)
             other = class_invariants(image)
@@ -792,8 +711,7 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
                 np.max(np.abs(other.interaction - base.interaction)),
                 np.max(np.abs(other.growth - base.growth)))
             if i in stopped:
-                guards[start + i] = (
-                    f"direct orbit terminated early: {stopped[i]}")
+                guards[start + i] = stopped[i]
                 continue
             deviations[start + i], guard = _one_step_defect(
                 image, qmt, direct.record[:, i])

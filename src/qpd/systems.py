@@ -9,12 +9,12 @@ with square real matrices A, B and a real vector lam.  The products
 are the special case B = identity, where these terms are the state
 components themselves.
 
-This module owns validation, the one map kernel (``MapStep``, a block
-of steps shared by every orbit, with or without tangent vectors, which
-allocates and sizes its own buffers; its guard rule ``guard_codes``;
-``advance``, one guarded step of the two; and ``as_batch``, the rows
-they multiply), sign-pattern extraction, and the system-definition JSON
-schema used by fixtures and the command line.
+This module owns validation, the one map kernel (``MapStep``, which
+steps, checks and replays the blocks of every orbit, with or without
+tangent vectors, in buffers it allocates and sizes; its guard rule
+``guard_codes``; ``advance``, a one-step run of it; and ``as_batch``,
+the rows it multiplies), sign-pattern extraction, and the
+system-definition JSON schema used by fixtures and the command line.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ EXP_ARG_LIMIT = 700.0
 #: collapse, distinguished from roundoff zero).
 UNDERFLOW_FLOOR = 1e-300
 
-#: Steps per block of a ``MapStep``: the lockstep engine checks the guard
-#: once over each block's buffers, not once per step.
+#: Steps per block of a ``MapStep``, which checks the guard once over
+#: each block, not once per step.
 BLOCK_STEPS = 64
 
 #: Storage cap of one ``MapStep`` block: what it stores a step for m rows,
 #: 3 m n doubles or m (6 n + 1) with tangents, stays at most 2**20 doubles
 #: (8 MiB) besides the block's start state, so a large batch takes shorter
-#: blocks, down to one step, rather than more memory.  The lockstep
-#: engine's stored cycle, m (n + 1) doubles a step or m n without
+#: blocks, down to one step, rather than more memory.  A kernel's
+#: stored cycle, m (n + 1) doubles a step or m n without
 #: tangents, adds less than half a block.  The recorded direct orbits of
 #: a run of conjugacy trials stay within it too.
 BLOCK_DOUBLES = 2**20
@@ -151,8 +151,8 @@ def as_state(x, n) -> np.ndarray:
 
 
 class MapStep:
-    """The one map kernel: a block of unchecked steps of the QP map for m
-    rows, which may carry tangent vectors.
+    """The one map kernel: a run of steps of the QP map for m rows, which
+    may carry tangent vectors, stepped and checked a block at a time.
 
     In log coordinates u = log x the map is u' = u + lam + A exp(B u).  A
     step computes the log quasimonomials ``W = log X B^T``, the
@@ -165,28 +165,43 @@ class MapStep:
     ``P B^T = [W; V B^T]`` and a second gives
     ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``.
 
-    Built once per batch from its (m, n) rows X0, the number of steps it
-    will run and its tangent rows V, (m, n) or None.  It allocates every
-    buffer of a block of ``size`` steps: at most BLOCK_STEPS and
-    ``steps``, and at most BLOCK_DOUBLES over what a step stores, but at
-    least one.  A step stores 3 m n doubles, its states ``S``, log
-    quasimonomials ``W`` and step exponents ``arg``, since without
-    tangents one operand ``log X`` serves every step; with tangents it
-    stores m (6 n + 1): the states, the operands ``[log X; V]``, whose
-    bottom halves are the tangent rows ``V``, ``[W; V B^T]``, whose top
-    half is ``W``, the step exponents and the tangent ``norms``.  So
-    ``S`` is (size + 1, m, n) with S[0] = X0, ``arg`` and ``W`` are
-    (size, m, n), ``V`` is (size + 1, m, n) and ``norms`` (size + 1, m).
-    ``step(j)`` advances the rows S[j] into S[j + 1] and writes W[j] and
-    arg[j]; with tangents it also advances V[j] into V[j + 1] and writes
-    the norms of the tangent rows before renormalization into
-    norms[j + 1], so a batch can resume after any step of a block.  The
-    transposes of A and B are contiguous copies, taken once, and lam is
-    tiled to (m, n) once.  A step is 7 numpy calls, 2 of them matmuls,
-    and 5 more with tangents; every operand is a buffer or view made
-    here.  Nothing is checked, and a state past a guard gives inf, NaN or
-    0 entries: run it under ``np.errstate`` and read the block through
-    ``guard_codes``.
+    Built once per run from its (m, n) rows X0, its number of steps and
+    its tangent rows V, (m, n) or None.  It allocates every buffer of a
+    block of ``size`` steps: at most BLOCK_STEPS and ``steps``, and at
+    most BLOCK_DOUBLES over what a step stores, but at least one.  A step
+    stores 3 m n doubles, its states ``S``, log quasimonomials ``W`` and
+    step exponents ``arg``, since without tangents one operand ``log X``
+    serves every step; with tangents it stores m (6 n + 1): the states,
+    the operands ``[log X; V]``, whose bottom halves are the tangent rows
+    ``V``, ``[W; V B^T]``, whose top half is ``W``, the step exponents and
+    the tangent ``norms``.  So ``S`` is (size + 1, m, n) with S[0] = X0,
+    ``arg`` and ``W`` are (size, m, n), ``V`` is (size + 1, m, n) and
+    ``norms`` (size + 1, m).  ``step(j)`` advances the rows S[j] into
+    S[j + 1] and writes W[j] and arg[j]; with tangents it also advances
+    V[j] into V[j + 1] and writes the norms of the tangent rows before
+    renormalization into norms[j + 1].  The transposes of A and B are
+    contiguous copies, taken once, and lam is tiled to (m, n) once.  A
+    step is 7 numpy calls, 2 of them matmuls, and 5 more with tangents;
+    every operand is a buffer or view made here.  Nothing is checked by a
+    step, and a state past a guard gives inf, NaN or 0 entries, so run
+    the kernel under ``np.errstate``.
+
+    ``run(t, k, live)`` computes steps t + 1 .. t + k of the run into
+    S[1:k + 1] and, with tangents, their raw norms into norms[1:k + 1].
+    It checks the guard once over the block and returns the codes of the
+    ``live`` rows, (k, m).  ``stepped`` counts the steps it ran.  A block
+    may end at any step k: ``resume(k, shadows)`` makes S[k], and V[k],
+    the next block's start, and gives each row of the mask ``shadows``
+    a copy of the first other row, so a guarded row cannot trip again.
+
+    A float orbit lives on a finite set, so a batch that settles on an
+    attracting fixed point or cycle repeats bit for bit, renormalized
+    tangents included, and a step is a pure function of its batch.  So
+    after a block that trips no guard, while the run has steps left,
+    ``_cycle`` looks for its last batch among its earlier ones.  Once it
+    is found no step is run: ``run`` fills each later block's states and
+    raw norms from the cycle's copies and returns None, since the cycle
+    tripped no guard, and no tangent row is read or written again.
     """
 
     def __init__(self, sys: QPSystem, X0, steps, V=None):
@@ -198,6 +213,7 @@ class MapStep:
         S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
         S[0] = X0
         self.size, self.S, self.arg = size, S, arg
+        self.steps, self.stepped, self._replay = steps, 0, None
         # without tangents every step shares the one operand P[0]
         P = np.empty((1 if V is None else size + 1, rows, n))
         WV, Q, R = (np.empty((size, rows, n)), np.empty((rows, n)),
@@ -238,6 +254,37 @@ class MapStep:
             np.sqrt(np.einsum("ij,ij->i", Vn, Vn, out=s), out=s)
             np.divide(Vn, s_col, out=Vn)
 
+    def run(self, t, k, live):
+        """Steps t + 1 .. t + k of the run into the block: the guard code
+        of each live row at each step, or None for a replayed block."""
+        if self._replay is not None:
+            origin, copies = self._replay
+            at = (np.arange(t + 1, t + k + 1) - origin) % len(copies[0])
+            for stored, copy in zip((self.S, self.norms), copies):
+                if copy is not None:
+                    stored[1:k + 1] = copy[at]
+            return None
+        for j in range(k):
+            self.step(j)
+        self.stepped += k
+        guard = guard_codes(self.W[:k], self.arg[:k], self.S[1:k + 1]) * live
+        if t + k < self.steps and not guard.any():
+            self._replay = _cycle(t, k, self.S, self.V, self.norms)
+        return guard
+
+    def resume(self, k, shadows):
+        """Make step k the block's start; the rows of the mask ``shadows``
+        (None for no rows) take a copy of the first other row."""
+        S, V = self.S, None if self._replay else self.V
+        S[0] = S[k]
+        if V is not None:
+            V[0] = V[k]
+        if shadows is not None and not shadows.all():
+            source = np.argmax(~shadows)
+            S[0, shadows] = S[0, source]
+            if V is not None:
+                V[0, shadows] = V[0, source]
+
 
 def guard_codes(W, arg, Xn):
     """The guard code of each image a ``MapStep`` made, for any leading
@@ -266,6 +313,29 @@ def guard_codes(W, arg, Xn):
                     np.where(under, GUARD_UNDERFLOW, GUARD_OK))
 
 
+def _cycle(t, k, S, V, norms):
+    """The cycle of a block of k steps from step t that tripped no guard:
+    ``(origin, (states, norms))``, or None when the block's last batch
+    ``(S[k], V[k])`` equals none of its earlier ones bit for bit.
+
+    When it equals ``(S[a], V[a])``, every later batch is a replay: the
+    batch of step ``T >= origin = t + a + 1`` is that of step ``origin +
+    (T - origin) % (k - a)``.  The copies are S[a + 1:k + 1] and the raw
+    tangent norms norms[a + 1:k + 1], or None without tangents, for the
+    largest such a.  Bit patterns are compared, since ``-0.0 == 0.0`` and
+    ``NaN != NaN``; row 0 picks the candidates."""
+    bits = S[:k + 1].view(np.int64)
+    candidates = np.flatnonzero((bits[:k, 0] == bits[k, 0]).all(axis=1))
+    for a in candidates[::-1]:
+        if np.array_equal(bits[a], bits[k]) and (
+                V is None or np.array_equal(V[a].view(np.int64),
+                                            V[k].view(np.int64))):
+            return t + int(a) + 1, tuple(
+                None if X is None else X[a + 1:k + 1].copy()
+                for X in (S, norms))
+    return None
+
+
 def as_batch(X) -> np.ndarray:
     """The rows that a step multiplies for X, (m, n) rows or one (n,)
     vector: the rows of X, but a lone row twice.  numpy multiplies a
@@ -278,21 +348,20 @@ def as_batch(X) -> np.ndarray:
 
 
 def advance(sys: QPSystem, X):
-    """One guarded step of the QP map for each row of X: the one step of
-    ``MapStep(sys, as_batch(X), 1)`` and its ``guard_codes``.
+    """One guarded step of the QP map for each row of X: the one-step
+    block of ``MapStep(sys, as_batch(X), 1)``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
     terms and a guard code per row, valid X' only where it is GUARD_OK.
     This is the per-step check of ``step`` and ``qp_jacobian``; the
-    lockstep engine, ``dynamics._lockstep``, runs the same kernel and
-    checks a block of steps at once with the same result.
+    lockstep engine, ``dynamics._lockstep``, runs longer blocks of the
+    same kernel with the same result.
     """
     X = np.asarray(X)
     kernel = MapStep(sys, as_batch(X), 1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        kernel.step(0)
-        guard = guard_codes(kernel.W[0], kernel.arg[0], kernel.S[1])
+        guard = kernel.run(0, 1, True)[0]
     rows = slice(len(X)) if X.ndim == 2 else 0
     return kernel.S[1, rows], kernel.q[rows], guard[rows]
 

@@ -242,6 +242,15 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(path), "--verify")
         assert code == 0  # without --strict the disagreement only reports
 
+    def test_strict_implies_verify(self, capsys):
+        # the strict check reads the verification pass, so --strict alone
+        # runs it and prints what --verify --strict prints
+        path = str(fixture_path("example1_lv"))
+        code, out, err = run(capsys, "analyze", path, "--strict")
+        assert (code, err) == (0, "")
+        assert "numerical cross-checks:" in out
+        assert out == run(capsys, "analyze", path, "--verify", "--strict")[1]
+
     def test_fixed_point_past_the_guard_still_reports(self, capsys,
                                                       tmp_path):
         # x* = 1e305: its verifying step exponent, A x* = -10, is fine,
@@ -284,6 +293,21 @@ class TestAnalyze:
         block = json.loads(out_path.read_text())["verify"]
         assert block["fixed_point"] == {"error": message}
         assert block["lyapunov_statistics"]["orbits"] == 51
+
+    def test_fixed_point_solve_that_misses_still_reports(self, capsys,
+                                                         monkeypatch):
+        # the canonical solve is made to miss x* = (1/3, 1/3) by 1 in each
+        # component, so its residual is |0.5 - 1.5 * 4/3| = 1.5
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve(a, b) + (np.ndim(b) == 1))
+        code, out, err = run(capsys, "analyze",
+                             str(fixture_path("example1_lv")), "--verify")
+        assert (code, err) == (0, "")
+        assert ("  fixed point: fixed-point solve residual 1.500e+00 exceeds "
+                "tolerance") in out.splitlines()
+        assert ("  attractivity probe: skipped (no interior fixed point "
+                "available as target)") in out
 
 
 class TestVerificationBlock:
@@ -850,7 +874,7 @@ class TestConjugacyFailures:
         code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 3, {1})
         assert code == 2
         assert failure_lines(out) == [
-            "*** trial 1: direct orbit terminated early: (17, 'overflow')"]
+            "*** trial 1: direct orbit: step 17 hit the overflow guard"]
         assert "all trials within budget" not in out
 
     def test_guards_in_several_blocks_name_their_trials(self, capsys,
@@ -861,7 +885,7 @@ class TestConjugacyFailures:
                                         {1, 70, 129})
         assert code == 2
         assert failure_lines(out) == [
-            f"*** trial {t}: direct orbit terminated early: (17, 'overflow')"
+            f"*** trial {t}: direct orbit: step 17 hit the overflow guard"
             for t in (1, 70, 129)]
 
     def test_every_trial_guarded_leaves_deviation_undefined(
@@ -871,7 +895,7 @@ class TestConjugacyFailures:
         assert code == 2
         assert "max one-step defect: undefined (budget 1.000e-07)" in out
         assert failure_lines(out) == [
-            f"*** trial {t}: direct orbit terminated early: (17, 'overflow')"
+            f"*** trial {t}: direct orbit: step 17 hit the overflow guard"
             for t in range(3)]
 
     def test_storage_capped_blocks_give_the_same_report(self, capsys,

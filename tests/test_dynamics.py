@@ -144,6 +144,17 @@ class TestLVFixedPoint:
         with pytest.raises(SingularSystem):
             lv_interior_fixed_point(lv)
 
+    def test_solve_that_misses_is_singular(self, monkeypatch):
+        # A passes the invertibility test, so the solve is made to miss by
+        # 1 in each component; that test's own solve, of a 2-D right-hand
+        # side, is left alone
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve(a, b) + (np.ndim(b) == 1))
+        with pytest.raises(SingularSystem, match=r"^fixed-point solve "
+                           r"residual 1\.000e\+00 exceeds tolerance$"):
+            lv_interior_fixed_point(LVSystem(-np.eye(2), [1.0, 1.0]))
+
     def test_nonpositive_solution_returns_none(self):
         lv = LVSystem(-np.eye(2), [-1.0, 1.0])
         assert lv_interior_fixed_point(lv) is None
@@ -913,13 +924,13 @@ class TestCycleReplay:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_pass_matches_the_per_step_loop(self, monkeypatch, name, seed):
         cycles = []
-        find = qpd.dynamics._cycle
+        find = qpd.systems._cycle
 
         def spy(*args):
             cycles.append(find(*args))
             return cycles[-1]
 
-        monkeypatch.setattr(qpd.dynamics, "_cycle", spy)
+        monkeypatch.setattr(qpd.systems, "_cycle", spy)
         X0, V = pass_batch(seed)
         run = assert_matches_the_per_step_loop(
             load_fixture(name), X0, PERMANENCE_HORIZON,
@@ -1008,10 +1019,27 @@ class TestCycleReplay:
         S, norms = np.ones((3, 2, 2)), np.ones((3, 2))
         V = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1, 1))
         V[1, 0, 0] = -0.0  # == 0.0, yet batch 1 is not batch 2
-        origin, (states, _) = qpd.dynamics._cycle(5, 2, S, V, norms)
+        origin, (states, _) = qpd.systems._cycle(5, 2, S, V, norms)
         assert (origin, len(states)) == (6, 2)
         V[:, 0, 0] = np.nan, 0.0, np.nan  # NaN != NaN, yet batch 0 is batch 2
-        assert qpd.dynamics._cycle(5, 2, S, V, norms)[0] == 6
+        assert qpd.systems._cycle(5, 2, S, V, norms)[0] == 6
+
+    def test_no_search_without_steps_left(self, monkeypatch):
+        # a block that ends the run has nothing left to replay, so a
+        # one-step block, which is every advance, never searches
+        def search(*args):
+            raise AssertionError("searched for a cycle")
+
+        monkeypatch.setattr(qpd.systems, "_cycle", search)
+        sys, x = load_fixture("example1_lv"), np.ones(2)
+        step(sys, x)
+        advance(sys, np.ones((3, 2)))
+        qp_jacobian(sys, x)
+        tangents = (0, _tangent_directions(0, 1, 2))
+        assert _lockstep(sys, x[None], 1, tangents=tangents).stepped == 1
+        assert _lockstep(sys, x[None], BLOCK_STEPS).stepped == BLOCK_STEPS
+        with pytest.raises(AssertionError, match="searched"):
+            _lockstep(sys, x[None], BLOCK_STEPS + 1)
 
 
 class TestOneOrbitPerState:
@@ -1177,7 +1205,7 @@ class TestConjugacyDeviations:
         # 64 trials a block: (20 + 1) 2 = 42 doubles a trial
         monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 64 * 42)
         deviations, _, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
-        reason = "direct orbit terminated early: (17, 'overflow')"
+        reason = "direct orbit: step 17 hit the overflow guard"
         assert guards == {3: reason, 129: reason}
         assert block_runs == [(64, 2), (64, 2), (2, 2)]
         assert np.isnan(deviations[[3, 129]]).all()
@@ -1193,7 +1221,7 @@ class TestConjugacyDeviations:
         deviations, _, guards = conjugacy_deviations(
             sys, [QMTMatrix.identity(2)], [[1.0, 1.0]], 20)
         assert block_runs == [(1, 2)]
-        assert guards == {0: "direct orbit terminated early: (17, 'overflow')"}
+        assert guards == {0: "direct orbit: step 17 hit the overflow guard"}
         assert np.isnan(deviations).all()
 
     def test_conjugate_step_guard_names_its_trial(self, block_runs):
@@ -1261,7 +1289,7 @@ class TestConjugacyDeviations:
         qmt = QMTMatrix.from_matrix(np.diag([1.0, 2.0]))
         deviations, drifts, guards = conjugacy_deviations(
             sys, [qmt], [[1.0, 1.0]], 20)
-        assert guards == {0: "direct orbit terminated early: (17, 'overflow')"}
+        assert guards == {0: "direct orbit: step 17 hit the overflow guard"}
         assert np.isnan(deviations).all()
         assert drifts.tolist() == [0.0]
 

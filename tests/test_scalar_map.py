@@ -388,6 +388,18 @@ class TestSnapBack:
         assert witness is not None
         assert_exact_return_nearby(witness, float(rho))
 
+    def test_forward_check_refuses_a_chain_that_misses(self):
+        # 3.3 steps to 3.3 exp(-0.1) = 2.986, not to the fixed point 3.2
+        assert _forward_check((3.3,), 3.2, 3.2) is None
+
+    def test_no_witness_without_an_expanding_radius(self, monkeypatch):
+        # a radius exists for every rho > 2, even right above 2 ...
+        assert expanding_radius(np.nextafter(2.0, 3.0)) > 0.0
+        # ... so the search's guard against a missing one is reached by
+        # taking it away
+        monkeypatch.setattr(scalar_map, "expanding_radius", lambda rho: None)
+        assert find_snap_back(3.0) is None
+
     def test_requires_repelling_fixed_point(self):
         with pytest.raises(ValueError):
             find_snap_back(1.5)

@@ -211,6 +211,16 @@ class TestHierarchicalOrdering:
         with pytest.raises(WrongDimension, match="square"):
             is_hierarchically_ordered(np.ones((2, 3)))
 
+    def test_ordering_definition(self):
+        ordered = qpd.theorems._ordered_under
+        tol = DEFAULT_SIGN_TOL
+        assert ordered([[1.0, 2.0], [-3.0, 1.0]], (0, 1), tol)
+        # a diagonal entry that is not positive beyond tol
+        assert not ordered([[1.0, 2.0], [-3.0, tol]], (0, 1), tol)
+        # an upper entry that is negative beyond tol, as given or reordered
+        assert not ordered([[1.0, -2.0 * tol], [-3.0, 1.0]], (0, 1), tol)
+        assert not ordered([[1.0, 2.0], [-3.0, 1.0]], (1, 0), tol)
+
     def test_antidiagonal_has_no_ordering(self):
         assert is_hierarchically_ordered([[0.0, 1.0], [1.0, 0.0]]) is None
         assert hierarchically_ordered_bruteforce([[0.0, 1.0], [1.0, 0.0]]) is None
