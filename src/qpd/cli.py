@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    checked_seed,
+    checked_counts,
     conjugacy_deviations,
     falsifications,
     qp_fixed_point,
@@ -94,6 +94,7 @@ def _matrix(M):
 def build_analysis_report(system, tol=DEFAULT_SIGN_TOL, seed=0,
                           verify=False) -> dict:
     """Full classification report for one system, as a JSON-ready dict."""
+    checked_counts(seed=(seed, 0))
     inv = class_invariants(system)
     report = {
         "tool": {"name": "qpd", "version": __version__},
@@ -102,7 +103,7 @@ def build_analysis_report(system, tol=DEFAULT_SIGN_TOL, seed=0,
             "sign_tol": tol,
             "singularity_rtol": SINGULARITY_RTOL,
         },
-        "seeds": {"seed": checked_seed(seed)},
+        "seeds": {"seed": seed},
         "class_invariants": {
             "interaction": _matrix(inv.interaction),
             "growth": _matrix(inv.growth),

@@ -5,9 +5,9 @@ ensemble probes for permanence and attractivity, conjugacy verification,
 and largest-Lyapunov-exponent estimation with the analytic tangent map
 of the QP map in log coordinates.  Every orbit here, from ``simulate``'s
 one row to ``verification_pass``'s batch of 51 with tangents, is a row
-of the one lockstep engine ``_lockstep``, which advances the rows of
-``systems.as_batch``, so one x0 has one float orbit.  ``falsifications``
-reads that pass against the theorem verdicts, one rule per claim.
+of the one lockstep engine ``_lockstep``, so one x0 has one float orbit.
+``falsifications`` reads that pass against the theorem verdicts, one
+rule per claim.
 
 A conjugacy is checked as the one-step identity F(h(y)) = h(G(y)) on
 the direct orbit alone: its recorded states are mapped to each trial's
@@ -23,7 +23,7 @@ Guard policy: every map evaluation here goes through the one map kernel
 exponent: "overflow" for a blow-up, "underflow" for a collapse toward 0
 (including a component below UNDERFLOW_FLOOR).  The orbit terminates
 there; ensemble verdicts treat either termination as failure.  The
-kernel steps, checks and replays its blocks; every result is
+kernel steps, checks, cuts and replays its blocks; every result is
 bit-identical to checking every step and to stepping to the horizon.
 """
 
@@ -50,7 +50,6 @@ from .systems import (
     MapStep,
     QPSystem,
     advance,
-    as_batch,
     as_state,
     is_lotka_volterra,
     step,
@@ -119,8 +118,7 @@ def simulate(sys: QPSystem, x0, steps: int) -> Trajectory:
     The orbit is a one-row lockstep run that records every step, so it
     is the orbit of x0 in any batch; its first guard ends it.
     """
-    if steps < 0:
-        raise InvalidArgument("steps must be nonnegative")
+    checked_counts(steps=(steps, 0))
     run = _lockstep(sys, as_state(x0, sys.n)[None], steps,
                     record=range(steps + 1))
     states = run.record[:, 0]
@@ -226,8 +224,7 @@ def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
     symmetric systems) and never rotate away from it.
     """
     x = as_state(x0, sys.n)
-    if transient < 0 or samples < 1:
-        raise InvalidArgument("need transient >= 0 and samples >= 1")
+    checked_counts(transient=(transient, 0), samples=(samples, 1))
     run = _lockstep(sys, x[None, :], transient + samples,
                     tangents=(transient, _tangent_directions(seed, 1, sys.n)))
     if not np.isfinite(run.exponents[0]):
@@ -235,17 +232,24 @@ def largest_lyapunov(sys: QPSystem, x0, transient=LYAPUNOV_TRANSIENT,
     return float(run.exponents[0])
 
 
-def checked_seed(seed):
-    """The seed itself, which must be a nonnegative integer."""
-    if not isinstance(seed, Integral) or seed < 0:
-        raise InvalidArgument(
-            f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+def checked_counts(**counts):
+    """Check each count ``name=(value, low)``: an integer of at least
+    low, the one rule of every seed, step count, horizon and ensemble
+    size.  The InvalidArgument names the first count that breaks it and
+    the rule of them all."""
+    rule = " and ".join(f"{name} >= {low}"
+                        for name, (_, low) in counts.items())
+    for name, (value, low) in counts.items():
+        if not isinstance(value, Integral) or value < low:
+            bound = "nonnegative" if low == 0 else f"at least {low}"
+            raise InvalidArgument(f"{name} must be {bound} and an integer, "
+                                  f"got {value!r} (need {rule})")
 
 
 def seeded_generator(seed) -> np.random.Generator:
     """The generator of a seed, which must be a nonnegative integer."""
-    return np.random.default_rng(checked_seed(seed))
+    checked_counts(seed=(seed, 0))
+    return np.random.default_rng(seed)
 
 
 def _tangent_directions(seed, m, n):
@@ -294,7 +298,7 @@ class _Lockstep:
 def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
               tangents=None) -> _Lockstep:
     """Advance the rows of X0 in lockstep for ``horizon`` steps: the one
-    orbit loop of qpd.
+    orbit loop of qpd, observing the blocks of one ``systems.MapStep``.
 
     Row extrema are taken over the states of the steps in ``tail``, and
     the states of the steps in ``record`` are copied out; both are ranges
@@ -304,15 +308,6 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     states t >= start.  A tangent that collapses to 0 or leaves the
     representable range leaves a non-finite exponent and never ends its
     row.  Raises InvalidArgument when the record is too large to allocate.
-
-    The batch is ``systems.as_batch(X0)``, so a lone row rounds as it does
-    in any batch and in ``advance``; one ``systems.MapStep`` runs it
-    block by block.  The tail extrema, the record and the log growth,
-    one ``np.log`` over the block's raw tangent norms and one axis-0
-    ``np.add.reduce`` that sums in step order, are read from each
-    block's states and norms.  A tripped block ends at its first guarded
-    step, where each guarded row records its guard and becomes a shadow,
-    and the ``live`` mask keeps every shadow out of every result.
     """
     X0 = np.asarray(X0, dtype=float)
     m0, n = X0.shape
@@ -321,14 +316,10 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     except (ValueError, MemoryError):
         raise InvalidArgument(f"{horizon} steps make a trajectory too large "
                               "to allocate") from None
-    S0 = as_batch(X0)
-    m = len(S0)
-    live = np.arange(m) < m0
-    tail_min, tail_max = np.full((m, n), np.inf), np.full((m, n), -np.inf)
-    guards: list[tuple[int, int, str]] = []
-    start, V = tangents or (0, None)
-    kernel = MapStep(sys, S0, horizon, None if V is None else as_batch(V))
-    S, norms, g = kernel.S, kernel.norms, np.zeros(m)
+    kernel = MapStep(sys, X0, horizon, tangents)
+    S, live = kernel.S, kernel.live
+    tail_min = np.full(S.shape[1:], np.inf)
+    tail_max = np.full(S.shape[1:], -np.inf)
 
     def observe(t, states):
         """Tail extrema and record of the live rows over the states of
@@ -343,38 +334,15 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
             np.copyto(rec[a - record.start:b - record.start],
                       states[a - t:b - t, :m0], where=mask[:m0])
 
-    def grow(t, k):
-        """Add the log growth of the steps t .. t + k - 1 from start on."""
-        j = max(start - t, 0)
-        if j < k:
-            norms[j] = g
-            np.log(norms[j + 1:k + 1], out=norms[j + 1:k + 1])
-            np.add.reduce(norms[j:k + 1], axis=0, out=g)
-
-    t = 0
     with np.errstate(all="ignore"):
-        while t < horizon and live.any():
-            k = min(kernel.size, horizon - t)
-            guard = kernel.run(t, k, live)
-            tripped = guard is not None and guard.any()
-            if tripped:  # the block ends at its first guarded step
-                k = int(np.argmax(guard.any(axis=1))) + 1
+        for t, k in kernel.blocks():
             observe(t, S[:k])
-            if tangents is not None:
-                grow(t, k)
-            t += k
-            if tripped:  # its guarded rows become shadows
-                guarded = np.flatnonzero(guard[k - 1])
-                guards += [(int(i), t - 1, GUARD_REASONS[guard[k - 1, i]])
-                           for i in guarded]
-                live[guarded] = False
-            kernel.resume(k, ~live if tripped else None)
-        observe(t, S[:1])
     exponents = None
     if tangents is not None:
-        exponents = np.where(live, g, np.nan)[:m0] / (horizon - start)
-    return _Lockstep(guards, tail_min[:m0], tail_max[:m0], rec, exponents,
-                     kernel.stepped)
+        exponents = (np.where(live, kernel.growth, np.nan)[:m0]
+                     / (horizon - tangents[0]))
+    return _Lockstep(kernel.guards, tail_min[:m0], tail_max[:m0], rec,
+                     exponents, kernel.stepped)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +437,7 @@ def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
     stays inside [PROXY_FLOOR, PROXY_CEILING].  The box stands in for the
     compact set whose existence permanence asserts.
     """
+    checked_counts(ensemble_size=(ensemble_size, 1), horizon=(horizon, 0))
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     run = _lockstep(sys, X0, horizon, tail=_tail_window(horizon))
     return _permanence_verdict(run, ensemble_size, horizon, seed)
@@ -483,6 +452,7 @@ def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
     as failure.
     """
     target = as_state(target, sys.n)
+    checked_counts(ensemble_size=(ensemble_size, 1), horizon=(horizon, 0))
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     run = _lockstep(sys, X0, horizon, record=range(horizon, horizon + 1))
     return _attractivity_verdict(run, ensemble_size, horizon, target, tol,
@@ -497,7 +467,9 @@ class VerificationPass:
     did; ``lyapunov_statistics`` holds their count, sd, standard error,
     min and max, and ``lyapunov_params`` echoes the orbits and schedule.
     ``spectral_radius`` is that of the Jacobian at the target, None
-    without a target or where ``qp_jacobian`` guards; no report shows it."""
+    without a target or where ``qp_jacobian`` guards, and
+    ``lost_tangents`` counts the orbits that finished without a finite
+    exponent; no report shows either."""
 
     permanence: EmpiricalVerdict
     attractivity: EmpiricalVerdict | None
@@ -506,6 +478,7 @@ class VerificationPass:
     lyapunov_statistics: dict
     lyapunov_params: dict
     spectral_radius: float | None
+    lost_tangents: int
 
 
 def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
@@ -562,7 +535,7 @@ def verification_pass(sys: QPSystem, target, seed) -> VerificationPass:
         {"orbits": size + 1, "x0": [1.0] * n,
          "transient": LYAPUNOV_TRANSIENT,
          "samples": horizon - LYAPUNOV_TRANSIENT, "seed": seed},
-        spectral_radius)
+        spectral_radius, size + 1 - k - len(run.guards))
 
 
 def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
@@ -577,7 +550,8 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
     chaotic set need not attract.  GlobalAttractorExists and Dissipative
     have no rule.  Apart from any claim, estimates that all sit at
     LYAPUNOV_ROUNDING_FLOOR or below add one warning: they are rounding,
-    not a measurement.
+    not a measurement; and orbits that lost their tangent vector add one
+    warning with their count, since the estimate leaves them out.
     """
     def claiming(*claims):
         return [v.theorem_id for v in verdicts
@@ -621,6 +595,11 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
             f"{top:.6g}, at the double-precision rounding floor log(2^-52) "
             f"= {LYAPUNOV_ROUNDING_FLOOR:.4g}; it is not a measurement (the "
             "true exponent may be -inf)")
+    if checks.lost_tangents:
+        warnings.append(
+            f"{checks.lost_tangents} of {checks.lyapunov_params['orbits']} "
+            "orbits lost the tangent vector, which collapsed to 0 or left "
+            "the representable range; the Lyapunov estimate leaves them out")
     return disagreements, warnings
 
 
@@ -692,8 +671,7 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     if len(qmts) != len(X0):
         raise InvalidArgument(
             f"{len(qmts)} transformations for {len(X0)} initial states")
-    if steps < 1:
-        raise InvalidArgument("steps must be at least 1")
+    checked_counts(steps=(steps, 1))
     size = max(1, BLOCK_DOUBLES // ((steps + 1) * n))
     base = class_invariants(sys)
     deviations = np.full(len(X0), np.nan)

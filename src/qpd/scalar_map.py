@@ -52,10 +52,11 @@ SCAN_REFERENCES = {
 
 
 def xi(x, rho):
-    """Evaluate x * exp(rho - x) on nonnegative scalars or arrays."""
+    """Evaluate x * exp(rho - x) on finite nonnegative scalars or arrays."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(rho)) or not np.all(x >= 0.0):  # NaN included
-        raise InvalidArgument("xi is defined on nonnegative x and non-NaN rho")
+    if np.any(np.isnan(rho)) or not np.all((0.0 <= x) & (x < np.inf)):
+        raise InvalidArgument(
+            "xi is defined on finite nonnegative x and non-NaN rho")
     # a large negative exponent only underflows harmlessly toward 0
     if np.any(rho - x > EXP_ARG_LIMIT):
         raise OverflowGuard("xi exponent exceeds guard bound")

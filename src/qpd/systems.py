@@ -10,8 +10,8 @@ are the special case B = identity, where these terms are the state
 components themselves.
 
 This module owns validation, the one map kernel (``MapStep``, which
-steps, checks and replays the blocks of every orbit, with or without
-tangent vectors, in buffers it allocates and sizes; its guard rule
+runs every orbit block by block, with or without tangent vectors, and
+owns its rows, guards, shadows and tangent growth; its guard rule
 ``guard_codes``; ``advance``, a one-step run of it; and ``as_batch``,
 the rows it multiplies), sign-pattern extraction, and the
 system-definition JSON schema used by fixtures and the command line.
@@ -165,47 +165,58 @@ class MapStep:
     ``P B^T = [W; V B^T]`` and a second gives
     ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``.
 
-    Built once per run from its (m, n) rows X0, its number of steps and
-    its tangent rows V, (m, n) or None.  It allocates every buffer of a
-    block of ``size`` steps: at most BLOCK_STEPS and ``steps``, and at
-    most BLOCK_DOUBLES over what a step stores, but at least one.  A step
-    stores 3 m n doubles, its states ``S``, log quasimonomials ``W`` and
-    step exponents ``arg``, since without tangents one operand ``log X``
-    serves every step; with tangents it stores m (6 n + 1): the states,
-    the operands ``[log X; V]``, whose bottom halves are the tangent rows
-    ``V``, ``[W; V B^T]``, whose top half is ``W``, the step exponents and
-    the tangent ``norms``.  So ``S`` is (size + 1, m, n) with S[0] = X0,
-    ``arg`` and ``W`` are (size, m, n), ``V`` is (size + 1, m, n) and
-    ``norms`` (size + 1, m).  ``step(j)`` advances the rows S[j] into
-    S[j + 1] and writes W[j] and arg[j]; with tangents it also advances
-    V[j] into V[j + 1] and writes the norms of the tangent rows before
-    renormalization into norms[j + 1].  The transposes of A and B are
-    contiguous copies, taken once, and lam is tiled to (m, n) once.  A
-    step is 7 numpy calls, 2 of them matmuls, and 5 more with tangents;
-    every operand is a buffer or view made here.  Nothing is checked by a
-    step, and a state past a guard gives inf, NaN or 0 entries, so run
-    the kernel under ``np.errstate``.
+    Built once per run from its rows X0, (m, n) or one (n,) vector, its
+    number of steps and its ``tangents``, ``(start, V)`` with V shaped
+    like X0, or None.  It steps the rows ``as_batch(X0)``, so a lone row
+    is paired with a copy of itself, which is never live.  It allocates
+    every buffer of a block of ``size`` steps: at most BLOCK_STEPS and
+    ``steps``, and at most BLOCK_DOUBLES over what a step stores, but at
+    least one.  A step stores 3 m n doubles, its states ``S``, log
+    quasimonomials ``W`` and step exponents ``arg``, since without
+    tangents one operand ``log X`` serves every step; with tangents it
+    stores m (6 n + 1): the states, the operands ``[log X; V]``, whose
+    bottom halves are the tangent rows ``V``, ``[W; V B^T]``, whose top
+    half is ``W``, the step exponents and the tangent ``norms``.  So ``S``
+    is (size + 1, m, n) with S[0] = X0, ``arg`` and ``W`` are
+    (size, m, n), ``V`` is (size + 1, m, n) and ``norms`` (size + 1, m).
+    ``step(j)`` advances the rows S[j] into S[j + 1] and writes W[j] and
+    arg[j]; with tangents it also advances V[j] into V[j + 1] and writes
+    the norms of the tangent rows before renormalization into
+    norms[j + 1].  The transposes of A and B are contiguous copies, taken
+    once, and lam is tiled to (m, n) once.  A step is 7 numpy calls, 2 of
+    them matmuls, and 5 more with tangents; every operand is a buffer or
+    view made here.  Nothing is checked by a step, and a state past a
+    guard gives inf, NaN or 0 entries, so run the kernel under
+    ``np.errstate``.
 
-    ``run(t, k, live)`` computes steps t + 1 .. t + k of the run into
-    S[1:k + 1] and, with tangents, their raw norms into norms[1:k + 1].
-    It checks the guard once over the block and returns the codes of the
-    ``live`` rows, (k, m).  ``stepped`` counts the steps it ran.  A block
-    may end at any step k: ``resume(k, shadows)`` makes S[k], and V[k],
-    the next block's start, and gives each row of the mask ``shadows``
-    a copy of the first other row, so a guarded row cannot trip again.
+    ``blocks()`` runs the horizon a block at a time, checking the guard
+    once a block.  It yields ``(t, k)`` once S[:k] holds steps
+    t .. t + k - 1 of the rows ``live`` at the block's start, and last
+    ``(t, 1)`` for the final step.  A block that trips the guard ends at
+    its first guarded step: before the yield its guarded rows join
+    ``guards``, ``(row, t, reason)`` in step order, rows ascending, t the
+    step whose transition was guarded; after it they leave ``live``, and
+    every row not live copies the first live row, a shadow that cannot
+    trip again.  With tangents, ``growth`` sums each row's log tangent
+    growth over the transitions out of the steps t >= start, one
+    ``np.log`` of a block's raw norms and one axis-0 ``np.add.reduce``
+    in step order.  ``stepped`` counts the steps it ran.
 
     A float orbit lives on a finite set, so a batch that settles on an
     attracting fixed point or cycle repeats bit for bit, renormalized
     tangents included, and a step is a pure function of its batch.  So
     after a block that trips no guard, while the run has steps left,
     ``_cycle`` looks for its last batch among its earlier ones.  Once it
-    is found no step is run: ``run`` fills each later block's states and
-    raw norms from the cycle's copies and returns None, since the cycle
-    tripped no guard, and no tangent row is read or written again.
+    is found no step is run: each later block's states and raw norms are
+    filled from the cycle's copies, which tripped no guard, and no
+    tangent row is read or written again.
     """
 
-    def __init__(self, sys: QPSystem, X0, steps, V=None):
+    def __init__(self, sys: QPSystem, X0, steps, tangents=None):
+        lone = np.ndim(X0) == 1 or len(X0) == 1
+        X0 = as_batch(X0)
         m, n = X0.shape
+        start, V = tangents or (0, None)
         per_step = 3 * m * n if V is None else m * (6 * n + 1)
         size = max(1, min(BLOCK_STEPS, steps,
                           BLOCK_DOUBLES // max(1, per_step)))
@@ -214,6 +225,8 @@ class MapStep:
         S[0] = X0
         self.size, self.S, self.arg = size, S, arg
         self.steps, self.stepped, self._replay = steps, 0, None
+        self.live = np.arange(m) < (1 if lone else m)
+        self.guards: list[tuple[int, int, str]] = []
         # without tangents every step shares the one operand P[0]
         P = np.empty((1 if V is None else size + 1, rows, n))
         WV, Q, R = (np.empty((size, rows, n)), np.empty((rows, n)),
@@ -224,11 +237,12 @@ class MapStep:
         self._Bt = np.ascontiguousarray(sys.B.T)
         self._lam = sys.lam[None].repeat(m, axis=0)
         self._Q, self._R = Q, R
-        self.V = self.norms = None
+        self.V = self.norms = self.growth = None
         tangent = [None] * size
         if V is not None:
-            P[0, m:] = V
+            P[0, m:] = as_batch(V)
             self.V, self.norms = P[:, m:], np.empty((size + 1, m))
+            self._start, self.growth = start, np.zeros(m)
             self._qVB, self._dV = Q[m:], R[m:]
             tangent = [(WV[j, m:], P[j, m:], P[j + 1, m:], self.norms[j + 1],
                         self.norms[j + 1, :, None]) for j in range(size)]
@@ -254,36 +268,52 @@ class MapStep:
             np.sqrt(np.einsum("ij,ij->i", Vn, Vn, out=s), out=s)
             np.divide(Vn, s_col, out=Vn)
 
-    def run(self, t, k, live):
-        """Steps t + 1 .. t + k of the run into the block: the guard code
-        of each live row at each step, or None for a replayed block."""
-        if self._replay is not None:
-            origin, copies = self._replay
-            at = (np.arange(t + 1, t + k + 1) - origin) % len(copies[0])
-            for stored, copy in zip((self.S, self.norms), copies):
-                if copy is not None:
-                    stored[1:k + 1] = copy[at]
-            return None
-        for j in range(k):
-            self.step(j)
-        self.stepped += k
-        guard = guard_codes(self.W[:k], self.arg[:k], self.S[1:k + 1]) * live
-        if t + k < self.steps and not guard.any():
-            self._replay = _cycle(t, k, self.S, self.V, self.norms)
-        return guard
-
-    def resume(self, k, shadows):
-        """Make step k the block's start; the rows of the mask ``shadows``
-        (None for no rows) take a copy of the first other row."""
-        S, V = self.S, None if self._replay else self.V
-        S[0] = S[k]
-        if V is not None:
-            V[0] = V[k]
-        if shadows is not None and not shadows.all():
-            source = np.argmax(~shadows)
-            S[0, shadows] = S[0, source]
+    def blocks(self):
+        """Run the horizon block by block, as the class docstring says."""
+        S, norms, live, t = self.S, self.norms, self.live, 0
+        while t < self.steps and live.any():
+            k, guarded = min(self.size, self.steps - t), None
+            if self._replay is not None:
+                origin, copies = self._replay
+                at = (np.arange(t + 1, t + k + 1) - origin) % len(copies[0])
+                for stored, copy in zip((S, norms), copies):
+                    if copy is not None:
+                        stored[1:k + 1] = copy[at]
+            else:
+                for j in range(k):
+                    self.step(j)
+                self.stepped += k
+                W, arg, Xn = self.W[:k], self.arg[:k], S[1:k + 1]
+                guard = (None if _within_limits(W, arg, Xn)
+                         else guard_codes(W, arg, Xn) * live)
+                if guard is not None and guard.any():
+                    # the block ends at its first guarded step
+                    k = int(np.argmax(guard.any(axis=1))) + 1
+                    guarded = np.flatnonzero(guard[k - 1])
+                    self.guards += [(int(i), t + k - 1,
+                                     GUARD_REASONS[guard[k - 1, i]])
+                                    for i in guarded]
+                elif t + k < self.steps:
+                    self._replay = _cycle(t, k, S, self.V, norms)
+            if norms is not None and t + k > self._start:
+                j = max(self._start - t, 0)  # norms[j] carries the sum
+                norms[j] = self.growth
+                np.log(norms[j + 1:k + 1], out=norms[j + 1:k + 1])
+                np.add.reduce(norms[j:k + 1], axis=0, out=self.growth)
+            yield t, k
+            t += k
+            V = None if self._replay else self.V
+            S[0] = S[k]
             if V is not None:
-                V[0, shadows] = V[0, source]
+                V[0] = V[k]
+            if guarded is not None:  # its guarded rows become shadows
+                live[guarded] = False
+                if live.any():
+                    source = np.argmax(live)
+                    S[0, ~live] = S[0, source]
+                    if V is not None:
+                        V[0, ~live] = V[0, source]
+        yield t, 1
 
 
 def guard_codes(W, arg, Xn):
@@ -294,14 +324,10 @@ def guard_codes(W, arg, Xn):
     +EXP_ARG_LIMIT or the image is not finite, GUARD_UNDERFLOW when a step
     exponent is below -EXP_ARG_LIMIT or a component falls below
     UNDERFLOW_FLOOR, else GUARD_OK.  The limits are checked on the extrema
-    of the whole array first; per-vector codes are computed only when
-    that check trips, which a NaN anywhere also does.
+    of the whole array first, ``_within_limits``; per-vector codes are
+    computed only when that check trips, which a NaN anywhere also does.
     """
-    if (W.max() <= EXP_ARG_LIMIT
-            and -EXP_ARG_LIMIT <= arg.min()
-            and arg.max() <= EXP_ARG_LIMIT
-            and UNDERFLOW_FLOOR <= Xn.min()
-            and Xn.max() < np.inf):
+    if _within_limits(W, arg, Xn):
         return np.zeros(Xn.shape[:-1], dtype=int)
     # vector extrema keep the guard cheap for one row; NaN fails "< inf"
     over = ((W.max(axis=-1) > EXP_ARG_LIMIT)
@@ -311,6 +337,15 @@ def guard_codes(W, arg, Xn):
              | (Xn.min(axis=-1) < UNDERFLOW_FLOOR))
     return np.where(over, GUARD_OVERFLOW,
                     np.where(under, GUARD_UNDERFLOW, GUARD_OK))
+
+
+def _within_limits(W, arg, Xn):
+    """Whether ``guard_codes`` finds no guard, from whole-array extrema."""
+    return (W.max() <= EXP_ARG_LIMIT
+            and -EXP_ARG_LIMIT <= arg.min()
+            and arg.max() <= EXP_ARG_LIMIT
+            and UNDERFLOW_FLOOR <= Xn.min()
+            and Xn.max() < np.inf)
 
 
 def _cycle(t, k, S, V, norms):
@@ -341,27 +376,29 @@ def as_batch(X) -> np.ndarray:
     vector: the rows of X, but a lone row twice.  numpy multiplies a
     one-row matrix or a vector through another BLAS kernel, whose rounding
     differs, and an orbit must not depend on which rows share its batch:
-    ``advance`` and the lockstep engine both step these rows."""
+    every ``MapStep`` steps these rows."""
     X = np.asarray(X, dtype=float)
     X = X.reshape(-1, X.shape[-1])
     return X[[0, 0]] if len(X) == 1 else X
 
 
 def advance(sys: QPSystem, X):
-    """One guarded step of the QP map for each row of X: the one-step
-    block of ``MapStep(sys, as_batch(X), 1)``.
+    """One guarded step of the QP map for each row of X: the first block
+    of ``MapStep(sys, X, 1)``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
-    terms and a guard code per row, valid X' only where it is GUARD_OK.
-    This is the per-step check of ``step`` and ``qp_jacobian``; the
-    lockstep engine, ``dynamics._lockstep``, runs longer blocks of the
-    same kernel with the same result.
+    terms and a guard code per row, valid X' only where it is GUARD_OK:
+    the per-step check of ``step``, ``qp_jacobian`` and the conjugacy
+    defect.
     """
     X = np.asarray(X)
-    kernel = MapStep(sys, as_batch(X), 1)
+    kernel = MapStep(sys, X, 1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        guard = kernel.run(0, 1, True)[0]
+        next(kernel.blocks())
+    guard = np.zeros(len(kernel.live), dtype=int)
+    for i, _, reason in kernel.guards:
+        guard[i] = GUARD_REASONS.index(reason)
     rows = slice(len(X)) if X.ndim == 2 else 0
     return kernel.S[1, rows], kernel.q[rows], guard[rows]
 

@@ -37,13 +37,16 @@ INVERSE_RESIDUAL_LIMIT = 1e-9
 def invertibility(M) -> tuple[np.ndarray | None, dict]:
     """The one singularity decision: ``(inverse or None, witness)``.
 
-    The witness holds ``rcond`` (0 for a zero matrix) and the
-    ``tolerance`` it was compared with, plus ``inverse_residual`` when
-    the inverse ``solve(M, I)`` was computed.
+    The witness holds ``rcond`` (0 for a zero or non-finite matrix,
+    which no LAPACK call sees) and the ``tolerance`` it was compared
+    with, plus ``inverse_residual`` when the inverse ``solve(M, I)`` was
+    computed.
     """
     M = np.asarray(M, dtype=float)
-    s = np.linalg.svd(M, compute_uv=False)
-    rcond = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+    rcond = 0.0
+    if np.isfinite(M).all():
+        s = np.linalg.svd(M, compute_uv=False)
+        rcond = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
     witness = {"rcond": rcond, "tolerance": SINGULARITY_RTOL}
     if rcond < SINGULARITY_RTOL:
         return None, witness

@@ -124,6 +124,41 @@ class TestAnalyze:
         assert out.encode() == Path(f"{golden}.stdout").read_bytes()
         assert out_json.read_bytes() == Path(f"{golden}.json").read_bytes()
 
+    def test_n1_verify_report_matches_golden_file(self, capsys):
+        # x -> x exp(3.2 - x): the x0 row, x = 1, is the critical point, so
+        # its tangent is 0 after one step and the report says so
+        code, out, err = run(capsys, "analyze", str(DATA / "ricker_n1.json"),
+                             "--verify")
+        assert code == 0 and err == ""
+        assert "over 50 orbits" in out
+        assert "1 of 51 orbits lost the tangent vector" in out
+        assert out.encode() == (
+            DATA / "analyze_ricker_n1_verify.stdout").read_bytes()
+
+    def test_n3_strict_report_counts_every_orbit(self, capsys, tmp_path):
+        out_json = tmp_path / "report.json"
+        code, _, err = run(capsys, "analyze",
+                           str(DATA / "competitive_lv_n3.json"), "--strict",
+                           "--json", str(out_json))
+        assert code == 0 and err == ""
+        block = json.loads(out_json.read_text())["verify"]
+        assert block["lyapunov_statistics"]["orbits"] == 51
+        assert block["warnings"] == [] and block["disagreements"] == []
+
+    def test_infinite_interaction_prints_no_lapack_noise(self, capfd,
+                                                         tmp_path):
+        # B A is a mix of +-inf: T7's invertibility test once handed it to
+        # LAPACK, which wrote DLASCL errors to the process's stdout
+        path = write_system(
+            tmp_path,
+            [[1.7e308, 1, -1e308], [1.7e308, 0, 1e308],
+             [-1e308, 1e308, 1.7e308]],
+            [1, 1e308, 1e308], B=[[0, 1, 2], [2, 0, -1], [-2, -1, 1]])
+        code = main(["analyze", path])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        assert out.startswith("qpd ") and "DLASCL" not in out
+
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "broken", "n": 2,\n  "A": [[1, 2], [3, ]]}\n')
@@ -371,7 +406,7 @@ def crafted_pass(permanence, attractivity, lyapunov, spectral_radius=None):
                     {"max_final_distance": 0.5}),
             lyapunov, None,
             {"orbits": 51, "sd": 0.0, "stderr": 0.0, "min": lyapunov,
-             "max": lyapunov}, {}, spectral_radius)
+             "max": lyapunov}, {}, spectral_radius, 0)
     return fake
 
 
@@ -535,7 +570,8 @@ class TestFalsificationsFollowTheClaim:
 
     def test_superattracting_point_reports_the_floor(self, capsys, tmp_path):
         # x -> x exp(1 - x) componentwise: J(x*) = 0 at x* = (1, 1), and the
-        # orbits that finish settle one ulp off x*
+        # orbits that finish settle one ulp off x*; the other 41 land on x*
+        # exactly, where the tangent collapses to 0
         path = write_system(tmp_path, [[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0])
         out_path = tmp_path / "report.json"
         code, out, err = run(capsys, "analyze", path, "--verify", "--strict",
@@ -546,9 +582,11 @@ class TestFalsificationsFollowTheClaim:
         assert (spread["orbits"], spread["sd"]) == (10, 0.0)
         assert spread["max"] == pytest.approx(-36.7368, abs=1e-4)
         assert block["disagreements"] == []
-        assert len(block["warnings"]) == 1
-        assert "at the double-precision rounding floor" in block["warnings"][0]
-        assert f"  warning: {block['warnings'][0]}" in out.splitlines()
+        floor, lost = block["warnings"]
+        assert "at the double-precision rounding floor" in floor
+        assert lost.startswith("41 of 51 orbits lost the tangent vector")
+        assert [f"  warning: {floor}", f"  warning: {lost}"] == [
+            line for line in out.splitlines() if line.startswith("  warning")]
 
     @pytest.mark.parametrize("system, lines", [
         (COOPERATIVE, ["   T1  applicable      NotPermanent",

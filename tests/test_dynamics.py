@@ -122,6 +122,26 @@ class TestSimulate:
         assert float(x2) == traj.states[1, 1]
 
 
+class TestCountRule:
+    @pytest.mark.parametrize("call", [
+        lambda sys: empirical_attractivity(sys, [1, 1], ensemble_size=0),
+        lambda sys: empirical_attractivity(sys, [1, 1], ensemble_size=-1),
+        lambda sys: empirical_attractivity(sys, [1, 1], horizon=-3),
+        lambda sys: empirical_permanence(sys, horizon=-5),
+        lambda sys: empirical_permanence(sys, ensemble_size=2.5),
+        lambda sys: largest_lyapunov(sys, [1, 1], transient=2.5, samples=10),
+        lambda sys: simulate(sys, [1, 1], 2.5),
+        lambda sys: conjugacy_deviation(sys, QMTMatrix.identity(2), [1, 1],
+                                        2.5),
+    ], ids=["ensemble0", "ensemble-1", "horizon-3", "permanence-horizon-5",
+            "ensemble2.5", "transient2.5", "simulate2.5", "conjugacy2.5"])
+    def test_counts_follow_one_rule(self, call):
+        # each count is an integer with a lower bound, refused before numpy
+        # sees it, whatever probe takes it
+        with pytest.raises(InvalidArgument, match="and an integer, got"):
+            call(load_fixture("example1_lv"))
+
+
 class TestLVFixedPoint:
     def test_diagonal_system(self):
         lv = LVSystem(-np.eye(2), [1.0, 1.0])
@@ -800,7 +820,7 @@ class TestBlockedLockstep:
         monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 5 * 51 * 19 + 12)
         sys, X0 = wide_case("drift3", ENSEMBLE_SIZE + 1)
         V = _tangent_directions(3, len(X0), 3)
-        assert MapStep(sys, X0, HORIZON, V).size == 5
+        assert MapStep(sys, X0, HORIZON, (0, V)).size == 5
         assert MapStep(sys, X0, HORIZON).size == 10
         for tangents in (None, (7, V)):
             assert_matches_the_per_step_loop(
@@ -830,9 +850,10 @@ class TestBlockedLockstep:
         builds = []
 
         class Counted(MapStep):
-            def __init__(self, sys, X0, steps, V=None):
-                builds.append(None if V is None else V.shape)
-                super().__init__(sys, X0, steps, V)
+            def __init__(self, sys, X0, steps, tangents=None):
+                builds.append(None if tangents is None
+                              else tangents[1].shape)
+                super().__init__(sys, X0, steps, tangents)
 
         monkeypatch.setattr(qpd.dynamics, "MapStep", Counted)
         sys, X0, horizon, tail, record = LOCKSTEP_CASES[
@@ -862,7 +883,7 @@ class TestBlockedLockstep:
         # states, [log X; V], [W; V B^T], the step exponents and the
         # tangent norms
         def size(m, n, tangents, steps=HORIZON):
-            V = np.ones((m, n)) if tangents else None
+            V = (0, np.ones((m, n))) if tangents else None
             return MapStep(behind(np.eye(n)), np.ones((m, n)), steps, V).size
 
         for tangents, per_row in ((False, lambda n: 3 * n),

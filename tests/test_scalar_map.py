@@ -137,9 +137,12 @@ class TestXi:
             xi(0.5, 800.0)
 
     @pytest.mark.parametrize("x, rho", [(math.nan, 3.0), (1.0, math.nan),
-                                        ([1.0, math.nan], 3.0)],
-                             ids=["x", "rho", "array"])
+                                        ([1.0, math.nan], 3.0),
+                                        (math.inf, 3.0),
+                                        ([1.0, math.inf], 3.0)],
+                             ids=["x", "rho", "array", "inf", "inf-array"])
     def test_rejects_nan(self, x, rho):
+        # an infinite x is refused too: inf * exp(3 - inf) is inf * 0
         with pytest.raises(InvalidArgument):
             xi(x, rho)
 

@@ -179,6 +179,16 @@ class TestInvertibilityWitness:
         assert inv is None
         assert witness == {"rcond": 0.0, "tolerance": SINGULARITY_RTOL}
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_matrix_is_singular_before_lapack(self, entry):
+        # an SVD of a NaN matrix does not converge and raised LinAlgError
+        M = [[entry, 0.0], [0.0, 1.0]]
+        inv, witness = invertibility(M)
+        assert inv is None
+        assert witness == {"rcond": 0.0, "tolerance": SINGULARITY_RTOL}
+        with pytest.raises(SingularMatrix, match="rcond = 0.000e"):
+            QMTMatrix.from_matrix(M)
+
     def test_invertible_witness_carries_the_residual(self):
         inv, witness = invertibility([[2.0, 1.0], [1.0, 2.0]])
         assert set(witness) == {"rcond", "tolerance", "inverse_residual"}
