@@ -10,12 +10,15 @@ of the one lockstep engine ``_lockstep``, so one x0 has one float orbit.
 rule per claim.
 
 A conjugacy is checked as the one-step identity F(h(y)) = h(G(y)) on
-the direct orbit alone: its recorded states are mapped to each trial's
-conjugate coordinates and stepped once by the transformed system, as
-one batch, so no conjugate orbit is run; the invariant drift is read off
-the same transformed system, built once a trial.  The direct orbits of
-at most ``BLOCK_DOUBLES // ((steps + 1) n)`` trials, but at least one,
-are rows of one run, which bounds their record at 2**20 doubles (8 MiB).
+the direct orbit alone, so no conjugate orbit is run: the recorded
+states are mapped to each trial's conjugate coordinates and stepped
+once by its transformed system, every trial of a run in one stack, up
+to the second occurrence of an orbit's final state, after which every
+pair of states repeats; the invariant drift is read off the same
+transformed systems, built once as one stack.  The direct orbits of at
+most ``BLOCK_DOUBLES // ((steps + 1) n)`` trials, but at least one, are
+rows of one run, which bounds their record at 2**20 doubles (8 MiB),
+and the stacked check stays within the same bound.
 
 Guard policy: every map evaluation here goes through the one map kernel
 ``systems.MapStep``, with or without tangent rows, whose guard rule
@@ -48,6 +51,7 @@ from .systems import (
     GUARD_OK,
     GUARD_REASONS,
     MapStep,
+    QPStack,
     QPSystem,
     advance,
     as_state,
@@ -58,7 +62,7 @@ from .theorems import Conclusion
 from .transform import (
     QMTMatrix,
     _invert,
-    apply_qmt,
+    apply_qmts,
     canonical_lv,
     class_invariants,
     map_state,
@@ -435,9 +439,10 @@ def empirical_permanence(sys: QPSystem, ensemble_size=ENSEMBLE_SIZE,
     Passes iff no orbit hits a guard and, over the final
     ``TAIL_FRACTION * horizon`` steps, every component of every orbit
     stays inside [PROXY_FLOOR, PROXY_CEILING].  The box stands in for the
-    compact set whose existence permanence asserts.
+    compact set whose existence permanence asserts.  The horizon is at
+    least 1: at 0 the tail would be the draw itself, inside the box.
     """
-    checked_counts(ensemble_size=(ensemble_size, 1), horizon=(horizon, 0))
+    checked_counts(ensemble_size=(ensemble_size, 1), horizon=(horizon, 1))
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     run = _lockstep(sys, X0, horizon, tail=_tail_window(horizon))
     return _permanence_verdict(run, ensemble_size, horizon, seed)
@@ -448,11 +453,11 @@ def empirical_attractivity(sys: QPSystem, target, ensemble_size=ENSEMBLE_SIZE,
                            seed=0) -> EmpiricalVerdict:
     """Passes iff every ensemble orbit ends within ``tol`` of the target.
 
-    Distance is Euclidean at the final step; a guard termination counts
-    as failure.
+    Distance is Euclidean at the final step, after at least one; a guard
+    termination counts as failure.
     """
     target = as_state(target, sys.n)
-    checked_counts(ensemble_size=(ensemble_size, 1), horizon=(horizon, 0))
+    checked_counts(ensemble_size=(ensemble_size, 1), horizon=(horizon, 1))
     X0 = _draw_initial_conditions(seed, ensemble_size, sys.n)
     run = _lockstep(sys, X0, horizon, record=range(horizon, horizon + 1))
     return _attractivity_verdict(run, ensemble_size, horizon, target, tol,
@@ -607,31 +612,91 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 # conjugacy verification
 # ---------------------------------------------------------------------------
 
-def _one_step_defect(image, qmt, X):
-    """The one-step defect of one trial along its direct orbit X, the
-    (steps + 1, n) states it recorded, and the message of the guard that
-    stopped it, or None.
+def _distinct_pairs(record) -> np.ndarray:
+    """For each orbit of a record, (steps + 1, k, n) with the orbits as
+    columns, how many of its leading pairs ``(x_t, x_(t+1))`` hold every
+    distinct one: the pairs before the second occurrence s of its final
+    state, bit for bit, or all of them where that state occurs once.
 
-    Its states are mapped to the conjugate coordinates, log y = C^-1 log
-    x, and ``image``, the trial's transformed system, steps them once, as
-    one batch; the guards come in step order, a state's mapping before
+    Within one run a row's next state is a fixed function of its own
+    bits, so an orbit whose final state first occurs at f repeats the
+    states f .. s - 1 from there on, and every pair after s is a copy of
+    one in [f, s)."""
+    bits = record.view(np.int64)
+    seen = np.cumsum((bits == bits[-1]).all(axis=-1), axis=0)
+    return np.minimum((seen < 2).sum(axis=0), len(record) - 1)
+
+
+def _one_step_defects(images, qmts, X):
+    """The one-step check of a stack of trials along their states X,
+    (k, w + 1, n), w consecutive pairs a trial: each trial's largest
+    defect, which means nothing for a guarded trial, and the guard codes
+    of its pairs, (k, 2 w + 1), in step order, a state's mapping before
     its step.
+
+    The states are mapped to the conjugate coordinates, log y = C^-1 log
+    x, by ``transform.map_states``; ``images``, the trials' transformed
+    systems as a ``QPStack``, step them once by ``systems.advance``; and
+    the defect is ``max |expm1(log G(y_t) C^T - log x_(t+1))|``.
     """
-    Y, mapped = map_states(qmt.inverse(), X)
+    Y, mapped = map_states([qmt.inverse() for qmt in qmts], X)
     with np.errstate(divide="ignore"):  # a guarded state may hold a 0
-        images, _, stepped = advance(image, Y[:-1])
-    codes = np.empty(2 * len(Y) - 1, dtype=int)
-    codes[0::2], codes[1::2] = mapped, stepped
-    if codes.any():
-        k = int(np.flatnonzero(codes)[0])
-        t, reason = k // 2, GUARD_REASONS[codes[k]]
-        if k % 2:
-            return np.nan, f"conjugate state {t}: step hit the {reason} guard"
-        where = "conjugate initial state" if t == 0 else f"conjugate state {t}"
-        return np.nan, f"{where}: state mapping hit the {reason} guard"
-    gap = np.log(images) @ qmt.C.T - np.log(X[1:])
-    with np.errstate(over="ignore"):
-        return float(np.max(np.abs(np.expm1(gap)))), None
+        G, _, stepped = advance(images, Y[:, :-1])
+    codes = np.empty((len(X), 2 * X.shape[1] - 1), dtype=int)
+    codes[:, 0::2], codes[:, 1::2] = mapped, stepped
+    C_T = np.stack([qmt.C for qmt in qmts]).swapaxes(1, 2)
+    with np.errstate(all="ignore"):  # so may a guarded trial's image
+        gap = np.log(G) @ C_T - np.log(X[:, 1:])
+        return np.abs(np.expm1(gap)).max(axis=(1, 2)), codes
+
+
+def _guard_message(t, code, stepped) -> str:
+    """The message of a trial whose first guard, ``code``, is the step
+    of conjugate state t, or its mapping."""
+    reason = GUARD_REASONS[code]
+    if stepped:
+        return f"conjugate state {t}: step hit the {reason} guard"
+    where = "conjugate initial state" if t == 0 else f"conjugate state {t}"
+    return f"{where}: state mapping hit the {reason} guard"
+
+
+def _one_step_check(images, qmts, record, trials, steps):
+    """The one-step check of the given trials, columns of the direct
+    run's record (steps + 1, k, n): each one's largest defect, NaN where
+    a guard stopped it, and the message of each such trial's first guard.
+
+    Every trial checks the same first L pairs, L the longest
+    ``_distinct_pairs`` prefix of them, so its largest defect and its
+    first guard in step order fall there.  L is at least min(2, steps),
+    so each product multiplies as many rows a trial as over all steps
+    would, one at steps = 1 and at least two otherwise: numpy multiplies
+    a lone row through another BLAS kernel.  A stack holds at most
+    ``rows`` states, so the trials are checked in consecutive groups, and
+    a trial of more states in windows of consecutive pairs.
+    """
+    n = record.shape[-1]
+    pairs = max(min(steps, 2), int(_distinct_pairs(record)[trials].max()))
+    # a checked state holds at most 10 n + 3 doubles at a time: itself,
+    # its conjugate state, the kernel's step, the gap and the guard codes
+    rows = max(3, BLOCK_DOUBLES // (10 * n + 3))
+    group, width = max(1, rows // (pairs + 1)), max(2, min(pairs, rows - 1))
+    defects, messages = np.zeros(len(trials)), {}
+    for g in range(0, len(trials), group):
+        tile = trials[g:g + group]
+        stack = QPStack(*(M[tile] for M in images))
+        tile_qmts = [qmts[i] for i in tile]
+        for a in range(0, pairs, width):
+            b = min(a + width, pairs)
+            a = max(0, min(a, b - 2))  # a lone pair only at steps = 1
+            worst, codes = _one_step_defects(
+                stack, tile_qmts, record[a:b + 1].transpose(1, 0, 2)[tile])
+            np.maximum(defects[g:g + group], worst, out=defects[g:g + group])
+            for i in np.flatnonzero(codes.any(axis=1)):
+                c = int(np.flatnonzero(codes[i])[0])
+                messages.setdefault(int(tile[i]), _guard_message(
+                    a + c // 2, codes[i, c], c % 2))
+    defects[np.isin(trials, list(messages))] = np.nan
+    return defects, messages
 
 
 def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
@@ -641,30 +706,37 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
 
     A QMT x = y^C conjugates ``sys``, F, to ``apply_qmt(sys, C)``, G,
     when ``F(y^C) = G(y)^C`` for every state, one step at a time, and G
-    keeps F's class invariants.  Each trial's G is built once, and both
-    measures read it: its drift, ``max(|B'A' - BA|, |B'lam' - B lam|)``,
-    guarded or not (``apply_qmt`` raises NonFinite for a G that
-    overflows), and its defect.  Trial i runs the direct orbit x_0 =
-    ``X0[i]``, ..., x_steps of sys, maps each state to y_t with log y_t =
-    C^-1 log x_t (``transform.map_states``, whose exact identity shortcut
-    gives an identity QMT a defect of exactly 0), steps G once on those states
+    keeps F's class invariants.  The trials' G are built once, as one
+    ``transform.apply_qmts`` stack, and both measures read it: each
+    trial's drift, ``max(|B'A' - BA|, |B'lam' - B lam|)``, guarded or not
+    (``apply_qmts`` raises NonFinite for a G that overflows), and its
+    defect.  Trial i runs the direct orbit x_0 = ``X0[i]``, ..., x_steps
+    of sys, maps each state to y_t with log y_t = C^-1 log x_t
+    (``transform.map_states``, whose exact identity shortcut gives an
+    identity QMT a defect of exactly 0), steps G once on those states
     (``systems.advance``) and takes the largest componentwise relative
     defect ``max |expm1(log G(y_t) C^T - log x_(t+1))|`` over t < steps.
     A chaotic orbit amplifies rounding step by step; a one-step defect
     does not.
 
+    Only the pairs ``(x_t, x_(t+1))`` before the second occurrence of the
+    orbit's final state are checked (``_one_step_check``): every later
+    pair repeats one of them bit for bit, so the largest defect and the
+    first guard are those over all steps.  The trials are checked
+    together, each product one matmul over the stack of their states.
+
     The direct orbits of consecutive trials are rows of one lockstep
     run, at most ``max(1, BLOCK_DOUBLES // ((steps + 1) n))`` at a time,
-    so the recorded orbits stay within BLOCK_DOUBLES doubles.  A row
-    is, to the bit, its trial's own orbit.  ``guards`` maps each trial
-    whose check hit a guard to its ``GuardTermination`` message, and that
-    trial's deviation is NaN.  A guarded direct orbit stops only its
-    trial, with "direct orbit: step 17 hit the overflow guard";
-    along a whole orbit the first guard in step order names the trial:
-    "conjugate initial state: state mapping hit the overflow guard",
-    the same for a later state t as "conjugate state t: ...", or
-    "conjugate state t: step hit the overflow guard" when the one-step
-    image of y_t is guarded.
+    so the recorded orbits stay within BLOCK_DOUBLES doubles, and so do
+    the check's states.  A row is, to the bit, its trial's own orbit.
+    ``guards`` maps each trial whose check hit a guard to its
+    ``GuardTermination`` message, and that trial's deviation is NaN.  A
+    guarded direct orbit stops only its trial, with "direct orbit: step
+    17 hit the overflow guard"; along a whole orbit the first guard in
+    step order names the trial: "conjugate initial state: state mapping
+    hit the overflow guard", the same for a later state t as "conjugate
+    state t: ...", or "conjugate state t: step hit the overflow guard"
+    when the one-step image of y_t is guarded.
     """
     n = sys.n
     X0 = [as_state(x0, n) for x0 in X0]
@@ -678,23 +750,27 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     drifts = np.empty(len(X0))
     guards = {}
     for start in range(0, len(X0), size):
+        chunk = qmts[start:start + size]
         direct = _lockstep(sys, np.array(X0[start:start + size]), steps,
                            record=range(steps + 1))
-        stopped = {i: f"direct orbit: step {t} hit the {reason} guard"
-                   for i, t, reason in direct.guards}
-        for i, qmt in enumerate(qmts[start:start + size]):
-            image = apply_qmt(sys, qmt)
-            other = class_invariants(image)
-            drifts[start + i] = max(
-                np.max(np.abs(other.interaction - base.interaction)),
-                np.max(np.abs(other.growth - base.growth)))
-            if i in stopped:
-                guards[start + i] = stopped[i]
-                continue
-            deviations[start + i], guard = _one_step_defect(
-                image, qmt, direct.record[:, i])
-            if guard is not None:
-                guards[start + i] = guard
+        images = apply_qmts(sys, chunk)
+        other = class_invariants(images)
+        interaction = np.abs(other.interaction - base.interaction).max(
+            axis=(1, 2))
+        growth = np.abs(other.growth - base.growth).max(axis=1)
+        # max(interaction, growth) of each trial, as Python's max
+        drifts[start:start + len(chunk)] = np.where(
+            growth > interaction, growth, interaction)
+        found = {i: f"direct orbit: step {t} hit the {reason} guard"
+                 for i, t, reason in direct.guards}
+        trials = np.array([i for i in range(len(chunk)) if i not in found],
+                          dtype=int)
+        if trials.size:
+            deviations[start + trials], messages = _one_step_check(
+                images, chunk, direct.record, trials, steps)
+            found.update(messages)
+        for i in sorted(found):
+            guards[start + i] = found[i]
     return deviations, drifts, guards
 
 

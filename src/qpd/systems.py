@@ -12,15 +12,17 @@ components themselves.
 This module owns validation, the one map kernel (``MapStep``, which
 runs every orbit block by block, with or without tangent vectors, and
 owns its rows, guards, shadows and tangent growth; its guard rule
-``guard_codes``; ``advance``, a one-step run of it; and ``as_batch``,
-the rows it multiplies), sign-pattern extraction, and the
-system-definition JSON schema used by fixtures and the command line.
+``guard_codes``; ``advance``, a one-step run of it; ``as_batch``, the
+rows it multiplies; and ``QPStack``, systems it steps side by side),
+sign-pattern extraction, and the system-definition JSON schema used by
+fixtures and the command line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,6 +137,16 @@ class LVSystem(QPSystem):
         super().__init__(A, np.eye(len(np.atleast_1d(A))), lam, name)
 
 
+class QPStack(NamedTuple):
+    """k systems on a leading axis, A and B (k, n, n) and lam (k, n),
+    not validated: ``MapStep`` and ``advance`` step a stack's (k, m, n)
+    rows as one batch, the m rows of slice i by system i."""
+
+    A: np.ndarray
+    B: np.ndarray
+    lam: np.ndarray
+
+
 def as_state(x, n) -> np.ndarray:
     """Validate a strictly positive state vector of length n and return it
     as float64."""
@@ -165,14 +177,20 @@ class MapStep:
     ``P B^T = [W; V B^T]`` and a second gives
     ``[q; q * V B^T] A^T = [q A^T; (q * V B^T) A^T]``.
 
-    Built once per run from its rows X0, (m, n) or one (n,) vector, its
-    number of steps and its ``tangents``, ``(start, V)`` with V shaped
-    like X0, or None.  It steps the rows ``as_batch(X0)``, so a lone row
-    is paired with a copy of itself, which is never live.  It allocates
-    every buffer of a block of ``size`` steps: at most BLOCK_STEPS and
+    Built once per run from its system, its rows X0, (m, n) or one (n,)
+    vector, its number of steps and its ``tangents``, ``(start, V)`` with
+    V shaped like X0, or None.  It steps the rows ``as_batch(X0)``, so a
+    lone row is paired with a copy of itself, which is never live.  The
+    system may be a ``QPStack`` of k systems instead, with X0 (k, m, n)
+    and no tangents: then every buffer below has that stack axis before
+    its rows, the two matmuls multiply slice i by system i's contiguous
+    transposes, and row r of slice i is row i m + r of ``guards`` and of
+    the flattened ``live``; nothing else changes.  It allocates every
+    buffer of a block of ``size`` steps: at most BLOCK_STEPS and
     ``steps``, and at most BLOCK_DOUBLES over what a step stores, but at
-    least one.  A step stores 3 m n doubles, its states ``S``, log
-    quasimonomials ``W`` and step exponents ``arg``, since without
+    least one.  A step stores 3 m n doubles (3 k m n for a stack), its
+    states ``S``, log quasimonomials ``W`` and step exponents ``arg``,
+    since without
     tangents one operand ``log X`` serves every step; with tangents it
     stores m (6 n + 1): the states, the operands ``[log X; V]``, whose
     bottom halves are the tangent rows ``V``, ``[W; V B^T]``, whose top
@@ -197,8 +215,10 @@ class MapStep:
     ``guards``, ``(row, t, reason)`` in step order, rows ascending, t the
     step whose transition was guarded; after it they leave ``live``, and
     every row not live copies the first live row, a shadow that cannot
-    trip again.  With tangents, ``growth`` sums each row's log tangent
-    growth over the transitions out of the steps t >= start, one
+    trip again (in a stack it may, under another system, but a row that
+    is not live is never checked).  With tangents, ``growth`` sums each
+    row's log tangent growth over the transitions out of the steps
+    t >= start, one
     ``np.log`` of a block's raw norms and one axis-0 ``np.add.reduce``
     in step order.  ``stepped`` counts the steps it ran.
 
@@ -212,30 +232,32 @@ class MapStep:
     tangent row is read or written again.
     """
 
-    def __init__(self, sys: QPSystem, X0, steps, tangents=None):
-        lone = np.ndim(X0) == 1 or len(X0) == 1
+    def __init__(self, sys: QPSystem | QPStack, X0, steps, tangents=None):
+        lone = np.ndim(X0) == 1 or np.shape(X0)[-2] == 1
         X0 = as_batch(X0)
-        m, n = X0.shape
+        *stack, m, n = X0.shape
         start, V = tangents or (0, None)
-        per_step = 3 * m * n if V is None else m * (6 * n + 1)
+        per_step = 3 * X0.size if V is None else m * (6 * n + 1)
         size = max(1, min(BLOCK_STEPS, steps,
                           BLOCK_DOUBLES // max(1, per_step)))
         rows = m if V is None else 2 * m
-        S, arg = np.empty((size + 1, m, n)), np.empty((size, m, n))
+        S, arg = np.empty((size + 1, *X0.shape)), np.empty((size, *X0.shape))
         S[0] = X0
         self.size, self.S, self.arg = size, S, arg
         self.steps, self.stepped, self._replay = steps, 0, None
-        self.live = np.arange(m) < (1 if lone else m)
+        self.live = np.zeros(X0.shape[:-1], dtype=bool)
+        self.live[..., :1 if lone else m] = True
         self.guards: list[tuple[int, int, str]] = []
         # without tangents every step shares the one operand P[0]
-        P = np.empty((1 if V is None else size + 1, rows, n))
-        WV, Q, R = (np.empty((size, rows, n)), np.empty((rows, n)),
-                    np.empty((rows, n)))
-        self.W, self.q, self._qA = WV[:, :m], Q[:m], R[:m]
+        P = np.empty((1 if V is None else size + 1, *stack, rows, n))
+        WV, Q, R = (np.empty((size, *stack, rows, n)),
+                    np.empty((*stack, rows, n)), np.empty((*stack, rows, n)))
+        self.W, self.q, self._qA = (WV[..., :m, :], Q[..., :m, :],
+                                    R[..., :m, :])
         # contiguous copies multiply faster than the transposed views
-        self._At = np.ascontiguousarray(sys.A.T)
-        self._Bt = np.ascontiguousarray(sys.B.T)
-        self._lam = sys.lam[None].repeat(m, axis=0)
+        self._At = np.ascontiguousarray(np.swapaxes(sys.A, -1, -2))
+        self._Bt = np.ascontiguousarray(np.swapaxes(sys.B, -1, -2))
+        self._lam = np.repeat(sys.lam[..., None, :], m, axis=-2)
         self._Q, self._R = Q, R
         self.V = self.norms = self.growth = None
         tangent = [None] * size
@@ -247,8 +269,8 @@ class MapStep:
             tangent = [(WV[j, m:], P[j, m:], P[j + 1, m:], self.norms[j + 1],
                         self.norms[j + 1, :, None]) for j in range(size)]
         operands = [P[0]] * size if V is None else P[:size]
-        self._steps = [(S[j], Pj[:m], Pj, WV[j], WV[j, :m], arg[j], S[j + 1],
-                        tangent[j]) for j, Pj in enumerate(operands)]
+        self._steps = [(S[j], Pj[..., :m, :], Pj, WV[j], self.W[j], arg[j],
+                        S[j + 1], tangent[j]) for j, Pj in enumerate(operands)]
 
     def step(self, j):
         """Advance the rows S[j], and their tangent rows, by one step."""
@@ -288,6 +310,7 @@ class MapStep:
                          else guard_codes(W, arg, Xn) * live)
                 if guard is not None and guard.any():
                     # the block ends at its first guarded step
+                    guard = guard.reshape(len(guard), -1)
                     k = int(np.argmax(guard.any(axis=1))) + 1
                     guarded = np.flatnonzero(guard[k - 1])
                     self.guards += [(int(i), t + k - 1,
@@ -307,12 +330,12 @@ class MapStep:
             if V is not None:
                 V[0] = V[k]
             if guarded is not None:  # its guarded rows become shadows
-                live[guarded] = False
+                live.flat[guarded] = False
                 if live.any():
-                    source = np.argmax(live)
-                    S[0, ~live] = S[0, source]
+                    source = np.unravel_index(np.argmax(live), live.shape)
+                    S[0][~live] = S[0][source]
                     if V is not None:
-                        V[0, ~live] = V[0, source]
+                        V[0][~live] = V[0][source]
         yield t, 1
 
 
@@ -358,8 +381,8 @@ def _cycle(t, k, S, V, norms):
     (T - origin) % (k - a)``.  The copies are S[a + 1:k + 1] and the raw
     tangent norms norms[a + 1:k + 1], or None without tangents, for the
     largest such a.  Bit patterns are compared, since ``-0.0 == 0.0`` and
-    ``NaN != NaN``; row 0 picks the candidates."""
-    bits = S[:k + 1].view(np.int64)
+    ``NaN != NaN``; row 0, the first of a stack's, picks the candidates."""
+    bits = S[:k + 1].reshape(k + 1, -1, S.shape[-1]).view(np.int64)
     candidates = np.flatnonzero((bits[:k, 0] == bits[k, 0]).all(axis=1))
     for a in candidates[::-1]:
         if np.array_equal(bits[a], bits[k]) and (
@@ -372,22 +395,23 @@ def _cycle(t, k, S, V, norms):
 
 
 def as_batch(X) -> np.ndarray:
-    """The rows that a step multiplies for X, (m, n) rows or one (n,)
-    vector: the rows of X, but a lone row twice.  numpy multiplies a
-    one-row matrix or a vector through another BLAS kernel, whose rounding
-    differs, and an orbit must not depend on which rows share its batch:
-    every ``MapStep`` steps these rows."""
+    """The rows that a step multiplies for X, (m, n) rows, a (k, m, n)
+    stack of them or one (n,) vector: the rows of X, but a lone row
+    twice.  numpy multiplies a one-row matrix or a vector through another
+    BLAS kernel, whose rounding differs, and an orbit must not depend on
+    which rows share its batch: every ``MapStep`` steps these rows."""
     X = np.asarray(X, dtype=float)
-    X = X.reshape(-1, X.shape[-1])
-    return X[[0, 0]] if len(X) == 1 else X
+    X = X[None] if X.ndim == 1 else X
+    return X[..., [0, 0], :] if X.shape[-2] == 1 else X
 
 
-def advance(sys: QPSystem, X):
+def advance(sys: QPSystem | QPStack, X):
     """One guarded step of the QP map for each row of X: the first block
     of ``MapStep(sys, X, 1)``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
-    vector.  Returns ``(X', q, guard)``: the images, the quasimonomial
+    vector, or as a (k, m, n) stack of rows for a ``QPStack`` of k
+    systems.  Returns ``(X', q, guard)``: the images, the quasimonomial
     terms and a guard code per row, valid X' only where it is GUARD_OK:
     the per-step check of ``step``, ``qp_jacobian`` and the conjugacy
     defect.
@@ -396,11 +420,14 @@ def advance(sys: QPSystem, X):
     kernel = MapStep(sys, X, 1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         next(kernel.blocks())
-    guard = np.zeros(len(kernel.live), dtype=int)
+    guard = np.zeros(kernel.live.size, dtype=int)
     for i, _, reason in kernel.guards:
         guard[i] = GUARD_REASONS.index(reason)
-    rows = slice(len(X)) if X.ndim == 2 else 0
-    return kernel.S[1, rows], kernel.q[rows], guard[rows]
+    guard = guard.reshape(kernel.live.shape)
+    if X.ndim == 1:
+        return kernel.S[1, 0], kernel.q[0], guard[0]
+    m = X.shape[-2]
+    return kernel.S[1][..., :m, :], kernel.q[..., :m, :], guard[..., :m]
 
 
 def step(sys: QPSystem, x) -> np.ndarray:

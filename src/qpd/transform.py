@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonFinite, OverflowGuard, SingularB,
                      SingularMatrix)
-from .systems import (GUARD_OK, GUARD_REASONS, LVSystem, QPSystem, as_batch,
-                      as_state, guard_codes, _frozen)
+from .systems import (GUARD_OK, GUARD_REASONS, LVSystem, QPStack, QPSystem,
+                      as_batch, as_state, guard_codes, _frozen)
 
 #: Relative singular-value floor: a matrix is treated as singular when
 #: rcond = s_min / s_max < SINGULARITY_RTOL, which no rescaling changes.
@@ -124,11 +124,13 @@ class ClassInvariants:
         object.__setattr__(self, "growth", _frozen(self.growth))
 
 
-def class_invariants(sys: QPSystem) -> ClassInvariants:
-    """Compute the transformation-class invariants (B A, B lam); a product
-    that overflows holds inf or NaN entries."""
+def class_invariants(sys: QPSystem | QPStack) -> ClassInvariants:
+    """Compute the transformation-class invariants (B A, B lam), of each
+    system of a stack on its leading axis; a product that overflows holds
+    inf or NaN entries."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return ClassInvariants(sys.B @ sys.A, sys.B @ sys.lam)
+        return ClassInvariants(sys.B @ sys.A,
+                               (sys.B @ sys.lam[..., None])[..., 0])
 
 
 def finite_class_invariants(sys: QPSystem) -> ClassInvariants:
@@ -147,16 +149,33 @@ def apply_qmt(sys: QPSystem, qmt: QMTMatrix) -> QPSystem:
 
     Raises NonFinite naming the transformed matrix that overflows.
     """
-    if qmt.n != sys.n:
-        raise DimensionMismatch(
-            f"transformation is {qmt.n}x{qmt.n} but system has dimension {sys.n}"
-        )
+    (A,), (B,), (lam,) = apply_qmts(sys, [qmt])
+    return QPSystem(A, B, lam, name=sys.name)
+
+
+def apply_qmts(sys: QPSystem, qmts) -> QPStack:
+    """The images of a system under each of a sequence of QMTs, as one
+    stack: slice i is ``apply_qmt(sys, qmts[i])``, to the bit, for each
+    product multiplies its slices one by one.
+
+    Raises NonFinite naming the first transformed matrix that overflows,
+    in the order of the QMTs, then A, B, lam.
+    """
+    for qmt in qmts:
+        if qmt.n != sys.n:
+            raise DimensionMismatch(f"transformation is {qmt.n}x{qmt.n} "
+                                    f"but system has dimension {sys.n}")
+    C = np.stack([qmt.C for qmt in qmts])
+    C_inv = np.stack([qmt.C_inv for qmt in qmts])
     with np.errstate(over="ignore", invalid="ignore"):
-        A, B, lam = qmt.C_inv @ sys.A, sys.B @ qmt.C, qmt.C_inv @ sys.lam
-    try:
-        return QPSystem(A, B, lam, name=sys.name)
-    except NonFinite as exc:
-        raise NonFinite(f"transformed {exc}") from None
+        images = QPStack(C_inv @ sys.A, sys.B @ C, C_inv @ sys.lam)
+    finite = np.array([np.isfinite(M.reshape(len(M), -1)).all(axis=1)
+                       for M in images])
+    if not finite.all():
+        _, label = np.argwhere(~finite.T)[0]  # (trial, matrix), trial first
+        raise NonFinite(f"transformed {QPStack._fields[label]} contains "
+                        "NaN or infinite entries")
+    return images
 
 
 def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
@@ -173,24 +192,33 @@ def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
     return LVSystem(inv.interaction, inv.growth, name=sys.name), qmt
 
 
-def map_states(qmt: QMTMatrix, Y) -> tuple[np.ndarray, np.ndarray]:
+def map_states(qmt, Y) -> tuple[np.ndarray, np.ndarray]:
     """Map each row of Y, (m, n) positive states, through the monomial
     change of variables: ``(X, guard)``, the rows ``exp(log Y C^T)`` and
     a guard code per row, valid X only where it is GUARD_OK.
+
+    ``qmt`` is a QMTMatrix, or a sequence of k of them with Y a (k, m, n)
+    stack of rows: one matmul then multiplies slice i by the ``C^T`` view
+    of the i-th, to the bit as that QMT would map the slice alone.
 
     The guard is the one-step map's rule, ``systems.guard_codes`` with
     the exponents ``log Y C^T`` as both the log quasimonomials and the
     step exponents: an exponent above +EXP_ARG_LIMIT is overflow, an image
     component below UNDERFLOW_FLOOR underflow.  The identity returns Y
-    itself: the exp/log round trip would wobble by an ulp.
+    itself, in a stack its slice: the exp/log round trip would wobble by
+    an ulp.
     """
     Y = np.asarray(Y, dtype=float)
-    if np.array_equal(qmt.C, np.eye(qmt.n)):
-        return Y, np.full(len(Y), GUARD_OK)
+    C = qmt.C if isinstance(qmt, QMTMatrix) else np.stack([q.C for q in qmt])
+    identity = (C == np.eye(C.shape[-1])).all(axis=(-2, -1))
+    if identity.all():
+        return Y, np.full(Y.shape[:-1], GUARD_OK)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        W = np.log(Y) @ qmt.C.T
+        W = np.log(Y) @ np.swapaxes(C, -1, -2)
         X = np.exp(W)
-        return X, guard_codes(W, W, X)
+        guard = guard_codes(W, W, X)
+    X[identity], guard[identity] = Y[identity], GUARD_OK
+    return X, guard
 
 
 def map_state(qmt: QMTMatrix, y) -> np.ndarray:

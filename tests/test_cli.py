@@ -29,7 +29,9 @@ from qpd.dynamics import (
     qp_fixed_point,
 )
 from qpd.errors import NonFinite
+from qpd.systems import QPStack
 from qpd.theorems import Conclusion, HypothesisCheck, TheoremVerdict
+from qpd.transform import apply_qmts
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -950,16 +952,17 @@ class TestConjugacyFailures:
     @staticmethod
     def run_with_image_of_trial_3(capsys, monkeypatch, image_of):
         """``conjugacy --seed 1 --trials 6`` on example1_lv with trial 3's
-        transformed system replaced by ``image_of(system, qmt)``."""
-        calls = []
+        transformed system replaced by ``image_of(system, qmt)`` in the
+        stack of the trials' images."""
+        def replaced(system, qmts):
+            assert len(qmts) == 6  # one lockstep run holds every trial
+            images = apply_qmts(system, qmts)
+            image = image_of(system, qmts[3])
+            for stacked, own in zip(images, (image.A, image.B, image.lam)):
+                stacked[3] = own
+            return images
 
-        def replaced(system, qmt):
-            calls.append(qmt)
-            if len(calls) != 4:
-                return apply_qmt(system, qmt)
-            return image_of(system, qmt)
-
-        monkeypatch.setattr(qpd.dynamics, "apply_qmt", replaced)
+        monkeypatch.setattr(qpd.dynamics, "apply_qmts", replaced)
         code, out, _ = run(capsys, "conjugacy",
                            str(fixture_path("example1_lv")),
                            "--seed", "1", "--trials", "6", "--steps", "50")
@@ -1000,11 +1003,11 @@ class TestConjugacyFailures:
         assert float(failures[0].split()[5]) > 1e-7
 
     def test_invariant_drift_is_a_failure(self, capsys, monkeypatch):
-        def drifting(system, qmt):
-            image = apply_qmt(system, qmt)
-            return QPSystem(image.A, image.B, image.lam + 1e-6)
+        def drifting(system, qmts):
+            A, B, lam = apply_qmts(system, qmts)
+            return QPStack(A, B, lam + 1e-6)
 
-        monkeypatch.setattr(qpd.dynamics, "apply_qmt", drifting)
+        monkeypatch.setattr(qpd.dynamics, "apply_qmts", drifting)
         code, out, _ = run(capsys, "conjugacy",
                            str(fixture_path("example1_lv")), "--trials", "1")
         assert code == 2
@@ -1017,20 +1020,22 @@ class TestConjugacyFailures:
 
     def test_each_trial_transforms_the_system_once(self, capsys,
                                                    monkeypatch):
-        calls, original = [], qpd.transform.apply_qmt
+        # apply_qmt transforms through apply_qmts too
+        calls, original = [], qpd.transform.apply_qmts
 
-        def counted(system, qmt):
-            calls.append(qmt)
-            return original(system, qmt)
+        def counted(system, qmts):
+            calls.extend(qmts)
+            return original(system, qmts)
 
         for module in list(sys.modules.values()):
-            if getattr(module, "apply_qmt", None) is original:
-                monkeypatch.setattr(module, "apply_qmt", counted)
+            if getattr(module, "apply_qmts", None) is original:
+                monkeypatch.setattr(module, "apply_qmts", counted)
         code, _, _ = run(capsys, "conjugacy",
                          str(fixture_path("example1_lv")),
                          "--seed", "1", "--trials", "20")
         assert code == 0
         assert len(calls) == 20
+        assert len({id(qmt) for qmt in calls}) == 20
 
     def test_overflowing_transformed_system_is_an_error(self, capsys,
                                                          tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from qpd import (
     empirical_permanence,
     is_lotka_volterra,
     largest_lyapunov,
+    load_system,
     lv_interior_fixed_point,
     map_state,
     qp_fixed_point,
@@ -62,8 +65,11 @@ from qpd.errors import (
     OverflowGuard,
     SingularSystem,
 )
+from qpd.transform import map_states
 
 FIXED_POINT_LV1 = np.array([1.0 / 3.0, 1.0 / 3.0])
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestSimulate:
@@ -140,6 +146,20 @@ class TestCountRule:
         # sees it, whatever probe takes it
         with pytest.raises(InvalidArgument, match="and an integer, got"):
             call(load_fixture("example1_lv"))
+
+    @pytest.mark.parametrize("probe", [
+        lambda sys: empirical_permanence(sys, horizon=0),
+        lambda sys: empirical_attractivity(sys, [1, 1], horizon=0),
+    ], ids=["permanence", "attractivity"])
+    def test_probe_horizon_is_at_least_one(self, probe):
+        # x_1 gains e^40 a step, so the ensemble leaves the proxy box at
+        # step 1; at horizon 0 the tail was the draw itself, and it passed
+        runaway = QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0])
+        assert not empirical_permanence(runaway, horizon=1).passed
+        with pytest.raises(InvalidArgument, match=r"^horizon must be at "
+                           r"least 1 and an integer, got 0 \(need "
+                           r"ensemble_size >= 1 and horizon >= 1\)$"):
+            probe(runaway)
 
 
 class TestLVFixedPoint:
@@ -1127,6 +1147,40 @@ def reference_one_step_defect(sys, qmt, x0, steps):
     return float(np.max(np.abs(np.expm1(gap))))
 
 
+def per_trial_check(sys, qmt, x0, steps):
+    """One trial's one-step check over all steps + 1 states of its direct
+    orbit, with a map_states and an advance call of its own: its defect
+    and the message of its first guard, or None."""
+    X = simulate(sys, x0, steps).states
+    assert len(X) == steps + 1
+    Y, mapped = map_states(qmt.inverse(), X)
+    with np.errstate(divide="ignore"):
+        images, _, stepped = advance(apply_qmt(sys, qmt), Y[:-1])
+    codes = np.empty(2 * len(Y) - 1, dtype=int)
+    codes[0::2], codes[1::2] = mapped, stepped
+    if codes.any():
+        k = int(np.flatnonzero(codes)[0])
+        t, reason = k // 2, GUARD_REASONS[codes[k]]
+        if k % 2:
+            return np.nan, f"conjugate state {t}: step hit the {reason} guard"
+        where = "conjugate initial state" if t == 0 else f"conjugate state {t}"
+        return np.nan, f"{where}: state mapping hit the {reason} guard"
+    gap = np.log(images) @ qmt.C.T - np.log(X[1:])
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(np.expm1(gap)))), None
+
+
+def assert_per_trial_checks(result, sys, qmts, X0, steps):
+    """That a ``conjugacy_deviations`` result holds, to the bit, the
+    deviations and guards of ``per_trial_check``."""
+    deviations, _, guards = result
+    expected = [per_trial_check(sys, qmt, x0, steps)
+                for qmt, x0 in zip(qmts, X0)]
+    np.testing.assert_array_equal(deviations, [d for d, _ in expected])
+    assert guards == {t: message for t, (_, message) in enumerate(expected)
+                      if message is not None}
+
+
 def stable_lv_image(rng, n):
     """QP image of an LV map whose interior fixed point x* is stable:
     with A_lv = -(I/2 + off) / x*, the linearisation I + diag(x*) A_lv
@@ -1161,7 +1215,7 @@ def block_runs(monkeypatch):
 
 
 class TestConjugacyDeviations:
-    @pytest.mark.parametrize("steps", [1, 100])
+    @pytest.mark.parametrize("steps", [1, 2, 100])
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_single_trial_matches_per_state_oracle(self, name, steps):
         sys = load_fixture(name)
@@ -1313,6 +1367,79 @@ class TestConjugacyDeviations:
         assert guards == {0: "direct orbit: step 17 hit the overflow guard"}
         assert np.isnan(deviations).all()
         assert drifts.tolist() == [0.0]
+
+    def test_checks_each_orbits_distinct_pairs_once(self, monkeypatch):
+        # this run's rows settle into float cycles of periods 1, 2, 4, 8
+        # and 19, whose lcm 152 exceeds BLOCK_STEPS: the batch never
+        # repeats within a block, and the kernel steps all 500 steps, but
+        # every row's pairs repeat after at most 82
+        sys = load_system(DATA / "stable_lv_image_n6.json")
+        qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 20)
+        # C^-1 scales log x_6 by 1e4: trial 7's x_0 maps past the guard
+        qmts[7] = QMTMatrix.from_matrix(np.diag([1.0] * 5 + [1e-4]))
+        stepped, rows = [], []
+        lockstep, step = qpd.dynamics._lockstep, qpd.dynamics.advance
+
+        def lockstep_spy(*args, **kwargs):
+            run = lockstep(*args, **kwargs)
+            stepped.append(run.stepped)
+            return run
+
+        def advance_spy(images, Y):
+            rows.append(np.shape(Y))
+            return step(images, Y)
+
+        monkeypatch.setattr(qpd.dynamics, "_lockstep", lockstep_spy)
+        monkeypatch.setattr(qpd.dynamics, "advance", advance_spy)
+        result = conjugacy_deviations(sys, qmts, X0, 500)
+        monkeypatch.undo()
+        assert stepped == [500]
+        # one stacked step of the 20 trials, over fewer rows than steps
+        (k, m, n), = rows
+        assert (k, n) == (20, 6) and m < 500
+        assert_per_trial_checks(result, sys, qmts, X0, 500)
+        assert result[2] == {7: "conjugate initial state: state mapping "
+                                "hit the overflow guard"}
+
+    @pytest.mark.parametrize("system, doubles", [
+        # (120 + 1) 2 doubles a direct orbit: one trial a run; a stack of
+        # 184 // 23 = 8 states: windows of 7 pairs, the last of a single
+        # pair moved back by one
+        ("monotone", 184),
+        # one trial a run, and windows of 20 // 1 - 1 = 19 pairs
+        ("stable-lv-image-n6", 20 * 63),
+        # 4 trials a run, stacks of 2 trials, a window of every pair
+        ("stable-lv-image-n6", 4 * 501 * 6),
+    ])
+    def test_stacks_stay_within_the_storage_cap(self, monkeypatch, system,
+                                                doubles):
+        if system == "monotone":
+            # log x_2 gains 1.01 a step; under diag(1, 1/7) state 100
+            # maps past the guard
+            sys, steps = QPSystem(np.zeros((2, 2)), np.eye(2),
+                                  [0.1, 1.01]), 120
+            qmts, X0 = conjugacy_trials(np.random.default_rng(3), 2, 6)
+            qmts[2] = QMTMatrix.from_matrix(np.diag([1.0, 1.0 / 7.0]))
+            X0[2] = 1.0
+        else:
+            sys, steps = load_system(DATA / "stable_lv_image_n6.json"), 500
+            qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 8)
+        states, check = [], qpd.dynamics._one_step_defects
+
+        def spy(images, qmts, X):
+            states.append(X.shape[0] * X.shape[1])
+            return check(images, qmts, X)
+
+        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
+        monkeypatch.setattr(qpd.dynamics, "_one_step_defects", spy)
+        result = conjugacy_deviations(sys, qmts, X0, steps)
+        monkeypatch.undo()
+        assert len(states) > 1
+        assert max(states) <= doubles // (10 * sys.n + 3)
+        assert_per_trial_checks(result, sys, qmts, X0, steps)
+        if system == "monotone":
+            assert result[2][2] == ("conjugate state 100: state mapping hit "
+                                    "the overflow guard")
 
     def test_trial_counts_must_agree(self):
         sys = load_fixture("example1_lv")
