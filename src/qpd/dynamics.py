@@ -287,8 +287,10 @@ class _Lockstep:
     the states of the j-th recorded step, NaN for rows no longer live then.
     ``exponents`` holds each row's mean tangent log growth, NaN for a
     row that guarded; it is None for a run without tangents.  ``stepped``
-    counts the steps the kernel ran: ``horizon`` for a run that neither
-    guards nor repeats, fewer once the batch repeats.  No report shows it.
+    counts every step the kernel computed, the steps of a tripped block
+    after its cut included: ``horizon`` for a run that neither guards nor
+    repeats, more when guards cut its blocks, fewer once every row
+    repeats.  No report shows it.
     """
 
     guards: list

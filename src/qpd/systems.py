@@ -21,6 +21,7 @@ fixtures and the command line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,9 +59,9 @@ BLOCK_STEPS = 64
 #: 3 m n doubles or m (6 n + 1) with tangents, stays at most 2**20 doubles
 #: (8 MiB) besides the block's start state, so a large batch takes shorter
 #: blocks, down to one step, rather than more memory.  A kernel's
-#: stored cycle, m (n + 1) doubles a step or m n without
-#: tangents, adds less than half a block.  The recorded direct orbits of
-#: a run of conjugacy trials stay within it too.
+#: stored cycle of L steps holds L m n states, at most BLOCK_DOUBLES,
+#: and L m raw tangent norms.  The recorded direct orbits of a run of
+#: conjugacy trials stay within it too.
 BLOCK_DOUBLES = 2**20
 
 #: Guard codes returned by ``guard_codes``, and the reason label of each.
@@ -220,16 +221,21 @@ class MapStep:
     row's log tangent growth over the transitions out of the steps
     t >= start, one
     ``np.log`` of a block's raw norms and one axis-0 ``np.add.reduce``
-    in step order.  ``stepped`` counts the steps it ran.
+    in step order.  ``stepped`` counts every step it computed, the steps
+    of a tripped block after its cut included, so a guarded run may
+    count more than ``steps``.
 
-    A float orbit lives on a finite set, so a batch that settles on an
+    A float orbit lives on a finite set, so a row that settles on an
     attracting fixed point or cycle repeats bit for bit, renormalized
-    tangents included, and a step is a pure function of its batch.  So
-    after a block that trips no guard, while the run has steps left,
-    ``_cycle`` looks for its last batch among its earlier ones.  Once it
-    is found no step is run: each later block's states and raw norms are
-    filled from the cycle's copies, which tripped no guard, and no
-    tangent row is read or written again.
+    tangent included, and within one run a row's next state is a fixed
+    function of its own bits.  So after a block that trips no guard,
+    while the run has steps left, ``_cycle`` looks for each row's last
+    state among its earlier ones.  Once every row repeats, with periods
+    p_r, the batch repeats with period lcm(p_r), and no step is run: each
+    later block's states and raw norms are filled from the cycle's
+    copies, which tripped no guard, and no tangent row is read or
+    written again.  A batch whose period is longer than a block is
+    replayed all the same, while its cycle's states fit in BLOCK_DOUBLES.
     """
 
     def __init__(self, sys: QPSystem | QPStack, X0, steps, tangents=None):
@@ -373,25 +379,43 @@ def _within_limits(W, arg, Xn):
 
 def _cycle(t, k, S, V, norms):
     """The cycle of a block of k steps from step t that tripped no guard:
-    ``(origin, (states, norms))``, or None when the block's last batch
+    ``(origin, (states, norms))``, or None when some row's last state
     ``(S[k], V[k])`` equals none of its earlier ones bit for bit.
 
-    When it equals ``(S[a], V[a])``, every later batch is a replay: the
-    batch of step ``T >= origin = t + a + 1`` is that of step ``origin +
-    (T - origin) % (k - a)``.  The copies are S[a + 1:k + 1] and the raw
-    tangent norms norms[a + 1:k + 1], or None without tangents, for the
-    largest such a.  Bit patterns are compared, since ``-0.0 == 0.0`` and
-    ``NaN != NaN``; row 0, the first of a stack's, picks the candidates."""
-    bits = S[:k + 1].reshape(k + 1, -1, S.shape[-1]).view(np.int64)
-    candidates = np.flatnonzero((bits[:k, 0] == bits[k, 0]).all(axis=1))
-    for a in candidates[::-1]:
-        if np.array_equal(bits[a], bits[k]) and (
-                V is None or np.array_equal(V[a].view(np.int64),
-                                            V[k].view(np.int64))):
-            return t + int(a) + 1, tuple(
-                None if X is None else X[a + 1:k + 1].copy()
-                for X in (S, norms))
-    return None
+    Within one run a row's next state is a fixed function of its own
+    bits, so a row r whose last state equals its state at a_r < k repeats
+    with period p_r = k - a_r from step t + a_r on.  For the largest such
+    a_r of each row, every later batch is a replay: the batch of step
+    ``T >= origin = t + max(a_r) + 1`` is that of step ``origin +
+    (T - origin) % L``, L the lcm of the periods.  The copies are the
+    L batches from origin on, and their raw tangent norms, or None
+    without tangents, gathered from each row's last period in the block.
+    A cycle of more than BLOCK_DOUBLES states is None.  Bit patterns are
+    compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; the states of
+    every row are compared only when row 0, the first of a stack's,
+    repeats, and the tangents only when every state does."""
+    X = S[:k + 1].reshape(k + 1, -1, S.shape[-1])
+    bits = X.view(np.int64)
+    if not (bits[:k, 0] == bits[k, 0]).all(axis=1).any():
+        return None
+    same = (bits[:k] == bits[k]).all(axis=2)
+    if V is not None and same.any(axis=0).all():  # every state repeats
+        tangent = V[:k + 1].view(np.int64)
+        same &= (tangent[:k] == tangent[k]).all(axis=2)
+    if not same.any(axis=0).all():
+        return None
+    a = k - 1 - np.argmax(same[::-1], axis=0)  # each row's largest a_r
+    p = k - a
+    L = math.lcm(*set(p.tolist()))  # np.lcm can overflow int64
+    if L * bits[0].size > BLOCK_DOUBLES:
+        return None
+    first = int(a.max()) + 1
+    # block step first + i of row r is its block step a_r + 1 +
+    # (first + i - a_r - 1) % p_r, within its last period
+    at = a + 1 + (np.arange(first, first + L)[:, None] - a - 1) % p
+    rows = np.arange(len(a))
+    return t + first, (X[at, rows].reshape(L, *S.shape[1:]),
+                       None if norms is None else norms[at, rows])
 
 
 def as_batch(X) -> np.ndarray:

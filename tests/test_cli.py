@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qpd.cli
+import qpd.systems
 from conftest import (
     ATTRACTIVE_FIXTURES,
     FIXTURE_NAMES,
@@ -860,6 +861,29 @@ class TestConjugacy:
                            "--seed", "1", "--trials", "20", "--steps", "500")
         assert code == 0
         assert out.endswith("all trials within budget\n")
+
+
+class TestCycleReplayChangesNoOutput:
+    # a replayed block holds the bits that stepping would have made, so
+    # every output is that of a run that never searches for a cycle
+    @pytest.mark.parametrize("args", [
+        ("conjugacy", str(DATA / "stable_lv_image_n6.json"), "--seed", "1",
+         "--trials", "20", "--steps", "500"),
+        ("analyze", str(fixture_path("example1_qp_rho10")), "--verify"),
+    ])
+    def test_output_is_that_of_the_stepped_run(self, capsys, monkeypatch,
+                                               tmp_path, args):
+        report = tmp_path / "report.json"
+        extra = ("--json", str(report)) if args[0] == "analyze" else ()
+
+        def outputs():
+            code, out, err = run(capsys, *args, *extra)
+            return code, out, err, report.read_bytes() if extra else None
+
+        replayed = outputs()
+        monkeypatch.setattr(qpd.systems, "_cycle", lambda *args: None)
+        assert outputs() == replayed
+        assert replayed[0] == 0
 
 
 class QueuedDraws:

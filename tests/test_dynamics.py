@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,7 @@ from qpd.systems import (
     GUARD_REASONS,
     UNDERFLOW_FLOOR,
     MapStep,
+    QPStack,
     advance,
 )
 from qpd.errors import (
@@ -620,13 +622,16 @@ def _rows(keep):
 
 
 def reference_lockstep(sys, X0, horizon, tail=range(0), record=range(0),
-                       tangents=None):
+                       tangents=None, record_tangents=False):
     """The per-step lockstep loop: the guard is checked after every step
-    and the batch is rebuilt at each guarded step."""
+    and the batch is rebuilt at each guarded step.  With
+    ``record_tangents`` a recorded row is its state and then its tangent
+    vector, 2 n components."""
     X0 = np.asarray(X0, dtype=float)
     tail_min = np.full(X0.shape, np.inf)
     tail_max = np.full(X0.shape, -np.inf)
-    rec = np.full((len(record),) + X0.shape, np.nan)
+    rec = np.full((len(record), len(X0), X0.shape[1] * (1 + record_tangents)),
+                  np.nan)
     guards = []
     idx = np.arange(X0.shape[0])
     rows = _rows(np.ones(idx.size, dtype=bool))
@@ -642,7 +647,8 @@ def reference_lockstep(sys, X0, horizon, tail=range(0), record=range(0),
                 tail_min[idx] = np.minimum(tail_min[idx], live)
                 tail_max[idx] = np.maximum(tail_max[idx], live)
             if t in record:
-                rec[t - record.start, idx] = L[:idx.size]
+                rec[t - record.start, idx] = (
+                    np.hstack([L, V]) if record_tangents else L)[:idx.size]
             if t == horizon or not idx.size:
                 break
             L, q, guard = advance(sys, L)
@@ -950,10 +956,83 @@ def pass_batch(seed, n=2):
     return X0, _tangent_directions(seed, ENSEMBLE_SIZE + 1, n)
 
 
-#: The period of the verification pass's batch, tangents included, once
-#: it repeats: example3 never does.
-CYCLE_PERIODS = {"example1_lv": 1, "example1_qp_rho05": 1,
-                 "example1_qp_rho10": 6, "example2_predator_prey": 2}
+def least_periods(states):
+    """Each row's least period over the last K + 1 steps of ``states``,
+    (steps, ..., rows, components), bit for bit, or None when some row
+    does not repeat within them."""
+    bits = states[-K - 1:].reshape(min(len(states), K + 1), -1,
+                                   states.shape[-1]).view(np.int64)
+    same = (bits[:-1] == bits[-1]).all(axis=-1)
+    if not same.any(axis=0).all():
+        return None
+    return (np.argmax(same[::-1], axis=0) + 1).tolist()
+
+
+def row_periods(sys, X0, tangents, horizon):
+    """The ``least_periods`` of the rows X0 by step ``horizon``, tangents
+    included, from the per-step loop's record."""
+    return least_periods(reference_lockstep(
+        sys, X0, horizon, record=range(horizon - K, horizon + 1),
+        tangents=tangents, record_tangents=tangents is not None)[3])
+
+
+def replayed_period(sys, X0, tangents, horizon=LYAPUNOV_TRANSIENT):
+    """The period of the cycle that a run of the rows X0 replays by step
+    ``horizon``: the lcm of the ``row_periods``, or None."""
+    periods = row_periods(sys, X0, tangents, horizon)
+    return None if periods is None else math.lcm(*periods)
+
+
+def found_cycles(monkeypatch):
+    """The cycles that ``systems._cycle`` finds, None where it finds
+    none."""
+    cycles, find = [], qpd.systems._cycle
+
+    def spy(*args):
+        cycles.append(find(*args))
+        return cycles[-1]
+
+    monkeypatch.setattr(qpd.systems, "_cycle", spy)
+    return cycles
+
+
+def assert_stack_matches_the_per_step_loop(stack, X0, steps):
+    """A run of a ``QPStack`` that guards no row, state for state against
+    one ``advance`` a step; returns its kernel and those states."""
+    kernel, states = MapStep(stack, X0, steps), []
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for _, k in kernel.blocks():
+            states.append(kernel.S[:k].copy())
+    expected = [np.asarray(X0, dtype=float)]
+    for _ in range(steps):
+        X, _, guard = advance(stack, expected[-1])
+        assert not guard.any()
+        expected.append(X)
+    assert not kernel.guards
+    expected = np.array(expected)
+    assert np.concatenate(states).tobytes() == expected.tobytes()
+    return kernel, expected
+
+
+def rickers(*r):
+    """x_i -> x_i exp(r_i (1 - x_i)) in each component, as one system."""
+    r = np.array(r)
+    return QPSystem(-np.diag(r), np.eye(len(r)), r)
+
+
+def ricker_stack(*r):
+    """``rickers`` of each r_i alone, as a ``QPStack`` of n = 1 systems."""
+    r = np.array(r)
+    return QPStack(-r[:, None, None], np.ones((len(r), 1, 1)), r[:, None])
+
+
+#: The float orbits of x -> x exp(r (1 - x)) settle on cycles of
+#: different periods at r = 2.6 (where the map has an attracting
+#: 4-cycle), 2.67 and 2.917, and x = 1 is fixed: rows that move one
+#: component each have different periods
+RICKERS = rickers(2.6, 2.67, 2.917)
+RICKER_ROWS = np.array([[0.5, 1.0, 1.0], [1.3, 1.0, 1.0], [1.0, 0.5, 1.0],
+                        [1.0, 1.4, 1.0], [1.0, 1.0, 0.6], [1.0, 1.0, 1.0]])
 
 
 class TestCycleReplay:
@@ -964,23 +1043,20 @@ class TestCycleReplay:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_pass_matches_the_per_step_loop(self, monkeypatch, name, seed):
-        cycles = []
-        find = qpd.systems._cycle
-
-        def spy(*args):
-            cycles.append(find(*args))
-            return cycles[-1]
-
-        monkeypatch.setattr(qpd.systems, "_cycle", spy)
+        cycles = found_cycles(monkeypatch)
         X0, V = pass_batch(seed)
         run = assert_matches_the_per_step_loop(
             load_fixture(name), X0, PERMANENCE_HORIZON,
             qpd.dynamics._tail_window(PERMANENCE_HORIZON),
             at(ATTRACTIVITY_HORIZON), (LYAPUNOV_TRANSIENT, V))
         found = [cycle for cycle in cycles if cycle is not None]
-        if name in CYCLE_PERIODS:  # found before the Lyapunov sum starts
+        period = replayed_period(load_fixture(name), X0,
+                                 (LYAPUNOV_TRANSIENT, V))
+        # every batch but example3's settles before the Lyapunov sum starts
+        assert (period is None) == (name == "example3_qp_rho32")
+        if period is not None:
             (origin, (states, _)), = found
-            assert len(states) == CYCLE_PERIODS[name]
+            assert len(states) == period
             assert origin <= run.stepped <= LYAPUNOV_TRANSIENT
         else:
             assert not found and run.stepped == PERMANENCE_HORIZON
@@ -1055,15 +1131,131 @@ class TestCycleReplay:
             assert run.stepped == len(steps)
 
     def test_bit_patterns_are_compared(self):
-        # a fixed batch of states whose tangent batches differ only in the
-        # sign of a zero, or agree only as NaN bit patterns
+        # a fixed batch of states whose tangent rows 0 differ only in the
+        # sign of a zero, or agree only as NaN bit patterns; row 1 is
+        # fixed from step 1, so the cycle starts at step 5 + 1 + 1
         S, norms = np.ones((3, 2, 2)), np.ones((3, 2))
         V = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1, 1))
-        V[1, 0, 0] = -0.0  # == 0.0, yet batch 1 is not batch 2
+        V[1, 0, 0] = -0.0  # == 0.0, yet row 0 at 1 is not row 0 at 2
         origin, (states, _) = qpd.systems._cycle(5, 2, S, V, norms)
-        assert (origin, len(states)) == (6, 2)
-        V[:, 0, 0] = np.nan, 0.0, np.nan  # NaN != NaN, yet batch 0 is batch 2
-        assert qpd.systems._cycle(5, 2, S, V, norms)[0] == 6
+        assert (origin, len(states)) == (7, 2)
+        V[:, 0, 0] = np.nan, 0.0, np.nan  # NaN != NaN, yet 0 is 2 in row 0
+        assert qpd.systems._cycle(5, 2, S, V, norms)[0] == 7
+
+    @pytest.mark.parametrize("tangent_start", [None, 0, 7])
+    def test_rows_of_different_periods(self, monkeypatch, tangent_start):
+        # rows on x -> x exp(2.6 (1 - x))'s attracting 4-cycle next to
+        # rows with a component fixed at 1 and a row fixed at (1, 1): the
+        # replayed cycle is the lcm of the rows' periods
+        sys = rickers(2.6, 2.6)
+        X0 = np.vstack([
+            np.exp(np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2))),
+            [[1.0, 0.5], [0.7, 1.0], [1.0, 1.0]]])
+        tangents = (None if tangent_start is None
+                    else with_tangents(tangent_start, len(X0)))
+        cycles = found_cycles(monkeypatch)
+        run = assert_matches_the_per_step_loop(
+            sys, X0, 1000, range(900, 1001), range(1001), tangents)
+        periods = row_periods(sys, X0, tangents, run.stepped)
+        (_, (states, _)), = [cycle for cycle in cycles if cycle is not None]
+        assert len(set(periods)) > 1
+        assert len(states) == math.lcm(*periods)
+        assert run.stepped < 1000
+
+    def test_periods_whose_lcm_exceeds_a_block(self, monkeypatch):
+        # the batch repeats only after more steps than a block holds,
+        # but every row repeats within one
+        cycles = found_cycles(monkeypatch)
+        run = assert_matches_the_per_step_loop(
+            RICKERS, RICKER_ROWS, 1000, range(900, 1001), range(1001), None)
+        period = replayed_period(RICKERS, RICKER_ROWS, None, run.stepped)
+        (_, (states, _)), = [cycle for cycle in cycles if cycle is not None]
+        assert len(states) == period > K
+        assert run.stepped <= 4 * K
+
+    def test_a_stack_of_different_periods(self, monkeypatch):
+        # RICKERS' components as a stack of three n = 1 systems, two
+        # rows each, the last fixed at 1
+        cycles = found_cycles(monkeypatch)
+        X0 = np.array([[[0.5], [1.3]], [[0.5], [1.4]], [[0.6], [1.0]]])
+        kernel, states = assert_stack_matches_the_per_step_loop(
+            ricker_stack(2.6, 2.67, 2.917), X0, 1000)
+        period = math.lcm(*least_periods(states))
+        (_, (cycle, _)), = [cycle for cycle in cycles if cycle is not None]
+        assert cycle.shape == (period, 3, 2, 1) and period > K
+        assert kernel.stepped <= 4 * K
+
+    @pytest.mark.parametrize("tangent_start", [None, 0, 7])
+    def test_conjugacy_run_of_stable_lv_image_n6(self, tangent_start):
+        # the direct orbits of 20 conjugacy trials settle into float
+        # cycles of periods 1, 2, 4, 8 and 19, whose lcm is 152; their
+        # tangent rows never repeat within these 500 steps
+        sys = load_system(DATA / "stable_lv_image_n6.json")
+        X0 = conjugacy_trials(np.random.default_rng(0), 6, 20)[1]
+        tangents = (None if tangent_start is None
+                    else (tangent_start, _tangent_directions(3, 20, 6)))
+        run = assert_matches_the_per_step_loop(sys, X0, 500, range(400, 501),
+                                               range(501), tangents)
+        if tangents is None:
+            assert run.stepped <= 2 * K
+
+    @pytest.mark.parametrize("tangent_start", [None, 0])
+    def test_a_row_that_never_repeats(self, monkeypatch, tangent_start):
+        # x -> x exp(3.3 (1 - x)) is chaotic: its row never repeats, so
+        # rows 0 to 2, settled, are never replayed
+        sys, steps = rickers(2.6, 3.3), 5 * K
+        X0 = np.array([[0.5, 1.0], [1.0, 1.0], [1.2, 1.0], [1.0, 0.5]])
+        cycles = found_cycles(monkeypatch)
+        run = assert_matches_the_per_step_loop(
+            sys, X0, steps, range(steps - 10, steps + 1), range(steps + 1),
+            None if tangent_start is None
+            else with_tangents(tangent_start, len(X0)))
+        assert least_periods(run.record[:, :3]) is not None
+        assert least_periods(run.record) is None
+        assert not any(cycles) and run.stepped == steps
+
+    def test_a_stack_with_an_example3_row(self, monkeypatch):
+        # example1_lv's rows settle on its fixed point; example3's never
+        # repeat
+        systems = [load_fixture("example1_lv"),
+                   load_fixture("example3_qp_rho32")]
+        stack = QPStack(*(np.stack([getattr(sys, name) for sys in systems])
+                          for name in ("A", "B", "lam")))
+        X0 = np.stack([pass_batch(0)[0][:4]] * 2)
+        cycles = found_cycles(monkeypatch)
+        kernel, states = assert_stack_matches_the_per_step_loop(stack, X0,
+                                                                1000)
+        assert least_periods(states[:, 0]) is not None
+        assert not any(cycles) and kernel.stepped == 1000
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_a_cycle_over_the_storage_cap_is_stepped(self, monkeypatch,
+                                                      over):
+        # RICKERS' cycle stores period * 6 * 3 states: a cap one double
+        # short of it keeps the run stepping, though its blocks still
+        # hold every row's period
+        periods = row_periods(RICKERS, RICKER_ROWS, None, 1000)
+        cap = math.lcm(*periods) * RICKER_ROWS.size - over
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", cap)
+        assert MapStep(RICKERS, RICKER_ROWS, 1000).size >= max(periods)
+        run = assert_matches_the_per_step_loop(
+            RICKERS, RICKER_ROWS, 1000, range(900, 1001), range(1001), None)
+        assert (run.stepped == 1000) == over
+
+    def test_periods_whose_lcm_overflows_int64(self, monkeypatch):
+        # rows of every prime period up to 53, whose lcm, about 3.3e19,
+        # is past int64, where np.lcm wraps around silently
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+        assert math.lcm(*primes) > 2**63
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 2**62)
+        steps = np.arange(K + 1)[:, None] % primes
+        S = (1.0 + steps)[..., None]
+        assert qpd.systems._cycle(0, K, S, None, None) is None
+        # the same rows with periods of lcm 30 030 form a cycle
+        S[:, 6:] = 1.0
+        origin, (states, norms) = qpd.systems._cycle(0, K, S, None, None)
+        assert len(states) == 30030 and norms is None
+        assert origin == K  # the rows fixed at 1 repeat from step K - 1
 
     def test_no_search_without_steps_left(self, monkeypatch):
         # a block that ends the run has nothing left to replay, so a
@@ -1371,8 +1563,9 @@ class TestConjugacyDeviations:
     def test_checks_each_orbits_distinct_pairs_once(self, monkeypatch):
         # this run's rows settle into float cycles of periods 1, 2, 4, 8
         # and 19, whose lcm 152 exceeds BLOCK_STEPS: the batch never
-        # repeats within a block, and the kernel steps all 500 steps, but
-        # every row's pairs repeat after at most 82
+        # repeats within a block, but each row does, so the kernel
+        # replays the assembled cycle after two blocks; every row's pairs
+        # repeat after at most 82
         sys = load_system(DATA / "stable_lv_image_n6.json")
         qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 20)
         # C^-1 scales log x_6 by 1e4: trial 7's x_0 maps past the guard
@@ -1393,7 +1586,8 @@ class TestConjugacyDeviations:
         monkeypatch.setattr(qpd.dynamics, "advance", advance_spy)
         result = conjugacy_deviations(sys, qmts, X0, 500)
         monkeypatch.undo()
-        assert stepped == [500]
+        (kernel_steps,) = stepped
+        assert kernel_steps <= 2 * BLOCK_STEPS
         # one stacked step of the 20 trials, over fewer rows than steps
         (k, m, n), = rows
         assert (k, n) == (20, 6) and m < 500
