@@ -10,15 +10,10 @@ of the one lockstep engine ``_lockstep``, so one x0 has one float orbit.
 rule per claim.
 
 A conjugacy is checked as the one-step identity F(h(y)) = h(G(y)) on
-the direct orbit alone, so no conjugate orbit is run: the recorded
-states are mapped to each trial's conjugate coordinates and stepped
-once by its transformed system, every trial of a run in one stack, up
-to the second occurrence of an orbit's final state, after which every
-pair of states repeats; the invariant drift is read off the same
-transformed systems, built once as one stack.  The direct orbits of at
-most ``BLOCK_DOUBLES // ((steps + 1) n)`` trials, but at least one, are
-rows of one run, which bounds their record at 2**20 doubles (8 MiB),
-and the stacked check stays within the same bound.
+the direct orbit alone, so no conjugate orbit is run and nothing is
+recorded: each block of the direct run is mapped to the trials'
+conjugate coordinates and stepped once by their transformed systems,
+one stack that also gives the invariant drift, until the run replays.
 
 Guard policy: every map evaluation here goes through the one map kernel
 ``systems.MapStep``, with or without tangent rows, whose guard rule
@@ -47,13 +42,14 @@ from .errors import (
 )
 from .systems import (
     BLOCK_DOUBLES,
+    BLOCK_STEPS,
     DEFAULT_SIGN_TOL,
     GUARD_OK,
     GUARD_REASONS,
     MapStep,
-    QPStack,
     QPSystem,
     advance,
+    as_batch,
     as_state,
     is_lotka_volterra,
     step,
@@ -614,42 +610,28 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 # conjugacy verification
 # ---------------------------------------------------------------------------
 
-def _distinct_pairs(record) -> np.ndarray:
-    """For each orbit of a record, (steps + 1, k, n) with the orbits as
-    columns, how many of its leading pairs ``(x_t, x_(t+1))`` hold every
-    distinct one: the pairs before the second occurrence s of its final
-    state, bit for bit, or all of them where that state occurs once.
-
-    Within one run a row's next state is a fixed function of its own
-    bits, so an orbit whose final state first occurs at f repeats the
-    states f .. s - 1 from there on, and every pair after s is a copy of
-    one in [f, s)."""
-    bits = record.view(np.int64)
-    seen = np.cumsum((bits == bits[-1]).all(axis=-1), axis=0)
-    return np.minimum((seen < 2).sum(axis=0), len(record) - 1)
-
-
-def _one_step_defects(images, qmts, X):
+def _one_step_defects(images, inverses, C_T, X, lone):
     """The one-step check of a stack of trials along their states X,
     (k, w + 1, n), w consecutive pairs a trial: each trial's largest
     defect, which means nothing for a guarded trial, and the guard codes
     of its pairs, (k, 2 w + 1), in step order, a state's mapping before
     its step.
 
-    The states are mapped to the conjugate coordinates, log y = C^-1 log
-    x, by ``transform.map_states``; ``images``, the trials' transformed
-    systems as a ``QPStack``, step them once by ``systems.advance``; and
-    the defect is ``max |expm1(log G(y_t) C^T - log x_(t+1))|``.
+    ``transform.map_states`` maps the states to log y = C^-1 log x under
+    the trials' ``inverses``, their transformed systems ``images`` step
+    them once (``systems.advance``), and the defect is ``max |expm1(log
+    G(y_t) C_T - log x_(t+1))|``, a lone pair multiplied as
+    ``systems.as_batch`` rows unless ``lone``.  A guarded trial's states
+    and images may hold 0, inf or NaN, so run it under ``np.errstate``.
     """
-    Y, mapped = map_states([qmt.inverse() for qmt in qmts], X)
-    with np.errstate(divide="ignore"):  # a guarded state may hold a 0
-        G, _, stepped = advance(images, Y[:, :-1])
+    Y, mapped = map_states(inverses, X)
+    G, _, stepped = advance(images, Y[:, :-1])
     codes = np.empty((len(X), 2 * X.shape[1] - 1), dtype=int)
     codes[:, 0::2], codes[:, 1::2] = mapped, stepped
-    C_T = np.stack([qmt.C for qmt in qmts]).swapaxes(1, 2)
-    with np.errstate(all="ignore"):  # so may a guarded trial's image
-        gap = np.log(G) @ C_T - np.log(X[:, 1:])
-        return np.abs(np.expm1(gap)).max(axis=(1, 2)), codes
+    log_G = np.log(G)
+    product = (log_G if lone else as_batch(log_G)) @ C_T
+    gap = product[:, :log_G.shape[1]] - np.log(X[:, 1:])
+    return np.abs(np.expm1(gap)).max(axis=(1, 2)), codes
 
 
 def _guard_message(t, code, stepped) -> str:
@@ -662,42 +644,31 @@ def _guard_message(t, code, stepped) -> str:
     return f"{where}: state mapping hit the {reason} guard"
 
 
-def _one_step_check(images, qmts, record, trials, steps):
-    """The one-step check of the given trials, columns of the direct
-    run's record (steps + 1, k, n): each one's largest defect, NaN where
-    a guard stopped it, and the message of each such trial's first guard.
-
-    Every trial checks the same first L pairs, L the longest
-    ``_distinct_pairs`` prefix of them, so its largest defect and its
-    first guard in step order fall there.  L is at least min(2, steps),
-    so each product multiplies as many rows a trial as over all steps
-    would, one at steps = 1 and at least two otherwise: numpy multiplies
-    a lone row through another BLAS kernel.  A stack holds at most
-    ``rows`` states, so the trials are checked in consecutive groups, and
-    a trial of more states in windows of consecutive pairs.
-    """
-    n = record.shape[-1]
-    pairs = max(min(steps, 2), int(_distinct_pairs(record)[trials].max()))
-    # a checked state holds at most 10 n + 3 doubles at a time: itself,
-    # its conjugate state, the kernel's step, the gap and the guard codes
-    rows = max(3, BLOCK_DOUBLES // (10 * n + 3))
-    group, width = max(1, rows // (pairs + 1)), max(2, min(pairs, rows - 1))
-    defects, messages = np.zeros(len(trials)), {}
-    for g in range(0, len(trials), group):
-        tile = trials[g:g + group]
-        stack = QPStack(*(M[tile] for M in images))
-        tile_qmts = [qmts[i] for i in tile]
-        for a in range(0, pairs, width):
-            b = min(a + width, pairs)
-            a = max(0, min(a, b - 2))  # a lone pair only at steps = 1
-            worst, codes = _one_step_defects(
-                stack, tile_qmts, record[a:b + 1].transpose(1, 0, 2)[tile])
-            np.maximum(defects[g:g + group], worst, out=defects[g:g + group])
+def _one_step_run(sys, images, qmts, X0, steps):
+    """The one-step check of one direct run of the trials' initial
+    states X0: each one's largest defect, NaN where a guard stopped it,
+    and the message of each such trial's first guard."""
+    inverses = [qmt.inverse() for qmt in qmts]
+    C_T = np.stack([qmt.C for qmt in qmts]).swapaxes(1, 2)
+    kernel, m = MapStep(sys, X0, steps), len(X0)
+    defects, messages = np.zeros(m), {}
+    with np.errstate(all="ignore"):
+        for t, k in kernel.blocks():
+            if t == steps or not kernel.live.any():  # no pair left
+                break
+            X = kernel.S[:k + 1, :m].transpose(1, 0, 2).copy()
+            worst, codes = _one_step_defects(images, inverses, C_T, X,
+                                             steps == 1)
+            np.maximum(defects, worst, out=defects)
             for i in np.flatnonzero(codes.any(axis=1)):
                 c = int(np.flatnonzero(codes[i])[0])
-                messages.setdefault(int(tile[i]), _guard_message(
-                    a + c // 2, codes[i, c], c % 2))
-    defects[np.isin(trials, list(messages))] = np.nan
+                messages.setdefault(int(i), _guard_message(
+                    t + c // 2, codes[i, c], c % 2))
+            if kernel.replay is not None:  # every later pair is a copy
+                break
+    messages.update({i: f"direct orbit: step {t} hit the {reason} guard"
+                     for i, t, reason in kernel.guards})
+    defects[list(messages)] = np.nan
     return defects, messages
 
 
@@ -721,40 +692,33 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     A chaotic orbit amplifies rounding step by step; a one-step defect
     does not.
 
-    Only the pairs ``(x_t, x_(t+1))`` before the second occurrence of the
-    orbit's final state are checked (``_one_step_check``): every later
-    pair repeats one of them bit for bit, so the largest defect and the
-    first guard are those over all steps.  The trials are checked
-    together, each product one matmul over the stack of their states.
-
-    The direct orbits of consecutive trials are rows of one lockstep
-    run, at most ``max(1, BLOCK_DOUBLES // ((steps + 1) n))`` at a time,
-    so the recorded orbits stay within BLOCK_DOUBLES doubles, and so do
-    the check's states.  A row is, to the bit, its trial's own orbit.
-    ``guards`` maps each trial whose check hit a guard to its
-    ``GuardTermination`` message, and that trial's deviation is NaN.  A
-    guarded direct orbit stops only its trial, with "direct orbit: step
-    17 hit the overflow guard"; along a whole orbit the first guard in
-    step order names the trial: "conjugate initial state: state mapping
-    hit the overflow guard", the same for a later state t as "conjugate
-    state t: ...", or "conjugate state t: step hit the overflow guard"
-    when the one-step image of y_t is guarded.
+    The direct orbits of at most ``max(1, BLOCK_DOUBLES // ((BLOCK_STEPS
+    + 1) (10 n + 3)))`` trials are rows of one ``systems.MapStep`` run,
+    each, to the bit, its trial's own orbit.  Each block the run steps
+    is checked as one stack within BLOCK_DOUBLES doubles, up to the
+    block in which the run starts replaying: every later pair repeats a
+    checked one bit for bit.  ``guards`` maps each trial whose check hit
+    a guard to its ``GuardTermination`` message, and its deviation is
+    NaN: "direct orbit: step 17 hit the overflow guard" for a guarded
+    direct orbit, whatever its conjugate states hit, else the first
+    guard in step order, "conjugate initial state: state mapping hit the
+    overflow guard", the same for a later state t as "conjugate state t:
+    ...", or "conjugate state t: step hit the overflow guard" when the
+    one-step image of y_t is guarded.
     """
     n = sys.n
-    X0 = [as_state(x0, n) for x0 in X0]
+    X0 = np.array([as_state(x0, n) for x0 in X0])
     if len(qmts) != len(X0):
         raise InvalidArgument(
             f"{len(qmts)} transformations for {len(X0)} initial states")
     checked_counts(steps=(steps, 1))
-    size = max(1, BLOCK_DOUBLES // ((steps + 1) * n))
+    # a checked state holds at most 10 n + 3 doubles at a time: itself,
+    # its conjugate state, the kernel's step, the gap and the guard codes
+    size = max(1, BLOCK_DOUBLES // ((BLOCK_STEPS + 1) * (10 * n + 3)))
     base = class_invariants(sys)
-    deviations = np.full(len(X0), np.nan)
-    drifts = np.empty(len(X0))
-    guards = {}
+    deviations, drifts, guards = np.empty(len(X0)), np.empty(len(X0)), {}
     for start in range(0, len(X0), size):
         chunk = qmts[start:start + size]
-        direct = _lockstep(sys, np.array(X0[start:start + size]), steps,
-                           record=range(steps + 1))
         images = apply_qmts(sys, chunk)
         other = class_invariants(images)
         interaction = np.abs(other.interaction - base.interaction).max(
@@ -763,16 +727,9 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
         # max(interaction, growth) of each trial, as Python's max
         drifts[start:start + len(chunk)] = np.where(
             growth > interaction, growth, interaction)
-        found = {i: f"direct orbit: step {t} hit the {reason} guard"
-                 for i, t, reason in direct.guards}
-        trials = np.array([i for i in range(len(chunk)) if i not in found],
-                          dtype=int)
-        if trials.size:
-            deviations[start + trials], messages = _one_step_check(
-                images, chunk, direct.record, trials, steps)
-            found.update(messages)
-        for i in sorted(found):
-            guards[start + i] = found[i]
+        deviations[start:start + len(chunk)], found = _one_step_run(
+            sys, images, chunk, X0[start:start + size], steps)
+        guards.update((start + i, found[i]) for i in sorted(found))
     return deviations, drifts, guards
 
 

@@ -58,10 +58,9 @@ BLOCK_STEPS = 64
 #: Storage cap of one ``MapStep`` block: what it stores a step for m rows,
 #: 3 m n doubles or m (6 n + 1) with tangents, stays at most 2**20 doubles
 #: (8 MiB) besides the block's start state, so a large batch takes shorter
-#: blocks, down to one step, rather than more memory.  A kernel's
-#: stored cycle of L steps holds L m n states, at most BLOCK_DOUBLES,
-#: and L m raw tangent norms.  The recorded direct orbits of a run of
-#: conjugacy trials stay within it too.
+#: blocks, down to one step, rather than more memory.  A kernel replays
+#: a cycle of L steps only while its L m n states fit in it; a block's
+#: conjugacy check, BLOCK_STEPS + 1 states a trial, fits in it too.
 BLOCK_DOUBLES = 2**20
 
 #: Guard codes returned by ``guard_codes``, and the reason label of each.
@@ -236,6 +235,8 @@ class MapStep:
     copies, which tripped no guard, and no tangent row is read or
     written again.  A batch whose period is longer than a block is
     replayed all the same, while its cycle's states fit in BLOCK_DOUBLES.
+    ``replay`` is None until the block that finds the cycle yields, then
+    ``_cycle``'s ``(start, L, copies)``; no later block is stepped.
     """
 
     def __init__(self, sys: QPSystem | QPStack, X0, steps, tangents=None):
@@ -250,7 +251,7 @@ class MapStep:
         S, arg = np.empty((size + 1, *X0.shape)), np.empty((size, *X0.shape))
         S[0] = X0
         self.size, self.S, self.arg = size, S, arg
-        self.steps, self.stepped, self._replay = steps, 0, None
+        self.steps, self.stepped, self.replay = steps, 0, None
         self.live = np.zeros(X0.shape[:-1], dtype=bool)
         self.live[..., :1 if lone else m] = True
         self.guards: list[tuple[int, int, str]] = []
@@ -301,9 +302,9 @@ class MapStep:
         S, norms, live, t = self.S, self.norms, self.live, 0
         while t < self.steps and live.any():
             k, guarded = min(self.size, self.steps - t), None
-            if self._replay is not None:
-                origin, copies = self._replay
-                at = (np.arange(t + 1, t + k + 1) - origin) % len(copies[0])
+            if self.replay is not None:
+                start, period, copies = self.replay
+                at = np.arange(t + 1 - start, t + k + 1 - start) % period
                 for stored, copy in zip((S, norms), copies):
                     if copy is not None:
                         stored[1:k + 1] = copy[at]
@@ -323,7 +324,8 @@ class MapStep:
                                      GUARD_REASONS[guard[k - 1, i]])
                                     for i in guarded]
                 elif t + k < self.steps:
-                    self._replay = _cycle(t, k, S, self.V, norms)
+                    self.replay = _cycle(t, k, S, self.V, norms,
+                                         self.steps - t - k)
             if norms is not None and t + k > self._start:
                 j = max(self._start - t, 0)  # norms[j] carries the sum
                 norms[j] = self.growth
@@ -331,7 +333,7 @@ class MapStep:
                 np.add.reduce(norms[j:k + 1], axis=0, out=self.growth)
             yield t, k
             t += k
-            V = None if self._replay else self.V
+            V = None if self.replay else self.V
             S[0] = S[k]
             if V is not None:
                 V[0] = V[k]
@@ -377,23 +379,24 @@ def _within_limits(W, arg, Xn):
             and Xn.max() < np.inf)
 
 
-def _cycle(t, k, S, V, norms):
-    """The cycle of a block of k steps from step t that tripped no guard:
-    ``(origin, (states, norms))``, or None when some row's last state
-    ``(S[k], V[k])`` equals none of its earlier ones bit for bit.
+def _cycle(t, k, S, V, norms, left):
+    """The cycle of a block of k steps from step t that tripped no guard,
+    with ``left`` steps of the run after it: ``(start, L, (states,
+    norms))``, or None when some row's last state ``(S[k], V[k])``
+    equals none of its earlier ones bit for bit.
 
     Within one run a row's next state is a fixed function of its own
     bits, so a row r whose last state equals its state at a_r < k repeats
     with period p_r = k - a_r from step t + a_r on.  For the largest such
-    a_r of each row, every later batch is a replay: the batch of step
-    ``T >= origin = t + max(a_r) + 1`` is that of step ``origin +
-    (T - origin) % L``, L the lcm of the periods.  The copies are the
-    L batches from origin on, and their raw tangent norms, or None
-    without tangents, gathered from each row's last period in the block.
-    A cycle of more than BLOCK_DOUBLES states is None.  Bit patterns are
-    compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; the states of
-    every row are compared only when row 0, the first of a stack's,
-    repeats, and the tangents only when every state does."""
+    a_r of each row, every later batch is a replay: from ``start = t + k
+    + 1`` on, the batch of step T is copy ``(T - start) % L``, L the lcm
+    of the periods.  The copies, at most L and ``left``, and their raw
+    tangent norms, or None without tangents, are gathered from each
+    row's last period in the block.  A cycle of more than BLOCK_DOUBLES
+    states is None.  Bit patterns are compared, since
+    ``-0.0 == 0.0`` and ``NaN != NaN``; the states of every row are
+    compared only when row 0, the first of a stack's, repeats, and the
+    tangents only when every state does."""
     X = S[:k + 1].reshape(k + 1, -1, S.shape[-1])
     bits = X.view(np.int64)
     if not (bits[:k, 0] == bits[k, 0]).all(axis=1).any():
@@ -409,13 +412,13 @@ def _cycle(t, k, S, V, norms):
     L = math.lcm(*set(p.tolist()))  # np.lcm can overflow int64
     if L * bits[0].size > BLOCK_DOUBLES:
         return None
-    first = int(a.max()) + 1
-    # block step first + i of row r is its block step a_r + 1 +
-    # (first + i - a_r - 1) % p_r, within its last period
-    at = a + 1 + (np.arange(first, first + L)[:, None] - a - 1) % p
+    stored = min(L, left)
+    # block step k + 1 + i of row r is its block step a_r + 1 +
+    # (k + i - a_r) % p_r, within its last period
+    at = a + 1 + (np.arange(k, k + stored)[:, None] - a) % p
     rows = np.arange(len(a))
-    return t + first, (X[at, rows].reshape(L, *S.shape[1:]),
-                       None if norms is None else norms[at, rows])
+    return t + k + 1, L, (X[at, rows].reshape(stored, *S.shape[1:]),
+                          None if norms is None else norms[at, rows])
 
 
 def as_batch(X) -> np.ndarray:

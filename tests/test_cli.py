@@ -943,8 +943,9 @@ class TestConjugacyFailures:
 
     def test_guards_in_several_blocks_name_their_trials(self, capsys,
                                                         monkeypatch, tmp_path):
-        # three blocks of up to 64 trials: (20 + 1) 2 = 42 doubles a trial
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 64 * 42)
+        # three runs of up to 64 trials: a block's check holds 64 + 1
+        # states of 10 n + 3 = 23 doubles a trial
+        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 64 * 65 * 23)
         code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 130,
                                         {1, 70, 129})
         assert code == 2
@@ -967,7 +968,7 @@ class TestConjugacyFailures:
         args = ("conjugacy", str(fixture_path("example1_lv")),
                 "--seed", "1", "--trials", "20", "--steps", "50")
         whole = run(capsys, *args)
-        # (50 + 1) 2 = 102 doubles a trial: one trial a block
+        # fewer than (64 + 1) 23 doubles, a trial's check: one trial a run
         monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 102)
         assert run(capsys, *args) == whole
         assert whole[0] == 0
@@ -1072,6 +1073,27 @@ class TestConjugacyFailures:
         assert err == "error: transformed A contains NaN or infinite entries\n"
 
 
+class TestConjugacyHorizon:
+    def test_a_horizon_beyond_any_record_is_checked(self, capsys):
+        # nothing is recorded, so such a horizon is not refused:
+        # example1_lv's orbit repeats at once, and the check stops there
+        path = str(fixture_path("example1_lv"))
+
+        def measured(steps):
+            code, out, err = run(capsys, "conjugacy", path, "--seed", "1",
+                                 "--trials", "1", "--steps", steps)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            return lines[lines.index(f"conjugacy check: 1 trials, {steps} "
+                                     "steps, seed 1") + 1:]
+
+        huge = measured("100000000000000")
+        assert huge == measured("5000")
+        assert [line.split(":")[0] for line in huge] == [
+            "rejected candidates", "max one-step defect",
+            "max invariant drift", "all trials within budget"]
+
+
 class TestUsageErrors:
     def test_main_builds_one_parser(self, capsys, monkeypatch):
         built, init = [], qpd.cli._Parser.__init__
@@ -1116,10 +1138,9 @@ class TestUsageErrors:
          "--step", "1e-300"],
         ["scan", "--kind", "period3", "--rho-min", "3", "--rho-max", "2",
          "--step", "0.1"],
-        # horizons far beyond any address space: np.empty fails at once
+        # a horizon far beyond any address space: np.empty fails at once
         ["simulate", "F", "--x0", "1,1", "--steps", "100000000000000",
          "--out", "OUT"],
-        ["conjugacy", "F", "--steps", "100000000000000", "--trials", "1"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_argument_value_is_one_error_line(self, capsys, tmp_path,
                                                   argv):

@@ -1055,9 +1055,10 @@ class TestCycleReplay:
         # every batch but example3's settles before the Lyapunov sum starts
         assert (period is None) == (name == "example3_qp_rho32")
         if period is not None:
-            (origin, (states, _)), = found
-            assert len(states) == period
-            assert origin <= run.stepped <= LYAPUNOV_TRANSIENT
+            (start, L, (states, _)), = found
+            assert L == len(states) == period
+            assert start == run.stepped + 1
+            assert run.stepped <= LYAPUNOV_TRANSIENT
         else:
             assert not found and run.stepped == PERMANENCE_HORIZON
 
@@ -1133,14 +1134,15 @@ class TestCycleReplay:
     def test_bit_patterns_are_compared(self):
         # a fixed batch of states whose tangent rows 0 differ only in the
         # sign of a zero, or agree only as NaN bit patterns; row 1 is
-        # fixed from step 1, so the cycle starts at step 5 + 1 + 1
+        # fixed from step 1, so the batch repeats with row 0's period 2,
+        # copied from step 5 + 2 + 1 on
         S, norms = np.ones((3, 2, 2)), np.ones((3, 2))
         V = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1, 1))
         V[1, 0, 0] = -0.0  # == 0.0, yet row 0 at 1 is not row 0 at 2
-        origin, (states, _) = qpd.systems._cycle(5, 2, S, V, norms)
-        assert (origin, len(states)) == (7, 2)
+        start, L, (states, _) = qpd.systems._cycle(5, 2, S, V, norms, 10)
+        assert (start, L, len(states)) == (8, 2, 2)
         V[:, 0, 0] = np.nan, 0.0, np.nan  # NaN != NaN, yet 0 is 2 in row 0
-        assert qpd.systems._cycle(5, 2, S, V, norms)[0] == 7
+        assert qpd.systems._cycle(5, 2, S, V, norms, 10)[1] == 2
 
     @pytest.mark.parametrize("tangent_start", [None, 0, 7])
     def test_rows_of_different_periods(self, monkeypatch, tangent_start):
@@ -1157,9 +1159,10 @@ class TestCycleReplay:
         run = assert_matches_the_per_step_loop(
             sys, X0, 1000, range(900, 1001), range(1001), tangents)
         periods = row_periods(sys, X0, tangents, run.stepped)
-        (_, (states, _)), = [cycle for cycle in cycles if cycle is not None]
+        (_, L, (states, _)), = [cycle for cycle in cycles
+                                if cycle is not None]
         assert len(set(periods)) > 1
-        assert len(states) == math.lcm(*periods)
+        assert L == len(states) == math.lcm(*periods)
         assert run.stepped < 1000
 
     def test_periods_whose_lcm_exceeds_a_block(self, monkeypatch):
@@ -1169,9 +1172,37 @@ class TestCycleReplay:
         run = assert_matches_the_per_step_loop(
             RICKERS, RICKER_ROWS, 1000, range(900, 1001), range(1001), None)
         period = replayed_period(RICKERS, RICKER_ROWS, None, run.stepped)
-        (_, (states, _)), = [cycle for cycle in cycles if cycle is not None]
-        assert len(states) == period > K
+        (_, L, (states, _)), = [cycle for cycle in cycles
+                                if cycle is not None]
+        assert L == len(states) == period > K
         assert run.stepped <= 4 * K
+
+    @pytest.mark.parametrize("tangent_start", [None, 0])
+    def test_a_cycle_longer_than_the_steps_left(self, monkeypatch,
+                                                tangent_start):
+        # the batch repeats only after more steps than the run has left
+        # once its rows repeat: the copies hold only those steps.
+        # RICKERS' states repeat after more than a block; with tangents,
+        # the rows of the 4-cycle of x -> x exp(2.6 (1 - x)) do
+        if tangent_start is None:
+            sys, X0, tangents = RICKERS, RICKER_ROWS, None
+        else:
+            sys = rickers(2.6, 2.6)
+            X0 = np.exp(np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2)))
+            tangents = with_tangents(tangent_start, len(X0))
+        stepped = _lockstep(sys, X0, 1000, tangents=tangents).stepped
+        period = replayed_period(sys, X0, tangents, stepped)
+        horizon = stepped + period // 2
+        cycles = found_cycles(monkeypatch)
+        run = assert_matches_the_per_step_loop(
+            sys, X0, horizon, range(horizon - 10, horizon + 1),
+            range(horizon + 1), tangents)
+        (start, L, (states, norms)), = [cycle for cycle in cycles
+                                        if cycle is not None]
+        assert (start, L) == (stepped + 1, period)
+        assert len(states) == horizon - stepped < period
+        assert norms is None or len(norms) == len(states)
+        assert run.stepped == stepped
 
     def test_a_stack_of_different_periods(self, monkeypatch):
         # RICKERS' components as a stack of three n = 1 systems, two
@@ -1181,8 +1212,9 @@ class TestCycleReplay:
         kernel, states = assert_stack_matches_the_per_step_loop(
             ricker_stack(2.6, 2.67, 2.917), X0, 1000)
         period = math.lcm(*least_periods(states))
-        (_, (cycle, _)), = [cycle for cycle in cycles if cycle is not None]
-        assert cycle.shape == (period, 3, 2, 1) and period > K
+        (_, L, (cycle, _)), = [cycle for cycle in cycles
+                               if cycle is not None]
+        assert L == period > K and cycle.shape == (period, 3, 2, 1)
         assert kernel.stepped <= 4 * K
 
     @pytest.mark.parametrize("tangent_start", [None, 0, 7])
@@ -1250,12 +1282,14 @@ class TestCycleReplay:
         monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 2**62)
         steps = np.arange(K + 1)[:, None] % primes
         S = (1.0 + steps)[..., None]
-        assert qpd.systems._cycle(0, K, S, None, None) is None
-        # the same rows with periods of lcm 30 030 form a cycle
+        assert qpd.systems._cycle(0, K, S, None, None, 10**6) is None
+        # the same rows with periods of lcm 30 030 form a cycle; the
+        # rows fixed at 1 have period 1, from their largest a_r, K - 1
         S[:, 6:] = 1.0
-        origin, (states, norms) = qpd.systems._cycle(0, K, S, None, None)
-        assert len(states) == 30030 and norms is None
-        assert origin == K  # the rows fixed at 1 repeat from step K - 1
+        start, L, (states, norms) = qpd.systems._cycle(0, K, S, None, None,
+                                                       10**6)
+        assert (start, L, len(states)) == (K + 1, 30030, 30030)
+        assert norms is None
 
     def test_no_search_without_steps_left(self, monkeypatch):
         # a block that ends the run has nothing left to replay, so a
@@ -1392,17 +1426,22 @@ def conjugacy_trials(rng, n, trials):
     return qmts, X0
 
 
+#: Doubles of one trial of a conjugacy run at n = 2: a block's check
+#: holds (BLOCK_STEPS + 1) states of 10 n + 3 doubles each
+CHECK_DOUBLES_N2 = (BLOCK_STEPS + 1) * 23
+
+
 @pytest.fixture
 def block_runs(monkeypatch):
-    """The (rows, components) of each lockstep run that
+    """The (rows, components) of each ``MapStep`` run that
     conjugacy_deviations makes."""
-    runs, lockstep = [], qpd.dynamics._lockstep
+    runs = []
 
-    def spy(block, rows, steps, **kwargs):
+    def spy(system, rows, steps, *args):
         runs.append(rows.shape)
-        return lockstep(block, rows, steps, **kwargs)
+        return MapStep(system, rows, steps, *args)
 
-    monkeypatch.setattr(qpd.dynamics, "_lockstep", spy)
+    monkeypatch.setattr(qpd.dynamics, "MapStep", spy)
     return runs
 
 
@@ -1434,8 +1473,8 @@ class TestConjugacyDeviations:
     @pytest.mark.parametrize("system, trials, doubles, blocks", [
         ("example1_lv", 20, None, 1),
         ("stable-lv-image-n6", 45, None, 1),
-        # (200 + 1) 2 = 402 doubles a trial: 3 trials a block
-        ("example1_lv", 20, 3 * 402 + 401, 7),
+        # one double short of 4 trials a run: 3 trials a run, 7 runs
+        ("example1_lv", 20, 4 * CHECK_DOUBLES_N2 - 1, 7),
     ], ids=["example1_lv-20", "stable-lv-image-n6-45",
             "example1_lv-20-storage-capped"])
     def test_blocks_match_single_trials(self, monkeypatch, block_runs,
@@ -1469,8 +1508,9 @@ class TestConjugacyDeviations:
         X0 = np.full((130, 2), [np.exp(-600.0), 1.0])
         X0[[3, 129]] = 1.0
         qmt = QMTMatrix.from_matrix(np.diag([1.0, 2.0]))
-        # 64 trials a block: (20 + 1) 2 = 42 doubles a trial
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 64 * 42)
+        # 64 trials a run
+        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES",
+                            64 * CHECK_DOUBLES_N2)
         deviations, _, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
         reason = "direct orbit: step 17 hit the overflow guard"
         assert guards == {3: reason, 129: reason}
@@ -1560,50 +1600,50 @@ class TestConjugacyDeviations:
         assert np.isnan(deviations).all()
         assert drifts.tolist() == [0.0]
 
-    def test_checks_each_orbits_distinct_pairs_once(self, monkeypatch):
+    def test_stops_once_the_run_replays(self, monkeypatch):
         # this run's rows settle into float cycles of periods 1, 2, 4, 8
         # and 19, whose lcm 152 exceeds BLOCK_STEPS: the batch never
         # repeats within a block, but each row does, so the kernel
-        # replays the assembled cycle after two blocks; every row's pairs
-        # repeat after at most 82
+        # replays the assembled cycle after two blocks, and the check
+        # stops there
         sys = load_system(DATA / "stable_lv_image_n6.json")
         qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 20)
         # C^-1 scales log x_6 by 1e4: trial 7's x_0 maps past the guard
         qmts[7] = QMTMatrix.from_matrix(np.diag([1.0] * 5 + [1e-4]))
-        stepped, rows = [], []
-        lockstep, step = qpd.dynamics._lockstep, qpd.dynamics.advance
+        kernels, rows = [], []
+        step = qpd.dynamics.advance
 
-        def lockstep_spy(*args, **kwargs):
-            run = lockstep(*args, **kwargs)
-            stepped.append(run.stepped)
-            return run
+        def kernel_spy(*args):
+            kernels.append(MapStep(*args))
+            return kernels[-1]
 
         def advance_spy(images, Y):
             rows.append(np.shape(Y))
             return step(images, Y)
 
-        monkeypatch.setattr(qpd.dynamics, "_lockstep", lockstep_spy)
+        monkeypatch.setattr(qpd.dynamics, "MapStep", kernel_spy)
         monkeypatch.setattr(qpd.dynamics, "advance", advance_spy)
         result = conjugacy_deviations(sys, qmts, X0, 500)
         monkeypatch.undo()
-        (kernel_steps,) = stepped
-        assert kernel_steps <= 2 * BLOCK_STEPS
-        # one stacked step of the 20 trials, over fewer rows than steps
-        (k, m, n), = rows
-        assert (k, n) == (20, 6) and m < 500
+        (kernel,) = kernels
+        assert kernel.replay is not None
+        assert kernel.stepped <= 2 * BLOCK_STEPS
+        # one stacked step of the 20 trials a block, over the pairs of
+        # the blocks it stepped and of no replayed block
+        assert {(k, n) for k, _, n in rows} == {(20, 6)}
+        assert sum(m for _, m, _ in rows) == kernel.stepped < 500
         assert_per_trial_checks(result, sys, qmts, X0, 500)
         assert result[2] == {7: "conjugate initial state: state mapping "
                                 "hit the overflow guard"}
 
     @pytest.mark.parametrize("system, doubles", [
-        # (120 + 1) 2 doubles a direct orbit: one trial a run; a stack of
-        # 184 // 23 = 8 states: windows of 7 pairs, the last of a single
-        # pair moved back by one
-        ("monotone", 184),
-        # one trial a run, and windows of 20 // 1 - 1 = 19 pairs
-        ("stable-lv-image-n6", 20 * 63),
-        # 4 trials a run, stacks of 2 trials, a window of every pair
-        ("stable-lv-image-n6", 4 * 501 * 6),
+        # 2 trials a run, whose blocks of k steps are checked as stacks
+        # of 2 (k + 1) states: 64 steps, then the last 56 of 120
+        ("monotone", 2 * CHECK_DOUBLES_N2),
+        # one trial a run
+        ("stable-lv-image-n6", (BLOCK_STEPS + 1) * 63),
+        # one double short of 5 trials a run: 4 trials a run
+        ("stable-lv-image-n6", 5 * (BLOCK_STEPS + 1) * 63 - 1),
     ])
     def test_stacks_stay_within_the_storage_cap(self, monkeypatch, system,
                                                 doubles):
@@ -1620,9 +1660,9 @@ class TestConjugacyDeviations:
             qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 8)
         states, check = [], qpd.dynamics._one_step_defects
 
-        def spy(images, qmts, X):
+        def spy(images, inverses, C_T, X, lone):
             states.append(X.shape[0] * X.shape[1])
-            return check(images, qmts, X)
+            return check(images, inverses, C_T, X, lone)
 
         monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
         monkeypatch.setattr(qpd.dynamics, "_one_step_defects", spy)
@@ -1634,6 +1674,19 @@ class TestConjugacyDeviations:
         if system == "monotone":
             assert result[2][2] == ("conjugate state 100: state mapping hit "
                                     "the overflow guard")
+
+    def test_a_horizon_beyond_any_record_checks_the_same_pairs(self):
+        # the direct run replays from step 128, and nothing is recorded,
+        # so 10**14 steps check the pairs that 5000 steps check
+        sys = load_system(DATA / "stable_lv_image_n6.json")
+        qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 20)
+        deviations, drifts, guards = conjugacy_deviations(sys, qmts, X0,
+                                                          10**14)
+        expected = conjugacy_deviations(sys, qmts, X0, 5000)
+        np.testing.assert_array_equal(deviations, expected[0])
+        np.testing.assert_array_equal(drifts, expected[1])
+        assert guards == expected[2] == {}
+        assert deviations.max() <= 1e-13
 
     def test_trial_counts_must_agree(self):
         sys = load_fixture("example1_lv")
