@@ -610,7 +610,7 @@ def falsifications(verdicts, checks: VerificationPass) -> tuple[list, list]:
 # conjugacy verification
 # ---------------------------------------------------------------------------
 
-def _one_step_defects(images, inverses, C_T, X, lone):
+def _one_step_defects(images, C_inv, C_T, X):
     """The one-step check of a stack of trials along their states X,
     (k, w + 1, n), w consecutive pairs a trial: each trial's largest
     defect, which means nothing for a guarded trial, and the guard codes
@@ -618,19 +618,19 @@ def _one_step_defects(images, inverses, C_T, X, lone):
     its step.
 
     ``transform.map_states`` maps the states to log y = C^-1 log x under
-    the trials' ``inverses``, their transformed systems ``images`` step
-    them once (``systems.advance``), and the defect is ``max |expm1(log
-    G(y_t) C_T - log x_(t+1))|``, a lone pair multiplied as
-    ``systems.as_batch`` rows unless ``lone``.  A guarded trial's states
-    and images may hold 0, inf or NaN, so run it under ``np.errstate``.
+    the trials' stacked inverses ``C_inv``, their transformed systems
+    ``images`` step them once (``systems.advance``), and the defect is
+    ``max |expm1(log G(y_t) C_T - log x_(t+1))|``, the rows ``log G``
+    multiplied as ``systems.as_batch`` rows, like every product.  A
+    guarded trial's states and images may hold 0, inf or NaN, so run it
+    under ``np.errstate``.
     """
-    Y, mapped = map_states(inverses, X)
+    Y, mapped = map_states(C_inv, X)
     G, _, stepped = advance(images, Y[:, :-1])
     codes = np.empty((len(X), 2 * X.shape[1] - 1), dtype=int)
     codes[:, 0::2], codes[:, 1::2] = mapped, stepped
     log_G = np.log(G)
-    product = (log_G if lone else as_batch(log_G)) @ C_T
-    gap = product[:, :log_G.shape[1]] - np.log(X[:, 1:])
+    gap = (as_batch(log_G) @ C_T)[:, :log_G.shape[1]] - np.log(X[:, 1:])
     return np.abs(np.expm1(gap)).max(axis=(1, 2)), codes
 
 
@@ -647,8 +647,9 @@ def _guard_message(t, code, stepped) -> str:
 def _one_step_run(sys, images, qmts, X0, steps):
     """The one-step check of one direct run of the trials' initial
     states X0: each one's largest defect, NaN where a guard stopped it,
-    and the message of each such trial's first guard."""
-    inverses = [qmt.inverse() for qmt in qmts]
+    and the message of each such trial's first guard.  The trials'
+    matrices C^-1 and C^T are stacked once, for every block."""
+    C_inv = np.stack([qmt.C_inv for qmt in qmts])
     C_T = np.stack([qmt.C for qmt in qmts]).swapaxes(1, 2)
     kernel, m = MapStep(sys, X0, steps), len(X0)
     defects, messages = np.zeros(m), {}
@@ -657,8 +658,7 @@ def _one_step_run(sys, images, qmts, X0, steps):
             if t == steps or not kernel.live.any():  # no pair left
                 break
             X = kernel.S[:k + 1, :m].transpose(1, 0, 2).copy()
-            worst, codes = _one_step_defects(images, inverses, C_T, X,
-                                             steps == 1)
+            worst, codes = _one_step_defects(images, C_inv, C_T, X)
             np.maximum(defects, worst, out=defects)
             for i in np.flatnonzero(codes.any(axis=1)):
                 c = int(np.flatnonzero(codes[i])[0])

@@ -12,8 +12,9 @@ components themselves.
 This module owns validation, the one map kernel (``MapStep``, which
 runs every orbit block by block, with or without tangent vectors, and
 owns its rows, guards, shadows and tangent growth; its guard rule
-``guard_codes``; ``advance``, a one-step run of it; ``as_batch``, the
-rows it multiplies; and ``QPStack``, systems it steps side by side),
+``guard_codes``; ``advance``, one step of it; ``as_batch``, the rows it
+multiplies; and ``QPStack``, systems that ``advance`` steps once, side
+by side),
 sign-pattern extraction, and the system-definition JSON schema used by
 fixtures and the command line.
 """
@@ -139,8 +140,9 @@ class LVSystem(QPSystem):
 
 class QPStack(NamedTuple):
     """k systems on a leading axis, A and B (k, n, n) and lam (k, n),
-    not validated: ``MapStep`` and ``advance`` step a stack's (k, m, n)
-    rows as one batch, the m rows of slice i by system i."""
+    not validated: ``advance`` steps a stack's (k, m, n) rows once, as
+    one batch, the m rows of slice i by system i; no run steps a
+    stack."""
 
     A: np.ndarray
     B: np.ndarray
@@ -181,18 +183,17 @@ class MapStep:
     vector, its number of steps and its ``tangents``, ``(start, V)`` with
     V shaped like X0, or None.  It steps the rows ``as_batch(X0)``, so a
     lone row is paired with a copy of itself, which is never live.  The
-    system may be a ``QPStack`` of k systems instead, with X0 (k, m, n)
-    and no tangents: then every buffer below has that stack axis before
-    its rows, the two matmuls multiply slice i by system i's contiguous
-    transposes, and row r of slice i is row i m + r of ``guards`` and of
-    the flattened ``live``; nothing else changes.  It allocates every
-    buffer of a block of ``size`` steps: at most BLOCK_STEPS and
-    ``steps``, and at most BLOCK_DOUBLES over what a step stores, but at
-    least one.  A step stores 3 m n doubles (3 k m n for a stack), its
-    states ``S``, log quasimonomials ``W`` and step exponents ``arg``,
-    since without
-    tangents one operand ``log X`` serves every step; with tangents it
-    stores m (6 n + 1): the states, the operands ``[log X; V]``, whose
+    system may be a ``QPStack`` of k systems instead, with X0 (k, m, n),
+    one step and no tangents, stepped by ``step()`` alone, through
+    ``advance``: then every buffer below has that stack axis before its
+    rows, and the two matmuls multiply slice i by system i's contiguous
+    transposes.  It allocates every buffer of a block of ``size`` steps:
+    at most BLOCK_STEPS and ``steps``, and at most BLOCK_DOUBLES over
+    what a step stores, but at least one.  A step stores 3 m n doubles
+    (3 k m n for a stack), its states ``S``, log quasimonomials ``W``
+    and step exponents ``arg``, since without tangents one operand
+    ``log X`` serves every step; with tangents it stores m (6 n + 1):
+    the states, the operands ``[log X; V]``, whose
     bottom halves are the tangent rows ``V``, ``[W; V B^T]``, whose top
     half is ``W``, the step exponents and the tangent ``norms``.  So ``S``
     is (size + 1, m, n) with S[0] = X0, ``arg`` and ``W`` are
@@ -209,18 +210,16 @@ class MapStep:
 
     ``blocks()`` runs the horizon a block at a time, checking the guard
     once a block.  It yields ``(t, k)`` once S[:k] holds steps
-    t .. t + k - 1 of the rows ``live`` at the block's start, and last
-    ``(t, 1)`` for the final step.  A block that trips the guard ends at
-    its first guarded step: before the yield its guarded rows join
-    ``guards``, ``(row, t, reason)`` in step order, rows ascending, t the
-    step whose transition was guarded; after it they leave ``live``, and
-    every row not live copies the first live row, a shadow that cannot
-    trip again (in a stack it may, under another system, but a row that
-    is not live is never checked).  With tangents, ``growth`` sums each
-    row's log tangent growth over the transitions out of the steps
-    t >= start, one
-    ``np.log`` of a block's raw norms and one axis-0 ``np.add.reduce``
-    in step order.  ``stepped`` counts every step it computed, the steps
+    t .. t + k - 1 of the rows ``live``, an (m,) mask, at the block's
+    start, and last ``(t, 1)`` for the final step.  A block that trips
+    the guard ends at its first guarded step: before the yield its
+    guarded rows join ``guards``, ``(row, t, reason)`` in step order,
+    rows ascending, t the step whose transition was guarded; after it
+    they leave ``live``, and every row not live copies the first live
+    row, a shadow that cannot trip again.  With tangents, ``growth``
+    sums each row's log tangent growth over the transitions out of the
+    steps t >= start, one ``np.log`` of a block's raw norms and one
+    axis-0 ``np.add.reduce`` in step order.  ``stepped`` counts every step it computed, the steps
     of a tripped block after its cut included, so a guarded run may
     count more than ``steps``.
 
@@ -252,8 +251,8 @@ class MapStep:
         S[0] = X0
         self.size, self.S, self.arg = size, S, arg
         self.steps, self.stepped, self.replay = steps, 0, None
-        self.live = np.zeros(X0.shape[:-1], dtype=bool)
-        self.live[..., :1 if lone else m] = True
+        self.live = np.zeros(m, dtype=bool)
+        self.live[:1 if lone else m] = True
         self.guards: list[tuple[int, int, str]] = []
         # without tangents every step shares the one operand P[0]
         P = np.empty((1 if V is None else size + 1, *stack, rows, n))
@@ -317,7 +316,6 @@ class MapStep:
                          else guard_codes(W, arg, Xn) * live)
                 if guard is not None and guard.any():
                     # the block ends at its first guarded step
-                    guard = guard.reshape(len(guard), -1)
                     k = int(np.argmax(guard.any(axis=1))) + 1
                     guarded = np.flatnonzero(guard[k - 1])
                     self.guards += [(int(i), t + k - 1,
@@ -338,9 +336,9 @@ class MapStep:
             if V is not None:
                 V[0] = V[k]
             if guarded is not None:  # its guarded rows become shadows
-                live.flat[guarded] = False
+                live[guarded] = False
                 if live.any():
-                    source = np.unravel_index(np.argmax(live), live.shape)
+                    source = np.argmax(live)
                     S[0][~live] = S[0][source]
                     if V is not None:
                         V[0][~live] = V[0][source]
@@ -371,12 +369,13 @@ def guard_codes(W, arg, Xn):
 
 
 def _within_limits(W, arg, Xn):
-    """Whether ``guard_codes`` finds no guard, from whole-array extrema."""
-    return (W.max() <= EXP_ARG_LIMIT
-            and -EXP_ARG_LIMIT <= arg.min()
-            and arg.max() <= EXP_ARG_LIMIT
-            and UNDERFLOW_FLOOR <= Xn.min()
-            and Xn.max() < np.inf)
+    """Whether ``guard_codes`` finds no guard, from whole-array extrema;
+    an empty batch has none."""
+    return (W.max(initial=-np.inf) <= EXP_ARG_LIMIT
+            and -EXP_ARG_LIMIT <= arg.min(initial=np.inf)
+            and arg.max(initial=-np.inf) <= EXP_ARG_LIMIT
+            and UNDERFLOW_FLOOR <= Xn.min(initial=np.inf)
+            and Xn.max(initial=-np.inf) < np.inf)
 
 
 def _cycle(t, k, S, V, norms, left):
@@ -395,10 +394,9 @@ def _cycle(t, k, S, V, norms, left):
     row's last period in the block.  A cycle of more than BLOCK_DOUBLES
     states is None.  Bit patterns are compared, since
     ``-0.0 == 0.0`` and ``NaN != NaN``; the states of every row are
-    compared only when row 0, the first of a stack's, repeats, and the
-    tangents only when every state does."""
-    X = S[:k + 1].reshape(k + 1, -1, S.shape[-1])
-    bits = X.view(np.int64)
+    compared only when row 0 repeats, and the tangents only when every
+    state does."""
+    bits = S[:k + 1].view(np.int64)
     if not (bits[:k, 0] == bits[k, 0]).all(axis=1).any():
         return None
     same = (bits[:k] == bits[k]).all(axis=2)
@@ -417,7 +415,7 @@ def _cycle(t, k, S, V, norms, left):
     # (k + i - a_r) % p_r, within its last period
     at = a + 1 + (np.arange(k, k + stored)[:, None] - a) % p
     rows = np.arange(len(a))
-    return t + k + 1, L, (X[at, rows].reshape(stored, *S.shape[1:]),
+    return t + k + 1, L, (S[at, rows],
                           None if norms is None else norms[at, rows])
 
 
@@ -433,8 +431,8 @@ def as_batch(X) -> np.ndarray:
 
 
 def advance(sys: QPSystem | QPStack, X):
-    """One guarded step of the QP map for each row of X: the first block
-    of ``MapStep(sys, X, 1)``.
+    """One guarded step of the QP map for each row of X: one step of
+    ``MapStep(sys, X, 1)``, labelled by ``guard_codes``.
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector, or as a (k, m, n) stack of rows for a ``QPStack`` of k
@@ -446,11 +444,8 @@ def advance(sys: QPSystem | QPStack, X):
     X = np.asarray(X)
     kernel = MapStep(sys, X, 1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        next(kernel.blocks())
-    guard = np.zeros(kernel.live.size, dtype=int)
-    for i, _, reason in kernel.guards:
-        guard[i] = GUARD_REASONS.index(reason)
-    guard = guard.reshape(kernel.live.shape)
+        kernel.step(0)
+        guard = guard_codes(kernel.W[0], kernel.arg[0], kernel.S[1])
     if X.ndim == 1:
         return kernel.S[1, 0], kernel.q[0], guard[0]
     m = X.shape[-2]

@@ -192,24 +192,24 @@ def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
     return LVSystem(inv.interaction, inv.growth, name=sys.name), qmt
 
 
-def map_states(qmt, Y) -> tuple[np.ndarray, np.ndarray]:
+def map_states(C, Y) -> tuple[np.ndarray, np.ndarray]:
     """Map each row of Y, (m, n) positive states, through the monomial
-    change of variables: ``(X, guard)``, the rows ``exp(log Y C^T)`` and
-    a guard code per row, valid X only where it is GUARD_OK.
+    change of variables of the matrix C: ``(X, guard)``, the rows
+    ``exp(log Y C^T)`` and a guard code per row, valid X only where it
+    is GUARD_OK.
 
-    ``qmt`` is a QMTMatrix, or a sequence of k of them with Y a (k, m, n)
+    C may be a (k, n, n) stack of matrices instead, with Y a (k, m, n)
     stack of rows: one matmul then multiplies slice i by the ``C^T`` view
-    of the i-th, to the bit as that QMT would map the slice alone.
+    of C[i], to the bit as that matrix would map the slice alone.
 
     The guard is the one-step map's rule, ``systems.guard_codes`` with
     the exponents ``log Y C^T`` as both the log quasimonomials and the
     step exponents: an exponent above +EXP_ARG_LIMIT is overflow, an image
     component below UNDERFLOW_FLOOR underflow.  The identity returns Y
-    itself, in a stack its slice: the exp/log round trip would wobble by
-    an ulp.
+    itself, and an identity slice of a stack its slice of Y: the exp/log
+    round trip would wobble by an ulp.
     """
     Y = np.asarray(Y, dtype=float)
-    C = qmt.C if isinstance(qmt, QMTMatrix) else np.stack([q.C for q in qmt])
     identity = (C == np.eye(C.shape[-1])).all(axis=(-2, -1))
     if identity.all():
         return Y, np.full(Y.shape[:-1], GUARD_OK)
@@ -229,7 +229,7 @@ def map_state(qmt: QMTMatrix, y) -> np.ndarray:
     rows.  Strictly positive in, strictly positive out; raises
     OverflowGuard naming the guard ``map_states`` labels the image with.
     """
-    X, guard = map_states(qmt, as_batch(as_state(y, qmt.n)))
+    X, guard = map_states(qmt.C, as_batch(as_state(y, qmt.n)))
     if guard[0] != GUARD_OK:
         raise OverflowGuard(
             f"state mapping hit the {GUARD_REASONS[guard[0]]} guard")

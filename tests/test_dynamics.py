@@ -58,8 +58,8 @@ from qpd.systems import (
     GUARD_REASONS,
     UNDERFLOW_FLOOR,
     MapStep,
-    QPStack,
     advance,
+    as_batch,
 )
 from qpd.errors import (
     GuardTermination,
@@ -996,34 +996,10 @@ def found_cycles(monkeypatch):
     return cycles
 
 
-def assert_stack_matches_the_per_step_loop(stack, X0, steps):
-    """A run of a ``QPStack`` that guards no row, state for state against
-    one ``advance`` a step; returns its kernel and those states."""
-    kernel, states = MapStep(stack, X0, steps), []
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _, k in kernel.blocks():
-            states.append(kernel.S[:k].copy())
-    expected = [np.asarray(X0, dtype=float)]
-    for _ in range(steps):
-        X, _, guard = advance(stack, expected[-1])
-        assert not guard.any()
-        expected.append(X)
-    assert not kernel.guards
-    expected = np.array(expected)
-    assert np.concatenate(states).tobytes() == expected.tobytes()
-    return kernel, expected
-
-
 def rickers(*r):
     """x_i -> x_i exp(r_i (1 - x_i)) in each component, as one system."""
     r = np.array(r)
     return QPSystem(-np.diag(r), np.eye(len(r)), r)
-
-
-def ricker_stack(*r):
-    """``rickers`` of each r_i alone, as a ``QPStack`` of n = 1 systems."""
-    r = np.array(r)
-    return QPStack(-r[:, None, None], np.ones((len(r), 1, 1)), r[:, None])
 
 
 #: The float orbits of x -> x exp(r (1 - x)) settle on cycles of
@@ -1204,19 +1180,6 @@ class TestCycleReplay:
         assert norms is None or len(norms) == len(states)
         assert run.stepped == stepped
 
-    def test_a_stack_of_different_periods(self, monkeypatch):
-        # RICKERS' components as a stack of three n = 1 systems, two
-        # rows each, the last fixed at 1
-        cycles = found_cycles(monkeypatch)
-        X0 = np.array([[[0.5], [1.3]], [[0.5], [1.4]], [[0.6], [1.0]]])
-        kernel, states = assert_stack_matches_the_per_step_loop(
-            ricker_stack(2.6, 2.67, 2.917), X0, 1000)
-        period = math.lcm(*least_periods(states))
-        (_, L, (cycle, _)), = [cycle for cycle in cycles
-                               if cycle is not None]
-        assert L == period > K and cycle.shape == (period, 3, 2, 1)
-        assert kernel.stepped <= 4 * K
-
     @pytest.mark.parametrize("tangent_start", [None, 0, 7])
     def test_conjugacy_run_of_stable_lv_image_n6(self, tangent_start):
         # the direct orbits of 20 conjugacy trials settle into float
@@ -1245,20 +1208,6 @@ class TestCycleReplay:
         assert least_periods(run.record[:, :3]) is not None
         assert least_periods(run.record) is None
         assert not any(cycles) and run.stepped == steps
-
-    def test_a_stack_with_an_example3_row(self, monkeypatch):
-        # example1_lv's rows settle on its fixed point; example3's never
-        # repeat
-        systems = [load_fixture("example1_lv"),
-                   load_fixture("example3_qp_rho32")]
-        stack = QPStack(*(np.stack([getattr(sys, name) for sys in systems])
-                          for name in ("A", "B", "lam")))
-        X0 = np.stack([pass_batch(0)[0][:4]] * 2)
-        cycles = found_cycles(monkeypatch)
-        kernel, states = assert_stack_matches_the_per_step_loop(stack, X0,
-                                                                1000)
-        assert least_periods(states[:, 0]) is not None
-        assert not any(cycles) and kernel.stepped == 1000
 
     @pytest.mark.parametrize("over", [False, True])
     def test_a_cycle_over_the_storage_cap_is_stepped(self, monkeypatch,
@@ -1369,7 +1318,8 @@ def reference_one_step_defect(sys, qmt, x0, steps):
     image = apply_qmt(sys, qmt)
     G = np.array([step(image, map_state(qmt.inverse(), x))
                   for x in direct.states[:-1]])
-    gap = np.log(G) @ qmt.C.T - np.log(direct.states[1:])
+    gap = ((as_batch(np.log(G)) @ qmt.C.T)[:len(G)]
+           - np.log(direct.states[1:]))
     return float(np.max(np.abs(np.expm1(gap))))
 
 
@@ -1379,7 +1329,7 @@ def per_trial_check(sys, qmt, x0, steps):
     and the message of its first guard, or None."""
     X = simulate(sys, x0, steps).states
     assert len(X) == steps + 1
-    Y, mapped = map_states(qmt.inverse(), X)
+    Y, mapped = map_states(qmt.C_inv, X)
     with np.errstate(divide="ignore"):
         images, _, stepped = advance(apply_qmt(sys, qmt), Y[:-1])
     codes = np.empty(2 * len(Y) - 1, dtype=int)
@@ -1391,7 +1341,8 @@ def per_trial_check(sys, qmt, x0, steps):
             return np.nan, f"conjugate state {t}: step hit the {reason} guard"
         where = "conjugate initial state" if t == 0 else f"conjugate state {t}"
         return np.nan, f"{where}: state mapping hit the {reason} guard"
-    gap = np.log(images) @ qmt.C.T - np.log(X[1:])
+    gap = ((as_batch(np.log(images)) @ qmt.C.T)[:len(images)]
+           - np.log(X[1:]))
     with np.errstate(over="ignore"):
         return float(np.max(np.abs(np.expm1(gap)))), None
 
@@ -1660,9 +1611,9 @@ class TestConjugacyDeviations:
             qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 8)
         states, check = [], qpd.dynamics._one_step_defects
 
-        def spy(images, inverses, C_T, X, lone):
+        def spy(images, C_inv, C_T, X):
             states.append(X.shape[0] * X.shape[1])
-            return check(images, inverses, C_T, X, lone)
+            return check(images, C_inv, C_T, X)
 
         monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
         monkeypatch.setattr(qpd.dynamics, "_one_step_defects", spy)

@@ -23,7 +23,6 @@ from qpd.systems import (
     GUARD_OVERFLOW,
     GUARD_UNDERFLOW,
     UNDERFLOW_FLOOR,
-    MapStep,
     QPStack,
     advance,
     as_state,
@@ -234,38 +233,6 @@ class TestAdvance:
         for i, (sys, X) in enumerate(batches):
             for a, b in zip(got, advance(sys, X)):
                 assert np.array_equal(a[i], b, equal_nan=True)
-
-
-def recorded_run(sys, X, steps):
-    """Every state of the live rows of a ``MapStep`` run, NaN where a row
-    is no longer live, and its guard list."""
-    kernel = MapStep(sys, X, steps)
-    record = np.full((steps + 1, *kernel.live.shape, sys.lam.shape[-1]),
-                     np.nan)
-    with np.errstate(all="ignore"):
-        for t, k in kernel.blocks():
-            np.copyto(record[t:t + k], kernel.S[:k],
-                      where=kernel.live[..., None])
-    return record, kernel.guards
-
-
-def test_stacked_run_is_each_systems_own_run():
-    # x_1 gains e^40 a step under the first system: its row from x_1 = 1
-    # stops at step 17, whose block is cut there, and becomes a shadow;
-    # the other rows settle, so the stack's batch repeats and is replayed
-    systems = [QPSystem(np.zeros((2, 2)), np.eye(2), [40.0, -1.0]),
-               QPSystem(LV1_A, np.eye(2), LV1_LAM)]
-    X = np.array([[[1.0, 1.0], [np.exp(-600.0), 0.5]],
-                  [[0.2, 3.0], [1.5, 0.1]]])
-    stack = QPStack(*(np.stack([getattr(sys, field) for sys in systems])
-                      for field in QPStack._fields))
-    record, guards = recorded_run(stack, X, 300)
-    assert guards[0] == (0, 17, "overflow")
-    for i, sys in enumerate(systems):
-        own, own_guards = recorded_run(sys, X[i], 300)
-        assert np.array_equal(record[:, i], own, equal_nan=True)
-        assert [(row - 2 * i, t, reason) for row, t, reason in guards
-                if row // 2 == i] == own_guards
 
 
 class TestSignPattern:

@@ -16,7 +16,7 @@ from qpd import (
 )
 from qpd.errors import (DimensionMismatch, NonFinite, OverflowGuard, SingularB,
                         SingularMatrix)
-from qpd.systems import GUARD_OK, GUARD_REASONS
+from qpd.systems import GUARD_OK, GUARD_REASONS, advance
 from qpd.transform import (INVERSE_RESIDUAL_LIMIT, SINGULARITY_RTOL,
                            invertibility, map_states)
 
@@ -252,7 +252,7 @@ class TestMapState:
         rng = np.random.default_rng(n)
         qmt = QMTMatrix.from_matrix(3.0 * random_qmt(rng, n).C)
         Y = np.exp(rng.uniform(-400.0, 400.0, size=(200, n)))
-        X, guard = map_states(qmt, Y)
+        X, guard = map_states(qmt.C, Y)
         assert 0 < np.count_nonzero(guard == GUARD_OK) < len(Y)
         for y, x, code in zip(Y, X, guard):
             if code == GUARD_OK:
@@ -264,8 +264,37 @@ class TestMapState:
 
     def test_identity_rows_are_the_states(self):
         Y = np.exp(np.random.default_rng(3).uniform(-5.0, 5.0, size=(7, 3)))
-        X, guard = map_states(QMTMatrix.identity(3), Y)
+        X, guard = map_states(QMTMatrix.identity(3).C, Y)
         assert X is Y and not guard.any()
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_a_stack_maps_each_slice_as_its_matrix(self, n):
+        # the identity, a matrix that guards some of its rows and one
+        # that guards none, as one (3, n, n) stack: slice i maps to the
+        # bit as C[i] maps it alone, guard codes included
+        rng = np.random.default_rng(n)
+        C = np.stack([np.eye(n), 3.0 * random_qmt(rng, n).C,
+                      random_qmt(rng, n).C])
+        Y = np.exp(rng.uniform(-400.0, 400.0, size=(3, 50, n)))
+        Y[2] = np.exp(rng.uniform(-5.0, 5.0, size=(50, n)))
+        X, guard = map_states(C, Y)
+        assert X.shape == Y.shape and guard.shape == (3, 50)
+        assert X[0].tobytes() == Y[0].tobytes() and not guard[0].any()
+        assert guard[1].any() and not guard[1].all() and not guard[2].any()
+        for i in range(3):
+            alone = map_states(C[i], Y[i])
+            assert X[i].tobytes() == alone[0].tobytes()
+            assert np.array_equal(guard[i], alone[1])
+
+    @pytest.mark.parametrize("C", [np.eye(2), [[2.0, 1.0], [0.0, 1.0]]])
+    def test_an_empty_batch_maps_and_steps_to_nothing(self, C):
+        # the guard rule takes no extremum of an empty array
+        Y = np.empty((0, 2))
+        X, guard = map_states(np.array(C), Y)
+        assert X.shape == (0, 2) and guard.shape == (0,)
+        sys = QPSystem(np.array(C), np.eye(2), np.ones(2))
+        for got, shape in zip(advance(sys, Y), [(0, 2), (0, 2), (0,)]):
+            assert got.shape == shape
 
 
 class TestConjugacy:
