@@ -170,10 +170,10 @@ def _fmt(v) -> str:
     return "undefined" if v is None else f"{v:.12g}"
 
 
-def _fmt_matrix(M, indent="    ") -> str:
+def _fmt_matrix(M) -> str:
     rows = np.atleast_2d(np.asarray(M, dtype=float))
     return "\n".join(
-        indent + "[" + "  ".join(_fmt(v) for v in row) + "]" for row in rows
+        "    [" + "  ".join(_fmt(v) for v in row) + "]" for row in rows
     )
 
 

@@ -11,9 +11,10 @@ rule per claim.
 
 A conjugacy is checked as the one-step identity F(h(y)) = h(G(y)) on
 the direct orbit alone, so no conjugate orbit is run and nothing is
-recorded: each block of the direct run is mapped to the trials'
-conjugate coordinates and stepped once by their transformed systems,
-one stack that also gives the invariant drift, until the run replays.
+recorded: every trial's direct orbit is a row of one kernel run, whose
+blocks, until it replays, are mapped to the trials' conjugate
+coordinates and stepped once by their transformed systems, one stack
+that also gives the invariant drift; a block bounds each check.
 
 Guard policy: every map evaluation here goes through the one map kernel
 ``systems.MapStep``, with or without tangent rows, whose guard rule
@@ -41,8 +42,6 @@ from .errors import (
     SingularSystem,
 )
 from .systems import (
-    BLOCK_DOUBLES,
-    BLOCK_STEPS,
     DEFAULT_SIGN_TOL,
     GUARD_OK,
     GUARD_REASONS,
@@ -644,34 +643,6 @@ def _guard_message(t, code, stepped) -> str:
     return f"{where}: state mapping hit the {reason} guard"
 
 
-def _one_step_run(sys, images, qmts, X0, steps):
-    """The one-step check of one direct run of the trials' initial
-    states X0: each one's largest defect, NaN where a guard stopped it,
-    and the message of each such trial's first guard.  The trials'
-    matrices C^-1 and C^T are stacked once, for every block."""
-    C_inv = np.stack([qmt.C_inv for qmt in qmts])
-    C_T = np.stack([qmt.C for qmt in qmts]).swapaxes(1, 2)
-    kernel, m = MapStep(sys, X0, steps), len(X0)
-    defects, messages = np.zeros(m), {}
-    with np.errstate(all="ignore"):
-        for t, k in kernel.blocks():
-            if t == steps or not kernel.live.any():  # no pair left
-                break
-            X = kernel.S[:k + 1, :m].transpose(1, 0, 2).copy()
-            worst, codes = _one_step_defects(images, C_inv, C_T, X)
-            np.maximum(defects, worst, out=defects)
-            for i in np.flatnonzero(codes.any(axis=1)):
-                c = int(np.flatnonzero(codes[i])[0])
-                messages.setdefault(int(i), _guard_message(
-                    t + c // 2, codes[i, c], c % 2))
-            if kernel.replay is not None:  # every later pair is a copy
-                break
-    messages.update({i: f"direct orbit: step {t} hit the {reason} guard"
-                     for i, t, reason in kernel.guards})
-    defects[list(messages)] = np.nan
-    return defects, messages
-
-
 def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
                          ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """Largest one-step defect of each trial's conjugacy, the drift of
@@ -692,45 +663,57 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     A chaotic orbit amplifies rounding step by step; a one-step defect
     does not.
 
-    The direct orbits of at most ``max(1, BLOCK_DOUBLES // ((BLOCK_STEPS
-    + 1) (10 n + 3)))`` trials are rows of one ``systems.MapStep`` run,
-    each, to the bit, its trial's own orbit.  Each block the run steps
-    is checked as one stack within BLOCK_DOUBLES doubles, up to the
-    block in which the run starts replaying: every later pair repeats a
-    checked one bit for bit.  ``guards`` maps each trial whose check hit
-    a guard to its ``GuardTermination`` message, and its deviation is
-    NaN: "direct orbit: step 17 hit the overflow guard" for a guarded
-    direct orbit, whatever its conjugate states hit, else the first
-    guard in step order, "conjugate initial state: state mapping hit the
-    overflow guard", the same for a later state t as "conjugate state t:
-    ...", or "conjugate state t: step hit the overflow guard" when the
-    one-step image of y_t is guarded.
+    The direct orbits of all m trials are the rows of one
+    ``systems.MapStep`` run, each, to the bit, its trial's own orbit.
+    Each block of k steps that the run steps is checked as one (m, k +
+    1, n) stack, up to the block in which the run starts replaying:
+    every later pair repeats a checked one bit for bit.  The kernel's
+    block, at most ``BLOCK_DOUBLES // (3 m n)`` steps, bounds the check:
+    it holds 10 n + 3 doubles a state, so at most (10 n + 3) / (3 n)
+    BLOCK_DOUBLES, under 4.4 of them, plus 10 n + 3 a trial.  ``guards``
+    maps each trial whose check hit a guard to its ``GuardTermination``
+    message, in trial order, and its deviation is NaN: "direct orbit:
+    step 17 hit the overflow guard" for a guarded direct orbit, whatever
+    its conjugate states hit, else the first guard in step order,
+    "conjugate initial state: state mapping hit the overflow guard", the
+    same for a later state t as "conjugate state t: ...", or "conjugate
+    state t: step hit the overflow guard" when the one-step image of y_t
+    is guarded.
     """
-    n = sys.n
+    n, m = sys.n, len(X0)
     X0 = np.array([as_state(x0, n) for x0 in X0])
-    if len(qmts) != len(X0):
+    if len(qmts) != m:
         raise InvalidArgument(
-            f"{len(qmts)} transformations for {len(X0)} initial states")
+            f"{len(qmts)} transformations for {m} initial states")
     checked_counts(steps=(steps, 1))
-    # a checked state holds at most 10 n + 3 doubles at a time: itself,
-    # its conjugate state, the kernel's step, the gap and the guard codes
-    size = max(1, BLOCK_DOUBLES // ((BLOCK_STEPS + 1) * (10 * n + 3)))
-    base = class_invariants(sys)
-    deviations, drifts, guards = np.empty(len(X0)), np.empty(len(X0)), {}
-    for start in range(0, len(X0), size):
-        chunk = qmts[start:start + size]
-        images = apply_qmts(sys, chunk)
-        other = class_invariants(images)
-        interaction = np.abs(other.interaction - base.interaction).max(
-            axis=(1, 2))
-        growth = np.abs(other.growth - base.growth).max(axis=1)
-        # max(interaction, growth) of each trial, as Python's max
-        drifts[start:start + len(chunk)] = np.where(
-            growth > interaction, growth, interaction)
-        deviations[start:start + len(chunk)], found = _one_step_run(
-            sys, images, chunk, X0[start:start + size], steps)
-        guards.update((start + i, found[i]) for i in sorted(found))
-    return deviations, drifts, guards
+    if m == 0:
+        return np.empty(0), np.empty(0), {}
+    images = apply_qmts(sys, qmts)
+    base, other = class_invariants(sys), class_invariants(images)
+    interaction = np.abs(other.interaction - base.interaction).max(axis=(1, 2))
+    growth = np.abs(other.growth - base.growth).max(axis=1)
+    # max(interaction, growth) of each trial, as Python's max
+    drifts = np.where(growth > interaction, growth, interaction)
+    C_inv = np.stack([qmt.C_inv for qmt in qmts])
+    C_T = np.stack([qmt.C for qmt in qmts]).swapaxes(1, 2)
+    kernel, deviations, guards = MapStep(sys, X0, steps), np.zeros(m), {}
+    with np.errstate(all="ignore"):
+        for t, k in kernel.blocks():
+            if t == steps or not kernel.live.any():  # no pair left
+                break
+            X = kernel.S[:k + 1, :m].transpose(1, 0, 2).copy()
+            worst, codes = _one_step_defects(images, C_inv, C_T, X)
+            np.maximum(deviations, worst, out=deviations)
+            for i in np.flatnonzero(codes.any(axis=1)):
+                c = int(np.flatnonzero(codes[i])[0])
+                guards.setdefault(int(i), _guard_message(
+                    t + c // 2, codes[i, c], c % 2))
+            if kernel.replay is not None:  # every later pair is a copy
+                break
+    guards.update({i: f"direct orbit: step {t} hit the {reason} guard"
+                   for i, t, reason in kernel.guards})
+    deviations[list(guards)] = np.nan
+    return deviations, drifts, dict(sorted(guards.items()))
 
 
 def conjugacy_deviation(sys: QPSystem, qmt: QMTMatrix, x0, steps: int) -> float:

@@ -60,8 +60,8 @@ BLOCK_STEPS = 64
 #: 3 m n doubles or m (6 n + 1) with tangents, stays at most 2**20 doubles
 #: (8 MiB) besides the block's start state, so a large batch takes shorter
 #: blocks, down to one step, rather than more memory.  A kernel replays
-#: a cycle of L steps only while its L m n states fit in it; a block's
-#: conjugacy check, BLOCK_STEPS + 1 states a trial, fits in it too.
+#: a cycle of L steps only while the copies it can still read, min(L,
+#: steps left) m n doubles, fit in it.  This module alone sizes storage.
 BLOCK_DOUBLES = 2**20
 
 #: Guard codes returned by ``guard_codes``, and the reason label of each.
@@ -76,9 +76,9 @@ ZERO = 0
 _SYMBOLS = {PLUS: "+", MINUS: "-", ZERO: "0"}
 
 
-def _frozen(a, dtype=float):
+def _frozen(a):
     """Copy to a C-contiguous read-only float array."""
-    out = np.array(a, dtype=dtype, order="C")
+    out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -229,13 +229,15 @@ class MapStep:
     function of its own bits.  So after a block that trips no guard,
     while the run has steps left, ``_cycle`` looks for each row's last
     state among its earlier ones.  Once every row repeats, with periods
-    p_r, the batch repeats with period lcm(p_r), and no step is run: each
-    later block's states and raw norms are filled from the cycle's
+    p_r, the batch repeats with period L = lcm(p_r), and no step is run:
+    each later block's states and raw norms are filled from the cycle's
     copies, which tripped no guard, and no tangent row is read or
     written again.  A batch whose period is longer than a block is
-    replayed all the same, while its cycle's states fit in BLOCK_DOUBLES.
-    ``replay`` is None until the block that finds the cycle yields, then
-    ``_cycle``'s ``(start, L, copies)``; no later block is stepped.
+    replayed all the same, while its copies, min(L, steps left) states,
+    fit in BLOCK_DOUBLES; step T is copy ``(T - start) % len(states)``,
+    which wraps only when all L are stored.  ``replay`` is None until
+    the block that finds the cycle yields, then ``_cycle``'s ``(start,
+    copies)``; no later block is stepped.
     """
 
     def __init__(self, sys: QPSystem | QPStack, X0, steps, tangents=None):
@@ -302,8 +304,8 @@ class MapStep:
         while t < self.steps and live.any():
             k, guarded = min(self.size, self.steps - t), None
             if self.replay is not None:
-                start, period, copies = self.replay
-                at = np.arange(t + 1 - start, t + k + 1 - start) % period
+                start, copies = self.replay
+                at = (np.arange(k) + t + 1 - start) % len(copies[0])
                 for stored, copy in zip((S, norms), copies):
                     if copy is not None:
                         stored[1:k + 1] = copy[at]
@@ -380,7 +382,7 @@ def _within_limits(W, arg, Xn):
 
 def _cycle(t, k, S, V, norms, left):
     """The cycle of a block of k steps from step t that tripped no guard,
-    with ``left`` steps of the run after it: ``(start, L, (states,
+    with ``left`` steps of the run after it: ``(start, (states,
     norms))``, or None when some row's last state ``(S[k], V[k])``
     equals none of its earlier ones bit for bit.
 
@@ -389,13 +391,14 @@ def _cycle(t, k, S, V, norms, left):
     with period p_r = k - a_r from step t + a_r on.  For the largest such
     a_r of each row, every later batch is a replay: from ``start = t + k
     + 1`` on, the batch of step T is copy ``(T - start) % L``, L the lcm
-    of the periods.  The copies, at most L and ``left``, and their raw
-    tangent norms, or None without tangents, are gathered from each
-    row's last period in the block.  A cycle of more than BLOCK_DOUBLES
-    states is None.  Bit patterns are compared, since
-    ``-0.0 == 0.0`` and ``NaN != NaN``; the states of every row are
-    compared only when row 0 repeats, and the tangents only when every
-    state does."""
+    of the periods.  The copies are the ones the run can still read,
+    min(L, ``left``), so step T is copy ``(T - start) % len(states)``;
+    they and their raw tangent norms, or None without tangents, are
+    gathered from each row's last period in the block.  A cycle whose
+    copied states hold more than BLOCK_DOUBLES doubles is None.  Bit
+    patterns are compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; the
+    states of every row are compared only when row 0 repeats, and the
+    tangents only when every state does."""
     bits = S[:k + 1].view(np.int64)
     if not (bits[:k, 0] == bits[k, 0]).all(axis=1).any():
         return None
@@ -407,16 +410,15 @@ def _cycle(t, k, S, V, norms, left):
         return None
     a = k - 1 - np.argmax(same[::-1], axis=0)  # each row's largest a_r
     p = k - a
-    L = math.lcm(*set(p.tolist()))  # np.lcm can overflow int64
-    if L * bits[0].size > BLOCK_DOUBLES:
+    stored = min(math.lcm(*set(p.tolist())), left)  # np.lcm overflows
+    if stored * bits[0].size > BLOCK_DOUBLES:
         return None
-    stored = min(L, left)
     # block step k + 1 + i of row r is its block step a_r + 1 +
     # (k + i - a_r) % p_r, within its last period
     at = a + 1 + (np.arange(k, k + stored)[:, None] - a) % p
     rows = np.arange(len(a))
-    return t + k + 1, L, (S[at, rows],
-                          None if norms is None else norms[at, rows])
+    return t + k + 1, (S[at, rows],
+                       None if norms is None else norms[at, rows])
 
 
 def as_batch(X) -> np.ndarray:

@@ -943,9 +943,9 @@ class TestConjugacyFailures:
 
     def test_guards_in_several_blocks_name_their_trials(self, capsys,
                                                         monkeypatch, tmp_path):
-        # three runs of up to 64 trials: a block's check holds 64 + 1
-        # states of 10 n + 3 = 23 doubles a trial
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 64 * 65 * 23)
+        # one run of 130 trials in blocks of 5 steps of 3 m n = 780
+        # doubles
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 5 * 780)
         code, out, _ = self.run_runaway(capsys, monkeypatch, tmp_path, 130,
                                         {1, 70, 129})
         assert code == 2
@@ -968,8 +968,9 @@ class TestConjugacyFailures:
         args = ("conjugacy", str(fixture_path("example1_lv")),
                 "--seed", "1", "--trials", "20", "--steps", "50")
         whole = run(capsys, *args)
-        # fewer than (64 + 1) 23 doubles, a trial's check: one trial a run
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", 102)
+        # fewer than 3 m n = 120 doubles, a step of the run: blocks of
+        # one step
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 102)
         assert run(capsys, *args) == whole
         assert whole[0] == 0
         assert whole[1].endswith("all trials within budget\n")

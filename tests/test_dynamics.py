@@ -1031,8 +1031,8 @@ class TestCycleReplay:
         # every batch but example3's settles before the Lyapunov sum starts
         assert (period is None) == (name == "example3_qp_rho32")
         if period is not None:
-            (start, L, (states, _)), = found
-            assert L == len(states) == period
+            (start, (states, _)), = found
+            assert len(states) == period
             assert start == run.stepped + 1
             assert run.stepped <= LYAPUNOV_TRANSIENT
         else:
@@ -1115,10 +1115,10 @@ class TestCycleReplay:
         S, norms = np.ones((3, 2, 2)), np.ones((3, 2))
         V = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1, 1))
         V[1, 0, 0] = -0.0  # == 0.0, yet row 0 at 1 is not row 0 at 2
-        start, L, (states, _) = qpd.systems._cycle(5, 2, S, V, norms, 10)
-        assert (start, L, len(states)) == (8, 2, 2)
+        start, (states, _) = qpd.systems._cycle(5, 2, S, V, norms, 10)
+        assert (start, len(states)) == (8, 2)
         V[:, 0, 0] = np.nan, 0.0, np.nan  # NaN != NaN, yet 0 is 2 in row 0
-        assert qpd.systems._cycle(5, 2, S, V, norms, 10)[1] == 2
+        assert len(qpd.systems._cycle(5, 2, S, V, norms, 10)[1][0]) == 2
 
     @pytest.mark.parametrize("tangent_start", [None, 0, 7])
     def test_rows_of_different_periods(self, monkeypatch, tangent_start):
@@ -1135,10 +1135,9 @@ class TestCycleReplay:
         run = assert_matches_the_per_step_loop(
             sys, X0, 1000, range(900, 1001), range(1001), tangents)
         periods = row_periods(sys, X0, tangents, run.stepped)
-        (_, L, (states, _)), = [cycle for cycle in cycles
-                                if cycle is not None]
+        (_, (states, _)), = [cycle for cycle in cycles if cycle is not None]
         assert len(set(periods)) > 1
-        assert L == len(states) == math.lcm(*periods)
+        assert len(states) == math.lcm(*periods)
         assert run.stepped < 1000
 
     def test_periods_whose_lcm_exceeds_a_block(self, monkeypatch):
@@ -1148,9 +1147,8 @@ class TestCycleReplay:
         run = assert_matches_the_per_step_loop(
             RICKERS, RICKER_ROWS, 1000, range(900, 1001), range(1001), None)
         period = replayed_period(RICKERS, RICKER_ROWS, None, run.stepped)
-        (_, L, (states, _)), = [cycle for cycle in cycles
-                                if cycle is not None]
-        assert L == len(states) == period > K
+        (_, (states, _)), = [cycle for cycle in cycles if cycle is not None]
+        assert len(states) == period > K
         assert run.stepped <= 4 * K
 
     @pytest.mark.parametrize("tangent_start", [None, 0])
@@ -1173,9 +1171,9 @@ class TestCycleReplay:
         run = assert_matches_the_per_step_loop(
             sys, X0, horizon, range(horizon - 10, horizon + 1),
             range(horizon + 1), tangents)
-        (start, L, (states, norms)), = [cycle for cycle in cycles
-                                        if cycle is not None]
-        assert (start, L) == (stepped + 1, period)
+        (start, (states, norms)), = [cycle for cycle in cycles
+                                     if cycle is not None]
+        assert start == stepped + 1
         assert len(states) == horizon - stepped < period
         assert norms is None or len(norms) == len(states)
         assert run.stepped == stepped
@@ -1212,33 +1210,40 @@ class TestCycleReplay:
     @pytest.mark.parametrize("over", [False, True])
     def test_a_cycle_over_the_storage_cap_is_stepped(self, monkeypatch,
                                                       over):
-        # RICKERS' cycle stores period * 6 * 3 states: a cap one double
-        # short of it keeps the run stepping, though its blocks still
-        # hold every row's period
+        # RICKERS' cycle of L steps stores L * 6 * 3 doubles: a cap one
+        # double short of it keeps the run stepping, though its blocks
+        # still hold every row's period, until the copies of the steps
+        # it has left, fewer than L, fit
         periods = row_periods(RICKERS, RICKER_ROWS, None, 1000)
-        cap = math.lcm(*periods) * RICKER_ROWS.size - over
-        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", cap)
+        L = math.lcm(*periods)
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES",
+                            L * RICKER_ROWS.size - over)
         assert MapStep(RICKERS, RICKER_ROWS, 1000).size >= max(periods)
         run = assert_matches_the_per_step_loop(
             RICKERS, RICKER_ROWS, 1000, range(900, 1001), range(1001), None)
-        assert (run.stepped == 1000) == over
+        assert run.stepped < 1000
+        assert (1000 - run.stepped < L) if over else run.stepped <= 4 * K
 
-    def test_periods_whose_lcm_overflows_int64(self, monkeypatch):
+    def test_periods_whose_lcm_overflows_int64(self):
         # rows of every prime period up to 53, whose lcm, about 3.3e19,
-        # is past int64, where np.lcm wraps around silently
+        # is past int64, where np.lcm wraps around silently, and the
+        # same rows with periods of lcm 30 030, the rows fixed at 1 of
+        # period 1, from their largest a_r, K - 1: both cycles are
+        # longer than the 1000 steps left, which are the copies, each
+        # row at its own period
+        def assert_copies(S, periods):
+            start, (states, norms) = qpd.systems._cycle(0, K, S, None, None,
+                                                        1000)
+            assert start == K + 1 and norms is None
+            copies = 1.0 + (start + np.arange(1000))[:, None] % periods
+            np.testing.assert_array_equal(states[..., 0], copies)
+
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
         assert math.lcm(*primes) > 2**63
-        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 2**62)
-        steps = np.arange(K + 1)[:, None] % primes
-        S = (1.0 + steps)[..., None]
-        assert qpd.systems._cycle(0, K, S, None, None, 10**6) is None
-        # the same rows with periods of lcm 30 030 form a cycle; the
-        # rows fixed at 1 have period 1, from their largest a_r, K - 1
+        S = (1.0 + np.arange(K + 1)[:, None] % primes)[..., None]
+        assert_copies(S, primes)
         S[:, 6:] = 1.0
-        start, L, (states, norms) = qpd.systems._cycle(0, K, S, None, None,
-                                                       10**6)
-        assert (start, L, len(states)) == (K + 1, 30030, 30030)
-        assert norms is None
+        assert_copies(S, primes[:6] + [1] * 10)
 
     def test_no_search_without_steps_left(self, monkeypatch):
         # a block that ends the run has nothing left to replay, so a
@@ -1377,11 +1382,6 @@ def conjugacy_trials(rng, n, trials):
     return qmts, X0
 
 
-#: Doubles of one trial of a conjugacy run at n = 2: a block's check
-#: holds (BLOCK_STEPS + 1) states of 10 n + 3 doubles each
-CHECK_DOUBLES_N2 = (BLOCK_STEPS + 1) * 23
-
-
 @pytest.fixture
 def block_runs(monkeypatch):
     """The (rows, components) of each ``MapStep`` run that
@@ -1394,6 +1394,19 @@ def block_runs(monkeypatch):
 
     monkeypatch.setattr(qpd.dynamics, "MapStep", spy)
     return runs
+
+
+@pytest.fixture
+def conjugacy_kernels(monkeypatch):
+    """The ``MapStep`` runs that conjugacy_deviations makes."""
+    kernels = []
+
+    def spy(*args):
+        kernels.append(MapStep(*args))
+        return kernels[-1]
+
+    monkeypatch.setattr(qpd.dynamics, "MapStep", spy)
+    return kernels
 
 
 class TestConjugacyDeviations:
@@ -1421,15 +1434,15 @@ class TestConjugacyDeviations:
         assert guards == {}
         assert deviations.max() <= 1e-13
 
-    @pytest.mark.parametrize("system, trials, doubles, blocks", [
-        ("example1_lv", 20, None, 1),
-        ("stable-lv-image-n6", 45, None, 1),
-        # one double short of 4 trials a run: 3 trials a run, 7 runs
-        ("example1_lv", 20, 4 * CHECK_DOUBLES_N2 - 1, 7),
+    @pytest.mark.parametrize("system, trials, doubles, size", [
+        ("example1_lv", 20, None, BLOCK_STEPS),
+        ("stable-lv-image-n6", 45, None, BLOCK_STEPS),
+        # one double short of 4 steps of 3 m n doubles: 3-step blocks
+        ("example1_lv", 20, 4 * 3 * 20 * 2 - 1, 3),
     ], ids=["example1_lv-20", "stable-lv-image-n6-45",
             "example1_lv-20-storage-capped"])
     def test_blocks_match_single_trials(self, monkeypatch, block_runs,
-                                        system, trials, doubles, blocks):
+                                        system, trials, doubles, size):
         rng = np.random.default_rng(5)
         sys = (stable_lv_image(rng, 6) if system == "stable-lv-image-n6"
                else load_fixture(system))
@@ -1437,13 +1450,12 @@ class TestConjugacyDeviations:
         # identity trials deviate by exactly 0 and pin the trial order
         qmts[::3] = [QMTMatrix.identity(sys.n)] * len(qmts[::3])
         if doubles is not None:
-            monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
+            monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", doubles)
         blocked, _, guards = conjugacy_deviations(sys, qmts, X0, 200)
         assert guards == {}
-        # per block, one run of its direct orbits as rows of the system
-        assert len(block_runs) == blocks
-        assert {n for _, n in block_runs} == {sys.n}
-        assert sum(m for m, _ in block_runs) == trials
+        # one run of the direct orbits as rows of the system
+        assert block_runs == [(trials, sys.n)]
+        assert MapStep(sys, X0, 200).size == size
         monkeypatch.undo()
         single = [conjugacy_deviation(sys, qmt, x0, 200)
                   for qmt, x0 in zip(qmts, X0)]
@@ -1459,13 +1471,12 @@ class TestConjugacyDeviations:
         X0 = np.full((130, 2), [np.exp(-600.0), 1.0])
         X0[[3, 129]] = 1.0
         qmt = QMTMatrix.from_matrix(np.diag([1.0, 2.0]))
-        # 64 trials a run
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES",
-                            64 * CHECK_DOUBLES_N2)
+        # one run in blocks of 8 steps of 3 m n = 780 doubles
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 8 * 780)
         deviations, _, guards = conjugacy_deviations(sys, [qmt] * 130, X0, 20)
         reason = "direct orbit: step 17 hit the overflow guard"
         assert guards == {3: reason, 129: reason}
-        assert block_runs == [(64, 2), (64, 2), (2, 2)]
+        assert block_runs == [(130, 2)]
         assert np.isnan(deviations[[3, 129]]).all()
         monkeypatch.undo()
         for t in [*range(64), 128]:
@@ -1551,7 +1562,8 @@ class TestConjugacyDeviations:
         assert np.isnan(deviations).all()
         assert drifts.tolist() == [0.0]
 
-    def test_stops_once_the_run_replays(self, monkeypatch):
+    def test_stops_once_the_run_replays(self, monkeypatch,
+                                        conjugacy_kernels):
         # this run's rows settle into float cycles of periods 1, 2, 4, 8
         # and 19, whose lcm 152 exceeds BLOCK_STEPS: the batch never
         # repeats within a block, but each row does, so the kernel
@@ -1561,22 +1573,16 @@ class TestConjugacyDeviations:
         qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 20)
         # C^-1 scales log x_6 by 1e4: trial 7's x_0 maps past the guard
         qmts[7] = QMTMatrix.from_matrix(np.diag([1.0] * 5 + [1e-4]))
-        kernels, rows = [], []
-        step = qpd.dynamics.advance
-
-        def kernel_spy(*args):
-            kernels.append(MapStep(*args))
-            return kernels[-1]
+        rows, step = [], qpd.dynamics.advance
 
         def advance_spy(images, Y):
             rows.append(np.shape(Y))
             return step(images, Y)
 
-        monkeypatch.setattr(qpd.dynamics, "MapStep", kernel_spy)
         monkeypatch.setattr(qpd.dynamics, "advance", advance_spy)
         result = conjugacy_deviations(sys, qmts, X0, 500)
         monkeypatch.undo()
-        (kernel,) = kernels
+        (kernel,) = conjugacy_kernels
         assert kernel.replay is not None
         assert kernel.stepped <= 2 * BLOCK_STEPS
         # one stacked step of the 20 trials a block, over the pairs of
@@ -1587,14 +1593,41 @@ class TestConjugacyDeviations:
         assert result[2] == {7: "conjugate initial state: state mapping "
                                 "hit the overflow guard"}
 
+    def test_trials_are_one_run_however_many(self, conjugacy_kernels):
+        # 300 trials are one run of 300 rows, which settle into their
+        # float cycles and replay after two blocks, as 20 of them do
+        sys = load_system(DATA / "stable_lv_image_n6.json")
+        qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 300)
+        result = conjugacy_deviations(sys, qmts, X0, 500)
+        (kernel,) = conjugacy_kernels
+        assert kernel.S.shape[1:] == (300, 6)
+        assert kernel.replay is not None
+        assert kernel.stepped <= 2 * BLOCK_STEPS
+        assert_per_trial_checks(result, sys, qmts, X0, 500)
+
+    def test_a_cycle_over_the_storage_cap_replays_the_steps_left(
+            self, monkeypatch, conjugacy_kernels):
+        # the batch cycle of these 20 rows, 152 steps, stores 152 * 20 * 6
+        # doubles: a cap one double short of it keeps the run stepping,
+        # in blocks of 50 steps, until the steps it has left fit
+        sys = load_system(DATA / "stable_lv_image_n6.json")
+        qmts, X0 = conjugacy_trials(np.random.default_rng(0), 6, 20)
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 152 * 20 * 6 - 1)
+        result = conjugacy_deviations(sys, qmts, X0, 500)
+        monkeypatch.undo()
+        (kernel,) = conjugacy_kernels
+        assert kernel.replay is not None
+        assert 500 - 152 < kernel.stepped < 500
+        assert_per_trial_checks(result, sys, qmts, X0, 500)
+
     @pytest.mark.parametrize("system, doubles", [
-        # 2 trials a run, whose blocks of k steps are checked as stacks
-        # of 2 (k + 1) states: 64 steps, then the last 56 of 120
-        ("monotone", 2 * CHECK_DOUBLES_N2),
-        # one trial a run
-        ("stable-lv-image-n6", (BLOCK_STEPS + 1) * 63),
-        # one double short of 5 trials a run: 4 trials a run
-        ("stable-lv-image-n6", 5 * (BLOCK_STEPS + 1) * 63 - 1),
+        # 6 trials of 3 m n = 36 doubles a step: blocks of 64 steps, then
+        # the last 56 of 120
+        ("monotone", 2990),
+        # 8 trials of 144 doubles a step: blocks of 28 steps
+        ("stable-lv-image-n6", 4095),
+        # blocks of 64 steps, 142 would fit
+        ("stable-lv-image-n6", 20474),
     ])
     def test_stacks_stay_within_the_storage_cap(self, monkeypatch, system,
                                                 doubles):
@@ -1615,12 +1648,14 @@ class TestConjugacyDeviations:
             states.append(X.shape[0] * X.shape[1])
             return check(images, C_inv, C_T, X)
 
-        monkeypatch.setattr(qpd.dynamics, "BLOCK_DOUBLES", doubles)
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", doubles)
         monkeypatch.setattr(qpd.dynamics, "_one_step_defects", spy)
         result = conjugacy_deviations(sys, qmts, X0, steps)
+        size = MapStep(sys, X0, steps).size
         monkeypatch.undo()
+        # a check holds each trial's states of one block and its start
         assert len(states) > 1
-        assert max(states) <= doubles // (10 * sys.n + 3)
+        assert max(states) <= (size + 1) * len(X0)
         assert_per_trial_checks(result, sys, qmts, X0, steps)
         if system == "monotone":
             assert result[2][2] == ("conjugate state 100: state mapping hit "
