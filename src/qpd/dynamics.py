@@ -48,9 +48,9 @@ from .systems import (
     MapStep,
     QPSystem,
     advance,
-    as_batch,
     as_state,
     is_lotka_volterra,
+    row_product,
     step,
 )
 from .theorems import Conclusion
@@ -619,8 +619,8 @@ def _one_step_defects(images, C_inv, C_T, X):
     ``transform.map_states`` maps the states to log y = C^-1 log x under
     the trials' stacked inverses ``C_inv``, their transformed systems
     ``images`` step them once (``systems.advance``), and the defect is
-    ``max |expm1(log G(y_t) C_T - log x_(t+1))|``, the rows ``log G``
-    multiplied as ``systems.as_batch`` rows, like every product.  A
+    ``max |expm1(log G(y_t) C_T - log x_(t+1))|``, ``log G(y_t) C_T`` a
+    ``systems.row_product``, like every product of rows.  A
     guarded trial's states and images may hold 0, inf or NaN, so run it
     under ``np.errstate``.
     """
@@ -628,8 +628,7 @@ def _one_step_defects(images, C_inv, C_T, X):
     G, _, stepped = advance(images, Y[:, :-1])
     codes = np.empty((len(X), 2 * X.shape[1] - 1), dtype=int)
     codes[:, 0::2], codes[:, 1::2] = mapped, stepped
-    log_G = np.log(G)
-    gap = (as_batch(log_G) @ C_T)[:, :log_G.shape[1]] - np.log(X[:, 1:])
+    gap = row_product(np.log(G), C_T) - np.log(X[:, 1:])
     return np.abs(np.expm1(gap)).max(axis=(1, 2)), codes
 
 
@@ -656,10 +655,10 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     (``apply_qmts`` raises NonFinite for a G that overflows), and its
     defect.  Trial i runs the direct orbit x_0 = ``X0[i]``, ..., x_steps
     of sys, maps each state to y_t with log y_t = C^-1 log x_t
-    (``transform.map_states``, whose exact identity shortcut gives an
-    identity QMT a defect of exactly 0), steps G once on those states
-    (``systems.advance``) and takes the largest componentwise relative
-    defect ``max |expm1(log G(y_t) C^T - log x_(t+1))|`` over t < steps.
+    (``transform.map_states``, exact under the identity QMT, whose defect
+    is exactly 0), steps G once on those states (``systems.advance``) and
+    takes the largest componentwise relative defect ``max |expm1(log
+    G(y_t) C^T - log x_(t+1))|`` over t < steps.
     A chaotic orbit amplifies rounding step by step; a one-step defect
     does not.
 

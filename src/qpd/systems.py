@@ -12,9 +12,9 @@ components themselves.
 This module owns validation, the one map kernel (``MapStep``, which
 runs every orbit block by block, with or without tangent vectors, and
 owns its rows, guards, shadows and tangent growth; its guard rule
-``guard_codes``; ``advance``, one step of it; ``as_batch``, the rows it
-multiplies; and ``QPStack``, systems that ``advance`` steps once, side
-by side),
+``guard_codes``; ``advance``, one step of it; ``QPStack``, systems that
+``advance`` steps once, side by side; and the batch rule ``as_batch``
+with ``row_product``, the one product of rows outside the kernel),
 sign-pattern extraction, and the system-definition JSON schema used by
 fixtures and the command line.
 """
@@ -181,8 +181,8 @@ class MapStep:
 
     Built once per run from its system, its rows X0, (m, n) or one (n,)
     vector, its number of steps and its ``tangents``, ``(start, V)`` with
-    V shaped like X0, or None.  It steps the rows ``as_batch(X0)``, so a
-    lone row is paired with a copy of itself, which is never live.  The
+    V shaped like X0, or None.  It steps the m rows of ``as_batch(X0)``:
+    ``live`` marks X0's own, never the copy that pads an odd batch.  The
     system may be a ``QPStack`` of k systems instead, with X0 (k, m, n),
     one step and no tangents, stepped by ``step()`` alone, through
     ``advance``: then every buffer below has that stack axis before its
@@ -241,7 +241,7 @@ class MapStep:
     """
 
     def __init__(self, sys: QPSystem | QPStack, X0, steps, tangents=None):
-        lone = np.ndim(X0) == 1 or np.shape(X0)[-2] == 1
+        given = 1 if np.ndim(X0) == 1 else np.shape(X0)[-2]
         X0 = as_batch(X0)
         *stack, m, n = X0.shape
         start, V = tangents or (0, None)
@@ -253,8 +253,7 @@ class MapStep:
         S[0] = X0
         self.size, self.S, self.arg = size, S, arg
         self.steps, self.stepped, self.replay = steps, 0, None
-        self.live = np.zeros(m, dtype=bool)
-        self.live[:1 if lone else m] = True
+        self.live = np.arange(m) < given
         self.guards: list[tuple[int, int, str]] = []
         # without tangents every step shares the one operand P[0]
         P = np.empty((1 if V is None else size + 1, *stack, rows, n))
@@ -422,14 +421,22 @@ def _cycle(t, k, S, V, norms, left):
 
 
 def as_batch(X) -> np.ndarray:
-    """The rows that a step multiplies for X, (m, n) rows, a (k, m, n)
-    stack of them or one (n,) vector: the rows of X, but a lone row
-    twice.  numpy multiplies a one-row matrix or a vector through another
-    BLAS kernel, whose rounding differs, and an orbit must not depend on
-    which rows share its batch: every ``MapStep`` steps these rows."""
+    """The rows a product multiplies for X, (m, n) rows, a (k, m, n) stack
+    or one (n,) vector (m = 1): X's rows, and a copy of row 0 if m is odd.
+    OpenBLAS rounds a lone row, or an odd batch's last, otherwise than a
+    pair on some CPUs, and no row may depend on its batch-mates: ``MapStep``
+    steps these rows and ``row_product`` multiplies them."""
     X = np.asarray(X, dtype=float)
     X = X[None] if X.ndim == 1 else X
-    return X[..., [0, 0], :] if X.shape[-2] == 1 else X
+    return np.concatenate((X, X[..., :1, :]), -2) if X.shape[-2] % 2 else X
+
+
+def row_product(X, M) -> np.ndarray:
+    """``as_batch(X) @ M`` cut to X's own rows and shape: the one product
+    of rows outside the map kernel; M may be a (k, n, n) stack for a
+    (k, m, n) stack X."""
+    out = as_batch(X) @ M
+    return out[0] if np.ndim(X) == 1 else out[..., :np.shape(X)[-2], :]
 
 
 def advance(sys: QPSystem | QPStack, X):
@@ -438,10 +445,10 @@ def advance(sys: QPSystem | QPStack, X):
 
     X holds already-validated positive states, as (m, n) rows or one (n,)
     vector, or as a (k, m, n) stack of rows for a ``QPStack`` of k
-    systems.  Returns ``(X', q, guard)``: the images, the quasimonomial
-    terms and a guard code per row, valid X' only where it is GUARD_OK:
-    the per-step check of ``step``, ``qp_jacobian`` and the conjugacy
-    defect.
+    systems; the kernel steps them as ``as_batch`` rows.  Returns, for
+    X's own rows, ``(X', q, guard)``: the images, the quasimonomial terms
+    and a guard code per row, valid X' only where it is GUARD_OK: the
+    per-step check of ``step``, ``qp_jacobian`` and the conjugacy defect.
     """
     X = np.asarray(X)
     kernel = MapStep(sys, X, 1)

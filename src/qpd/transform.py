@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NonFinite, OverflowGuard, SingularB,
                      SingularMatrix)
 from .systems import (GUARD_OK, GUARD_REASONS, LVSystem, QPStack, QPSystem,
-                      as_batch, as_state, guard_codes, _frozen)
+                      as_state, guard_codes, row_product, _frozen)
 
 #: Relative singular-value floor: a matrix is treated as singular when
 #: rcond = s_min / s_max < SINGULARITY_RTOL, which no rescaling changes.
@@ -193,10 +193,10 @@ def canonical_lv(sys: QPSystem) -> tuple[LVSystem, QMTMatrix]:
 
 
 def map_states(C, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Map each row of Y, (m, n) positive states, through the monomial
-    change of variables of the matrix C: ``(X, guard)``, the rows
-    ``exp(log Y C^T)`` and a guard code per row, valid X only where it
-    is GUARD_OK.
+    """Map each row of Y, (m, n) positive states or one (n,) vector,
+    through the monomial change of variables of the matrix C: ``(X,
+    guard)``, the rows ``exp(row_product(log Y, C^T))`` and a guard code
+    per row, valid X only where it is GUARD_OK.
 
     C may be a (k, n, n) stack of matrices instead, with Y a (k, m, n)
     stack of rows: one matmul then multiplies slice i by the ``C^T`` view
@@ -205,16 +205,14 @@ def map_states(C, Y) -> tuple[np.ndarray, np.ndarray]:
     The guard is the one-step map's rule, ``systems.guard_codes`` with
     the exponents ``log Y C^T`` as both the log quasimonomials and the
     step exponents: an exponent above +EXP_ARG_LIMIT is overflow, an image
-    component below UNDERFLOW_FLOOR underflow.  The identity returns Y
-    itself, and an identity slice of a stack its slice of Y: the exp/log
-    round trip would wobble by an ulp.
+    component below UNDERFLOW_FLOOR underflow.  The identity, and an
+    identity slice of a stack, maps its rows to themselves bit for bit,
+    unguarded: the exp/log round trip would wobble by an ulp.
     """
     Y = np.asarray(Y, dtype=float)
     identity = (C == np.eye(C.shape[-1])).all(axis=(-2, -1))
-    if identity.all():
-        return Y, np.full(Y.shape[:-1], GUARD_OK)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        W = np.log(Y) @ np.swapaxes(C, -1, -2)
+        W = row_product(np.log(Y), np.swapaxes(C, -1, -2))
         X = np.exp(W)
         guard = guard_codes(W, W, X)
     X[identity], guard[identity] = Y[identity], GUARD_OK
@@ -224,13 +222,13 @@ def map_states(C, Y) -> tuple[np.ndarray, np.ndarray]:
 def map_state(qmt: QMTMatrix, y) -> np.ndarray:
     """Map a state through the monomial change of variables.
 
-    x_i = prod_j y_j ** C[i,j], evaluated as ``map_states`` of
-    ``systems.as_batch(y)``, so a state maps as it does in any batch of
-    rows.  Strictly positive in, strictly positive out; raises
-    OverflowGuard naming the guard ``map_states`` labels the image with.
+    x_i = prod_j y_j ** C[i,j], evaluated as ``map_states`` of the one
+    state, so a state maps as it does in any batch of rows.  Strictly
+    positive in, strictly positive out; raises OverflowGuard naming the
+    guard ``map_states`` labels the image with.
     """
-    X, guard = map_states(qmt.C, as_batch(as_state(y, qmt.n)))
-    if guard[0] != GUARD_OK:
+    x, guard = map_states(qmt.C, as_state(y, qmt.n))
+    if guard != GUARD_OK:
         raise OverflowGuard(
-            f"state mapping hit the {GUARD_REASONS[guard[0]]} guard")
-    return X[0]
+            f"state mapping hit the {GUARD_REASONS[guard]} guard")
+    return x

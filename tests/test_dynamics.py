@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -841,9 +844,10 @@ class TestBlockedLockstep:
             assert not guarded
 
     def test_short_blocks_match_the_per_step_loop(self, monkeypatch):
-        # 51 rows of 3 store 51 * 19 doubles a step with tangents and
-        # 51 * 9 without: blocks of 5 and of 10 steps
-        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 5 * 51 * 19 + 12)
+        # 51 rows of 3, stepped as 52 (an odd batch is padded), store
+        # 52 * 19 doubles a step with tangents and 52 * 9 without: blocks
+        # of 5 and of 10 steps
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 5 * 52 * 19 + 12)
         sys, X0 = wide_case("drift3", ENSEMBLE_SIZE + 1)
         V = _tangent_directions(3, len(X0), 3)
         assert MapStep(sys, X0, HORIZON, (0, V)).size == 5
@@ -1263,6 +1267,27 @@ class TestCycleReplay:
             _lockstep(sys, x[None], BLOCK_STEPS + 1)
 
 
+#: For the system and rows X0 in the .npz file argv[1], prints the rows
+#: whose step in a batch of X0 is not their ``step``, then the rows whose
+#: state at step 200 of a lockstep run of X0 is not their lone run's.
+LONE_RUNS = """
+import sys
+import numpy as np
+from qpd.dynamics import _lockstep
+from qpd.systems import QPSystem, advance, step
+
+case = np.load(sys.argv[1])
+system, X0 = QPSystem(case["A"], case["B"], case["lam"]), case["X0"]
+X1 = advance(system, X0)[0]
+run = _lockstep(system, X0, 200, record=range(200, 201)).record[0]
+alone = [_lockstep(system, x[None], 200, record=range(200, 201)).record[0, 0]
+         for x in X0]
+print([i for i, x in enumerate(X0)
+       if step(system, x).tobytes() != X1[i].tobytes()],
+      [i for i, x in enumerate(alone) if x.tobytes() != run[i].tobytes()])
+"""
+
+
 class TestOneOrbitPerState:
     # simulate, step and a lockstep row multiply a state alike, so one x0
     # has one float orbit; on the chaotic example3 orbit any rounding
@@ -1294,6 +1319,30 @@ class TestOneOrbitPerState:
             run = _lockstep(sys, X0, 1, record=range(1, 2))
             for x0, x1 in zip(X0, run.record[0]):
                 assert step(sys, x0).tobytes() == x1.tobytes()
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+    def test_rows_are_their_lone_runs_under_other_blas_kernels(
+            self, tmp_path, coretype):
+        """A child interpreter under ``OPENBLAS_CORETYPE``: on an n = 10
+        stable LV image, ``advance`` of 51 rows is ``step`` of each row,
+        and each row of a 51-row lockstep record at step 200 is that row's
+        lone run, bit for bit.  These kernels round the last row of an odd
+        batch, and a lone row, otherwise than a pair.  The variable acts
+        only on an OpenBLAS built with ``DYNAMIC_ARCH``, as numpy's wheels
+        are; under any other BLAS the child checks the default kernel."""
+        system, X0 = wide_case("stable-lv-image-n10", ENSEMBLE_SIZE + 1)
+        case = tmp_path / "case.npz"
+        np.savez(case, A=system.A, B=system.B, lam=system.lam, X0=X0)
+        src, path = (str(Path(qpd.dynamics.__file__).resolve().parents[1]),
+                     os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+                   PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+        done = subprocess.run([executable, "-c", LONE_RUNS, str(case)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        # the rows whose step, and whose 200-step run, differ alone
+        assert done.stdout.split() == ["[]", "[]"]
 
 
 class TestConjugacyDeviation:

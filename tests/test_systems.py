@@ -25,7 +25,9 @@ from qpd.systems import (
     UNDERFLOW_FLOOR,
     QPStack,
     advance,
+    as_batch,
     as_state,
+    row_product,
 )
 from qpd.errors import (
     DimensionMismatch,
@@ -233,6 +235,33 @@ class TestAdvance:
         for i, (sys, X) in enumerate(batches):
             for a, b in zip(got, advance(sys, X)):
                 assert np.array_equal(a[i], b, equal_nan=True)
+
+
+class TestBatchRule:
+    # an odd batch gains one copy of its first row; a lone row is m = 1
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_an_odd_batch_gains_one_copy_of_row_0(self, m):
+        stack = np.random.default_rng(m).uniform(0.5, 2.0, size=(3, m, 4))
+        for X in (stack[0], stack):
+            batch = as_batch(X)
+            assert batch.shape[-2] == m + m % 2
+            assert np.array_equal(batch[..., :m, :], X)
+            if m % 2:
+                assert np.array_equal(batch[..., m, :], X[..., 0, :])
+        if m == 1:  # one vector is a lone row
+            assert np.array_equal(as_batch(stack[0, 0]), as_batch(stack[0]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_row_product_keeps_the_shape_of_x(self, m):
+        rng = np.random.default_rng(m)
+        X, M = rng.normal(size=(3, m, 4)), rng.normal(size=(3, 4, 4))
+        for rows, matrix in ((X, M), (X[0], M[0]), (X[0, 0], M[0])):
+            product = row_product(rows, matrix)
+            assert product.shape == rows.shape
+            expected = as_batch(rows) @ matrix
+            expected = (expected[0] if rows.ndim == 1
+                        else expected[..., :rows.shape[-2], :])
+            assert product.tobytes() == expected.tobytes()
 
 
 class TestSignPattern:
