@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, systems
 from .dynamics import (
     checked_counts,
     conjugacy_deviations,
@@ -55,6 +55,7 @@ from .transform import (
     canonical_lv,
     class_invariants,
     finite_class_invariants,
+    invertibility,
 )
 
 #: Relative budget of a conjugacy's one-step defect, whatever the number
@@ -309,25 +310,52 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _draw_qmt(rng, n, trial) -> tuple[QMTMatrix, int]:
-    """A random transformation of condition at most
-    CONJUGACY_MAX_CONDITION and the number of candidates rejected on the
-    way, each reported as a "regenerated" line."""
-    rejected = 0
-    while True:
-        candidate = rng.uniform(-1.0, 1.0, size=(n, n))
-        try:
-            qmt = QMTMatrix.from_matrix(candidate)
-        except SingularMatrix:
+def _draw_trials(rng, n, trials) -> tuple[list[QMTMatrix], np.ndarray, int]:
+    """Each trial's random transformation, of condition at most
+    CONJUGACY_MAX_CONDITION, the (trials, n) initial states, and the
+    number of candidates rejected on the way, each reported as a
+    "regenerated" line.
+
+    A trial draws candidates ``uniform(-1, 1, (n, n))`` until one is
+    accepted, then its x0, ``exp(uniform(log 1/2, log 2, n))``.  As
+    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` to the bit, the
+    draw reads the generator's raw doubles in that order: n^2 + n for an
+    accepted candidate, n^2 for a rejected one.  Each round assumes that
+    the next k candidates are accepted, decides them as one stack, keeps
+    the trials before the first rejection and goes on after the rejected
+    candidate's n^2 doubles.  The first round speculates on every trial
+    and a round after one that kept j trials on 2 (j + 1), so a rejection
+    wastes about as many candidates as were kept before it, however many
+    trials are left; no round reads more than BLOCK_DOUBLES doubles.
+    """
+    lo, hi = np.log(0.5), np.log(2.0)
+    stride = n * n + n
+    width = max(1, systems.BLOCK_DOUBLES // stride)
+    raw, qmts, x0_draws, rejected, k = np.empty(0), [], [], 0, trials
+    while len(qmts) < trials:
+        k = min(k, width, trials - len(qmts))
+        if len(raw) < k * stride:
+            raw = np.concatenate([raw, rng.random(k * stride - len(raw))])
+        draws = raw[:k * stride].reshape(k, stride)
+        C = -1.0 + 2.0 * draws[:, :n * n].reshape(k, n, n)
+        C_inv, _ = invertibility(C)
+        # NaN, and so never accepted, for a singular candidate
+        condition = QMTMatrix(C, C_inv).condition()
+        accepted = condition <= CONJUGACY_MAX_CONDITION
+        j = k if accepted.all() else int(np.argmin(accepted))
+        qmts += [QMTMatrix(C[i], C_inv[i]) for i in range(j)]
+        x0_draws.append(draws[:j, n * n:])
+        raw = raw[j * stride:]
+        if j < k:
             rejected += 1
-            print(f"trial {trial}: regenerated a singular candidate C")
-            continue
-        condition = qmt.condition()
-        if condition <= CONJUGACY_MAX_CONDITION:
-            return qmt, rejected
-        rejected += 1
-        print(f"trial {trial}: regenerated a near-singular candidate C "
-              f"(condition {condition:.3g})")
+            raw = raw[n * n:]
+            if np.isnan(condition[j]):
+                print(f"trial {len(qmts)}: regenerated a singular candidate C")
+            else:
+                print(f"trial {len(qmts)}: regenerated a near-singular "
+                      f"candidate C (condition {condition[j]:.3g})")
+        k = 2 * (j + 1)
+    return qmts, np.exp(lo + (hi - lo) * np.concatenate(x0_draws)), rejected
 
 
 def cmd_conjugacy(args) -> int:
@@ -344,14 +372,7 @@ def cmd_conjugacy(args) -> int:
     inv = finite_class_invariants(system)
     drift_budget = CONJUGACY_DRIFT_BUDGET * max(
         1.0, np.max(np.abs(inv.interaction)), np.max(np.abs(inv.growth)))
-    rejected = 0
-    qmts, X0 = [], []
-    for trial in range(args.trials):
-        qmt, regenerated = _draw_qmt(rng, system.n, trial)
-        rejected += regenerated
-        qmts.append(qmt)
-        X0.append(np.exp(rng.uniform(np.log(0.5), np.log(2.0),
-                                     size=system.n)))
+    qmts, X0, rejected = _draw_trials(rng, system.n, args.trials)
     defects, drifts, guards = conjugacy_deviations(system, qmts, X0,
                                                    args.steps)
     failures = []

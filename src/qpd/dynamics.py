@@ -49,6 +49,7 @@ from .systems import (
     QPSystem,
     advance,
     as_state,
+    as_states,
     is_lotka_volterra,
     row_product,
     step,
@@ -680,7 +681,7 @@ def conjugacy_deviations(sys: QPSystem, qmts, X0, steps: int
     is guarded.
     """
     n, m = sys.n, len(X0)
-    X0 = np.array([as_state(x0, n) for x0 in X0])
+    X0 = as_states(X0, n)
     if len(qmts) != m:
         raise InvalidArgument(
             f"{len(qmts)} transformations for {m} initial states")

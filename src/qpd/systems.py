@@ -164,6 +164,21 @@ def as_state(x, n) -> np.ndarray:
     return out
 
 
+def as_states(X, n) -> np.ndarray:
+    """Validate a sequence of m strictly positive states of length n and
+    return them as (m, n) float64 rows, in one check; a bad row raises
+    what ``as_state`` raises for the first one."""
+    try:
+        out = np.asarray(X, dtype=float)
+    except ValueError:  # rows of several lengths
+        out = None
+    if out is None or out.shape != (len(X), n) or not (
+            np.isfinite(out) & (out > 0.0)).all():
+        for x in X:
+            as_state(x, n)
+    return out.reshape(len(X), n)  # no rows: (0, n)
+
+
 class MapStep:
     """The one map kernel: a run of steps of the QP map for m rows, which
     may carry tangent vectors, stepped and checked a block at a time.

@@ -41,20 +41,35 @@ def invertibility(M) -> tuple[np.ndarray | None, dict]:
     which no LAPACK call sees) and the ``tolerance`` it was compared
     with, plus ``inverse_residual`` when the inverse ``solve(M, I)`` was
     computed.
+
+    M may be a (k, n, n) stack instead: then the inverse is a stack whose
+    slice i is NaN where M[i] is singular, and ``rcond`` and
+    ``inverse_residual`` are (k,) arrays, the residual NaN where no
+    inverse was computed.  Slice i decides, to the bit, as M[i] alone:
+    one matrix is the stack of one.
     """
     M = np.asarray(M, dtype=float)
-    rcond = 0.0
-    if np.isfinite(M).all():
-        s = np.linalg.svd(M, compute_uv=False)
-        rcond = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
-    witness = {"rcond": rcond, "tolerance": SINGULARITY_RTOL}
-    if rcond < SINGULARITY_RTOL:
+    stack = M.reshape(-1, *M.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))[:, None, None]
+    s = np.linalg.svd(np.where(finite, stack, 0.0), compute_uv=False)
+    rcond = np.divide(s[:, -1], s[:, 0], out=np.zeros(len(s)),
+                      where=s[:, 0] > 0.0)
+    solved = rcond >= SINGULARITY_RTOL
+    # a slice that is not solved is inverted as the identity, then dropped
+    eye = np.eye(stack.shape[-1])
+    posed = np.where(solved[:, None, None], stack, eye)
+    inv = np.linalg.solve(posed, eye)
+    residual = np.abs(posed @ inv - eye).max(axis=(1, 2))
+    residual[~solved] = np.nan
+    inv[~(residual <= INVERSE_RESIDUAL_LIMIT)] = np.nan
+    if M.ndim == 3:
+        return inv, {"rcond": rcond, "tolerance": SINGULARITY_RTOL,
+                     "inverse_residual": residual}
+    witness = {"rcond": float(rcond[0]), "tolerance": SINGULARITY_RTOL}
+    if not solved[0]:
         return None, witness
-    eye = np.eye(M.shape[0])
-    inv = np.linalg.solve(M, eye)
-    residual = float(np.max(np.abs(M @ inv - eye)))
-    witness["inverse_residual"] = residual
-    return (inv if residual <= INVERSE_RESIDUAL_LIMIT else None), witness
+    witness["inverse_residual"] = float(residual[0])
+    return (inv[0] if residual[0] <= INVERSE_RESIDUAL_LIMIT else None), witness
 
 
 def _invert(M, what, error=SingularMatrix):
@@ -73,7 +88,8 @@ class QMTMatrix:
     """An invertible transformation matrix with its precomputed inverse.
 
     The inverse is stored explicitly because state mapping is applied
-    repeatedly and the matrices here are small and dense.
+    repeatedly and the matrices here are small and dense.  C and C_inv
+    may be (k, n, n) stacks of k transformations instead.
     """
 
     C: np.ndarray
@@ -97,15 +113,17 @@ class QMTMatrix:
 
     @property
     def n(self) -> int:
-        return self.C.shape[0]
+        return self.C.shape[-1]
 
     def inverse(self) -> "QMTMatrix":
         return QMTMatrix(self.C_inv, self.C)
 
-    def condition(self) -> float:
-        """Infinity-norm condition estimate ||C|| * ||C^-1||."""
-        norm = lambda M: float(np.max(np.sum(np.abs(M), axis=1)))
-        return norm(self.C) * norm(self.C_inv)
+    def condition(self) -> float | np.ndarray:
+        """Infinity-norm condition estimate ||C|| * ||C^-1||, one for each
+        slice of a stack, NaN for a NaN inverse."""
+        norm = lambda M: np.max(np.sum(np.abs(M), axis=-1), axis=-1)
+        condition = norm(self.C) * norm(self.C_inv)
+        return float(condition) if condition.ndim == 0 else condition
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,8 @@ def apply_qmt(sys: QPSystem, qmt: QMTMatrix) -> QPSystem:
 def apply_qmts(sys: QPSystem, qmts) -> QPStack:
     """The images of a system under each of a sequence of QMTs, as one
     stack: slice i is ``apply_qmt(sys, qmts[i])``, to the bit, for each
-    product multiplies its slices one by one.
+    product multiplies its slices one by one.  No QMTs give an empty
+    stack of k = 0 systems.
 
     Raises NonFinite naming the first transformed matrix that overflows,
     in the order of the QMTs, then A, B, lam.
@@ -165,11 +184,11 @@ def apply_qmts(sys: QPSystem, qmts) -> QPStack:
         if qmt.n != sys.n:
             raise DimensionMismatch(f"transformation is {qmt.n}x{qmt.n} "
                                     f"but system has dimension {sys.n}")
-    C = np.stack([qmt.C for qmt in qmts])
-    C_inv = np.stack([qmt.C_inv for qmt in qmts])
+    C = np.array([qmt.C for qmt in qmts]).reshape(-1, sys.n, sys.n)
+    C_inv = np.array([qmt.C_inv for qmt in qmts]).reshape(C.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         images = QPStack(C_inv @ sys.A, sys.B @ C, C_inv @ sys.lam)
-    finite = np.array([np.isfinite(M.reshape(len(M), -1)).all(axis=1)
+    finite = np.array([np.isfinite(M).all(axis=tuple(range(1, M.ndim)))
                        for M in images])
     if not finite.all():
         _, label = np.argwhere(~finite.T)[0]  # (trial, matrix), trial first

@@ -29,7 +29,7 @@ from qpd.dynamics import (
     falsifications,
     qp_fixed_point,
 )
-from qpd.errors import NonFinite
+from qpd.errors import NonFinite, SingularMatrix
 from qpd.systems import QPStack
 from qpd.theorems import Conclusion, HypothesisCheck, TheoremVerdict
 from qpd.transform import apply_qmts
@@ -887,15 +887,32 @@ class TestCycleReplayChangesNoOutput:
 
 
 class QueuedDraws:
-    """A generator whose first ``uniform`` draws are given."""
+    """A generator whose first raw doubles are given, as the ``uniform``
+    draws of ``conjugacy``: candidates C from ``uniform(-1, 1)``, each
+    accepted one followed by its x0's exponents from ``uniform(log 1/2,
+    log 2)``.  A draw u in [lo, hi) is queued as the raw double (u - lo)
+    / (hi - lo), from which ``lo + (hi - lo) * r`` gives u back; a raw
+    double may lie outside [0, 1), so u may lie outside [lo, hi)."""
+
+    X0_RANGE = (np.log(0.5), np.log(2.0))
 
     def __init__(self, draws):
-        self.draws = list(draws)
+        self.raw = []
+        for u, (lo, hi) in draws:
+            self.raw += list((np.ravel(u) - lo) / (hi - lo))
         self.rng = np.random.default_rng(0)
 
-    def uniform(self, low, high, size):
-        return self.draws.pop(0) if self.draws else self.rng.uniform(
-            low, high, size)
+    def random(self, size):
+        queued, self.raw = self.raw[:size], self.raw[size:]
+        return np.concatenate([queued, self.rng.random(size - len(queued))])
+
+
+def candidate(C):
+    return C, (-1.0, 1.0)
+
+
+def exponents(u):
+    return u, QueuedDraws.X0_RANGE
 
 
 def failure_lines(out):
@@ -904,7 +921,8 @@ def failure_lines(out):
 
 class TestConjugacyFailures:
     def test_regenerated_candidates_are_reported(self, capsys, monkeypatch):
-        draws = QueuedDraws([np.ones((2, 2)), np.diag([1.0, 1e-3])])
+        draws = QueuedDraws([candidate(np.ones((2, 2))),
+                             candidate(np.diag([1.0, 1e-3]))])
         monkeypatch.setattr(qpd.cli, "seeded_generator", lambda seed: draws)
         code, out, _ = run(capsys, "conjugacy",
                            str(fixture_path("example1_lv")), "--trials", "1")
@@ -927,7 +945,8 @@ class TestConjugacyFailures:
         C = np.diag([1.0, 2.0])
         draws = []
         for t in range(trials):
-            draws += [C, np.zeros(2) if t in runaway else np.array([-600.0, 0.0])]
+            draws += [candidate(C), exponents(
+                np.zeros(2) if t in runaway else np.array([-600.0, 0.0]))]
         monkeypatch.setattr(qpd.cli, "seeded_generator",
                             lambda seed: QueuedDraws(draws))
         return run(capsys, "conjugacy", path, "--trials", str(trials),
@@ -1093,6 +1112,67 @@ class TestConjugacyHorizon:
         assert [line.split(":")[0] for line in huge] == [
             "rejected candidates", "max one-step defect",
             "max invariant drift", "all trials within budget"]
+
+
+def serial_draw(rng, n, trials):
+    """The conjugacy draw one candidate at a time, the reference for the
+    stacked one: each trial draws ``uniform(-1, 1, (n, n))`` candidates
+    until ``QMTMatrix.from_matrix`` accepts one of condition at most
+    CONJUGACY_MAX_CONDITION, then its x0."""
+    qmts, X0, rejected = [], [], 0
+    for trial in range(trials):
+        while True:
+            C = rng.uniform(-1.0, 1.0, size=(n, n))
+            try:
+                qmt = QMTMatrix.from_matrix(C)
+            except SingularMatrix:
+                rejected += 1
+                print(f"trial {trial}: regenerated a singular candidate C")
+                continue
+            condition = qmt.condition()
+            if condition <= qpd.cli.CONJUGACY_MAX_CONDITION:
+                break
+            rejected += 1
+            print(f"trial {trial}: regenerated a near-singular candidate C "
+                  f"(condition {condition:.3g})")
+        qmts.append(qmt)
+        X0.append(np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=n)))
+    return qmts, np.array(X0), rejected
+
+
+class TestStackedDraw:
+    @staticmethod
+    def drawn(capsys, draw, seed, n, trials):
+        """The bytes of every C, C^-1 and x0, the rejected count and the
+        printed lines of a draw."""
+        qmts, X0, rejected = draw(np.random.default_rng(seed), n, trials)
+        return ([qmt.C.tobytes() for qmt in qmts],
+                [qmt.C_inv.tobytes() for qmt in qmts],
+                X0.tobytes(), X0.shape, rejected, capsys.readouterr().out)
+
+    @pytest.mark.parametrize("trials", [1, 7, 20, 130])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+    def test_draw_is_the_serial_draw(self, capsys, n, trials):
+        for seed in range(50):
+            assert (self.drawn(capsys, qpd.cli._draw_trials, seed, n, trials)
+                    == self.drawn(capsys, serial_draw, seed, n, trials))
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_rounds_capped_by_storage_are_the_serial_draw(
+            self, capsys, monkeypatch, n):
+        # room for 3 candidates with their x0 a round
+        monkeypatch.setattr(qpd.systems, "BLOCK_DOUBLES", 3 * (n * n + n) + 1)
+        rounds, invertibility = [], qpd.cli.invertibility
+
+        def spy(M):
+            rounds.append(len(M))
+            return invertibility(M)
+
+        monkeypatch.setattr(qpd.cli, "invertibility", spy)
+        for seed in range(10):
+            assert (self.drawn(capsys, qpd.cli._draw_trials, seed, n, 20)
+                    == self.drawn(capsys, serial_draw, seed, n, 20))
+        assert max(rounds) == 3 and len(rounds) >= 10 * 20 // 3
 
 
 class TestUsageErrors:

@@ -63,6 +63,7 @@ from qpd.systems import (
     MapStep,
     advance,
     as_batch,
+    as_state,
 )
 from qpd.errors import (
     GuardTermination,
@@ -1467,6 +1468,21 @@ class TestConjugacyDeviations:
         for qmt, x0 in zip(*conjugacy_trials(rng, 2, 5)):
             assert (conjugacy_deviation(sys, qmt, x0, steps)
                     == reference_one_step_defect(sys, qmt, x0, steps))
+
+    @pytest.mark.parametrize("i", [0, 3, 6])
+    @pytest.mark.parametrize("row", [[1.0, np.nan], [1.0, 0.0], [1.0],
+                                     [[1.0, 1.0]]],
+                             ids=["nan", "zero", "length", "matrix"])
+    def test_bad_initial_state_raises_as_the_state_alone(self, row, i):
+        sys = load_fixture("example1_lv")
+        qmts, X0 = conjugacy_trials(np.random.default_rng(2), 2, 7)
+        X0 = list(X0)
+        X0[i] = row
+        with pytest.raises(Exception) as own:
+            as_state(row, 2)
+        with pytest.raises(type(own.value)) as batch:
+            conjugacy_deviations(sys, qmts, X0, 5)
+        assert str(batch.value) == str(own.value)
 
     @pytest.mark.parametrize("system", [
         *FIXTURE_NAMES, *(f"stable-lv-image-n6-{seed}" for seed in range(4))])

@@ -27,6 +27,7 @@ from qpd.systems import (
     advance,
     as_batch,
     as_state,
+    as_states,
     row_product,
 )
 from qpd.errors import (
@@ -84,6 +85,30 @@ class TestAsState:
     def test_rejects_nan(self):
         with pytest.raises(NonFinite):
             as_state([1.0, np.nan], 2)
+
+
+class TestAsStates:
+    BAD_ROWS = {"matrix": np.ones((2, 2)), "length": [1.0, 1.0, 1.0],
+                "scalar": 1.0, "nan": [1.0, np.nan], "inf": [np.inf, 1.0],
+                "zero": [0.0, 1.0], "negative": [1.0, -2.0]}
+
+    def test_rows_pass_through(self):
+        X = [[1.0, 2.0], np.array([0.5, 3.0])]
+        assert as_states(X, 2).tolist() == [[1.0, 2.0], [0.5, 3.0]]
+        assert as_states([], 2).shape == (0, 2)
+
+    @pytest.mark.parametrize("i", [0, 2, 4])
+    @pytest.mark.parametrize("kind", BAD_ROWS)
+    def test_bad_row_raises_as_the_state_alone(self, kind, i):
+        row = self.BAD_ROWS[kind]
+        with pytest.raises(Exception) as own:
+            as_state(row, 2)
+        X = [[1.0, 1.0]] * 6
+        X[i] = row
+        X[5] = [-1.0, 1.0]  # a later bad row is not the one named
+        with pytest.raises(type(own.value)) as batch:
+            as_states(X, 2)
+        assert str(batch.value) == str(own.value)
 
 
 class TestLVSystem:

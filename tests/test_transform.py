@@ -18,7 +18,7 @@ from qpd.errors import (DimensionMismatch, NonFinite, OverflowGuard, SingularB,
                         SingularMatrix)
 from qpd.systems import GUARD_OK, GUARD_REASONS, advance
 from qpd.transform import (INVERSE_RESIDUAL_LIMIT, SINGULARITY_RTOL,
-                           invertibility, map_states)
+                           apply_qmts, invertibility, map_states)
 
 
 class TestQMTMatrix:
@@ -68,6 +68,10 @@ class TestApplyQmt:
         sys = load_fixture("example1_lv")
         with pytest.raises(DimensionMismatch):
             apply_qmt(sys, QMTMatrix.identity(3))
+
+    def test_no_transformations_give_an_empty_stack(self):
+        A, B, lam = apply_qmts(load_fixture("example3_qp_rho32"), [])
+        assert (A.shape, B.shape, lam.shape) == ((0, 2, 2), (0, 2, 2), (0, 2))
 
     # A' = C^-1 A, B' = B C and lam' = C^-1 lam of C = scale I
     @pytest.mark.parametrize("A, B, lam, scale, label", [
@@ -196,6 +200,70 @@ class TestInvertibilityWitness:
         assert witness["inverse_residual"] <= INVERSE_RESIDUAL_LIMIT
         assert np.array_equal(inv, np.linalg.solve([[2.0, 1.0], [1.0, 2.0]],
                                                    np.eye(2)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestStackedInvertibility:
+    """A (k, n, n) stack decides each slice as that matrix alone, to the
+    bit: one matrix is the stack of one."""
+
+    @staticmethod
+    def slices(rng):
+        bad = np.eye(7)
+        bad[3, 4] = np.nan
+        return [rng.uniform(-1.0, 1.0, (7, 7)),
+                np.zeros((7, 7)),  # rcond 0, no LAPACK call
+                bad,  # non-finite
+                np.diag([1.0] * 6 + [1e-12]),  # below the rcond tolerance
+                hilbert(7),  # passes rcond, refused by the residual
+                1e4 * hilbert(7),
+                rng.uniform(-1.0, 1.0, (7, 7)) * 1e-200,
+                np.diag([1.0] * 6 + [1e-9]),  # passes both
+                rng.uniform(-1.0, 1.0, (7, 7))]
+
+    def test_each_slice_decides_as_the_matrix_alone(self):
+        stack = np.array(self.slices(np.random.default_rng(4)))
+        inv, witness = invertibility(stack)
+        assert inv.shape == stack.shape
+        assert witness["tolerance"] == SINGULARITY_RTOL
+        decided = []
+        for i, M in enumerate(stack):
+            own, own_witness = invertibility(M)
+            decided.append(own is not None)
+            assert bits(witness["rcond"][i]) == bits(own_witness["rcond"])
+            if "inverse_residual" in own_witness:
+                assert bits(witness["inverse_residual"][i]) == bits(
+                    own_witness["inverse_residual"])
+            else:
+                assert np.isnan(witness["inverse_residual"][i])
+            if own is None:
+                assert np.isnan(inv[i]).all()
+            else:
+                assert bits(inv[i]) == bits(own)
+        assert decided == [True, False, False, False, False, False, True,
+                           True, True]
+
+    def test_condition_of_a_stack_is_each_slices(self):
+        rng = np.random.default_rng(5)
+        C = rng.uniform(-1.0, 1.0, (30, 6, 6))
+        C_inv, _ = invertibility(C)
+        conditions = QMTMatrix(C, C_inv).condition()
+        assert conditions.shape == (30,)
+        for i in range(30):
+            own = QMTMatrix.from_matrix(C[i]).condition()
+            assert isinstance(own, float)
+            assert bits(conditions[i]) == bits(own)
+        C_inv[3] = np.nan  # a singular slice
+        assert np.isnan(QMTMatrix(C, C_inv).condition()[3])
+
+    def test_empty_stack(self):
+        inv, witness = invertibility(np.empty((0, 3, 3)))
+        assert inv.shape == (0, 3, 3)
+        assert witness["rcond"].shape == witness["inverse_residual"].shape \
+            == (0,)
 
 
 class TestMapState:
