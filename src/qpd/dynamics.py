@@ -310,6 +310,12 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     states t >= start.  A tangent that collapses to 0 or leaves the
     representable range leaves a non-finite exponent and never ends its
     row.  Raises InvalidArgument when the record is too large to allocate.
+
+    Once the kernel replays, the steps from its replay's start on are
+    its copies, read from them alone: the tail extrema over the distinct
+    copies the window covers, at most all of them and in one or two runs
+    (exact, since min and max do not round), and each recorded step as
+    the copy of its index, a block of steps at a time.
     """
     X0 = np.asarray(X0, dtype=float)
     m0, n = X0.shape
@@ -323,22 +329,40 @@ def _lockstep(sys: QPSystem, X0, horizon, tail=range(0), record=range(0),
     tail_min = np.full(S.shape[1:], np.inf)
     tail_max = np.full(S.shape[1:], -np.inf)
 
-    def observe(t, states):
-        """Tail extrema and record of the live rows over the states of
-        steps t, t + 1, ..."""
-        mask = live[:, None]
-        window = states[max(tail.start - t, 0):max(tail.stop - t, 0)]
-        if window.size:
-            np.minimum(tail_min, window.min(axis=0), out=tail_min, where=mask)
-            np.maximum(tail_max, window.max(axis=0), out=tail_max, where=mask)
+    def extrema(states):
+        """Fold the states of steps in the tail into the live rows'
+        extrema."""
+        if states.size:
+            mask = live[:, None]
+            np.minimum(tail_min, states.min(axis=0), out=tail_min, where=mask)
+            np.maximum(tail_max, states.max(axis=0), out=tail_max, where=mask)
+
+    def keep(t, states):
+        """Record the live rows of the states of steps t, t + 1, ..."""
         a, b = max(record.start, t), min(record.stop, t + len(states))
         if a < b:
             np.copyto(rec[a - record.start:b - record.start],
-                      states[a - t:b - t, :m0], where=mask[:m0])
+                      states[a - t:b - t, :m0], where=live[:m0, None])
 
     with np.errstate(all="ignore"):
         for t, k in kernel.blocks():
-            observe(t, S[:k])
+            extrema(S[:k][max(tail.start - t, 0):max(tail.stop - t, 0)])
+            keep(t, S[:k])
+        if kernel.replay is not None:  # step T >= start is copy T - start
+            start, (copies, _) = kernel.replay
+            L, end = len(copies), horizon + 1
+            first, last = max(tail.start, start), min(tail.stop, end)
+            if first < last:  # the window's distinct copies: one or two runs
+                i = (first - start) % L
+                j = i + min(last - first, L)
+                extrema(copies[i:j])
+                extrema(copies[:max(j - L, 0)])
+            last = min(record.stop, end)
+            for t in range(max(record.start, start), last, kernel.size):
+                k = min(kernel.size, last - t)
+                np.take(copies, range(t - start, t - start + k), axis=0,
+                        out=S[:k], mode="wrap")
+                keep(t, S[:k])
     exponents = None
     if tangents is not None:
         exponents = (np.where(live, kernel.growth, np.nan)[:m0]

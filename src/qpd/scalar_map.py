@@ -212,8 +212,11 @@ _TINY = np.finfo(float).tiny  #: smallest normal double
 def _branch_limits(rho):
     """The constants of every ``_preimage`` solve at rho, computed once
     per growth rate: the peak exp(rho - 1), the image of _TINY, which
-    bounds the left branch from below, and exp(-rho)."""
-    return np.exp(rho - 1.0), _xi_iterate(_TINY, rho, 1), np.exp(-rho)
+    bounds the left branch from below, and exp(-rho), as Python floats
+    (exactly), so that a solve's arithmetic is on floats, not numpy
+    scalars."""
+    return (float(np.exp(rho - 1.0)), float(_xi_iterate(_TINY, rho, 1)),
+            float(np.exp(-rho)))
 
 
 def _preimage(value, rho, left):

@@ -226,7 +226,9 @@ class MapStep:
     ``blocks()`` runs the horizon a block at a time, checking the guard
     once a block.  It yields ``(t, k)`` once S[:k] holds steps
     t .. t + k - 1 of the rows ``live``, an (m,) mask, at the block's
-    start, and last ``(t, 1)`` for the final step.  A block that trips
+    start, and last ``(t, 1)`` for step t in S[0]: the final step, the
+    step at which no row is live, or, once the run replays, the last
+    step it ran, the one before the replay's start.  A block that trips
     the guard ends at its first guarded step: before the yield its
     guarded rows join ``guards``, ``(row, t, reason)`` in step order,
     rows ascending, t the step whose transition was guarded; after it
@@ -234,9 +236,9 @@ class MapStep:
     row, a shadow that cannot trip again.  With tangents, ``growth``
     sums each row's log tangent growth over the transitions out of the
     steps t >= start, one ``np.log`` of a block's raw norms and one
-    axis-0 ``np.add.reduce`` in step order.  ``stepped`` counts every step it computed, the steps
-    of a tripped block after its cut included, so a guarded run may
-    count more than ``steps``.
+    axis-0 ``np.add.reduce`` in step order.  ``stepped`` counts every
+    step it computed, the steps of a tripped block after its cut
+    included, so a guarded run may count more than ``steps``.
 
     A float orbit lives on a finite set, so a row that settles on an
     attracting fixed point or cycle repeats bit for bit, renormalized
@@ -244,15 +246,18 @@ class MapStep:
     function of its own bits.  So after a block that trips no guard,
     while the run has steps left, ``_cycle`` looks for each row's last
     state among its earlier ones.  Once every row repeats, with periods
-    p_r, the batch repeats with period L = lcm(p_r), and no step is run:
-    each later block's states and raw norms are filled from the cycle's
-    copies, which tripped no guard, and no tangent row is read or
-    written again.  A batch whose period is longer than a block is
-    replayed all the same, while its copies, min(L, steps left) states,
-    fit in BLOCK_DOUBLES; step T is copy ``(T - start) % len(states)``,
-    which wraps only when all L are stored.  ``replay`` is None until
-    the block that finds the cycle yields, then ``_cycle``'s ``(start,
-    copies)``; no later block is stepped.
+    p_r, the batch repeats with period L = lcm(p_r), and the run is
+    replayed: ``replay`` is None until the block that finds the cycle
+    yields, then ``_cycle``'s ``(start, (states, logs))``, and no later
+    step is run or checked, nor its state stored in S.  Step T >= start
+    is copy ``(T - start) % len(states)``, which tripped no guard, and
+    which wraps only when all L are stored: a batch whose period is
+    longer than a block is replayed all the same, while its copies,
+    min(L, steps left) states, fit in BLOCK_DOUBLES.  A reader takes the
+    replayed states it needs from the copies; ``blocks()`` only adds the
+    copies' logged tangent norms to ``growth``, in step order, at most a
+    block of steps at a time through ``norms``, so the sum keeps the bits
+    of the stepped run's: a sequence of additions, not a closed form.
     """
 
     def __init__(self, sys: QPSystem | QPStack, X0, steps, tangents=None):
@@ -314,40 +319,30 @@ class MapStep:
 
     def blocks(self):
         """Run the horizon block by block, as the class docstring says."""
-        S, norms, live, t = self.S, self.norms, self.live, 0
-        while t < self.steps and live.any():
+        S, V, norms, live, t = self.S, self.V, self.norms, self.live, 0
+        while t < self.steps and live.any() and self.replay is None:
             k, guarded = min(self.size, self.steps - t), None
-            if self.replay is not None:
-                start, copies = self.replay
-                at = (np.arange(k) + t + 1 - start) % len(copies[0])
-                for stored, copy in zip((S, norms), copies):
-                    if copy is not None:
-                        stored[1:k + 1] = copy[at]
-            else:
-                for j in range(k):
-                    self.step(j)
-                self.stepped += k
-                W, arg, Xn = self.W[:k], self.arg[:k], S[1:k + 1]
-                guard = (None if _within_limits(W, arg, Xn)
-                         else guard_codes(W, arg, Xn) * live)
-                if guard is not None and guard.any():
-                    # the block ends at its first guarded step
-                    k = int(np.argmax(guard.any(axis=1))) + 1
-                    guarded = np.flatnonzero(guard[k - 1])
-                    self.guards += [(int(i), t + k - 1,
-                                     GUARD_REASONS[guard[k - 1, i]])
-                                    for i in guarded]
-                elif t + k < self.steps:
-                    self.replay = _cycle(t, k, S, self.V, norms,
-                                         self.steps - t - k)
+            for j in range(k):
+                self.step(j)
+            self.stepped += k
+            W, arg, Xn = self.W[:k], self.arg[:k], S[1:k + 1]
+            guard = (None if _within_limits(W, arg, Xn)
+                     else guard_codes(W, arg, Xn) * live)
+            if guard is not None and guard.any():
+                # the block ends at its first guarded step
+                k = int(np.argmax(guard.any(axis=1))) + 1
+                guarded = np.flatnonzero(guard[k - 1])
+                self.guards += [(int(i), t + k - 1,
+                                 GUARD_REASONS[guard[k - 1, i]])
+                                for i in guarded]
+            elif t + k < self.steps:
+                self.replay = _cycle(t, k, S, V, norms, self.steps - t - k)
             if norms is not None and t + k > self._start:
-                j = max(self._start - t, 0)  # norms[j] carries the sum
-                norms[j] = self.growth
+                j = max(self._start - t, 0)
                 np.log(norms[j + 1:k + 1], out=norms[j + 1:k + 1])
-                np.add.reduce(norms[j:k + 1], axis=0, out=self.growth)
+                self._grow(j, k)
             yield t, k
             t += k
-            V = None if self.replay else self.V
             S[0] = S[k]
             if V is not None:
                 V[0] = V[k]
@@ -358,7 +353,24 @@ class MapStep:
                     S[0][~live] = S[0][source]
                     if V is not None:
                         V[0][~live] = V[0][source]
+        if self.replay is not None and norms is not None:
+            start, (_, logs) = self.replay
+            L = len(logs)
+            # the logs, then their first size - 1 again: the copies of any
+            # size consecutive steps are one slice
+            logs = logs[np.arange(L + self.size - 1) % L]
+            for u in range(max(t, self._start), self.steps, self.size):
+                k = min(self.size, self.steps - u)
+                i = (u + 1 - start) % L
+                norms[1:k + 1] = logs[i:i + k]
+                self._grow(0, k)
         yield t, 1
+
+    def _grow(self, j, k):
+        """Add the log norms[j + 1:k + 1] to ``growth`` in step order: one
+        axis-0 ``np.add.reduce``, norms[j] carrying the sum."""
+        self.norms[j] = self.growth
+        np.add.reduce(self.norms[j:k + 1], axis=0, out=self.growth)
 
 
 def guard_codes(W, arg, Xn):
@@ -397,7 +409,7 @@ def _within_limits(W, arg, Xn):
 def _cycle(t, k, S, V, norms, left):
     """The cycle of a block of k steps from step t that tripped no guard,
     with ``left`` steps of the run after it: ``(start, (states,
-    norms))``, or None when some row's last state ``(S[k], V[k])``
+    logs))``, or None when some row's last state ``(S[k], V[k])``
     equals none of its earlier ones bit for bit.
 
     Within one run a row's next state is a fixed function of its own
@@ -407,12 +419,14 @@ def _cycle(t, k, S, V, norms, left):
     + 1`` on, the batch of step T is copy ``(T - start) % L``, L the lcm
     of the periods.  The copies are the ones the run can still read,
     min(L, ``left``), so step T is copy ``(T - start) % len(states)``;
-    they and their raw tangent norms, or None without tangents, are
-    gathered from each row's last period in the block.  A cycle whose
-    copied states hold more than BLOCK_DOUBLES doubles is None.  Bit
-    patterns are compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; the
-    states of every row are compared only when row 0 repeats, and the
-    tangents only when every state does."""
+    they are gathered from each row's last period in the block, and
+    ``logs`` holds the log of each copy's raw tangent norm, the growth of
+    the transition into it, or is None without tangents: one ``np.log``
+    a copy, of the double a stepped run would log.  A cycle whose copied
+    states hold more than BLOCK_DOUBLES doubles is None.  Bit patterns
+    are compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; the states of
+    every row are compared only when row 0 repeats, and the tangents
+    only when every state does."""
     bits = S[:k + 1].view(np.int64)
     if not (bits[:k, 0] == bits[k, 0]).all(axis=1).any():
         return None
@@ -432,7 +446,7 @@ def _cycle(t, k, S, V, norms, left):
     at = a + 1 + (np.arange(k, k + stored)[:, None] - a) % p
     rows = np.arange(len(a))
     return t + k + 1, (S[at, rows],
-                       None if norms is None else norms[at, rows])
+                       None if norms is None else np.log(norms[at, rows]))
 
 
 def as_batch(X) -> np.ndarray:

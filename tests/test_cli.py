@@ -651,8 +651,8 @@ class TestSimulate:
     def test_replayed_orbit_matches_golden_file(self, capsys, tmp_path,
                                                 monkeypatch):
         # the orbit of (1, 1) repeats within its first block, so the other
-        # 31 blocks are filled from the stored cycle; the golden file was
-        # written by an engine that stepped all 2000 steps
+        # 1936 steps are recorded from the stored cycle; the golden file
+        # was written by an engine that stepped all 2000 steps
         steps = counted_kernel(monkeypatch)
         out_csv = tmp_path / "orbit.csv"
         code, out, _ = run(capsys, "simulate",
@@ -864,13 +864,20 @@ class TestConjugacy:
 
 
 class TestCycleReplayChangesNoOutput:
-    # a replayed block holds the bits that stepping would have made, so
-    # every output is that of a run that never searches for a cycle
+    # a replayed step is read from the copies, and its logged tangent norm
+    # added in step order, with the bits that stepping would have made, so
+    # every output is that of a run that never searches for a cycle; the
+    # four attracting fixtures replay, example3, ricker_n1 and the guarded
+    # drift do not
     @pytest.mark.parametrize("args", [
         ("conjugacy", str(DATA / "stable_lv_image_n6.json"), "--seed", "1",
          "--trials", "20", "--steps", "500"),
-        ("analyze", str(fixture_path("example1_qp_rho10")), "--verify"),
-    ])
+        *[("analyze", str(path), "--verify", "--seed", seed)
+          for path in [*map(fixture_path, FIXTURE_NAMES),
+                       DATA / "ricker_n1.json", DATA / "guarded_drift.json"]
+          for seed in ("0", "7")],
+    ], ids=lambda args: "-".join(Path(arg).stem for arg in args
+                                 if not arg.startswith("--")))
     def test_output_is_that_of_the_stepped_run(self, capsys, monkeypatch,
                                                tmp_path, args):
         report = tmp_path / "report.json"

@@ -1019,7 +1019,8 @@ RICKER_ROWS = np.array([[0.5, 1.0, 1.0], [1.3, 1.0, 1.0], [1.0, 0.5, 1.0],
 class TestCycleReplay:
     # a float orbit lives on a finite set, so a batch that settles on an
     # attracting cycle repeats bit for bit, tangents included; from then
-    # on the engine fills its blocks from the stored cycle
+    # on the engine reads its states and logged tangent norms from the
+    # stored cycle
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -1057,6 +1058,27 @@ class TestCycleReplay:
         assert run.stepped <= 3 * K
         assert len({row.tobytes() for row in run.record[-8:]}) == 8
 
+    @pytest.mark.parametrize("tangent_start", [None, 500])
+    @pytest.mark.parametrize("tail", [range(996, 1001), range(992, 997)])
+    def test_a_tail_shorter_than_the_cycle(self, monkeypatch, tail,
+                                           tangent_start):
+        # the rows of test_a_cycle_of_states replay a cycle of 8 copies
+        # from step 129: a tail of 5 steps covers 5 of them, copies 3 to
+        # 7 or, wrapping around, 7 and 0 to 3, whose extrema are not
+        # those of all 8, and the record spans 11 replayed steps
+        sys = QPSystem(-2.6 * np.eye(2), np.eye(2), [2.6, 2.6])
+        X0 = np.exp(np.random.default_rng(1).uniform(-1.0, 1.0, (5, 2)))
+        cycles = found_cycles(monkeypatch)
+        run = assert_matches_the_per_step_loop(
+            sys, X0, 1000, tail, range(990, 1001),
+            None if tangent_start is None
+            else with_tangents(tangent_start, len(X0)))
+        (start, (states, _)), = [cycle for cycle in cycles
+                                 if cycle is not None]
+        assert len(states) == 8 and start <= 990
+        assert not np.array_equal(run.tail_min, states.min(axis=0)[:5])
+        assert not np.array_equal(run.tail_max, states.max(axis=0)[:5])
+
     @pytest.mark.parametrize("tangent_start", [None, 0, LYAPUNOV_TRANSIENT])
     def test_guarded_pass_matches_the_per_step_loop(self, tangent_start):
         # tests/data/guarded_drift.json at seed 7 trips 36 blocks, and
@@ -1073,7 +1095,7 @@ class TestCycleReplay:
     def test_a_trip_then_a_cycle(self, tangent_start):
         # two rows underflow at step 0 and shadow row 0; the batch then
         # repeats, after the Lyapunov sum has started when it starts at 0,
-        # so the stored cycle must carry the raw tangent norms
+        # so the stored cycle must carry the logged tangent norms
         X0, V = pass_batch(0)
         X0[[3, 17]] = 1e3
         run = assert_matches_the_per_step_loop(
@@ -1086,7 +1108,7 @@ class TestCycleReplay:
 
     def test_cycle_before_the_lyapunov_sum(self):
         # the lone orbit of (1, 1) repeats within its first blocks, so the
-        # whole sum over steps 3000 to 4999 replays stored raw norms
+        # whole sum over steps 3000 to 4999 adds stored logged norms
         sys, x0 = load_fixture("example1_lv"), np.ones((1, 2))
         tangents = (3000, _tangent_directions(0, 1, 2))
         assert _lockstep(sys, x0, 5000, tangents=tangents).stepped < 3000
