@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -155,16 +156,42 @@ def _verification_block(system, verdicts, seed) -> dict:
     return block
 
 
-def _strict_json(value):
-    """The report with each non-finite float spelled as the text report
-    spells it, the string "inf", "-inf" or "nan"."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"{value}"
-    if isinstance(value, dict):
-        return {key: _strict_json(v) for key, v in value.items()}
+def _json_text(value, indent="\n") -> str:
+    """The JSON text of a report, in one pass: the bytes of ``json.dumps(
+    value, indent=2, allow_nan=False)`` once each non-finite float is
+    spelled as the text report spells it, the string "inf", "-inf" or
+    "nan".  ``indent`` is the newline and indentation of the value's own
+    line.  ``json.dump`` with an indent runs the pure-Python encoder,
+    and writes piece by piece; this one joins the text and writes it
+    once.  A value ``json`` cannot encode, or a key that is not a str,
+    raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return (float.__repr__(value) if math.isfinite(value)
+                else f'"{value}"')
+    inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        return [_strict_json(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in value]) + indent + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(v, inner)
+             for key, v in value.items()]) + indent + "}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    "serializable")
 
 
 def _fmt(v) -> str:
@@ -270,8 +297,7 @@ def cmd_analyze(args) -> int:
     print(render_report(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(_json_text(report) + "\n")
     if args.strict and report["verify"]["disagreements"]:
         print("exiting with status 2: analytic/numeric disagreement",
               file=sys.stderr)

@@ -28,6 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+try:  # the C function that np.einsum calls
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
+
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -219,9 +224,14 @@ class MapStep:
     norms[j + 1].  The transposes of A and B are contiguous copies, taken
     once, and lam is tiled to (m, n) once.  A step is 7 numpy calls, 2 of
     them matmuls, and 5 more with tangents; every operand is a buffer or
-    view made here.  Nothing is checked by a step, and a state past a
-    guard gives inf, NaN or 0 entries, so run the kernel under
-    ``np.errstate``.
+    view made here.  A step is bound by call overhead, so it calls numpy
+    at its floor: each ufunc and matmul takes its out positionally,
+    which numpy parses faster than a keyword, and the tangent norms are
+    one call of ``c_einsum``, the C function that ``np.einsum`` calls,
+    with its bits and without its Python wrapper (``np.vecdot`` and a
+    sum of squares round otherwise).  Nothing is checked by a step, and
+    a state past a guard gives inf, NaN or 0 entries, so run the kernel
+    under ``np.errstate``.
 
     ``blocks()`` runs the horizon a block at a time, checking the guard
     once a block.  It yields ``(t, k)`` once S[:k] holds steps
@@ -303,19 +313,19 @@ class MapStep:
         """Advance the rows S[j], and their tangent rows, by one step."""
         X, logX, P, WV, W, arg, out, tangent = self._steps[j]
         q = self.q
-        np.log(X, out=logX)
-        np.matmul(P, self._Bt, out=WV)
-        np.exp(W, out=q)
+        np.log(X, logX)
+        np.matmul(P, self._Bt, WV)
+        np.exp(W, q)
         if tangent:
             VB, V, Vn, s, s_col = tangent
-            np.multiply(q, VB, out=self._qVB)
-        np.matmul(self._Q, self._At, out=self._R)
-        np.add(self._qA, self._lam, out=arg)
-        np.multiply(X, np.exp(arg, out=out), out=out)
+            np.multiply(q, VB, self._qVB)
+        np.matmul(self._Q, self._At, self._R)
+        np.add(self._qA, self._lam, arg)
+        np.multiply(X, np.exp(arg, out), out)
         if tangent:
-            np.add(V, self._dV, out=Vn)
-            np.sqrt(np.einsum("ij,ij->i", Vn, Vn, out=s), out=s)
-            np.divide(Vn, s_col, out=Vn)
+            np.add(V, self._dV, Vn)
+            np.sqrt(c_einsum("ij,ij->i", Vn, Vn, out=s), s)
+            np.divide(Vn, s_col, Vn)
 
     def blocks(self):
         """Run the horizon block by block, as the class docstring says."""
@@ -424,16 +434,17 @@ def _cycle(t, k, S, V, norms, left):
     the transition into it, or is None without tangents: one ``np.log``
     a copy, of the double a stepped run would log.  A cycle whose copied
     states hold more than BLOCK_DOUBLES doubles is None.  Bit patterns
-    are compared, since ``-0.0 == 0.0`` and ``NaN != NaN``; the states of
-    every row are compared only when row 0 repeats, and the tangents
-    only when every state does."""
+    are compared, since ``-0.0 == 0.0`` and ``NaN != NaN``, by
+    ``_rows_equal``, a column at a time; the states of every row are
+    compared only when row 0 repeats, and the tangents only when every
+    state does."""
     bits = S[:k + 1].view(np.int64)
-    if not (bits[:k, 0] == bits[k, 0]).all(axis=1).any():
+    if not _rows_equal(bits[:k, 0], bits[k, 0]).any():
         return None
-    same = (bits[:k] == bits[k]).all(axis=2)
+    same = _rows_equal(bits[:k], bits[k])
     if V is not None and same.any(axis=0).all():  # every state repeats
         tangent = V[:k + 1].view(np.int64)
-        same &= (tangent[:k] == tangent[k]).all(axis=2)
+        same &= _rows_equal(tangent[:k], tangent[k])
     if not same.any(axis=0).all():
         return None
     a = k - 1 - np.argmax(same[::-1], axis=0)  # each row's largest a_r
@@ -447,6 +458,16 @@ def _cycle(t, k, S, V, norms, left):
     rows = np.arange(len(a))
     return t + k + 1, (S[at, rows],
                        None if norms is None else np.log(norms[at, rows]))
+
+
+def _rows_equal(a, b):
+    """``(a == b).all(axis=-1)``, one column of the last axis at a time:
+    numpy reduces a short last axis slowly, one inner loop a row, so for
+    rows of up to about ten components the columns are faster."""
+    same = a[..., 0] == b[..., 0]
+    for i in range(1, a.shape[-1]):
+        same &= a[..., i] == b[..., i]
+    return same
 
 
 def as_batch(X) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""Shared paths, random-instance generators and a kernel step counter
-for the test suite."""
+"""Shared paths, random-instance generators, a kernel step counter and
+the settings of the property tests for the test suite."""
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import qpd.dynamics
 from qpd import (
@@ -17,6 +20,16 @@ from qpd import (
 from qpd.systems import MapStep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+#: Settings of every property test: derandomized examples and no example
+#: database, so the tests are deterministic.
+PROPERTIES = settings(derandomize=True, database=None, deadline=None)
+
+# Hypothesis's other on-disk cache, of constants read from the source,
+# goes to the system temporary directory, so no ``.hypothesis/`` appears
+# in the working tree; set before collection ends, when the pytest
+# plugin reads the constants
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qpd-hypothesis")
 
 #: Every bundled fixture.
 FIXTURE_NAMES = ("example1_lv", "example1_qp_rho05", "example1_qp_rho10",

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qpd.cli
 import qpd.systems
 from conftest import (
     ATTRACTIVE_FIXTURES,
     FIXTURE_NAMES,
+    PROPERTIES,
     counted_kernel,
     exact_exponent,
     fixture_path,
@@ -891,6 +894,81 @@ class TestCycleReplayChangesNoOutput:
         monkeypatch.setattr(qpd.systems, "_cycle", lambda *args: None)
         assert outputs() == replayed
         assert replayed[0] == 0
+
+
+def strict_form(value):
+    """A report as ``json`` encodes it strictly: each non-finite float
+    spelled "inf", "-inf" or "nan", tuples as lists."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return f"{value}"
+    if isinstance(value, dict):
+        return {key: strict_form(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_form(v) for v in value]
+    return value
+
+
+def dumped(value):
+    return json.dumps(strict_form(value), indent=2, allow_nan=False)
+
+
+#: JSON-ready values: nested dicts and lists, empty ones included, of
+#: non-ASCII and escaped strings, bools, ints and floats, non-finite too
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    # --json writes the report in one pass, with the bytes of json.dumps
+    # at indent 2 of its strict form
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    @pytest.mark.parametrize("path", [
+        *map(fixture_path, FIXTURE_NAMES), DATA / "guarded_drift.json",
+        DATA / "ricker_n1.json", DATA / "competitive_lv_n3.json"],
+        ids=lambda path: path.stem)
+    def test_verify_report_is_json_dumps(self, capsys, tmp_path, path, seed):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", str(path), "--verify", "--seed",
+                         seed, "--json", str(out_path))
+        assert code == 0
+        report = build_analysis_report(load_system(path), seed=int(seed),
+                                       verify=True)
+        assert out_path.read_text() == dumped(report) + "\n"
+
+    @pytest.mark.parametrize("A, B, spelled", [
+        # B lam = (1e200, 1e200): five hypothesis witnesses overflow
+        ([[-1.0, 0.0], [0.0, -1.0]], [[1e200, 0.0], [0.0, 1e200]], '"inf"'),
+        # x -> x exp(1 + x / 2): every orbit is lost, its statistics null
+        ([[0.5, 0.0], [0.0, 0.5]], None, '"tail_min": null'),
+    ], ids=["overflowing-hypotheses", "lost-ensemble"])
+    def test_non_finite_and_null_values(self, capsys, tmp_path, A, B,
+                                        spelled):
+        path = write_system(tmp_path, A, [1.0, 1.0], B)
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", path, "--verify", "--json",
+                         str(out_path))
+        assert code == 0
+        text = out_path.read_text()
+        assert spelled in text
+        report = build_analysis_report(load_system(path), verify=True)
+        assert text == dumped(report) + "\n"
+
+    @PROPERTIES
+    @given(JSON_VALUES)
+    def test_any_json_value(self, value):
+        assert qpd.cli._json_text(value) == dumped(value)
+
+    @pytest.mark.parametrize("value", [
+        object(), np.int64(1), {1.5}, b"bytes", {"key": [np.bool_(True)]},
+        {1: "a key that is not a str"}], ids=[
+        "object", "numpy-int", "set", "bytes", "nested-numpy-bool", "int-key"])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            qpd.cli._json_text(value)
 
 
 class QueuedDraws:

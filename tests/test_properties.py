@@ -2,28 +2,17 @@
 invariance and single-checker agreement of the theorem battery.
 
 Examples are derandomized and no example database is kept, so these
-tests are deterministic.  Hypothesis's other on-disk cache, of constants
-read from the source, goes to the system temporary directory, so no
-``.hypothesis/`` appears in the working tree.
+tests are deterministic (``conftest.PROPERTIES``).
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 import qpd
-from conftest import behind
+from conftest import PROPERTIES, behind
 from qpd import QMTMatrix, QPSystem, apply_qmt, canonical_lv, check_all_theorems
 from qpd.errors import SingularB
-
-PROPERTIES = settings(derandomize=True, database=None, deadline=None)
-
-# before collection ends: the pytest plugin reads the constants then
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qpd-hypothesis")
 
 #: T6's extra hypothesis is a property of the representative, not of the
 #: class: B^-1 becomes C^-1 B^-1 under a QMT.

@@ -23,7 +23,9 @@ from qpd.systems import (
     GUARD_OVERFLOW,
     GUARD_UNDERFLOW,
     UNDERFLOW_FLOOR,
+    MapStep,
     QPStack,
+    _rows_equal,
     advance,
     as_batch,
     as_state,
@@ -287,6 +289,48 @@ class TestBatchRule:
             expected = (expected[0] if rows.ndim == 1
                         else expected[..., :rows.shape[-2], :])
             assert product.tobytes() == expected.tobytes()
+
+
+class TestKernelBits:
+    # the kernel calls numpy's C functions directly; each must give the
+    # bits of the public call it stands for
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+    def test_tangent_norm_is_einsums(self, n):
+        # A = 0 leaves each tangent row as it is, V + 0, so the norm the
+        # kernel keeps is that of the given rows, scaled e^-30 .. e^30
+        rng = np.random.default_rng(n)
+        V = (rng.standard_normal((64, n))
+             * np.exp(np.linspace(-30.0, 30.0, 64))[:, None])
+        sys = QPSystem(np.zeros((n, n)), np.eye(n), np.zeros(n))
+        kernel = MapStep(sys, rng.uniform(0.5, 2.0, (64, n)), 1,
+                         tangents=(0, V))
+        kernel.step(0)
+        s = np.sqrt(np.einsum("ij,ij->i", V, V))
+        assert kernel.norms[1].tobytes() == s.tobytes()
+        assert kernel.V[1].tobytes() == (V / s[:, None]).tobytes()
+
+    # +-0.0, NaNs of several payloads and signs, +-inf, and a number
+    SPECIAL = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 1.0],
+        np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                  0x7FF0000000000001, 0xFFF8000000000000],
+                 dtype=np.uint64).view(float)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_rows_equal_compares_bit_patterns(self, n):
+        rng = np.random.default_rng(n)
+        pick = self.SPECIAL.view(np.int64)
+        a = pick[rng.integers(len(pick), size=(40, 9, n))]
+        b = pick[rng.integers(len(pick), size=(9, n))]
+        a[::3] = b  # whole rows repeat, and some repeat by chance
+        for x, y in ((a, b), (a[:, 0], b[0])):  # a block, and row 0
+            expected = (x == y).all(axis=-1)
+            assert np.array_equal(_rows_equal(x, y), expected)
+            assert expected.any() and not expected.all()
+        # the float comparison would answer otherwise
+        assert not np.array_equal(
+            (a.view(float) == b.view(float)).all(axis=-1),
+            (a == b).all(axis=-1))
 
 
 class TestSignPattern:
